@@ -133,6 +133,7 @@ func (c Config) MarshalJSON() ([]byte, error) {
 		RouterAssist:            c.RouterAssist,
 		DRAI:                    c.DRAI,
 		MuzhaLossDiscrimination: c.MuzhaLossDiscrimination,
+		DRAIClamp:               c.DRAIClamp,
 		ThroughputBin:           int64(c.ThroughputBin),
 		TraceCwnd:               c.TraceCwnd,
 		TraceCap:                c.TraceCap,

@@ -26,6 +26,7 @@ func wireTestConfig(t *testing.T) Config {
 	cfg.ResidualLossRate = 0.001
 	cfg.ThroughputBin = time.Second
 	cfg.TraceCwnd = true
+	cfg.DRAIClamp = true
 	cfg.Flows = []Flow{
 		{Src: 0, Dst: 4, Variant: Muzha, Window: 8},
 		{Src: 4, Dst: 0, Variant: Vegas, Start: time.Second, MaxBytes: 1 << 20},
@@ -76,6 +77,9 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	}
 	if back.Guards != cfg.Guards {
 		t.Fatalf("guards lost: %+v", back.Guards)
+	}
+	if !back.DRAIClamp {
+		t.Fatal("DRAIClamp lost in round trip")
 	}
 	if back.Workers != cfg.Workers {
 		t.Fatalf("workers lost: %d", back.Workers)
@@ -168,10 +172,11 @@ func TestConfigHashStability(t *testing.T) {
 
 	// Scenario changes must move it.
 	for name, mutate := range map[string]func(*Config){
-		"seed":     func(c *Config) { c.Seed++ },
-		"duration": func(c *Config) { c.Duration += time.Second },
-		"variant":  func(c *Config) { c.Flows[0].Variant = NewReno },
-		"per":      func(c *Config) { c.PacketErrorRate = 0.02 },
+		"seed":       func(c *Config) { c.Seed++ },
+		"duration":   func(c *Config) { c.Duration += time.Second },
+		"variant":    func(c *Config) { c.Flows[0].Variant = NewReno },
+		"per":        func(c *Config) { c.PacketErrorRate = 0.02 },
+		"drai_clamp": func(c *Config) { c.DRAIClamp = false },
 	} {
 		other := wireTestConfig(t)
 		mutate(&other)

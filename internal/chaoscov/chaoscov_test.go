@@ -70,6 +70,21 @@ func TestCorpusDedupeAndFrontier(t *testing.T) {
 	}
 }
 
+// tearTail appends a partial line to the corpus at path, as a loop
+// killed mid-append leaves it, and returns the file's new contents.
+func tearTail(t *testing.T, path, partial string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = append(b, partial...)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestCorpusPersistAndResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corpus.jsonl")
 	c, err := OpenCorpus(path)
@@ -87,18 +102,12 @@ func TestCorpusPersistAndResume(t *testing.T) {
 	}
 
 	// Simulate a kill mid-append: a truncated third line.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"id": 2, "spec": {"seed`)
-	f.Close()
+	tearTail(t, path, `{"id": 2, "spec": {"seed`)
 
 	r, err := OpenCorpus(path)
 	if err != nil {
 		t.Fatalf("resume after truncation: %v", err)
 	}
-	defer r.Close()
 	if r.Len() != 2 {
 		t.Fatalf("resumed %d entries, want 2", r.Len())
 	}
@@ -114,6 +123,58 @@ func TestCorpusPersistAndResume(t *testing.T) {
 	// Adding the same signatures after resume still dedupes.
 	if _, added, _ := r.Add(specFixture(9), -1, []string{"a", "b"}, "panic"); added {
 		t.Fatal("resume forgot a journaled signature")
+	}
+	// An entry added after the truncated line survives the next resume.
+	if _, added, err := r.Add(specFixture(3), 1, []string{"a", "c"}, ""); err != nil || !added {
+		t.Fatalf("add after resume: added=%v err=%v", added, err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := OpenCorpus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if r2.Len() != 3 || r2.Skipped() != 1 || !r2.Seen("c") {
+		t.Fatalf("second resume: %d entries, %d skipped, seen c=%v; want 3 / 1 / true",
+			r2.Len(), r2.Skipped(), r2.Seen("c"))
+	}
+}
+
+// TestReadInfoIsReadOnly: the stats probe runs beside a live loop, so
+// it must never create, terminate or otherwise write a corpus file.
+func TestReadInfoIsReadOnly(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.jsonl")
+	if info, err := ReadInfo(missing); err != nil || info != (Info{}) {
+		t.Fatalf("missing corpus: info=%+v err=%v", info, err)
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Fatalf("ReadInfo created %s (stat err %v)", missing, err)
+	}
+
+	path := filepath.Join(dir, "corpus.jsonl")
+	c, err := OpenCorpus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Add(specFixture(1), -1, []string{"a"}, "")
+	c.Add(specFixture(2), 0, []string{"a", "b"}, "panic")
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A loop caught mid-append: the file ends in a partial line.
+	before := tearTail(t, path, `{"id": 2, "spec": {"seed`)
+	info, err := ReadInfo(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Info{Entries: 2, Sometimes: 2, Classes: 1, Failures: 1}); info != want {
+		t.Fatalf("info = %+v, want %+v", info, want)
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(before) {
+		t.Fatalf("ReadInfo modified the corpus:\nbefore %q\nafter  %q", before, after)
 	}
 }
 

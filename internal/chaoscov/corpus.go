@@ -14,10 +14,12 @@
 // entry per distinct signature, in the spirit of fuzzing-harness
 // corpus distillation.
 //
-// The corpus is a JSONL journal with the same durability contract as
-// the sweep journal: entries append as runs finish, a loop killed
-// mid-write loses at most one line on reload, and a restarted loop
-// resumes from the accumulated coverage instead of rediscovering it.
+// The corpus is an internal/jsonl log, like the sweep journal: one
+// write per entry as runs finish, no fsync per append, and a torn tail
+// terminated on open, so a loop killed mid-write loses at most that one
+// line and a restarted loop resumes from the accumulated coverage
+// instead of rediscovering it. ReadInfo only reads the file, so it is
+// safe beside a live loop.
 package chaoscov
 
 import (
@@ -29,7 +31,7 @@ import (
 	"sort"
 	"strings"
 
-	"muzha/internal/harness"
+	"muzha/internal/jsonl"
 	"muzha/internal/scenario"
 )
 
@@ -77,8 +79,7 @@ type Corpus struct {
 	entries []Entry
 	bySig   map[string]int  // signature -> entry ID
 	seen    map[string]bool // global coverage elements
-	f       *os.File
-	err     error
+	log     *jsonl.Log      // nil for an in-memory corpus
 	skipped int
 }
 
@@ -91,29 +92,22 @@ func OpenCorpus(path string) (*Corpus, error) {
 	if path == "" {
 		return c, nil
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	log, skipped, err := jsonl.Open(path, c.load)
 	if err != nil {
 		return nil, fmt.Errorf("chaoscov: open corpus: %w", err)
 	}
-	skipped, err := harness.ScanJSONL(f, func(line []byte) bool {
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil || e.Sig == "" || len(e.Spec) == 0 {
-			return false
-		}
-		c.absorb(e)
-		return true
-	})
-	c.skipped = skipped
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("chaoscov: read corpus: %w", err)
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("chaoscov: seek corpus: %w", err)
-	}
-	c.f = f
+	c.log, c.skipped = log, skipped
 	return c, nil
+}
+
+// load absorbs one journal line, rejecting lines that are not entries.
+func (c *Corpus) load(line []byte) bool {
+	var e Entry
+	if err := json.Unmarshal(line, &e); err != nil || e.Sig == "" || len(e.Spec) == 0 {
+		return false
+	}
+	c.absorb(e)
+	return true
 }
 
 // absorb folds one loaded entry into the in-memory state, re-deriving
@@ -173,29 +167,10 @@ func (c *Corpus) Add(spec scenario.Spec, parent int, coverage []string, class st
 	}
 	c.bySig[sig] = e.ID
 	c.entries = append(c.entries, e)
-	c.append(e)
+	if c.log != nil {
+		c.log.Append(e)
+	}
 	return e, true, nil
-}
-
-// append journals one entry; the first write error latches like the
-// sweep journal's — the loop must not die on corpus I/O.
-func (c *Corpus) append(e Entry) {
-	if c.f == nil {
-		return
-	}
-	b, err := json.Marshal(e)
-	if err != nil {
-		if c.err == nil {
-			c.err = fmt.Errorf("chaoscov: marshal corpus entry %d: %w", e.ID, err)
-		}
-		return
-	}
-	if c.err != nil {
-		return
-	}
-	if _, err := c.f.Write(append(b, '\n')); err != nil {
-		c.err = fmt.Errorf("chaoscov: write corpus: %w", err)
-	}
 }
 
 // Len reports the number of corpus entries.
@@ -257,20 +232,19 @@ func (c *Corpus) Frontier() []int {
 func (c *Corpus) Skipped() int { return c.skipped }
 
 // Err returns the first latched journal write error.
-func (c *Corpus) Err() error { return c.err }
+func (c *Corpus) Err() error {
+	if c.log == nil {
+		return nil
+	}
+	return c.log.Err()
+}
 
-// Close flushes and closes the journal, surfacing any latched write
-// error.
+// Close closes the journal, surfacing any latched write error.
 func (c *Corpus) Close() error {
-	if c.f == nil {
-		return c.err
+	if c.log == nil {
+		return nil
 	}
-	cerr := c.f.Close()
-	c.f = nil
-	if c.err != nil {
-		return c.err
-	}
-	return cerr
+	return c.log.Close()
 }
 
 // Info summarizes a corpus file for reporting (the muzhad /v1/stats
@@ -287,13 +261,22 @@ type Info struct {
 	Failures int `json:"failures"`
 }
 
-// ReadInfo summarizes the corpus journal at path.
+// ReadInfo summarizes the corpus journal at path. It only reads: a
+// missing file is an empty corpus, and a file a live loop is appending
+// to is never written or repaired.
 func ReadInfo(path string) (Info, error) {
-	c, err := OpenCorpus(path)
-	if err != nil {
-		return Info{}, err
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return Info{}, nil
 	}
-	defer c.Close()
+	if err != nil {
+		return Info{}, fmt.Errorf("chaoscov: read corpus: %w", err)
+	}
+	defer f.Close()
+	c, _ := OpenCorpus("") // in memory: never fails
+	if _, err := jsonl.Scan(f, c.load); err != nil {
+		return Info{}, fmt.Errorf("chaoscov: read corpus: %w", err)
+	}
 	info := Info{
 		Entries:   c.Len(),
 		Sometimes: len(c.SometimesCoverage()),

@@ -1,33 +1,12 @@
 package harness
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sync"
-)
 
-// ScanJSONL feeds every non-empty line of r to fn. A line fn rejects
-// (returns false) — a truncated final line from a kill mid-write, or
-// any other corruption — is counted and skipped, never fatal: losing
-// one in-flight record must not discard the rest of a journal. The
-// Journal's resume and the job daemon's store recovery both ride this.
-func ScanJSONL(r io.Reader, fn func(line []byte) bool) (skipped int, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if !fn(line) {
-			skipped++
-		}
-	}
-	return skipped, sc.Err()
-}
+	"muzha/internal/jsonl"
+)
 
 // Entry is one journaled job outcome — a single JSONL line. Value holds
 // the job's marshaled result and is decoded by the caller on resume.
@@ -39,16 +18,15 @@ type Entry struct {
 	Value json.RawMessage `json:"value,omitempty"`
 }
 
-// Journal is an append-only JSONL record of finished jobs. Opening an
-// existing journal loads its entries so a restarted sweep can skip them;
-// Record appends one line per completed job as workers finish, so a
-// killed sweep loses at most the in-flight runs. Record and Lookup are
-// safe for concurrent use.
+// Journal is an append-only JSONL record of finished jobs, kept by an
+// internal/jsonl log. Opening an existing journal loads its entries so
+// a restarted sweep can skip them; Record appends one line per
+// completed job as workers finish, so a killed sweep loses at most the
+// in-flight runs. Record and Lookup are safe for concurrent use.
 type Journal struct {
 	mu      sync.Mutex
-	f       *os.File
+	log     *jsonl.Log
 	done    map[string]Entry
-	err     error
 	skipped int
 }
 
@@ -57,12 +35,8 @@ type Journal struct {
 // kill mid-write — is skipped, not fatal; Skipped reports how many lines
 // were dropped.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("harness: open journal: %w", err)
-	}
-	j := &Journal{f: f, done: make(map[string]Entry)}
-	skipped, err := ScanJSONL(f, func(line []byte) bool {
+	j := &Journal{done: make(map[string]Entry)}
+	log, skipped, err := jsonl.Open(path, func(line []byte) bool {
 		var e Entry
 		if err := json.Unmarshal(line, &e); err != nil || e.Key == "" {
 			return false
@@ -70,15 +44,10 @@ func OpenJournal(path string) (*Journal, error) {
 		j.done[e.Key] = e
 		return true
 	})
-	j.skipped = skipped
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("harness: read journal: %w", err)
+		return nil, fmt.Errorf("harness: open journal: %w", err)
 	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("harness: seek journal: %w", err)
-	}
+	j.log, j.skipped = log, skipped
 	return j, nil
 }
 
@@ -107,39 +76,23 @@ func (j *Journal) Len() int {
 // Record appends one entry. The first write error latches — the sweep
 // must not die on journal I/O — and surfaces via Err and Close.
 func (j *Journal) Record(e Entry) {
-	b, err := json.Marshal(e)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err != nil {
-		if j.err == nil {
-			j.err = fmt.Errorf("harness: marshal journal entry %q: %w", e.Key, err)
-		}
-		return
-	}
 	j.done[e.Key] = e
-	if j.err != nil {
-		return
-	}
-	if _, err := j.f.Write(append(b, '\n')); err != nil {
-		j.err = fmt.Errorf("harness: write journal: %w", err)
-	}
+	j.log.Append(e)
 }
 
 // Err returns the first latched journal I/O error.
 func (j *Journal) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.err
+	return j.log.Err()
 }
 
-// Close flushes and closes the journal, returning any latched write
-// error so a truncated journal is never mistaken for a complete one.
+// Close closes the journal, returning any latched write error so a
+// truncated journal is never mistaken for a complete one.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	cerr := j.f.Close()
-	if j.err != nil {
-		return j.err
-	}
-	return cerr
+	return j.log.Close()
 }

@@ -53,12 +53,28 @@ func TestJournalTruncatedLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
 	if j.Len() != 1 || j.Skipped() != 1 {
 		t.Fatalf("entries=%d skipped=%d", j.Len(), j.Skipped())
 	}
 	if _, ok := j.Lookup("done"); !ok {
 		t.Fatal("complete entry lost")
+	}
+	// The resumed sweep's first record must not be glued onto the
+	// partial line and lost on the next reload.
+	j.Record(Entry{Key: "after", OK: true, Value: json.RawMessage(`2`)})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if j2.Len() != 2 || j2.Skipped() != 1 {
+		t.Fatalf("after reopen: entries=%d skipped=%d, want 2 / 1", j2.Len(), j2.Skipped())
+	}
+	if _, ok := j2.Lookup("after"); !ok {
+		t.Fatal("record appended after the truncated line was lost")
 	}
 }
 

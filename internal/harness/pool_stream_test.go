@@ -3,36 +3,9 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 )
-
-func TestScanJSONL(t *testing.T) {
-	input := strings.Join([]string{
-		`{"a":1}`,
-		``, // blank lines are skipped silently
-		`{"b":2}`,
-		`{"trunc`, // kill-mid-write residue: rejected, counted, not fatal
-	}, "\n")
-	var got []string
-	skipped, err := ScanJSONL(strings.NewReader(input), func(line []byte) bool {
-		if !strings.HasSuffix(string(line), "}") {
-			return false
-		}
-		got = append(got, string(line))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 1 {
-		t.Fatalf("skipped = %d, want 1", skipped)
-	}
-	if len(got) != 2 || got[0] != `{"a":1}` || got[1] != `{"b":2}` {
-		t.Fatalf("lines = %v", got)
-	}
-}
 
 // collectOutcomes gathers pool callbacks safely across goroutines.
 type collectOutcomes struct {

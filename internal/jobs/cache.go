@@ -4,20 +4,19 @@ import (
 	"container/list"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 
 	"muzha/internal/harness"
+	"muzha/internal/jsonl"
 )
 
 // Cache is the content-addressed result cache: Config.Hash() -> the
-// canonical Result encoding produced by EncodeResult. It persists as a
-// JSONL journal with the harness's durability contract — append on
-// write, truncated-line-tolerant reload, a daemon killed mid-append
-// loses at most that one entry — and is bounded: when an entry or byte
-// cap is configured, the least-recently-used results are evicted to
-// stay under it, so a long-lived daemon's memory does not grow with
-// every distinct scenario it has ever simulated.
+// canonical Result encoding produced by EncodeResult. It persists as an
+// internal/jsonl log of harness.Entry lines — a daemon killed
+// mid-append loses at most that one entry — and is bounded: when an
+// entry or byte cap is configured, the least-recently-used results are
+// evicted to stay under it, so a long-lived daemon's memory does not
+// grow with every distinct scenario it has ever simulated.
 //
 // Eviction is an in-memory policy; the journal stays append-only
 // during operation. Dead weight (evicted, superseded or unparseable
@@ -30,14 +29,12 @@ import (
 // to a later identical submission.
 type Cache struct {
 	mu      sync.Mutex
-	f       *os.File
-	path    string
+	log     *jsonl.Log
 	limit   CacheLimit
 	byKey   map[string]*list.Element
 	lru     *list.List // front = most recently used
 	bytes   int64
 	evicted uint64
-	err     error
 }
 
 // CacheLimit bounds the cache; zero fields are unbounded.
@@ -71,19 +68,13 @@ type CacheStats struct {
 // the file when it carries dead lines. A zero limit is unbounded —
 // the historical behaviour.
 func OpenCache(path string, limit CacheLimit) (*Cache, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: open cache: %w", err)
-	}
 	c := &Cache{
-		f:     f,
-		path:  path,
 		limit: limit,
 		byKey: make(map[string]*list.Element),
 		lru:   list.New(),
 	}
 	lines := 0
-	_, err = harness.ScanJSONL(f, func(line []byte) bool {
+	log, _, err := jsonl.Open(path, func(line []byte) bool {
 		lines++
 		var e harness.Entry
 		if err := json.Unmarshal(line, &e); err != nil || e.Key == "" || !e.OK || len(e.Value) == 0 {
@@ -95,57 +86,32 @@ func OpenCache(path string, limit CacheLimit) (*Cache, error) {
 		return true
 	})
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("jobs: read cache: %w", err)
+		return nil, fmt.Errorf("jobs: open cache: %w", err)
 	}
+	c.log = log
 	// Loading counted cap evictions; they describe history, not this
 	// process's churn.
 	c.evicted = 0
 	// Every line beyond the live set — unparseable, superseded by a
 	// re-put, or evicted by the cap during load — is dead weight.
-	if dead := lines - c.lru.Len(); dead > 0 {
-		if err := c.compact(); err != nil {
-			f.Close()
-			return nil, err
+	// Compaction rewrites only the live set, in LRU order (oldest first)
+	// so a future load reconstructs the same recency.
+	if lines > c.lru.Len() {
+		err := log.Rewrite(func(enc *json.Encoder) error {
+			for el := c.lru.Back(); el != nil; el = el.Prev() {
+				it := el.Value.(*cacheItem)
+				if err := enc.Encode(harness.Entry{Key: it.key, OK: true, Value: it.val}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			log.Close()
+			return nil, fmt.Errorf("jobs: compact cache: %w", err)
 		}
-	} else if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("jobs: seek cache: %w", err)
 	}
 	return c, nil
-}
-
-// compact atomically rewrites the journal with only the live set (in
-// LRU order, oldest first, so a future load reconstructs the same
-// recency) and swaps the file handle to the fresh copy.
-func (c *Cache) compact() error {
-	tmp := c.path + ".tmp"
-	nf, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobs: compact cache: %w", err)
-	}
-	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		it := el.Value.(*cacheItem)
-		b, err := json.Marshal(harness.Entry{Key: it.key, OK: true, Value: it.val})
-		if err != nil {
-			nf.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("jobs: compact cache entry %q: %w", it.key, err)
-		}
-		if _, err := nf.Write(append(b, '\n')); err != nil {
-			nf.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("jobs: compact cache: %w", err)
-		}
-	}
-	if err := os.Rename(tmp, c.path); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: compact cache: %w", err)
-	}
-	c.f.Close()
-	c.f = nf
-	return nil
 }
 
 // Get returns the cached canonical Result bytes for a config hash and
@@ -168,7 +134,7 @@ func (c *Cache) Put(hash string, result json.RawMessage) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.putLocked(hash, result)
-	c.appendLocked(hash, result)
+	c.log.Append(harness.Entry{Key: hash, OK: true, Value: result})
 }
 
 // putLocked applies the in-memory insert + LRU eviction; shared by Put
@@ -202,24 +168,6 @@ func (c *Cache) overLocked() bool {
 	return c.limit.MaxBytes > 0 && c.bytes > c.limit.MaxBytes
 }
 
-// appendLocked journals one entry; the first write error latches — the
-// daemon must not die on cache I/O — and surfaces via Err and Close.
-func (c *Cache) appendLocked(hash string, result json.RawMessage) {
-	b, err := json.Marshal(harness.Entry{Key: hash, OK: true, Value: result})
-	if err != nil {
-		if c.err == nil {
-			c.err = fmt.Errorf("jobs: marshal cache entry %q: %w", hash, err)
-		}
-		return
-	}
-	if c.err != nil {
-		return
-	}
-	if _, err := c.f.Write(append(b, '\n')); err != nil {
-		c.err = fmt.Errorf("jobs: write cache: %w", err)
-	}
-}
-
 // Len reports how many results the cache holds.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -244,16 +192,12 @@ func (c *Cache) Stats() CacheStats {
 func (c *Cache) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.err
+	return c.log.Err()
 }
 
-// Close flushes and closes the cache journal.
+// Close closes the cache journal, returning any latched write error.
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cerr := c.f.Close()
-	if c.err != nil {
-		return c.err
-	}
-	return cerr
+	return c.log.Close()
 }

@@ -3,40 +3,34 @@ package jobs
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
 
-	"muzha/internal/harness"
+	"muzha/internal/jsonl"
 )
 
 // Store is the daemon's file-backed job table: an append-only JSONL
 // journal of Job snapshots, one line per state transition, last
-// snapshot wins. Opening a store replays the journal with the harness's
-// truncated-line-tolerant scanner, so a SIGKILL mid-write costs at most
-// the half-written line; jobs whose last snapshot was queued or running
-// are handed back as Requeued() for the daemon to re-run.
+// snapshot wins. The journal is an internal/jsonl log, so a SIGKILL
+// mid-write costs at most the half-written line; jobs whose last
+// snapshot was queued or running are handed back as Requeued() for the
+// daemon to re-run.
 type Store struct {
 	mu       sync.Mutex
-	f        *os.File
+	log      *jsonl.Log
 	jobs     map[string]*Job
 	order    []string // IDs by first appearance, i.e. submission order
 	requeued []string
 	nextSeq  uint64
 	skipped  int
-	err      error // first journal write error, latched
 }
 
 // OpenStore opens (creating if absent) the job journal at path and
 // replays it.
 func OpenStore(path string) (*Store, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: open store: %w", err)
-	}
-	s := &Store{f: f, jobs: make(map[string]*Job)}
-	skipped, err := harness.ScanJSONL(f, func(line []byte) bool {
+	s := &Store{jobs: make(map[string]*Job)}
+	log, skipped, err := jsonl.Open(path, func(line []byte) bool {
 		var j Job
 		if err := json.Unmarshal(line, &j); err != nil || j.ID == "" {
 			return false
@@ -51,15 +45,10 @@ func OpenStore(path string) (*Store, error) {
 		}
 		return true
 	})
-	s.skipped = skipped
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("jobs: read store: %w", err)
+		return nil, fmt.Errorf("jobs: open store: %w", err)
 	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("jobs: seek store: %w", err)
-	}
+	s.log, s.skipped = log, skipped
 	// Interrupted work — anything not terminal — goes back to the queue.
 	// The requeue is journaled so the file reflects what the daemon will
 	// actually do, even if it is killed again before the job starts.
@@ -70,7 +59,7 @@ func OpenStore(path string) (*Store, error) {
 		}
 		j.State = StateQueued
 		j.Progress = Progress{}
-		s.appendLocked(*j)
+		s.log.Append(*j)
 		s.requeued = append(s.requeued, id)
 	}
 	return s, nil
@@ -120,7 +109,7 @@ func (s *Store) NewJob(hash, client string, cfg json.RawMessage) Job {
 	s.nextSeq++
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
-	s.appendLocked(*j)
+	s.log.Append(*j)
 	return *j
 }
 
@@ -156,7 +145,7 @@ func (s *Store) Transition(id string, mutate func(*Job)) (Job, bool) {
 		return Job{}, false
 	}
 	mutate(j)
-	s.appendLocked(*j)
+	s.log.Append(*j)
 	return *j, true
 }
 
@@ -172,30 +161,11 @@ func (s *Store) SetProgress(id string, p Progress) {
 	}
 }
 
-// appendLocked journals one snapshot. The first write error latches —
-// the daemon must not die on journal I/O — and surfaces via Err and
-// Close.
-func (s *Store) appendLocked(j Job) {
-	b, err := json.Marshal(j)
-	if err != nil {
-		if s.err == nil {
-			s.err = fmt.Errorf("jobs: marshal snapshot %q: %w", j.ID, err)
-		}
-		return
-	}
-	if s.err != nil {
-		return
-	}
-	if _, err := s.f.Write(append(b, '\n')); err != nil {
-		s.err = fmt.Errorf("jobs: write store: %w", err)
-	}
-}
-
 // Err returns the first latched journal write error.
 func (s *Store) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.err
+	return s.log.Err()
 }
 
 // Close closes the journal, returning any latched write error so a
@@ -203,9 +173,5 @@ func (s *Store) Err() error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cerr := s.f.Close()
-	if s.err != nil {
-		return s.err
-	}
-	return cerr
+	return s.log.Close()
 }

@@ -124,3 +124,44 @@ func TestStoreRecoversRunningJobAndSkipsTruncatedLine(t *testing.T) {
 		t.Fatalf("second reopen state = %s", j2.State)
 	}
 }
+
+// TestStoreKeepsJobSubmittedAfterTruncatedLine: with nothing to
+// requeue, the first record written after a crash is a new submission;
+// it must not be glued onto the half-written line and vanish on the
+// next restart.
+func TestStoreKeepsJobSubmittedAfterTruncatedLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	done, err := json.Marshal(Job{ID: "j000000-0123456789ab", Hash: "0123456789abcd", State: StateDone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := append(done, '\n')
+	blob = append(blob, []byte(`{"id":"j000001-trunc`)...)
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Requeued()) != 0 || s.Skipped() != 1 {
+		t.Fatalf("requeued=%v skipped=%d, want none / 1", s.Requeued(), s.Skipped())
+	}
+	n := s.NewJob("abcdef", "after-crash", json.RawMessage(`{}`))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if j, ok := s2.Get(n.ID); !ok || j.Client != "after-crash" {
+		t.Fatalf("job %s submitted after the crash lost on restart (found=%v)", n.ID, ok)
+	}
+	if s2.Skipped() != 1 {
+		t.Fatalf("skipped = %d, want only the truncated line", s2.Skipped())
+	}
+}

@@ -20,7 +20,9 @@ type SweepOptions struct {
 	// Journal is a JSONL file recording each run as it completes. A
 	// restarted sweep pointed at the same journal skips the recorded
 	// runs and merges their results, so a killed sweep loses only its
-	// in-flight work. Empty disables journaling.
+	// in-flight work: a line torn by the kill is skipped on resume and
+	// never swallows the records appended after it (see
+	// internal/jsonl). Empty disables journaling.
 	Journal string
 	// Guards bounds every run in the sweep (applied only to runs whose
 	// Config carries no guards of its own).
