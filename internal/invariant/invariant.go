@@ -8,8 +8,9 @@
 // at least once — coverage signal for the scenario fuzzer.
 //
 // The checker is deliberately allocation-light: assertions are
-// pre-registered handles, the hot-path Check call is a counter increment,
-// and detail strings are only formatted on failure. All methods are
+// pre-registered handles, the hot-path Check call is a counter increment
+// that takes no detail arguments, and detail strings are only built (and
+// their arguments only boxed) on failure. All methods are
 // nil-receiver safe so instrumented code needs no guards.
 package invariant
 
@@ -63,18 +64,33 @@ func (a *Assertion) Name() string {
 	return a.name
 }
 
-// Check evaluates an Always condition. On failure the format/args are
-// rendered (prefixed with the virtual time when a clock is set) and the
-// violation counted. It returns ok so callers can chain on it.
-func (a *Assertion) Check(ok bool, format string, args ...any) bool {
+// Check evaluates an Always condition, counting the evaluation and, when
+// ok is false, the violation. It returns ok; the caller renders the
+// violation's detail with Detailf only then, so a passing check boxes
+// no arguments and allocates nothing:
+//
+//	if !a.Check(n <= limit) {
+//		a.Detailf("depth %d exceeds limit %d", n, limit)
+//	}
+func (a *Assertion) Check(ok bool) bool {
 	if a == nil {
 		return ok
 	}
 	a.checks++
 	if !ok {
-		a.fail(fmt.Sprintf(format, args...))
+		a.violations++
 	}
 	return ok
+}
+
+// Detailf attaches a rendered detail (prefixed with the virtual time when
+// a clock is set) to the violation a failed Check just counted. Details
+// past the first few violations are dropped.
+func (a *Assertion) Detailf(format string, args ...any) {
+	if a == nil {
+		return
+	}
+	a.detail(fmt.Sprintf(format, args...))
 }
 
 // Checked records a passing evaluation without a condition; use when the
@@ -91,11 +107,11 @@ func (a *Assertion) Fail(detail string) {
 		return
 	}
 	a.checks++
-	a.fail(detail)
+	a.violations++
+	a.detail(detail)
 }
 
-func (a *Assertion) fail(detail string) {
-	a.violations++
+func (a *Assertion) detail(detail string) {
 	if len(a.details) < maxDetails {
 		if a.clock != nil {
 			detail = fmt.Sprintf("t=%v: %s", a.clock(), detail)
@@ -267,7 +283,9 @@ func (l *Ledger) Delivered(uid uint64) {
 	}
 	_, out := l.outstanding[uid]
 	_, cool := l.cooled[uid]
-	l.a.Check(out || cool, "packet uid %d delivered but never originated", uid)
+	if !l.a.Check(out || cool) {
+		l.a.Detailf("packet uid %d delivered but never originated", uid)
+	}
 	if out {
 		l.retire(uid)
 	}
@@ -332,7 +350,8 @@ func LoopFree(a *Assertion, dst int32, nextHop map[int32]int32) bool {
 				break
 			}
 			if state[n] == start+1 { // +1 so the zero value stays "unvisited"
-				ok = a.Check(false, "routing loop to n%d through n%d", dst, n) && ok
+				a.Fail(fmt.Sprintf("routing loop to n%d through n%d", dst, n))
+				ok = false
 				break
 			}
 			state[n] = start + 1

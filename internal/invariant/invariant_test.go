@@ -12,7 +12,9 @@ func TestAlwaysCountsAndDetails(t *testing.T) {
 	c := New(s.Now)
 	a := c.Always("queue-bound")
 	for i := 0; i < 10; i++ {
-		a.Check(i < 8, "len %d over limit", i)
+		if !a.Check(i < 8) {
+			a.Detailf("len %d over limit", i)
+		}
 	}
 	if a.Violations() != 2 {
 		t.Fatalf("violations = %d, want 2", a.Violations())
@@ -29,6 +31,39 @@ func TestAlwaysCountsAndDetails(t *testing.T) {
 	}
 	if len(rep[0].Details) != 2 || !strings.Contains(rep[0].Details[0], "len 8 over limit") {
 		t.Fatalf("details = %v", rep[0].Details)
+	}
+}
+
+// TestPassingCheckAllocatesNothing pins the hot-path contract: a check
+// that holds takes no detail arguments, so it boxes and formats nothing.
+func TestPassingCheckAllocatesNothing(t *testing.T) {
+	a := New(nil).Always("flow")
+	uid, ttl := uint64(1<<40), 63
+	allocs := testing.AllocsPerRun(100, func() {
+		if !a.Check(ttl < 64) {
+			a.Detailf("packet uid %d ttl %d out of range", uid, ttl)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("passing check allocates %.1f objects, want 0", allocs)
+	}
+	if got := a.Violations(); got != 0 {
+		t.Fatalf("violations = %d, want 0", got)
+	}
+}
+
+func TestDetailfMatchesFail(t *testing.T) {
+	s := sim.New(1)
+	c := New(s.Now)
+	viaFail, viaCheck := c.Always("fail"), c.Always("check")
+	viaFail.Fail("flow 3: cwnd 0.5 below one segment")
+	if !viaCheck.Check(false) {
+		viaCheck.Detailf("flow %d: cwnd %g below one segment", 3, 0.5)
+	}
+	rep := c.Report()
+	if rep[0].Checks != rep[1].Checks || rep[0].Violations != rep[1].Violations ||
+		len(rep[1].Details) != 1 || rep[0].Details[0] != rep[1].Details[0] {
+		t.Fatalf("Fail %+v and Check+Detailf %+v disagree", rep[0], rep[1])
 	}
 }
 
@@ -54,8 +89,8 @@ func TestSharedRegistration(t *testing.T) {
 	if a1 != a2 {
 		t.Fatal("same name must return the same assertion")
 	}
-	a1.Check(true, "")
-	a2.Check(false, "bad")
+	a1.Check(true)
+	a2.Check(false)
 	if got := c.Report(); len(got) != 1 || got[0].Checks != 2 || got[0].Violations != 1 {
 		t.Fatalf("report = %+v", got)
 	}
@@ -81,7 +116,8 @@ func TestSometimesReach(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var a *Assertion
-	a.Check(false, "ignored")
+	a.Check(false)
+	a.Detailf("ignored %d", 1)
 	a.Fail("ignored")
 	a.Reach()
 	a.Checked()

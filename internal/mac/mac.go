@@ -123,14 +123,38 @@ type DCF struct {
 	deferEv   sim.EventRef // DIFS/EIFS wait or next backoff slot
 	navEv     sim.EventRef // wake-up at NAV expiry
 	timeout   *sim.Timer   // CTS/ACK timeout
-	resp      *packet.Packet
 	respEv    sim.EventRef // SIFS-scheduled response transmission
-	respBusy  bool         // a response frame is scheduled or on the air
+	respBusy  bool         // respFrame is scheduled or on the air
 	lastSeen  map[packet.NodeID]uint64
 	eifs      sim.Time
 	ctsWait   sim.Time // timeout after RTS leaves the air
 	ackWait   sim.Time // timeout after DATA leaves the air
 	dataAfter *packet.Packet
+
+	// Event callbacks, bound once in New. Every Schedule/At in this file
+	// passes one of these stored funcs: a closure or method value built
+	// per call would cost one heap allocation per event, and backoff
+	// alone schedules an event every slot.
+	slotTickFn  func()
+	slotStepFn  func()
+	resumeFn    func()
+	sendRespFn  func()
+	dataAfterFn func()
+
+	// rtsFrame and respFrame are this MAC's only control frames, rewritten
+	// in place for every exchange instead of allocated. Reuse is safe
+	// because a DCF never has two RTSs, or two responses, on the air at
+	// once, and a rewrite happens only when a new one starts. The next
+	// RTS waits at least DIFS (or the CTS timeout) after the previous
+	// one's OnTxDone; the next CTS/ACK answers a whole frame received
+	// after the previous response left the air. Both are later than
+	// every receiver's signalEnd for the previous copy, which trails
+	// OnTxDone by the propagation delay (under 2 µs at the default
+	// 550 m carrier-sense range). Receivers read a control frame only
+	// inside OnReceive, and phy compares in-flight frames only by
+	// identity within one flight, so no reader ever sees a rewrite.
+	rtsFrame  packet.Packet
+	respFrame packet.Packet
 
 	// Channel-utilization estimator: exact integration of the time the
 	// medium is busy (sensed signal or own transmission), folded into an
@@ -176,6 +200,11 @@ func New(s *sim.Simulator, radio *phy.Radio, self packet.NodeID, up Upper, cfg C
 		ctsWait: cfg.SIFS + ctsAir + 2*cfg.SlotTime,
 		ackWait: cfg.SIFS + ackAir + 2*cfg.SlotTime,
 	}
+	m.slotTickFn = m.slotTick
+	m.slotStepFn = m.slotStep
+	m.resumeFn = m.resume
+	m.sendRespFn = m.sendResponse
+	m.dataAfterFn = m.sendDataAfterCTS
 	m.timeout = sim.NewTimer(s, m.onTimeout)
 	m.winStart = s.Now()
 	m.busySince = s.Now()
@@ -236,7 +265,6 @@ func (m *DCF) Reset() {
 	m.timeout.Stop()
 	m.respEv.Cancel()
 	m.respEv = sim.EventRef{}
-	m.resp = nil
 	m.respBusy = false
 	m.navUntil = 0
 	m.useEIFS = false
@@ -286,7 +314,7 @@ func (m *DCF) resume() {
 		// If only the NAV blocks us, nothing else will wake us up:
 		// schedule a recheck at NAV expiry.
 		if now := m.sim.Now(); now < m.navUntil {
-			m.navEv = m.sim.At(m.navUntil, m.resume)
+			m.navEv = m.sim.At(m.navUntil, m.resumeFn)
 		}
 		return
 	}
@@ -294,7 +322,7 @@ func (m *DCF) resume() {
 	if m.useEIFS {
 		wait = m.eifs
 	}
-	m.deferEv = m.sim.Schedule(wait, m.slotTick)
+	m.deferEv = m.sim.Schedule(wait, m.slotTickFn)
 }
 
 func (m *DCF) cancelDefer() {
@@ -313,10 +341,13 @@ func (m *DCF) slotTick() {
 		m.transmitCur()
 		return
 	}
-	m.deferEv = m.sim.Schedule(m.cfg.SlotTime, func() {
-		m.backoffSlots--
-		m.slotTick()
-	})
+	m.deferEv = m.sim.Schedule(m.cfg.SlotTime, m.slotStepFn)
+}
+
+// slotStep ends one idle backoff slot.
+func (m *DCF) slotStep() {
+	m.backoffSlots--
+	m.slotTick()
 }
 
 func (m *DCF) transmitCur() {
@@ -336,7 +367,7 @@ func (m *DCF) sendRTS(data *packet.Packet) {
 	ctsAir := m.radio.TxTime(packet.CTSSize, true)
 	ackAir := m.radio.TxTime(packet.MACACKSize, true)
 	dur := 3*m.cfg.SIFS + ctsAir + m.dataAir(data) + ackAir
-	rts := &packet.Packet{
+	m.rtsFrame = packet.Packet{
 		Kind:   packet.KindMACControl,
 		Ctrl:   packet.CtrlRTS,
 		Size:   packet.RTSSize,
@@ -346,7 +377,7 @@ func (m *DCF) sendRTS(data *packet.Packet) {
 	}
 	m.st = stateAwaitCTS
 	m.stats.RTSSent++
-	m.radio.Transmit(rts, m.radio.TxTime(packet.RTSSize, true))
+	m.radio.Transmit(&m.rtsFrame, m.radio.TxTime(packet.RTSSize, true))
 	m.refreshBusy()
 }
 
@@ -372,8 +403,7 @@ func (m *DCF) sendData(pkt *packet.Packet) {
 func (m *DCF) OnTxDone(pkt *packet.Packet) {
 	m.refreshBusy()
 	switch {
-	case pkt == m.resp:
-		m.resp = nil
+	case m.respBusy && pkt == &m.respFrame:
 		m.respBusy = false
 		m.resume()
 	case pkt == m.cur && pkt.MACDst == packet.Broadcast:
@@ -412,13 +442,7 @@ func (m *DCF) OnReceive(pkt *packet.Packet, ok bool) {
 		return
 	}
 	if pkt.MACDst == m.self {
-		m.scheduleResponse(&packet.Packet{
-			Kind:   packet.KindMACControl,
-			Ctrl:   packet.CtrlACK,
-			Size:   packet.MACACKSize,
-			MACSrc: m.self,
-			MACDst: pkt.MACSrc,
-		})
+		m.scheduleResponse(packet.CtrlACK, packet.MACACKSize, pkt.MACSrc, 0)
 		if m.lastSeen[pkt.MACSrc] == pkt.UID {
 			m.stats.Duplicates++
 			return
@@ -449,14 +473,8 @@ func (m *DCF) onControl(pkt *packet.Packet) {
 			return // virtual carrier busy: stay silent (802.11 9.2.5.7)
 		}
 		ctsAir := m.radio.TxTime(packet.CTSSize, true)
-		m.scheduleResponse(&packet.Packet{
-			Kind:   packet.KindMACControl,
-			Ctrl:   packet.CtrlCTS,
-			Size:   packet.CTSSize,
-			MACSrc: m.self,
-			MACDst: pkt.MACSrc,
-			MACDur: pkt.MACDur - int64(m.cfg.SIFS+ctsAir),
-		})
+		m.scheduleResponse(packet.CtrlCTS, packet.CTSSize, pkt.MACSrc,
+			pkt.MACDur-int64(m.cfg.SIFS+ctsAir))
 	case packet.CtrlCTS:
 		if pkt.MACDst != m.self {
 			m.setNAV(pkt.MACDur)
@@ -473,7 +491,7 @@ func (m *DCF) onControl(pkt *packet.Packet) {
 		data.MACSrc = m.self
 		data.MACDur = int64(m.cfg.SIFS + ackAir)
 		m.dataAfter = data
-		m.sim.Schedule(m.cfg.SIFS, m.sendDataAfterCTS)
+		m.sim.Schedule(m.cfg.SIFS, m.dataAfterFn)
 	case packet.CtrlACK:
 		if pkt.MACDst != m.self || m.st != stateAwaitACK {
 			return
@@ -500,35 +518,48 @@ func (m *DCF) sendDataAfterCTS() {
 	m.refreshBusy()
 }
 
-// scheduleResponse queues a SIFS-spaced control response (CTS or ACK).
-// While a response is pending, this node's own contention is suppressed.
-func (m *DCF) scheduleResponse(resp *packet.Packet) {
+// scheduleResponse queues a SIFS-spaced control response (CTS or ACK)
+// to dst. While a response is pending, this node's own contention is
+// suppressed.
+func (m *DCF) scheduleResponse(ctrl packet.Ctrl, size int, dst packet.NodeID, dur int64) {
 	if m.respBusy {
 		// Already answering another exchange; drop this response. The
-		// peer will retry.
+		// peer will retry. respFrame may still be on the air, so it is
+		// rewritten only past this check.
 		return
 	}
+	m.respFrame = packet.Packet{
+		Kind:   packet.KindMACControl,
+		Ctrl:   ctrl,
+		Size:   size,
+		MACSrc: m.self,
+		MACDst: dst,
+		MACDur: dur,
+	}
 	m.respBusy = true
-	m.resp = resp
 	if m.st == stateContend {
 		m.cancelDefer()
 	}
-	m.respEv = m.sim.Schedule(m.cfg.SIFS, func() {
-		m.respEv = sim.EventRef{}
-		if m.radio.Transmitting() {
-			m.resp = nil
-			m.respBusy = false
-			return
-		}
-		switch resp.Ctrl {
-		case packet.CtrlCTS:
-			m.stats.CTSSent++
-		case packet.CtrlACK:
-			m.stats.ACKSent++
-		}
-		m.radio.Transmit(resp, m.radio.TxTime(resp.Size, true))
-		m.refreshBusy()
-	})
+	m.respEv = m.sim.Schedule(m.cfg.SIFS, m.sendRespFn)
+}
+
+// sendResponse puts the pending response on the air one SIFS after the
+// frame it answers.
+func (m *DCF) sendResponse() {
+	m.respEv = sim.EventRef{}
+	if m.radio.Transmitting() {
+		m.respBusy = false
+		return
+	}
+	resp := &m.respFrame
+	switch resp.Ctrl {
+	case packet.CtrlCTS:
+		m.stats.CTSSent++
+	case packet.CtrlACK:
+		m.stats.ACKSent++
+	}
+	m.radio.Transmit(resp, m.radio.TxTime(resp.Size, true))
+	m.refreshBusy()
 }
 
 func (m *DCF) setNAV(durNanos int64) {
@@ -542,7 +573,7 @@ func (m *DCF) setNAV(durNanos int64) {
 	m.navUntil = until
 	if m.st == stateContend {
 		m.cancelDefer()
-		m.navEv = m.sim.At(m.navUntil, m.resume)
+		m.navEv = m.sim.At(m.navUntil, m.resumeFn)
 	}
 }
 

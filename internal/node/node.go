@@ -414,7 +414,9 @@ func (n *Node) OnMACReceive(pkt *packet.Packet) {
 			n.record(trace.OpDrop, "ttl expired", pkt)
 			return
 		}
-		n.invTTL.Check(pkt.TTL < 64, "packet uid %d ttl %d out of range", pkt.UID, pkt.TTL)
+		if !n.invTTL.Check(pkt.TTL < 64) {
+			n.invTTL.Detailf("packet uid %d ttl %d out of range", pkt.UID, pkt.TTL)
+		}
 		n.router.SendData(pkt)
 	}
 }
@@ -463,9 +465,10 @@ func (n *Node) ForwardData(pkt *packet.Packet, nextHop packet.NodeID) {
 		prevAVBW := pkt.AVBW
 		pkt.StampAVBW(n.cfg.DRAI.Combined(occ, util, n.delayEWMA))
 		if prevAVBW != 0 {
-			n.invDRAI.Check(pkt.AVBW >= 1 && pkt.AVBW <= prevAVBW,
-				"packet uid %d avbw %d after %d (stamp must be min-monotone)",
-				pkt.UID, pkt.AVBW, prevAVBW)
+			if !n.invDRAI.Check(pkt.AVBW >= 1 && pkt.AVBW <= prevAVBW) {
+				n.invDRAI.Detailf("packet uid %d avbw %d after %d (stamp must be min-monotone)",
+					pkt.UID, pkt.AVBW, prevAVBW)
+			}
 		}
 		if n.cfg.DRAI.ShouldMark(occ, util, n.delayEWMA) {
 			if !pkt.CongMarked {
@@ -503,8 +506,9 @@ func (n *Node) enqueue(pkt *packet.Packet) {
 		n.someOverflow.Reach()
 		return
 	}
-	n.invQueue.Check(n.ifq.Len() <= n.ifq.Cap(),
-		"queue depth %d exceeds limit %d", n.ifq.Len(), n.ifq.Cap())
+	if !n.invQueue.Check(n.ifq.Len() <= n.ifq.Cap()) {
+		n.invQueue.Detailf("queue depth %d exceeds limit %d", n.ifq.Len(), n.ifq.Cap())
+	}
 	n.mac.Kick()
 }
 

@@ -176,12 +176,16 @@ func NewSender(s *sim.Simulator, send func(*packet.Packet), cfg SenderConfig, v 
 // checkInvariants evaluates the sender's structural properties after an
 // input (ACK or timeout) was processed. prevUna is SndUna before it.
 func (s *Sender) checkInvariants(prevUna int64) {
-	s.invUna.Check(s.sndUna >= prevUna && s.sndUna <= s.sndNxt,
-		"flow %d: snduna %d (prev %d, sndnxt %d)", s.cfg.FlowID, s.sndUna, prevUna, s.sndNxt)
-	s.invCwnd.Check(s.cwnd >= 1, "flow %d: cwnd %g below one segment", s.cfg.FlowID, s.cwnd)
-	s.invWindow.Check(s.FlightBytes() <= int64(s.cfg.AdvertisedWindow)*int64(s.cfg.MSS),
-		"flow %d: flight %d exceeds advertised window %d segs",
-		s.cfg.FlowID, s.FlightBytes(), s.cfg.AdvertisedWindow)
+	if !s.invUna.Check(s.sndUna >= prevUna && s.sndUna <= s.sndNxt) {
+		s.invUna.Detailf("flow %d: snduna %d (prev %d, sndnxt %d)", s.cfg.FlowID, s.sndUna, prevUna, s.sndNxt)
+	}
+	if !s.invCwnd.Check(s.cwnd >= 1) {
+		s.invCwnd.Detailf("flow %d: cwnd %g below one segment", s.cfg.FlowID, s.cwnd)
+	}
+	if !s.invWindow.Check(s.FlightBytes() <= int64(s.cfg.AdvertisedWindow)*int64(s.cfg.MSS)) {
+		s.invWindow.Detailf("flow %d: flight %d exceeds advertised window %d segs",
+			s.cfg.FlowID, s.FlightBytes(), s.cfg.AdvertisedWindow)
+	}
 }
 
 // FlowID implements node.Agent.

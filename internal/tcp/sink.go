@@ -98,8 +98,9 @@ func (k *Sink) Recv(pkt *packet.Packet) {
 		k.insertOOO(packet.SACKBlock{Start: seq, End: end})
 	}
 	k.delivered = k.rcvNxt
-	k.invSeq.Check(k.rcvNxt >= prevNxt,
-		"flow %d: rcvnxt regressed %d -> %d", k.cfg.FlowID, prevNxt, k.rcvNxt)
+	if !k.invSeq.Check(k.rcvNxt >= prevNxt) {
+		k.invSeq.Detailf("flow %d: rcvnxt regressed %d -> %d", k.cfg.FlowID, prevNxt, k.rcvNxt)
+	}
 	// Eligible for delaying only for plain in-order arrivals: no hole
 	// before or after (a hole fill must be acknowledged immediately so
 	// the sender's recovery sees the jump, RFC 1122 4.2.3.2).

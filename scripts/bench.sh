@@ -15,7 +15,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-GATED='^(BenchmarkScenario4HopChain|BenchmarkScenarioGrid|BenchmarkScenarioLargeRandom|BenchmarkScenario1000Node|BenchmarkEventChurn|BenchmarkScheduleCancel|BenchmarkTimerRearm|BenchmarkTransmitFanout|BenchmarkTransmitMobile|BenchmarkSenderPacing)$'
+GATED='^(BenchmarkScenario4HopChain|BenchmarkScenarioGrid|BenchmarkScenarioLargeRandom|BenchmarkScenario1000Node|BenchmarkEventChurn|BenchmarkScheduleCancel|BenchmarkTimerRearm|BenchmarkTransmitFanout|BenchmarkTransmitMobile|BenchmarkSenderPacing|BenchmarkDCFExchange)$'
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
 
@@ -28,5 +28,5 @@ if [ "${1:-}" = "-scaling" ]; then
     exit 0
 fi
 
-go test -run '^$' -bench "$GATED" -benchtime 2s . ./internal/sim ./internal/phy ./internal/tcp | tee "$OUT"
+go test -run '^$' -bench "$GATED" -benchtime 2s . ./internal/sim ./internal/phy ./internal/mac ./internal/tcp | tee "$OUT"
 go run ./cmd/benchgate -baseline BENCH_sim.json "$@" "$OUT"
