@@ -8,10 +8,11 @@
 // at least once — coverage signal for the scenario fuzzer.
 //
 // The checker is deliberately allocation-light: assertions are
-// pre-registered handles, the hot-path Check call is a counter increment
-// that takes no detail arguments, and detail strings are only built (and
-// their arguments only boxed) on failure. All methods are
-// nil-receiver safe so instrumented code needs no guards.
+// pre-registered handles, a passing check is a counter increment, and
+// detail strings are only formatted on failure. Check boxes its detail
+// arguments on every call, so hot paths test the condition themselves
+// and call Checked, or Fail with a detail rendered only then. All methods
+// are nil-receiver safe so instrumented code needs no guards.
 package invariant
 
 import (
@@ -64,33 +65,19 @@ func (a *Assertion) Name() string {
 	return a.name
 }
 
-// Check evaluates an Always condition, counting the evaluation and, when
-// ok is false, the violation. It returns ok; the caller renders the
-// violation's detail with Detailf only then, so a passing check boxes
-// no arguments and allocates nothing:
-//
-//	if !a.Check(n <= limit) {
-//		a.Detailf("depth %d exceeds limit %d", n, limit)
-//	}
-func (a *Assertion) Check(ok bool) bool {
+// Check evaluates an Always condition. On failure the format/args are
+// rendered (prefixed with the virtual time when a clock is set) and the
+// violation counted. It returns ok so callers can chain on it. The args
+// are boxed even when ok holds; per-packet code uses Checked/Fail.
+func (a *Assertion) Check(ok bool, format string, args ...any) bool {
 	if a == nil {
 		return ok
 	}
 	a.checks++
 	if !ok {
-		a.violations++
+		a.fail(fmt.Sprintf(format, args...))
 	}
 	return ok
-}
-
-// Detailf attaches a rendered detail (prefixed with the virtual time when
-// a clock is set) to the violation a failed Check just counted. Details
-// past the first few violations are dropped.
-func (a *Assertion) Detailf(format string, args ...any) {
-	if a == nil {
-		return
-	}
-	a.detail(fmt.Sprintf(format, args...))
 }
 
 // Checked records a passing evaluation without a condition; use when the
@@ -107,11 +94,11 @@ func (a *Assertion) Fail(detail string) {
 		return
 	}
 	a.checks++
-	a.violations++
-	a.detail(detail)
+	a.fail(detail)
 }
 
-func (a *Assertion) detail(detail string) {
+func (a *Assertion) fail(detail string) {
+	a.violations++
 	if len(a.details) < maxDetails {
 		if a.clock != nil {
 			detail = fmt.Sprintf("t=%v: %s", a.clock(), detail)
@@ -283,8 +270,10 @@ func (l *Ledger) Delivered(uid uint64) {
 	}
 	_, out := l.outstanding[uid]
 	_, cool := l.cooled[uid]
-	if !l.a.Check(out || cool) {
-		l.a.Detailf("packet uid %d delivered but never originated", uid)
+	if out || cool {
+		l.a.Checked()
+	} else {
+		l.a.Fail(fmt.Sprintf("packet uid %d delivered but never originated", uid))
 	}
 	if out {
 		l.retire(uid)
@@ -350,8 +339,7 @@ func LoopFree(a *Assertion, dst int32, nextHop map[int32]int32) bool {
 				break
 			}
 			if state[n] == start+1 { // +1 so the zero value stays "unvisited"
-				a.Fail(fmt.Sprintf("routing loop to n%d through n%d", dst, n))
-				ok = false
+				ok = a.Check(false, "routing loop to n%d through n%d", dst, n) && ok
 				break
 			}
 			state[n] = start + 1

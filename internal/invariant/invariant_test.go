@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,9 +13,7 @@ func TestAlwaysCountsAndDetails(t *testing.T) {
 	c := New(s.Now)
 	a := c.Always("queue-bound")
 	for i := 0; i < 10; i++ {
-		if !a.Check(i < 8) {
-			a.Detailf("len %d over limit", i)
-		}
+		a.Check(i < 8, "len %d over limit", i)
 	}
 	if a.Violations() != 2 {
 		t.Fatalf("violations = %d, want 2", a.Violations())
@@ -34,14 +33,16 @@ func TestAlwaysCountsAndDetails(t *testing.T) {
 	}
 }
 
-// TestPassingCheckAllocatesNothing pins the hot-path contract: a check
-// that holds takes no detail arguments, so it boxes and formats nothing.
+// TestPassingCheckAllocatesNothing pins the hot-path pattern: a check
+// that holds is a bare Checked, so it boxes and formats nothing.
 func TestPassingCheckAllocatesNothing(t *testing.T) {
 	a := New(nil).Always("flow")
 	uid, ttl := uint64(1<<40), 63
 	allocs := testing.AllocsPerRun(100, func() {
-		if !a.Check(ttl < 64) {
-			a.Detailf("packet uid %d ttl %d out of range", uid, ttl)
+		if ttl < 64 {
+			a.Checked()
+		} else {
+			a.Fail(fmt.Sprintf("packet uid %d ttl %d out of range", uid, ttl))
 		}
 	})
 	if allocs != 0 {
@@ -52,18 +53,24 @@ func TestPassingCheckAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestDetailfMatchesFail(t *testing.T) {
+// TestCheckedFailMatchesCheck pins that the hot-path pattern records the
+// same counts and detail text as Check.
+func TestCheckedFailMatchesCheck(t *testing.T) {
 	s := sim.New(1)
 	c := New(s.Now)
-	viaFail, viaCheck := c.Always("fail"), c.Always("check")
-	viaFail.Fail("flow 3: cwnd 0.5 below one segment")
-	if !viaCheck.Check(false) {
-		viaCheck.Detailf("flow %d: cwnd %g below one segment", 3, 0.5)
+	viaCheck, viaFail := c.Always("check"), c.Always("fail")
+	for _, cwnd := range []float64{2, 0.5} {
+		viaCheck.Check(cwnd >= 1, "flow %d: cwnd %g below one segment", 3, cwnd)
+		if cwnd >= 1 {
+			viaFail.Checked()
+		} else {
+			viaFail.Fail(fmt.Sprintf("flow %d: cwnd %g below one segment", 3, cwnd))
+		}
 	}
 	rep := c.Report()
-	if rep[0].Checks != rep[1].Checks || rep[0].Violations != rep[1].Violations ||
+	if rep[0].Checks != 2 || rep[0].Checks != rep[1].Checks || rep[0].Violations != rep[1].Violations ||
 		len(rep[1].Details) != 1 || rep[0].Details[0] != rep[1].Details[0] {
-		t.Fatalf("Fail %+v and Check+Detailf %+v disagree", rep[0], rep[1])
+		t.Fatalf("Check %+v and Checked/Fail %+v disagree", rep[0], rep[1])
 	}
 }
 
@@ -89,8 +96,8 @@ func TestSharedRegistration(t *testing.T) {
 	if a1 != a2 {
 		t.Fatal("same name must return the same assertion")
 	}
-	a1.Check(true)
-	a2.Check(false)
+	a1.Check(true, "")
+	a2.Check(false, "bad")
 	if got := c.Report(); len(got) != 1 || got[0].Checks != 2 || got[0].Violations != 1 {
 		t.Fatalf("report = %+v", got)
 	}
@@ -116,8 +123,7 @@ func TestSometimesReach(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var a *Assertion
-	a.Check(false)
-	a.Detailf("ignored %d", 1)
+	a.Check(false, "ignored")
 	a.Fail("ignored")
 	a.Reach()
 	a.Checked()

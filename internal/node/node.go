@@ -414,8 +414,10 @@ func (n *Node) OnMACReceive(pkt *packet.Packet) {
 			n.record(trace.OpDrop, "ttl expired", pkt)
 			return
 		}
-		if !n.invTTL.Check(pkt.TTL < 64) {
-			n.invTTL.Detailf("packet uid %d ttl %d out of range", pkt.UID, pkt.TTL)
+		if pkt.TTL < 64 {
+			n.invTTL.Checked()
+		} else {
+			n.invTTL.Fail(fmt.Sprintf("packet uid %d ttl %d out of range", pkt.UID, pkt.TTL))
 		}
 		n.router.SendData(pkt)
 	}
@@ -465,9 +467,11 @@ func (n *Node) ForwardData(pkt *packet.Packet, nextHop packet.NodeID) {
 		prevAVBW := pkt.AVBW
 		pkt.StampAVBW(n.cfg.DRAI.Combined(occ, util, n.delayEWMA))
 		if prevAVBW != 0 {
-			if !n.invDRAI.Check(pkt.AVBW >= 1 && pkt.AVBW <= prevAVBW) {
-				n.invDRAI.Detailf("packet uid %d avbw %d after %d (stamp must be min-monotone)",
-					pkt.UID, pkt.AVBW, prevAVBW)
+			if pkt.AVBW >= 1 && pkt.AVBW <= prevAVBW {
+				n.invDRAI.Checked()
+			} else {
+				n.invDRAI.Fail(fmt.Sprintf("packet uid %d avbw %d after %d (stamp must be min-monotone)",
+					pkt.UID, pkt.AVBW, prevAVBW))
 			}
 		}
 		if n.cfg.DRAI.ShouldMark(occ, util, n.delayEWMA) {
@@ -506,8 +510,10 @@ func (n *Node) enqueue(pkt *packet.Packet) {
 		n.someOverflow.Reach()
 		return
 	}
-	if !n.invQueue.Check(n.ifq.Len() <= n.ifq.Cap()) {
-		n.invQueue.Detailf("queue depth %d exceeds limit %d", n.ifq.Len(), n.ifq.Cap())
+	if n.ifq.Len() <= n.ifq.Cap() {
+		n.invQueue.Checked()
+	} else {
+		n.invQueue.Fail(fmt.Sprintf("queue depth %d exceeds limit %d", n.ifq.Len(), n.ifq.Cap()))
 	}
 	n.mac.Kick()
 }

@@ -176,15 +176,21 @@ func NewSender(s *sim.Simulator, send func(*packet.Packet), cfg SenderConfig, v 
 // checkInvariants evaluates the sender's structural properties after an
 // input (ACK or timeout) was processed. prevUna is SndUna before it.
 func (s *Sender) checkInvariants(prevUna int64) {
-	if !s.invUna.Check(s.sndUna >= prevUna && s.sndUna <= s.sndNxt) {
-		s.invUna.Detailf("flow %d: snduna %d (prev %d, sndnxt %d)", s.cfg.FlowID, s.sndUna, prevUna, s.sndNxt)
+	if s.sndUna >= prevUna && s.sndUna <= s.sndNxt {
+		s.invUna.Checked()
+	} else {
+		s.invUna.Fail(fmt.Sprintf("flow %d: snduna %d (prev %d, sndnxt %d)", s.cfg.FlowID, s.sndUna, prevUna, s.sndNxt))
 	}
-	if !s.invCwnd.Check(s.cwnd >= 1) {
-		s.invCwnd.Detailf("flow %d: cwnd %g below one segment", s.cfg.FlowID, s.cwnd)
+	if s.cwnd >= 1 {
+		s.invCwnd.Checked()
+	} else {
+		s.invCwnd.Fail(fmt.Sprintf("flow %d: cwnd %g below one segment", s.cfg.FlowID, s.cwnd))
 	}
-	if !s.invWindow.Check(s.FlightBytes() <= int64(s.cfg.AdvertisedWindow)*int64(s.cfg.MSS)) {
-		s.invWindow.Detailf("flow %d: flight %d exceeds advertised window %d segs",
-			s.cfg.FlowID, s.FlightBytes(), s.cfg.AdvertisedWindow)
+	if s.FlightBytes() <= int64(s.cfg.AdvertisedWindow)*int64(s.cfg.MSS) {
+		s.invWindow.Checked()
+	} else {
+		s.invWindow.Fail(fmt.Sprintf("flow %d: flight %d exceeds advertised window %d segs",
+			s.cfg.FlowID, s.FlightBytes(), s.cfg.AdvertisedWindow))
 	}
 }
 

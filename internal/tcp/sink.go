@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"fmt"
 	"sort"
 
 	"muzha/internal/invariant"
@@ -98,8 +99,10 @@ func (k *Sink) Recv(pkt *packet.Packet) {
 		k.insertOOO(packet.SACKBlock{Start: seq, End: end})
 	}
 	k.delivered = k.rcvNxt
-	if !k.invSeq.Check(k.rcvNxt >= prevNxt) {
-		k.invSeq.Detailf("flow %d: rcvnxt regressed %d -> %d", k.cfg.FlowID, prevNxt, k.rcvNxt)
+	if k.rcvNxt >= prevNxt {
+		k.invSeq.Checked()
+	} else {
+		k.invSeq.Fail(fmt.Sprintf("flow %d: rcvnxt regressed %d -> %d", k.cfg.FlowID, prevNxt, k.rcvNxt))
 	}
 	// Eligible for delaying only for plain in-order arrivals: no hole
 	// before or after (a hole fill must be acknowledged immediately so

@@ -1,4 +1,4 @@
-#!/bin/sh
+#!/usr/bin/env bash
 # Regenerate BENCH_sim.json, the committed benchmark baseline that
 # cmd/benchgate gates CI against.
 #
@@ -12,7 +12,7 @@
 # "history" section of BENCH_sim.json is preserved across -update; add
 # entries there by hand when recording a before/after milestone (the
 # parallel scaling curve of a multicore machine belongs there).
-set -eu
+set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GATED='^(BenchmarkScenario4HopChain|BenchmarkScenarioGrid|BenchmarkScenarioLargeRandom|BenchmarkScenario1000Node|BenchmarkEventChurn|BenchmarkScheduleCancel|BenchmarkTimerRearm|BenchmarkTransmitFanout|BenchmarkTransmitMobile|BenchmarkSenderPacing|BenchmarkDCFExchange)$'
