@@ -9,9 +9,11 @@
 //	muzhasim -exp dynamics                  # Figures 5.19-5.22
 //	muzhasim -exp modern                    # modernized comparison grid
 //	muzhasim -exp single -hops 4 -variants muzha -duration 30s
+//	muzhasim -exp single -hops 4 -variants muzha -set stack.packet_error_rate=0.02
 //	muzhasim -chaos -runs 20 -seed 7 -duration 3s
 //	muzhasim -chaos-cov -runs 40 -corpus corpus.jsonl -repro-dir repros
-//	muzhasim -scenario spec.json
+//	muzhasim -scenario spec.json -out result.json
+//	muzhasim -scenario examples/scenarios/islands-1k.json -set duration_ms=5000 -run-workers 8
 //	muzhasim -scenario failing.json -shrink -out repro.json
 //	muzhasim -exp throughput -cpuprofile cpu.out -memprofile mem.out
 //
@@ -33,10 +35,14 @@
 // Sometimes assertions, and failures are auto-shrunk to minimal
 // reproducers under -repro-dir.
 //
-// The -scenario mode runs one declarative scenario spec (see
-// EXPERIMENTS.md for the format) and verifies its "expect" block; with
-// -shrink, a failing scenario is minimized and the reproducer written
-// to -out (default repro.json). Exit codes triage the worst failure
+// Every single run is a scenario spec (see EXPERIMENTS.md for the
+// format): -scenario loads one from a file, and -exp single makes one
+// chain spec per (hop count, variant) cell. Repeatable -set path=value
+// flags edit the spec, or every cell, through the strict spec parser.
+// Each run's "expect" block is verified (an absent block expects a
+// healthy run); with -shrink, a failing scenario is minimized and the
+// reproducer written to -out (default repro.json). A flag the chosen
+// mode does not read is an error. Exit codes triage the worst failure
 // class without output parsing:
 //
 //	1  usage or unclassified error
@@ -56,6 +62,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -85,10 +92,15 @@ type exitError struct {
 func (e *exitError) Error() string { return e.err.Error() }
 func (e *exitError) Unwrap() error { return e.err }
 
-// codeFor maps an error to its triage exit code via the failure
-// taxonomy, picking the most severe class in the error's chain.
+// codeFor maps an error to its triage exit code: an exitError's own
+// code, else the most severe failure class in the error's chain. A
+// sweep driver's summary error thus exits with its worst run's class,
+// after the rows of the runs that finished were printed.
 func codeFor(err error) int {
+	var ee *exitError
 	switch {
+	case errors.As(err, &ee):
+		return ee.code
 	case errors.Is(err, muzha.ErrPanic):
 		return exitPanic
 	case errors.Is(err, muzha.ErrDeadline),
@@ -106,13 +118,40 @@ func codeFor(err error) int {
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "muzhasim:", err)
-		var ee *exitError
-		if errors.As(err, &ee) {
-			os.Exit(ee.code)
-		}
 		os.Exit(codeFor(err))
 	}
 }
+
+// sweepFlags are the flags every -exp sweep reads.
+const sweepFlags = "exp seed duration parallel run-workers resume deadline max-events "
+
+// modeFlags lists the flags each mode reads, besides -cpuprofile and
+// -memprofile, which wrap every mode. run rejects any other flag that
+// is set, so nothing on the command line is silently ignored.
+var modeFlags = map[string]string{
+	"-scenario":       "scenario set shrink out run-workers deadline max-events",
+	"-chaos-cov":      "chaos-cov runs seed duration corpus repro-dir deadline max-events",
+	"-chaos":          "chaos runs seed duration parallel run-workers resume deadline max-events",
+	"-exp cwnd":       sweepFlags + "hops variants",
+	"-exp throughput": sweepFlags + "hops windows variants seeds",
+	"-exp fairness":   sweepFlags + "hops seeds",
+	"-exp dynamics":   sweepFlags + "variants",
+	"-exp modern":     sweepFlags + "worlds variants seeds",
+	"-exp single":     "exp hops variants duration seed set out remote run-workers deadline max-events",
+}
+
+// scenarioHints say where a flag -scenario does not read lives instead.
+var scenarioHints = map[string]string{
+	"seed":     "; use -set seed=N",
+	"duration": "; use -set duration_ms=N",
+	"remote":   "; submit the spec to muzhad's /v1/scenarios instead",
+}
+
+// setFlags collects the repeatable -set path=value spec edits.
+type setFlags []string
+
+func (s *setFlags) String() string     { return strings.Join(*s, " ") }
+func (s *setFlags) Set(v string) error { *s = append(*s, v); return nil }
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("muzhasim", flag.ContinueOnError)
@@ -125,7 +164,6 @@ func run(args []string, out io.Writer) error {
 		duration   = fs.Duration("duration", 0, "simulated time per run (default depends on experiment)")
 		seed       = fs.Int64("seed", 1, "base random seed")
 		seeds      = fs.Int("seeds", 3, "number of seeds to average (throughput/fairness)")
-		per        = fs.Float64("per", 0, "random packet error rate in [0,1)")
 		chaos      = fs.Bool("chaos", false, "run randomized fault-injection scenarios instead of an experiment")
 		chaosCov   = fs.Bool("chaos-cov", false, "run the coverage-guided chaos loop instead of blind -chaos iteration")
 		corpus     = fs.String("corpus", "", "chaos-corpus JSONL path (-chaos-cov): persists coverage and resumes on restart")
@@ -140,28 +178,44 @@ func run(args []string, out io.Writer) error {
 		maxEvents  = fs.Uint64("max-events", 0, "per-run simulator event budget (0 = unbounded)")
 		cpuprof    = fs.String("cpuprofile", "", "write a pprof CPU profile of the run/sweep to this file")
 		memprof    = fs.String("memprofile", "", "write a pprof allocation profile at exit to this file")
-		outPath    = fs.String("out", "", "write machine-readable Result JSON to this file (-exp single; same canonical encoding muzhad serves)")
+		outPath    = fs.String("out", "", "write machine-readable Result JSON to this file (-exp single, -scenario; same canonical encoding muzhad serves)")
 		remote     = fs.String("remote", "", "muzhad address, e.g. 127.0.0.1:7370: run -exp single via the daemon instead of in-process")
-		topoSpec   = fs.String("topo", "", "generator topology for -exp single, with its seeded flow mix: rgeo:NODES:WxH:FLOWS or islands:IxRxC:GAP:FLOWS_PER_ISLAND (e.g. rgeo:1000:3500x3500:128)")
-		ring       = fs.Bool("expanding-ring", false, "enable AODV expanding-ring RREQ search (RFC 3561 6.4); recommended for -topo node counts beyond the paper's chains")
+		sets       setFlags
 	)
+	fs.Var(&sets, "set", "edit a spec field, repeatable: path=value with a dotted JSON field path and a JSON or plain-string value, e.g. -set stack.expanding_ring=true (-scenario, and every -exp single cell)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if (*outPath != "" || *remote != "") && (*chaos || *chaosCov || *exp != "single") && *scenPath == "" {
-		return fmt.Errorf("-out and -remote only apply to -exp single or -scenario")
+	mode := "-exp " + *exp
+	switch {
+	case *scenPath != "":
+		mode = "-scenario"
+	case *chaosCov:
+		mode = "-chaos-cov"
+	case *chaos:
+		mode = "-chaos"
 	}
-	if *topoSpec != "" && (*chaos || *chaosCov || *scenPath != "" || *exp != "single") {
-		return fmt.Errorf("-topo only applies to -exp single")
+	reads, ok := modeFlags[mode]
+	if !ok {
+		return fmt.Errorf("unknown experiment %q", *exp)
 	}
-	if *worlds != "" && (*chaos || *chaosCov || *scenPath != "" || *exp != "modern") {
-		return fmt.Errorf("-worlds only applies to -exp modern")
+	given := make(map[string]bool)
+	var unread error
+	fs.Visit(func(f *flag.Flag) {
+		given[f.Name] = true
+		if unread == nil && !slices.Contains(strings.Fields(reads+" cpuprofile memprofile"), f.Name) {
+			hint := ""
+			if mode == "-scenario" {
+				hint = scenarioHints[f.Name]
+			}
+			unread = fmt.Errorf("-%s does not apply to %s%s", f.Name, mode, hint)
+		}
+	})
+	if unread != nil {
+		return unread
 	}
-	if *remote != "" && *scenPath != "" {
-		return fmt.Errorf("-remote does not apply to -scenario (submit the spec to muzhad's /v1/scenarios instead)")
-	}
-	if *shrink && *scenPath == "" {
-		return fmt.Errorf("-shrink requires -scenario")
+	if *shrink && given["run-workers"] {
+		return fmt.Errorf("-run-workers does not apply with -shrink: the shrinker replays on the classic engine")
 	}
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
@@ -204,8 +258,9 @@ func run(args []string, out io.Writer) error {
 			LivelockWindow: 5_000_000,
 		},
 	}
+	r := runner{guards: sw.Guards, workers: *runWorkers}
 	if *scenPath != "" {
-		return runScenario(out, *scenPath, *shrink, *outPath, sw.Guards)
+		return runScenario(out, *scenPath, sets, *shrink, *outPath, r)
 	}
 	if *chaosCov {
 		return runChaosCov(out, *runs, *seed, *duration, *corpus, *reproDir, sw.Guards)
@@ -218,31 +273,35 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	variantsSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "variants" {
-			variantsSet = true
-		}
-	})
+	if *seeds < 1 {
+		return fmt.Errorf("-seeds %d: want at least 1", *seeds)
+	}
 	seedList := make([]int64, *seeds)
 	for i := range seedList {
 		seedList[i] = *seed + int64(i)
 	}
+	defHops := map[string][]int{"cwnd": {4, 8, 16}, "throughput": {4, 8, 12, 16, 24, 32}, "fairness": {4, 6, 8}, "single": {4}}[*exp]
+	hs, err := parseInts("-hops", *hops, defHops)
+	if err != nil {
+		return err
+	}
 
 	switch *exp {
 	case "cwnd":
-		return runCwnd(out, parseInts(*hops, []int{4, 8, 16}), vs, orDefault(*duration, 10*time.Second), *seed, sw)
+		return runCwnd(out, hs, vs, orDefault(*duration, 10*time.Second), *seed, sw)
 	case "throughput":
-		return runThroughput(out, parseInts(*windows, []int{4, 8, 32}),
-			parseInts(*hops, []int{4, 8, 12, 16, 24, 32}), vs,
-			orDefault(*duration, 30*time.Second), seedList, sw)
+		ws, err := parseInts("-windows", *windows, []int{4, 8, 32})
+		if err != nil {
+			return err
+		}
+		return runThroughput(out, ws, hs, vs, orDefault(*duration, 30*time.Second), seedList, sw)
 	case "fairness":
-		return runFairness(out, parseInts(*hops, []int{4, 6, 8}), orDefault(*duration, 50*time.Second), seedList, sw)
+		return runFairness(out, hs, orDefault(*duration, 50*time.Second), seedList, sw)
 	case "dynamics":
 		return runDynamics(out, vs, orDefault(*duration, 30*time.Second), *seed, sw)
 	case "modern":
 		mg := muzha.DefaultModernGrid()
-		if variantsSet {
+		if given["variants"] {
 			// -variants defaults to the paper's classical set; the
 			// modern grid has its own default foursome.
 			mg.Variants = vs
@@ -260,13 +319,18 @@ func run(args []string, out io.Writer) error {
 		mg.Seeds = seedList
 		mg.Sweep = sw
 		return runModern(out, mg)
-	case "single":
-		if *topoSpec != "" {
-			return runTopo(out, *topoSpec, vs, orDefault(*duration, 30*time.Second), *seed, *per, *ring, sw.Guards, *runWorkers, *outPath)
+	default: // "single"; modeFlags admits no other experiment
+		cells, err := chainCells(hs, vs, orDefault(*duration, 30*time.Second), *seed, sets)
+		if err != nil {
+			return err
 		}
-		return runSingle(out, parseInts(*hops, []int{4}), vs, orDefault(*duration, 30*time.Second), *seed, *per, sw.Guards, *runWorkers, *outPath, *remote)
-	default:
-		return fmt.Errorf("unknown experiment %q", *exp)
+		if base := *remote; base != "" {
+			if !strings.Contains(base, "://") {
+				base = "http://" + base
+			}
+			r.cli = &jobs.Client{BaseURL: base, ClientID: "muzhasim", Retry: jobs.DefaultBackoff()}
+		}
+		return runSingle(out, cells, *outPath, r)
 	}
 }
 
@@ -277,21 +341,21 @@ func orDefault(d, def time.Duration) time.Duration {
 	return d
 }
 
-func parseInts(s string, def []int) []int {
+// parseInts parses a comma-separated list of positive integers; an
+// empty list yields def.
+func parseInts(flagName, s string, def []int) ([]int, error) {
 	if s == "" {
-		return def
+		return def, nil
 	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err == nil && n > 0 {
-			out = append(out, n)
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("%s %q: %q is not a positive integer", flagName, s, part)
 		}
+		out = append(out, n)
 	}
-	if len(out) == 0 {
-		return def
-	}
-	return out
+	return out, nil
 }
 
 func parseVariants(s string) ([]muzha.Variant, error) {
@@ -310,16 +374,6 @@ func parseVariants(s string) ([]muzha.Variant, error) {
 	return out, nil
 }
 
-// sweepErr converts a driver error into an exit-coded error, keeping
-// partial CSV output useful: the rows were already printed by the time
-// the summary error surfaces.
-func sweepErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &exitError{code: codeFor(err), err: err}
-}
-
 func runCwnd(out io.Writer, hops []int, vs []muzha.Variant, d time.Duration, seed int64, sw muzha.SweepOptions) error {
 	traces, terr := muzha.CwndTraces(hops, vs, d, seed, sw)
 	if traces == nil && terr != nil {
@@ -331,7 +385,7 @@ func runCwnd(out io.Writer, hops []int, vs []muzha.Variant, d time.Duration, see
 			fmt.Fprintf(out, "%d,%s,%.1f,%.2f\n", tr.Hops, tr.Variant, s.At.Seconds(), s.Value)
 		}
 	}
-	return sweepErr(terr)
+	return terr
 }
 
 func runThroughput(out io.Writer, windows, hops []int, vs []muzha.Variant, d time.Duration, seeds []int64, sw muzha.SweepOptions) error {
@@ -351,7 +405,7 @@ func runThroughput(out io.Writer, windows, hops []int, vs []muzha.Variant, d tim
 		fmt.Fprintf(out, "%d,%d,%s,%.0f,%.1f,%.1f\n",
 			r.Window, r.Hops, r.Variant, r.ThroughputBps, r.Retransmissions, r.Timeouts)
 	}
-	return sweepErr(rerr)
+	return rerr
 }
 
 func runModern(out io.Writer, grid muzha.ModernGridConfig) error {
@@ -364,7 +418,7 @@ func runModern(out io.Writer, grid muzha.ModernGridConfig) error {
 		fmt.Fprintf(out, "%s,%s,%t,%.0f,%.1f,%.1f,%d\n",
 			r.World, r.Variant, r.RouterAssist, r.ThroughputBps, r.Retransmissions, r.Timeouts, r.Seeds)
 	}
-	return sweepErr(rerr)
+	return rerr
 }
 
 func runFairness(out io.Writer, hops []int, d time.Duration, seeds []int64, sw muzha.SweepOptions) error {
@@ -383,7 +437,7 @@ func runFairness(out io.Writer, hops []int, d time.Duration, seeds []int64, sw m
 			r.Hops, r.Variants[0], r.Variants[1],
 			r.ThroughputBps[0], r.ThroughputBps[1], r.JainIndex)
 	}
-	return sweepErr(rerr)
+	return rerr
 }
 
 func runDynamics(out io.Writer, vs []muzha.Variant, d time.Duration, seed int64, sw muzha.SweepOptions) error {
@@ -399,7 +453,7 @@ func runDynamics(out io.Writer, vs []muzha.Variant, d time.Duration, seed int64,
 			}
 		}
 	}
-	return sweepErr(rerr)
+	return rerr
 }
 
 func runChaos(out io.Writer, runs int, seed int64, d time.Duration, sw muzha.SweepOptions) error {
@@ -414,7 +468,7 @@ func runChaos(out io.Writer, runs int, seed int64, d time.Duration, sw muzha.Swe
 		return err
 	}
 	counts := make(map[string]int)
-	resumed := 0
+	resumed, failed := 0, 0
 	for _, r := range results {
 		if r.Resumed {
 			resumed++
@@ -422,23 +476,13 @@ func runChaos(out io.Writer, runs int, seed int64, d time.Duration, sw muzha.Swe
 		cls := r.FailureClass()
 		if cls != "" {
 			counts[cls]++
+			failed++
 		}
-		switch {
-		case r.NonDeterministic:
-			fmt.Fprintf(out, "FAIL seed=%d %s [%s]: results differ between identical runs\n", r.Seed, r.Scenario, cls)
-		case r.Err != nil:
-			fmt.Fprintf(out, "FAIL seed=%d %s [%s]: %v\n", r.Seed, r.Scenario, cls, r.Err)
-		case cls == muzha.ClassInvariant:
-			fmt.Fprintf(out, "FAIL seed=%d %s [%s]: %d invariant violations\n%s",
-				r.Seed, r.Scenario, cls, r.Result.InvariantViolations, r.Result.InvariantReport())
-		default:
-			fmt.Fprintf(out, "ok   seed=%d%s %s: jain=%.3f events=%d faults=%+v\n",
-				r.Seed, resumedTag(r.Resumed), r.Scenario, r.Result.JainIndex, r.Result.Events, r.Result.Faults)
+		label := fmt.Sprintf("seed=%d %s", r.Seed, r.Scenario)
+		if r.Resumed {
+			label = fmt.Sprintf("seed=%d (resumed) %s", r.Seed, r.Scenario)
 		}
-	}
-	failed := 0
-	for _, n := range counts {
-		failed += n
+		report(out, label, r.Result, cls, r.Err)
 	}
 	if failed > 0 {
 		return &exitError{
@@ -451,27 +495,82 @@ func runChaos(out io.Writer, runs int, seed int64, d time.Duration, sw muzha.Swe
 	return nil
 }
 
-// runScenario executes one declarative spec file, reports its outcome
-// and coverage, and verifies the spec's expect block. With shrink set,
-// a failing scenario is minimized and the self-verifying reproducer
-// written to outPath (default repro.json); a healthy run is then an
-// error — there is nothing to shrink.
-func runScenario(out io.Writer, path string, shrink bool, outPath string, guards muzha.RunGuards) error {
+// report prints one run's outcome line: ok with its headline numbers,
+// or FAIL with its failure class and cause.
+func report(out io.Writer, label string, res *muzha.Result, class string, err error) {
+	switch {
+	case class == "":
+		fmt.Fprintf(out, "ok   %s: jain=%.3f events=%d faults=%+v\n", label, res.JainIndex, res.Events, res.Faults)
+	case err != nil:
+		fmt.Fprintf(out, "FAIL %s [%s]: %v\n", label, class, err)
+	case class == muzha.ClassInvariant:
+		fmt.Fprintf(out, "FAIL %s [%s]: %d invariant violations\n%s", label, class, res.InvariantViolations, res.InvariantReport())
+	default:
+		fmt.Fprintf(out, "FAIL %s [%s]: results differ between identical runs\n", label, class)
+	}
+}
+
+// runner executes one spec's Config: in-process, or on a muzhad daemon
+// when cli is set. guards bound the run unless the spec has its own.
+type runner struct {
+	guards  muzha.RunGuards
+	workers int
+	cli     *jobs.Client
+}
+
+// run executes spec and classifies the outcome: class is "" for a
+// healthy run, else the failure class of the run's error or of its
+// Always-invariant violations. res is nil when the run produced no
+// Result; raw holds the Result bytes muzhad serves for the same Config.
+func (r runner) run(spec scenario.Spec) (res *muzha.Result, raw json.RawMessage, class string, err error) {
+	cfg, err := spec.Config()
+	if err != nil {
+		return nil, nil, muzha.ClassError, err
+	}
+	if spec.Guards == nil {
+		cfg.Guards = r.guards
+	}
+	cfg.Workers = r.workers
+	if r.cli != nil {
+		res, raw, err = remoteRun(r.cli, cfg)
+	} else if res, err = muzha.Run(cfg); err == nil {
+		raw, err = jobs.EncodeResult(res)
+	}
+	return res, raw, muzha.ChaosRun{Result: res, Err: err}.FailureClass(), err
+}
+
+// verdict checks one run against its spec's expect block. A miss names
+// the scenario and wraps the run's failure, so codeFor gives it the
+// failure class's exit code.
+func verdict(spec scenario.Spec, res *muzha.Result, class string, runErr error) error {
+	err := scenario.CheckExpect(spec, res, class)
+	switch {
+	case err == nil:
+		return nil
+	case runErr != nil:
+		err = fmt.Errorf("%w: %w", err, runErr)
+	case class == muzha.ClassInvariant:
+		err = fmt.Errorf("%w: %w", err, muzha.ErrInvariant)
+	}
+	return fmt.Errorf("%s: %w", spec.Summary(), err)
+}
+
+// runScenario executes one declarative spec file, edited by sets,
+// reports its outcome and coverage, and verifies the spec's expect
+// block; outPath, when set, receives the canonical Result document.
+// With shrink set, a failing scenario is instead minimized and the
+// self-verifying reproducer written to outPath (default repro.json); a
+// healthy run is then an error — there is nothing to shrink.
+func runScenario(out io.Writer, path string, sets []string, shrink bool, outPath string, r runner) error {
 	spec, err := scenario.Load(path)
+	if err == nil {
+		spec, err = spec.Set(sets...)
+	}
 	if err != nil {
 		return err
 	}
-	res, class, runErr := chaoscov.RunSpec(spec, guards)
-	switch {
-	case class == "":
-		fmt.Fprintf(out, "ok   %s: jain=%.3f events=%d faults=%+v\n",
-			spec.Summary(), res.JainIndex, res.Events, res.Faults)
-	case runErr != nil:
-		fmt.Fprintf(out, "FAIL %s [%s]: %v\n", spec.Summary(), class, runErr)
-	default:
-		fmt.Fprintf(out, "FAIL %s [%s]: %d invariant violations\n%s",
-			spec.Summary(), class, res.InvariantViolations, res.InvariantReport())
-	}
+	res, raw, class, runErr := r.run(spec)
+	report(out, spec.Summary(), res, class, runErr)
 	if res != nil {
 		fmt.Fprintf(out, "coverage: %s\n", strings.Join(res.SometimesCoverage(), " "))
 	}
@@ -483,7 +582,7 @@ func runScenario(out io.Writer, path string, shrink bool, outPath string, guards
 		if outPath == "" {
 			outPath = "repro.json"
 		}
-		sr := chaoscov.Shrink(spec, class, guards, 0, func(f string, a ...any) {
+		sr := chaoscov.Shrink(spec, class, r.guards, 0, func(f string, a ...any) {
 			fmt.Fprintf(out, f+"\n", a...)
 		})
 		b, err := json.MarshalIndent(sr.Spec, "", "  ")
@@ -498,12 +597,14 @@ func runScenario(out io.Writer, path string, shrink bool, outPath string, guards
 		return nil
 	}
 
-	if err := scenario.CheckExpect(spec, res, class); err != nil {
-		code := exitGeneric
-		if class != "" {
-			code = worstExitCode(map[string]int{class: 1})
+	if outPath != "" && raw != nil {
+		// Exactly the bytes muzhad serves for this spec, so the two cmp clean.
+		if err := os.WriteFile(outPath, raw, 0o644); err != nil {
+			return err
 		}
-		return &exitError{code: code, err: err}
+	}
+	if err := verdict(spec, res, class, runErr); err != nil {
+		return err
 	}
 	fmt.Fprintln(out, "expect: ok")
 	return nil
@@ -545,13 +646,6 @@ func runChaosCov(out io.Writer, runs int, seed int64, d time.Duration, corpus, r
 	return nil
 }
 
-func resumedTag(resumed bool) string {
-	if resumed {
-		return " (resumed)"
-	}
-	return ""
-}
-
 // worstExitCode picks the exit code of the most severe class present.
 func worstExitCode(counts map[string]int) int {
 	switch {
@@ -569,7 +663,7 @@ func worstExitCode(counts map[string]int) int {
 	return exitGeneric
 }
 
-// singleRecord is one (topology, variant) run in the -out document. The
+// singleRecord is one (hops, variant) run in the -out document. The
 // embedded result bytes are exactly what muzhad's result endpoint would
 // serve for the same config, so local and remote runs diff clean.
 type singleRecord struct {
@@ -579,57 +673,54 @@ type singleRecord struct {
 	Result  json.RawMessage `json:"result"`
 }
 
-func runSingle(out io.Writer, hops []int, vs []muzha.Variant, d time.Duration, seed int64, per float64, guards muzha.RunGuards, workers int, outPath, remote string) error {
-	var cli *jobs.Client
-	if remote != "" {
-		if !strings.Contains(remote, "://") {
-			remote = "http://" + remote
-		}
-		cli = &jobs.Client{BaseURL: remote, ClientID: "muzhasim"}
+// chainCells builds the -exp single grid: one chain scenario per (hop
+// count, variant) cell, each edited by sets. Every cell is validated
+// before the first one runs.
+func chainCells(hops []int, vs []muzha.Variant, d time.Duration, seed int64, sets []string) ([]scenario.Spec, error) {
+	if d%time.Millisecond != 0 {
+		return nil, fmt.Errorf("-duration %v: -exp single runs whole milliseconds", d)
 	}
-	var records []singleRecord
-	fmt.Fprintln(out, "hops,variant,throughput_bps,retransmissions,timeouts,fast_recoveries,jain_index")
+	var cells []scenario.Spec
 	for _, h := range hops {
-		top, err := muzha.ChainTopology(h)
-		if err != nil {
-			return err
-		}
 		for _, v := range vs {
-			cfg := muzha.DefaultConfig()
-			cfg.Topology = top
-			cfg.Duration = d
-			cfg.Seed = seed
-			cfg.PacketErrorRate = per
-			cfg.Guards = guards
-			cfg.Workers = workers
-			cfg.Flows = []muzha.Flow{{Src: 0, Dst: h, Variant: v}}
-			var (
-				res *muzha.Result
-				raw json.RawMessage
-			)
-			if cli != nil {
-				if raw, err = remoteRun(cli, cfg); err != nil {
-					return err
-				}
-				res = new(muzha.Result)
-				if err := json.Unmarshal(raw, res); err != nil {
-					return fmt.Errorf("remote result: %w", err)
-				}
-			} else {
-				if res, err = muzha.Run(cfg); err != nil {
-					return err
-				}
-				if outPath != "" {
-					if raw, err = jobs.EncodeResult(res); err != nil {
-						return err
-					}
-				}
+			spec := scenario.Spec{
+				Seed:       seed,
+				DurationMs: d.Milliseconds(),
+				Topology:   scenario.Topology{Kind: scenario.KindChain, Hops: h},
+				Flows:      []scenario.Flow{{Src: 0, Dst: h, Variant: string(v)}},
 			}
+			spec, err := spec.Set(sets...)
+			if err == nil {
+				err = spec.Validate()
+			}
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, spec)
+		}
+	}
+	return cells, nil
+}
+
+// runSingle runs each cell and prints its first flow as a CSV row. A
+// cell that misses its expect block (by default: any failure class)
+// does not stop the others; the worst class sets the exit code once
+// every row and the -out document are written.
+func runSingle(out io.Writer, cells []scenario.Spec, outPath string, r runner) error {
+	var (
+		records []singleRecord
+		fails   []error
+	)
+	fmt.Fprintln(out, "hops,variant,throughput_bps,retransmissions,timeouts,fast_recoveries,jain_index")
+	for _, spec := range cells {
+		res, raw, class, runErr := r.run(spec)
+		if res != nil {
 			f := res.Flows[0]
 			fmt.Fprintf(out, "%d,%s,%.0f,%d,%d,%d,%.3f\n",
-				h, v, f.ThroughputBps, f.Retransmissions, f.Timeouts, f.FastRecoveries, res.JainIndex)
-			records = append(records, singleRecord{Hops: h, Variant: v, Seed: seed, Result: raw})
+				spec.Topology.Hops, f.Variant, f.ThroughputBps, f.Retransmissions, f.Timeouts, f.FastRecoveries, res.JainIndex)
+			records = append(records, singleRecord{Hops: spec.Topology.Hops, Variant: f.Variant, Seed: spec.Seed, Result: raw})
 		}
+		fails = append(fails, verdict(spec, res, class, runErr))
 	}
 	if outPath != "" {
 		doc, err := canon.JSON(map[string][]singleRecord{"runs": records})
@@ -640,153 +731,31 @@ func runSingle(out io.Writer, hops []int, vs []muzha.Variant, d time.Duration, s
 			return err
 		}
 	}
-	return nil
+	return errors.Join(fails...) // nil when every cell met its expect block
 }
 
-// parseTopo builds a generator topology from the compact -topo syntax:
-// rgeo:NODES:WxH:FLOWS (random geometric, farthest-pair flows) or
-// islands:IxRxC:GAP:FLOWS_PER_ISLAND (I lattice islands of RxC nodes,
-// GAP meters apart, seeded intra-island flows).
-func parseTopo(spec string, seed int64) (muzha.Topology, error) {
-	bad := func() (muzha.Topology, error) {
-		return muzha.Topology{}, fmt.Errorf("bad -topo %q: want rgeo:NODES:WxH:FLOWS or islands:IxRxC:GAP:FLOWS_PER_ISLAND", spec)
-	}
-	parts := strings.Split(spec, ":")
-	switch parts[0] {
-	case "rgeo":
-		if len(parts) != 4 {
-			return bad()
-		}
-		n, err1 := strconv.Atoi(parts[1])
-		dims := strings.Split(parts[2], "x")
-		flows, err2 := strconv.Atoi(parts[3])
-		if err1 != nil || err2 != nil || len(dims) != 2 {
-			return bad()
-		}
-		w, err3 := strconv.ParseFloat(dims[0], 64)
-		h, err4 := strconv.ParseFloat(dims[1], 64)
-		if err3 != nil || err4 != nil {
-			return bad()
-		}
-		return muzha.RandomGeometricTopology(n, w, h, flows, seed)
-	case "islands":
-		if len(parts) != 4 {
-			return bad()
-		}
-		dims := strings.Split(parts[1], "x")
-		if len(dims) != 3 {
-			return bad()
-		}
-		islands, err1 := strconv.Atoi(dims[0])
-		rows, err2 := strconv.Atoi(dims[1])
-		cols, err3 := strconv.Atoi(dims[2])
-		gap, err4 := strconv.ParseFloat(parts[2], 64)
-		per, err5 := strconv.Atoi(parts[3])
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil {
-			return bad()
-		}
-		return muzha.GridIslandsFlowsTopology(islands, rows, cols, gap, per, seed)
-	default:
-		return bad()
-	}
-}
-
-// topoRecord is one (topology, variant) run in the -topo -out document.
-type topoRecord struct {
-	Topo    string          `json:"topo"`
-	Variant muzha.Variant   `json:"variant"`
-	Seed    int64           `json:"seed"`
-	Result  json.RawMessage `json:"result"`
-}
-
-// runTopo runs each variant over one generator topology using the
-// topology's seeded flow mix, reporting aggregate transport metrics.
-func runTopo(out io.Writer, spec string, vs []muzha.Variant, d time.Duration, seed int64, per float64, ring bool, guards muzha.RunGuards, workers int, outPath string) error {
-	top, err := parseTopo(spec, seed)
-	if err != nil {
-		return err
-	}
-	fe := top.FlowEndpoints()
-	var records []topoRecord
-	fmt.Fprintln(out, "topo,variant,flows,mean_throughput_bps,retransmissions,timeouts,jain_index,events")
-	for _, v := range vs {
-		cfg := muzha.DefaultConfig()
-		cfg.Topology = top
-		cfg.Duration = d
-		cfg.Seed = seed
-		cfg.PacketErrorRate = per
-		cfg.ExpandingRing = ring
-		cfg.Guards = guards
-		cfg.Workers = workers
-		for _, e := range fe {
-			cfg.Flows = append(cfg.Flows, muzha.Flow{Src: e[0], Dst: e[1], Variant: v})
-		}
-		res, err := muzha.Run(cfg)
-		if err != nil {
-			return err
-		}
-		var mean float64
-		var rexmit, timeouts uint64
-		for _, f := range res.Flows {
-			mean += f.ThroughputBps
-			rexmit += f.Retransmissions
-			timeouts += f.Timeouts
-		}
-		if len(res.Flows) > 0 {
-			mean /= float64(len(res.Flows))
-		}
-		fmt.Fprintf(out, "%s,%s,%d,%.0f,%d,%d,%.3f,%d\n",
-			top.Name(), v, len(res.Flows), mean, rexmit, timeouts, res.JainIndex, res.Events)
-		if outPath != "" {
-			raw, err := jobs.EncodeResult(res)
-			if err != nil {
-				return err
-			}
-			records = append(records, topoRecord{Topo: top.Name(), Variant: v, Seed: seed, Result: raw})
-		}
-	}
-	if outPath != "" {
-		doc, err := canon.JSON(map[string][]topoRecord{"runs": records})
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(doc, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// remoteRun executes one config on a muzhad daemon and returns the raw
-// canonical Result bytes. Backpressure (429/503) is retried after the
-// daemon's Retry-After hint, bounded so a dead daemon fails the run
-// instead of hanging it.
-func remoteRun(cli *jobs.Client, cfg muzha.Config) (json.RawMessage, error) {
+// remoteRun executes one config on a muzhad daemon and returns its
+// Result with the raw canonical bytes the daemon served. The client's
+// retry policy absorbs backpressure (429/503) within a bounded budget,
+// so a dead daemon fails the run instead of hanging it.
+func remoteRun(cli *jobs.Client, cfg muzha.Config) (*muzha.Result, json.RawMessage, error) {
 	ctx := context.Background()
-	var j jobs.Job
-	for attempt := 0; ; attempt++ {
-		var err error
-		j, err = cli.Submit(ctx, cfg)
-		if err == nil {
-			break
-		}
-		var busy *jobs.BusyError
-		if !errors.As(err, &busy) || attempt >= 30 {
-			return nil, err
-		}
-		time.Sleep(busy.RetryAfter)
+	j, err := cli.Submit(ctx, cfg)
+	if err == nil && !j.State.Terminal() {
+		j, err = cli.Wait(ctx, j.ID, 0)
 	}
-	if !j.State.Terminal() {
-		var err error
-		if j, err = cli.Wait(ctx, j.ID, 0); err != nil {
-			return nil, err
-		}
+	if err == nil && j.State != jobs.StateDone {
+		err = fmt.Errorf("remote job %s is %s [%s]: %s", j.ID, j.State, j.Class, j.Error)
 	}
-	if j.State != jobs.StateDone {
-		return nil, fmt.Errorf("remote job %s is %s [%s]: %s", j.ID, j.State, j.Class, j.Error)
+	if err == nil && len(j.Result) == 0 {
+		j.Result, err = cli.Result(ctx, j.ID)
 	}
-	if len(j.Result) > 0 {
-		return j.Result, nil
+	if err != nil {
+		return nil, nil, err
 	}
-	return cli.Result(ctx, j.ID)
+	res := new(muzha.Result)
+	if err := json.Unmarshal(j.Result, res); err != nil {
+		return nil, nil, fmt.Errorf("remote result: %w", err)
+	}
+	return res, j.Result, nil
 }

@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"muzha"
+	"muzha/internal/scenario"
 )
 
 func TestRunSingleCSV(t *testing.T) {
@@ -101,30 +105,159 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-bogus-flag"}, &sb); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
+	// Every flag a mode does not read is rejected, pointing at its
+	// replacement where there is one.
+	spec := filepath.Join("..", "..", "internal", "chaoscov", "testdata", "event-budget.json")
+	for _, tt := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scenario", spec, "-duration", "5s"}, "-set duration_ms="},
+		{[]string{"-scenario", spec, "-seed", "9"}, "-set seed="},
+		{[]string{"-scenario", spec, "-remote", "localhost:1"}, "/v1/scenarios"},
+		{[]string{"-scenario", spec, "-shrink", "-run-workers", "2"}, "classic engine"},
+		{[]string{"-scenario", spec, "-set", "stack.expanding_rng=true"}, `unknown field "expanding_rng"`},
+		{[]string{"-exp", "single", "-hops", "4,x,8"}, `"x" is not a positive integer`},
+		{[]string{"-exp", "single", "-hops", "2", "-duration", "1500us"}, "whole milliseconds"},
+		{[]string{"-exp", "fairness", "-variants", "muzha"}, "-variants does not apply to -exp fairness"},
+		{[]string{"-exp", "single", "-parallel", "2"}, "-parallel does not apply to -exp single"},
+		{[]string{"-chaos", "-shrink"}, "-shrink does not apply to -chaos"},
+		{[]string{"-chaos-cov", "-chaos"}, "-chaos does not apply to -chaos-cov"},
+	} {
+		err := run(tt.args, &sb)
+		if err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("run(%q) = %v, want an error containing %q", tt.args, err, tt.want)
+		}
+	}
+}
+
+// TestChainCellsMatchHandBuiltConfig pins that -exp single's chain
+// specs generate exactly the Config the command used to build by hand,
+// so the -out golden and muzhad's cache keys cannot move.
+func TestChainCellsMatchHandBuiltConfig(t *testing.T) {
+	vs := []muzha.Variant{muzha.NewReno, muzha.Muzha, muzha.CUBIC}
+	for _, per := range []float64{0, 0.02} {
+		var sets []string
+		if per > 0 {
+			sets = []string{"stack.packet_error_rate=0.02"}
+		}
+		cells, err := chainCells([]int{2, 4, 16}, vs, 30*time.Second, 7, sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		for _, h := range []int{2, 4, 16} {
+			top, err := muzha.ChainTopology(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range vs {
+				want := muzha.DefaultConfig()
+				want.Topology = top
+				want.Duration = 30 * time.Second
+				want.Seed = 7
+				want.PacketErrorRate = per
+				want.Flows = []muzha.Flow{{Src: 0, Dst: h, Variant: v}}
+				got, err := cells[i].Config()
+				if err != nil {
+					t.Fatal(err)
+				}
+				i++
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("hops=%d %s per=%g: spec config\n%+v\nwant\n%+v", h, v, per, got, want)
+				}
+				gh, _ := got.Hash()
+				wh, _ := want.Hash()
+				if gh != wh {
+					t.Fatalf("hops=%d %s per=%g: hash %s, want %s", h, v, per, gh, wh)
+				}
+			}
+		}
+	}
+}
+
+// TestIslandsExampleIsPerfbenchWorld0 pins examples/scenarios/islands-1k.json
+// to the benchmark's first islands-1k world, built the way perfbench
+// builds it.
+func TestIslandsExampleIsPerfbenchWorld0(t *testing.T) {
+	spec, err := scenario.Load(filepath.Join("..", "..", "examples", "scenarios", "islands-1k.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, err := muzha.GridIslandsFlowsTopology(16, 8, 8, 1500, 8, 5225608189600411232)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := muzha.DefaultConfig()
+	want.Topology = top
+	want.Duration = 3 * time.Second
+	want.Window = 8
+	want.ExpandingRing = true
+	want.Seed = 5452762862878174055
+	for _, e := range top.FlowEndpoints() {
+		want.Flows = append(want.Flows, muzha.Flow{Src: e[0], Dst: e[1], Variant: muzha.Muzha})
+	}
+	gh, _ := got.Hash()
+	wh, _ := want.Hash()
+	if gh != wh {
+		t.Fatalf("islands-1k example hashes to %s, perfbench world 0 to %s", gh, wh)
+	}
+}
+
+// TestSingleFailingCellsExitCode checks that a failing -exp single cell
+// does not stop the others and that its class sets the exit code.
+func TestSingleFailingCellsExitCode(t *testing.T) {
+	var sb strings.Builder
+	err := run([]string{"-exp", "single", "-hops", "2,3", "-variants", "newreno",
+		"-duration", "2s", "-max-events", "500"}, &sb)
+	if codeFor(err) != exitGuard {
+		t.Fatalf("err = %v, want exit code %d", err, exitGuard)
+	}
+	for _, cell := range []string{"chain-2hop", "chain-3hop"} {
+		if !strings.Contains(err.Error(), cell) {
+			t.Errorf("error does not report cell %s: %v", cell, err)
+		}
+	}
+}
+
+// TestScenarioInvariantViolationExitCode runs the committed AODV
+// route-loop repro with its expect block cleared: the violated Always
+// invariant must exit with the triage code, not 0.
+func TestScenarioInvariantViolationExitCode(t *testing.T) {
+	var sb strings.Builder
+	err := run([]string{"-scenario", filepath.Join("..", "..", "internal", "chaoscov", "testdata", "route-loop-islands.json"),
+		"-set", "expect=null"}, &sb)
+	if err == nil || codeFor(err) != exitInvariant {
+		t.Fatalf("err = %v, want exit code %d\n%s", err, exitInvariant, sb.String())
+	}
+	if !strings.Contains(sb.String(), "route-loop-free") {
+		t.Fatalf("violated invariant missing from report:\n%s", sb.String())
+	}
 }
 
 func TestParseInts(t *testing.T) {
 	tests := []struct {
-		give string
-		def  []int
-		want []int
+		give    string
+		def     []int
+		want    []int
+		wantErr bool
 	}{
-		{"", []int{1}, []int{1}},
-		{"4,8", nil, []int{4, 8}},
-		{" 4 , 8 ", nil, []int{4, 8}},
-		{"x,-3", []int{7}, []int{7}},
-		{"4,x,8", nil, []int{4, 8}},
+		{give: "", def: []int{1}, want: []int{1}},
+		{give: "4,8", want: []int{4, 8}},
+		{give: " 4 , 8 ", want: []int{4, 8}},
+		{give: "x,-3", def: []int{7}, wantErr: true},
+		{give: "4,x,8", wantErr: true},
+		{give: "4,0", wantErr: true},
+		{give: "4,,8", wantErr: true},
 	}
 	for _, tt := range tests {
-		got := parseInts(tt.give, tt.def)
-		if len(got) != len(tt.want) {
-			t.Errorf("parseInts(%q) = %v, want %v", tt.give, got, tt.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tt.want[i] {
-				t.Errorf("parseInts(%q) = %v, want %v", tt.give, got, tt.want)
-			}
+		got, err := parseInts("-hops", tt.give, tt.def)
+		if (err != nil) != tt.wantErr || !slices.Equal(got, tt.want) {
+			t.Errorf("parseInts(%q) = %v, %v; want %v, error %t", tt.give, got, err, tt.want, tt.wantErr)
 		}
 	}
 }

@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"flag"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -103,5 +106,60 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	}
 	if st := srv.Snapshot(); st.Completed != 2 {
 		t.Fatalf("daemon ran %d jobs, want 2 (one per variant)", st.Completed)
+	}
+}
+
+// TestScenarioOutMatchesDaemon runs one spec file in-process with -out
+// and submits the same spec to muzhad's /v1/scenarios: the -out file
+// must be exactly the result bytes the daemon serves.
+func TestScenarioOutMatchesDaemon(t *testing.T) {
+	srv, err := jobs.NewServer(jobs.ServerConfig{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Drain(0)
+		srv.Close()
+	}()
+
+	spec := `{"seed": 3, "duration_ms": 2000, "topology": {"kind": "chain", "hops": 3},
+		"flows": [{"src": 0, "dst": 3, "variant": "muzha"}], "stack": {"packet_error_rate": 0.01}}`
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "s.json")
+	outPath := filepath.Join(dir, "r.json")
+	if err := os.WriteFile(specPath, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := run([]string{"-scenario", specPath, "-out", outPath}, &sb); err != nil {
+		t.Fatalf("%v\n%s", err, sb.String())
+	}
+	local, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(`{"scenario": `+spec+`}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var j jobs.ScenarioJob
+	if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
+		t.Fatal(err)
+	}
+	cli := &jobs.Client{BaseURL: ts.URL}
+	ctx := context.Background()
+	if _, err := cli.Wait(ctx, j.ID, 0); err != nil {
+		t.Fatal(err)
+	}
+	served, err := cli.Result(ctx, j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(local, served) {
+		t.Fatalf("-scenario -out (%d bytes) differs from the daemon's result (%d bytes)", len(local), len(served))
 	}
 }

@@ -273,19 +273,22 @@ type Guards struct {
 
 // Parse decodes a spec strictly: unknown fields and trailing data are
 // rejected, so a typoed knob fails loudly instead of silently running
-// a different scenario.
-func Parse(b []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
+// a different scenario. Each patch is then decoded over the spec just
+// as strictly, replacing the fields it names (see Set).
+func Parse(b []byte, patches ...[]byte) (Spec, error) {
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		if f, ok := unknownField(err); ok {
-			return Spec{}, fmt.Errorf("scenario: unknown field %s (strict parsing; check the spec reference in EXPERIMENTS.md)", f)
+	for _, doc := range append([][]byte{b}, patches...) {
+		dec := json.NewDecoder(bytes.NewReader(doc))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&s); err != nil {
+			if f, ok := unknownField(err); ok {
+				return Spec{}, fmt.Errorf("scenario: unknown field %s (strict parsing; check the spec reference in EXPERIMENTS.md)", f)
+			}
+			return Spec{}, fmt.Errorf("scenario: parse: %w", err)
 		}
-		return Spec{}, fmt.Errorf("scenario: parse: %w", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return Spec{}, fmt.Errorf("scenario: trailing data after spec document")
+		if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+			return Spec{}, fmt.Errorf("scenario: trailing data after spec document")
+		}
 	}
 	return s, nil
 }
@@ -299,6 +302,41 @@ func unknownField(err error) (string, bool) {
 		return msg[i+len(marker):], true
 	}
 	return "", false
+}
+
+// Set returns a copy of the spec with the assignments applied in
+// order, each written "path=value" (muzhasim's -set). path is a dotted
+// path of the spec's JSON field names, e.g. "stack.expanding_ring";
+// missing objects on the way are created. value is a JSON literal
+// (true, 0.02, null, {"class": "invariant"}), or else a plain string,
+// so "name=run 7" needs no quotes; an object value merges into the
+// field it replaces. Each edited spec is re-parsed strictly, so a
+// typoed field fails with its name.
+func (s Spec) Set(assignments ...string) (Spec, error) {
+	for _, a := range assignments {
+		path, value, ok := strings.Cut(a, "=")
+		if !ok || path == "" {
+			return Spec{}, fmt.Errorf("scenario: -set %q: want path=value", a)
+		}
+		patch := []byte(value)
+		if !json.Valid(patch) {
+			patch, _ = json.Marshal(value) // a string never fails to encode
+		}
+		keys := strings.Split(path, ".")
+		for i := len(keys) - 1; i >= 0; i-- {
+			patch, _ = json.Marshal(map[string]json.RawMessage{keys[i]: patch}) // patch is valid JSON
+		}
+		// Re-parsing the canonical form edits a deep copy, so the patch
+		// cannot write through pointers the receiver shares with its caller.
+		b, err := s.Canonical()
+		if err == nil {
+			s, err = Parse(b, patch)
+		}
+		if err != nil {
+			return Spec{}, fmt.Errorf("-set %s: %w", a, err)
+		}
+	}
+	return s, nil
 }
 
 // Load reads and strictly parses a spec file.
@@ -478,6 +516,21 @@ func (s Spec) Validate() error {
 
 func (s Spec) topology() (muzha.Topology, error) {
 	t := s.Topology
+	seed := t.PlacementSeed
+	if seed == 0 {
+		seed = s.Seed + 1
+	}
+	side := 1000.0 // default field edge; rgeo spreads its flows wider
+	if t.Kind == KindRGeo {
+		side = 3000
+	}
+	w, h := t.Width, t.Height
+	if w <= 0 {
+		w = side
+	}
+	if h <= 0 {
+		h = side
+	}
 	switch t.Kind {
 	case KindChain:
 		return muzha.ChainTopology(t.Hops)
@@ -486,39 +539,13 @@ func (s Spec) topology() (muzha.Topology, error) {
 	case KindGrid:
 		return muzha.GridTopology(t.Rows, t.Cols)
 	case KindRandom:
-		w, h := t.Width, t.Height
-		if w <= 0 {
-			w = 1000
-		}
-		if h <= 0 {
-			h = 1000
-		}
-		seed := t.PlacementSeed
-		if seed == 0 {
-			seed = s.Seed + 1
-		}
 		return muzha.RandomTopology(t.Nodes, w, h, seed)
 	case KindRGeo:
-		w, h := t.Width, t.Height
-		if w <= 0 {
-			w = 3000
-		}
-		if h <= 0 {
-			h = 3000
-		}
-		seed := t.PlacementSeed
-		if seed == 0 {
-			seed = s.Seed + 1
-		}
 		return muzha.RandomGeometricTopology(t.Nodes, w, h, t.Flows, seed)
 	case KindGridIslands:
 		gap := t.Gap
 		if gap <= 0 {
 			gap = 1500
-		}
-		seed := t.PlacementSeed
-		if seed == 0 {
-			seed = s.Seed + 1
 		}
 		return muzha.GridIslandsFlowsTopology(t.Islands, t.Rows, t.Cols, gap, t.FlowsPerIsland, seed)
 	case "":

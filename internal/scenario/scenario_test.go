@@ -124,6 +124,60 @@ func TestParseRejectsTrailingData(t *testing.T) {
 	}
 }
 
+func TestSetEditsFields(t *testing.T) {
+	orig, err := Parse([]byte(sampleSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := orig.Set(
+		"stack.expanding_ring=true",
+		"seed=5452762862878174055", // beyond float64's exact integers
+		"name=run 7",               // plain string, no quotes
+		"expect=null",
+		`expect={"class": "invariant"}`,
+		"guards=null",
+		"mobility.pause_ms=0",
+		`flows=[{"src": 0, "dst": 8, "variant": "cubic"}]`,
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Stack.ExpandingRing || s.Seed != 5452762862878174055 || s.Name != "run 7" ||
+		s.Expect.Class != "invariant" || s.Expect.Reach != nil || s.Guards != nil ||
+		s.Mobility.PauseMs != 0 || len(s.Flows) != 1 || s.Flows[0].Variant != "cubic" ||
+		s.Stack.QueueLimit != 25 || s.Stack.ResidualLossRate != 0.004 {
+		t.Fatalf("edited spec = %+v", s)
+	}
+	if orig.Expect.Reach == nil || orig.Mobility.PauseMs != 1000 || orig.Guards == nil {
+		t.Fatalf("Set wrote through to the original spec: %+v", orig)
+	}
+	// Missing objects on the path are created.
+	if s, err = s.Set("expect=null", "expect.class=livelock"); err != nil || s.Expect.Class != "livelock" {
+		t.Fatalf("Set through a missing object: %+v, %v", s.Expect, err)
+	}
+}
+
+func TestSetRejectsBadAssignments(t *testing.T) {
+	s, err := Parse([]byte(sampleSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]string{
+		"stack.expanding_rng=true": `unknown field "expanding_rng"`,
+		"no-equals-sign":           "want path=value",
+		"=3":                       "want path=value",
+		"flows.0.variant=muzha":    "flows",
+		"seed.low=1":               "seed",
+		"duration_ms=soon":         "duration_ms",
+	}
+	for a, want := range cases {
+		_, err := s.Set(a)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Set(%q) = %v, want an error containing %q", a, err, want)
+		}
+	}
+}
+
 func TestConfigRejectsBadSpecs(t *testing.T) {
 	cases := map[string]string{
 		"no topology kind":   `{"seed": 1, "flows": [{"src": 0, "dst": 1}]}`,
