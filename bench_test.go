@@ -506,12 +506,9 @@ func BenchmarkScenario4HopChain(b *testing.B) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
-// benchWidths enumerates the engine configurations of the parallel
-// scaling benchmarks: the frozen classic engine, then the decomposed
-// engine at 1, 2, 4 and NumCPU workers. workers=1 is the decomposed
-// engine's serial reference (identical output at every width), so
-// serial-vs-workers=1 isolates decomposition overhead and
-// workers=N/workers=1 is the pure scaling ratio.
+// benchWidths enumerates the Config.Workers widths of the parallel
+// scaling benchmarks: 1, 2, 4 and NumCPU. The output is identical at
+// every width, so workers=N/workers=1 is the pure scaling ratio.
 func benchWidths() []struct {
 	name    string
 	workers int
@@ -520,7 +517,6 @@ func benchWidths() []struct {
 		name    string
 		workers int
 	}{
-		{"serial", 0},
 		{"workers=1", 1},
 		{"workers=2", 2},
 		{"workers=4", 4},
@@ -528,7 +524,7 @@ func benchWidths() []struct {
 	}
 }
 
-// benchScenarioWidths runs cfg at every engine width as sub-benchmarks
+// benchScenarioWidths runs cfg at every width as sub-benchmarks
 // reporting events/s.
 func benchScenarioWidths(b *testing.B, cfg Config) {
 	for _, w := range benchWidths() {
@@ -554,8 +550,8 @@ func benchScenarioWidths(b *testing.B, cfg Config) {
 // BenchmarkScenarioGrid is the multi-domain scaling workload: eight
 // 5x5 grid islands (200 nodes) separated beyond carrier-sense range,
 // one saturated corner-to-corner Muzha flow per island. Every island
-// is an independent interaction domain, so the decomposed engine gets
-// eight-way parallelism to chew on.
+// is an independent interaction domain, so the run gets eight-way
+// parallelism to chew on.
 func BenchmarkScenarioGrid(b *testing.B) {
 	top, err := GridIslandsTopology(8, 5, 5, 1500)
 	if err != nil {
@@ -595,7 +591,7 @@ func BenchmarkScenarioLargeRandom(b *testing.B) {
 // grid (1024 nodes) with 8 seeded intra-island flows each (128 flows,
 // summary-only traces since 128 > DefaultTraceFlowLimit), AODV
 // expanding-ring discovery on, bounded by the event-budget guard. The
-// decomposed engine gets sixteen-way parallelism; the committed
+// run gets sixteen-way parallelism; the committed
 // events/s and allocs/op baselines in BENCH_sim.json catch node-scale
 // regressions via cmd/benchgate.
 func BenchmarkScenario1000Node(b *testing.B) {

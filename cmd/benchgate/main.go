@@ -26,11 +26,11 @@
 // scripts/bench.sh wires the two modes together.
 //
 // With -scaling <family> the tool prints the parallel scaling curve of
-// a width-swept benchmark (sub-benchmarks named <family>/serial and
-// <family>/workers=N): events/s per width and the speedup relative to
-// workers=1. The curve is informational by default — shared CI runners
-// may have any core count — but -min-speedup N gates the -speedup-at
-// width for dedicated multicore runners.
+// a width-swept benchmark (sub-benchmarks named <family>/workers=N):
+// events/s per width and the speedup relative to workers=1. The curve
+// is informational by default — shared CI runners may have any core
+// count — but -min-speedup N gates the -speedup-at width for dedicated
+// multicore runners.
 package main
 
 import (
@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,7 +85,7 @@ func run(argv []string, out io.Writer) error {
 		maxRegress    = fs.Float64("max-regress", 0.20, "maximum tolerated fractional events/s regression")
 		maxAllocRatio = fs.Float64("max-alloc-ratio", 1.5, "maximum tolerated allocs/op ratio vs baseline")
 		update        = fs.Bool("update", false, "rewrite the baseline's benchmarks section from the input instead of comparing")
-		scaling       = fs.String("scaling", "", "print the parallel scaling curve of this benchmark family (sub-benchmarks <family>/serial, <family>/workers=N) instead of gating")
+		scaling       = fs.String("scaling", "", "print the parallel scaling curve of this benchmark family (sub-benchmarks <family>/workers=N) instead of gating")
 		minSpeedup    = fs.Float64("min-speedup", 0, "with -scaling: fail unless the -speedup-at width reaches this speedup over workers=1 (only meaningful on dedicated multicore runners)")
 		speedupAt     = fs.String("speedup-at", "workers=4", "with -scaling: the width -min-speedup checks")
 	)
@@ -239,18 +240,14 @@ func scalingCurve(family string, got map[string]result, minSpeedup float64, spee
 		return fmt.Errorf("scaling: input has no %s/workers=1 events/s", family)
 	}
 	// Fixed display order; any extra widths in the input follow sorted.
-	widths := []string{"serial", "workers=1", "workers=2", "workers=4", "workers=max"}
-	seen := make(map[string]bool, len(widths))
-	for _, w := range widths {
-		seen[w] = true
-	}
+	widths := []string{"workers=1", "workers=2", "workers=4", "workers=max"}
+	fixed := len(widths)
 	for name := range got {
-		if w, ok := strings.CutPrefix(name, family+"/"); ok && !seen[w] {
+		if w, ok := strings.CutPrefix(name, family+"/"); ok && !slices.Contains(widths, w) {
 			widths = append(widths, w)
-			seen[w] = true
 		}
 	}
-	sort.Strings(widths[5:])
+	sort.Strings(widths[fixed:])
 
 	var gated *result
 	for _, w := range widths {

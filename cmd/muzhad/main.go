@@ -66,7 +66,7 @@ func run(args []string) error {
 		addr       = fs.String("addr", "127.0.0.1:7370", "HTTP listen address")
 		data       = fs.String("data", "muzhad-data", "data directory for the job store and result cache")
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "simulation worker count")
-		runWorkers = fs.Int("run-workers", 0, "engine workers inside each job: 0 = classic single-threaded engine, N >= 1 = spatial-domain decomposition (applied server-wide, overriding submissions, so the result cache never mixes engine modes)")
+		runWorkers = fs.Int("run-workers", 0, "interaction domains each job simulates at once (0 or 1 = one goroutine; applied server-wide, overriding submissions; never changes a result)")
 		queue      = fs.Int("queue", 64, "max queued+running jobs before submissions get 429")
 		perClient  = fs.Int("per-client", 16, "max in-flight jobs per client (negative disables)")
 		deadline   = fs.Duration("deadline", 5*time.Minute, "default per-run wall-clock deadline")

@@ -172,7 +172,7 @@ func run(args []string, out io.Writer) error {
 		shrink     = fs.Bool("shrink", false, "with -scenario: minimize a failing spec and write the reproducer to -out")
 		runs       = fs.Int("runs", 10, "number of chaos scenarios (-chaos / -chaos-cov)")
 		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (per-run results are identical at any width)")
-		runWorkers = fs.Int("run-workers", 0, "engine workers inside each run: 0 = classic single-threaded engine, N >= 1 = spatial-domain decomposition on up to N goroutines (output identical at any N >= 1; single-domain topologies fall back to the classic engine)")
+		runWorkers = fs.Int("run-workers", 0, "interaction domains each run simulates at once (0 or 1 = one goroutine; output identical at any width)")
 		resume     = fs.String("resume", "", "JSONL journal path: record finished runs, skip them on restart")
 		deadline   = fs.Duration("deadline", 0, "per-run wall-clock deadline (0 = unbounded)")
 		maxEvents  = fs.Uint64("max-events", 0, "per-run simulator event budget (0 = unbounded)")
@@ -213,9 +213,6 @@ func run(args []string, out io.Writer) error {
 	})
 	if unread != nil {
 		return unread
-	}
-	if *shrink && given["run-workers"] {
-		return fmt.Errorf("-run-workers does not apply with -shrink: the shrinker replays on the classic engine")
 	}
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -115,7 +116,6 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{[]string{"-scenario", spec, "-duration", "5s"}, "-set duration_ms="},
 		{[]string{"-scenario", spec, "-seed", "9"}, "-set seed="},
 		{[]string{"-scenario", spec, "-remote", "localhost:1"}, "/v1/scenarios"},
-		{[]string{"-scenario", spec, "-shrink", "-run-workers", "2"}, "classic engine"},
 		{[]string{"-scenario", spec, "-set", "stack.expanding_rng=true"}, `unknown field "expanding_rng"`},
 		{[]string{"-exp", "single", "-hops", "4,x,8"}, `"x" is not a positive integer`},
 		{[]string{"-exp", "single", "-hops", "2", "-duration", "1500us"}, "whole milliseconds"},
@@ -128,6 +128,11 @@ func TestRunRejectsBadInput(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tt.want) {
 			t.Errorf("run(%q) = %v, want an error containing %q", tt.args, err, tt.want)
 		}
+	}
+	// -run-workers only sets a width, so it combines with -shrink.
+	repro := filepath.Join(t.TempDir(), "repro.json")
+	if err := run([]string{"-scenario", spec, "-shrink", "-run-workers", "2", "-out", repro}, &sb); err != nil {
+		t.Errorf("-shrink -run-workers 2: %v", err)
 	}
 }
 
@@ -224,17 +229,18 @@ func TestSingleFailingCellsExitCode(t *testing.T) {
 	}
 }
 
-// TestScenarioInvariantViolationExitCode runs the committed AODV
-// route-loop repro with its expect block cleared: the violated Always
-// invariant must exit with the triage code, not 0.
+// TestScenarioInvariantViolationExitCode runs a committed repro found by
+// -chaos-cov, whose TCP sender acknowledges past what it sent, with its
+// expect block cleared: the violated Always invariant must exit with
+// the triage code, not 0.
 func TestScenarioInvariantViolationExitCode(t *testing.T) {
 	var sb strings.Builder
-	err := run([]string{"-scenario", filepath.Join("..", "..", "internal", "chaoscov", "testdata", "route-loop-islands.json"),
+	err := run([]string{"-scenario", filepath.Join("..", "..", "internal", "chaoscov", "testdata", "snduna-past-sndnxt.json"),
 		"-set", "expect=null"}, &sb)
 	if err == nil || codeFor(err) != exitInvariant {
 		t.Fatalf("err = %v, want exit code %d\n%s", err, exitInvariant, sb.String())
 	}
-	if !strings.Contains(sb.String(), "route-loop-free") {
+	if !regexp.MustCompile(`(?m)^tcp-snduna-monotone .* VIOLATED`).MatchString(sb.String()) {
 		t.Fatalf("violated invariant missing from report:\n%s", sb.String())
 	}
 }

@@ -511,28 +511,27 @@ type Config struct {
 	// stuck scenario cannot hang a whole batch.
 	Guards RunGuards
 
-	// Workers selects the engine. Zero (the default) runs the classic
-	// single-threaded engine. Any value >= 1 runs the spatial-domain
-	// decomposition: radios are partitioned into conservative
-	// interaction domains (connected components of the dist<=CSRange
-	// graph, with flow endpoints coupled and mobile nodes inflated to
-	// their whole mobility field) and each domain simulates as an
-	// independent sub-run on a pool of up to Workers goroutines. The
-	// decomposed output is identical at every Workers >= 1 — results
-	// and golden event-stream hashes do not depend on the width — so
-	// Workers is excluded from Hash(). Topologies that form a single
-	// domain (all the paper's chains and crosses) fall back to the
-	// classic engine and are bit-for-bit unchanged at any width.
-	//
-	// In decomposed mode Progress may fire from worker goroutines
-	// (calls are serialized); PacketTrace forces the classic engine so
-	// trace interleaving stays exactly historical.
+	// Workers is how many interaction domains simulate at once. Every
+	// run partitions its radios into conservative interaction domains
+	// (connected components of the dist<=CSRange graph, with flow
+	// endpoints coupled and mobile nodes inflated to their whole
+	// mobility field) and simulates each as an independent sub-run on
+	// max(Workers, 1) goroutines. Results, packet traces and golden
+	// event-stream hashes do not depend on the width, so Workers is
+	// excluded from Hash(). A topology that forms a single domain (all
+	// the paper's chains and crosses) runs as one sub-run with Seed
+	// itself. With several domains, Progress may fire from worker
+	// goroutines (calls are serialized).
 	Workers int
 
 	// PacketTrace, when non-nil, receives an NS-2-style packet trace:
 	// one line per transport send/receive, forward, drop and congestion
 	// mark. Expect on the order of ten thousand lines per simulated
-	// second of a saturated chain.
+	// second of a saturated chain. Like Progress it only observes: a
+	// traced run computes the same Result. A multi-domain run buffers
+	// each domain's trace and writes the merged trace, in time order
+	// with ties in domain order, when the run ends; packet UIDs are
+	// unique within a domain only.
 	PacketTrace io.Writer
 
 	// Progress, when non-nil, receives an in-run progress snapshot every
@@ -560,9 +559,9 @@ type Config struct {
 	eventHook func(sim.Time, uint64)
 
 	// summaryTraces is the resolved TraceFlowLimit decision, computed
-	// once in Run against the global flow count so the classic and
-	// decomposed engines agree on it: buildSub's struct copy carries it
-	// into every domain, where the local flow count would differ.
+	// once in Run against the global flow count so it does not depend
+	// on the partition: buildSub's struct copy carries it into every
+	// domain, where the local flow count would differ.
 	summaryTraces bool
 }
 

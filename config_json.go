@@ -195,12 +195,9 @@ func (c *Config) UnmarshalJSON(b []byte) error {
 // lowercase hex. It is THE result-cache key of the muzhad daemon —
 // identical (config, seed) submissions hash identically, so their
 // Results are interchangeable; Seed is part of Config, hence part of
-// the hash. Observer fields (PacketTrace, Progress, Cancel) and guard
-// budgets do not affect a completed run's Result and are excluded.
-// Workers is excluded too: the decomposed engine's output is identical
-// at every width >= 1, and the daemon applies one engine mode
-// server-side (see muzhad -run-workers) so a cache never mixes classic
-// and decomposed results for multi-domain scenarios.
+// the hash. Observer fields (PacketTrace, Progress, Cancel), guard
+// budgets and the Workers width do not affect a completed run's Result
+// and are excluded.
 func (c Config) Hash() (string, error) {
 	c.Guards = RunGuards{}
 	c.Workers = 0

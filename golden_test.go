@@ -91,12 +91,11 @@ func goldenScenarios(t *testing.T) map[string]Config {
 	t.Logf("chaos scenario (seed 7): %s", desc)
 	scenarios["chaos-seed7"] = chaos
 
-	// Decomposed-engine scenarios (Workers >= 1): genuinely
-	// multi-domain topologies whose fixtures pin the merged event
-	// stream at width 1; TestParallelWidthInvariance replays them at
-	// widths 2/4/8 and must reproduce these exact hashes. The faulted
-	// variant exercises per-domain fault scoping, the mobility variant
-	// exercises footprint-inflated partitioning.
+	// Genuinely multi-domain topologies whose fixtures pin the merged
+	// event stream; TestParallelWidthInvariance replays every scenario
+	// at widths 0 through 8 and must reproduce these exact hashes. The
+	// faulted variant exercises per-domain fault scoping, the mobility
+	// variant exercises footprint-inflated partitioning.
 	for name, cfg := range parallelGoldenScenarios(t) {
 		scenarios[name] = cfg
 	}
@@ -105,9 +104,7 @@ func goldenScenarios(t *testing.T) map[string]Config {
 }
 
 // parallelGoldenScenarios builds the multi-domain reference configs
-// shared by the golden fixture and the width-invariance tests. Every
-// config has Workers=1: the fixture hash is the decomposed engine's
-// canonical merged stream, which must not depend on the width.
+// shared by the golden fixture and the width-invariance tests.
 func parallelGoldenScenarios(t *testing.T) map[string]Config {
 	t.Helper()
 	scenarios := make(map[string]Config)
@@ -121,7 +118,6 @@ func parallelGoldenScenarios(t *testing.T) map[string]Config {
 	cfg.Topology = islands
 	cfg.Duration = 3 * time.Second
 	cfg.Window = 8
-	cfg.Workers = 1
 	cfg.Flows = []Flow{
 		{Src: fe[0][0], Dst: fe[0][1], Variant: Muzha},
 		{Src: fe[1][0], Dst: fe[1][1], Variant: NewReno},
@@ -160,6 +156,13 @@ func parallelGoldenScenarios(t *testing.T) map[string]Config {
 // "fnv64a(time,seq stream)-eventcount".
 func goldenHash(t *testing.T, cfg Config) string {
 	t.Helper()
+	hash, _ := goldenRun(t, cfg)
+	return hash
+}
+
+// goldenRun is goldenHash that also returns the run's Result.
+func goldenRun(t *testing.T, cfg Config) (string, *Result) {
+	t.Helper()
 	h := fnv.New64a()
 	var buf [16]byte
 	cfg.eventHook = func(at sim.Time, seq uint64) {
@@ -171,7 +174,7 @@ func goldenHash(t *testing.T, cfg Config) string {
 	if err != nil {
 		t.Fatalf("golden run failed: %v", err)
 	}
-	return fmt.Sprintf("%016x-%d", h.Sum64(), res.Events)
+	return fmt.Sprintf("%016x-%d", h.Sum64(), res.Events), res
 }
 
 func TestGoldenEventSequence(t *testing.T) {

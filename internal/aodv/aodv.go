@@ -531,7 +531,12 @@ func (r *Router) broadcastRERR(lost []Unreachable) {
 }
 
 // updateRoute installs or refreshes a route, preferring fresher sequence
-// numbers and, at equal freshness, shorter paths (RFC 3561 6.2).
+// numbers and, at equal freshness, shorter paths or a replacement for an
+// inactive route (RFC 3561 6.2). An older sequence number never wins,
+// not even over an invalidated route: LinkFailure and RERR bump the
+// sequence number precisely so that a late RREP or RREQ reverse route
+// from before the break cannot reinstall the path that just failed,
+// which is how a routing loop forms.
 func (r *Router) updateRoute(dst, nextHop packet.NodeID, hops int, seq uint32) {
 	if dst == r.self {
 		return
@@ -545,7 +550,7 @@ func (r *Router) updateRoute(dst, nextHop packet.NodeID, hops int, seq uint32) {
 		return
 	}
 	stale := !rt.valid || r.sim.Now() >= rt.expiry
-	if seq > rt.seq || (seq == rt.seq && (hops < rt.hops || stale)) || stale {
+	if seq > rt.seq || (seq == rt.seq && (hops < rt.hops || stale)) {
 		rt.nextHop = nextHop
 		rt.hops = hops
 		rt.seq = seq

@@ -424,6 +424,66 @@ func TestFresherSequenceReplacesRoute(t *testing.T) {
 	}
 }
 
+// TestInvalidatedRouteKeepsItsSequenceNumber pins the RFC 3561 6.2
+// update rule on an invalidated route. A link failure bumps the route
+// to 4 from sequence number s to s+1; a late RREP or RREQ reverse route
+// still carrying s must not reinstall the broken path, while an update
+// at s+1 (the route is inactive) or s+2 must replace it.
+func TestInvalidatedRouteKeepsItsSequenceNumber(t *testing.T) {
+	const s = 5
+	rrep := func(seq uint32) *packet.Packet {
+		return &packet.Packet{
+			Kind: packet.KindRouting, MACSrc: 7,
+			Payload: &RREP{Src: 2, Dst: 4, DstSeq: seq, HopCount: 1},
+		}
+	}
+	rreq := func(seq uint32) *packet.Packet {
+		return &packet.Packet{
+			Kind: packet.KindRouting, MACSrc: 7,
+			Payload: &RREQ{ID: 1, Src: 4, SrcSeq: seq, Dst: 9, HopCount: 1},
+		}
+	}
+	for _, tt := range []struct {
+		name    string
+		update  *packet.Packet
+		replace bool
+	}{
+		{"rrep at s", rrep(s), false},
+		{"rreq reverse route at s", rreq(s), false},
+		{"rrep at s+1", rrep(s + 1), true},
+		{"rreq reverse route at s+1", rreq(s + 1), true},
+		{"rrep at s+2", rrep(s + 2), true},
+		{"rreq reverse route at s+2", rreq(s + 2), true},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			_, r, _ := newRouter(t, 2)
+			r.HandleRouting(&packet.Packet{
+				Kind: packet.KindRouting, MACSrc: 3,
+				Payload: &RREP{Src: 2, Dst: 4, DstSeq: s, HopCount: 1},
+			})
+			r.LinkFailure(3, nil)
+			if rt := r.routes[4]; rt.valid || rt.seq != s+1 {
+				t.Fatalf("after link failure: valid=%t seq=%d, want invalid at %d", rt.valid, rt.seq, s+1)
+			}
+
+			r.HandleRouting(tt.update)
+			nh, ok := r.NextHop(4)
+			if !tt.replace {
+				if ok {
+					t.Fatalf("older update reinstalled the route via %v", nh)
+				}
+				if rt := r.routes[4]; rt.nextHop != 3 || rt.seq != s+1 {
+					t.Fatalf("older update rewrote the route: next hop %v seq %d", rt.nextHop, rt.seq)
+				}
+				return
+			}
+			if !ok || nh != 7 {
+				t.Fatalf("next hop = %v (ok %t), want the update's n7", nh, ok)
+			}
+		})
+	}
+}
+
 func TestRouteExpiry(t *testing.T) {
 	s := sim.New(1)
 	out := &stubOut{}

@@ -40,12 +40,9 @@ type ServerConfig struct {
 	// ProgressEvery is the progress snapshot period in engine events
 	// (default 65536).
 	ProgressEvery uint64
-	// RunWorkers sets every job's engine width (Config.Workers): zero
-	// runs the classic single-threaded engine, >= 1 the spatial-domain
-	// decomposition. It overrides whatever the submission carried —
-	// Config.Hash excludes Workers, so one server (and one fleet) must
-	// run one engine mode or its result cache would mix classic and
-	// decomposed samples of multi-domain scenarios.
+	// RunWorkers sets every job's Config.Workers width, overriding the
+	// submission's: how many cores one job may use is server policy.
+	// The width never changes a Result, so cached results stay valid.
 	RunWorkers int
 	// Logf, when non-nil, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
@@ -261,11 +258,6 @@ func (s *Server) runFn(id string) func() (any, error) {
 		if (cfg.Guards == muzha.RunGuards{}) {
 			cfg.Guards = s.cfg.Guards
 		}
-		// The engine mode is a server policy, applied uniformly: results
-		// are cached by Config.Hash, which excludes Workers, so letting
-		// submissions pick their own engine would let classic and
-		// decomposed samples of the same multi-domain scenario share a
-		// cache entry.
 		cfg.Workers = s.cfg.RunWorkers
 		cfg.Cancel = s.cancel
 		cfg.ProgressEvery = s.cfg.ProgressEvery

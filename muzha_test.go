@@ -1,6 +1,8 @@
 package muzha
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -558,6 +560,12 @@ func TestPacketTraceOutput(t *testing.T) {
 	out := sb.String()
 	if out == "" {
 		t.Fatal("no trace output")
+	}
+	// A single-domain run streams its trace as it goes; pin the exact
+	// bytes so neither the format nor the event order drifts unseen.
+	const wantSum = "5421966a14053edc484cf93d495f0f41ba2b3b3fefe6229fbd42ea39efc6ffe3"
+	if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); sum != wantSum {
+		t.Errorf("trace sha256 = %s, want %s", sum, wantSum)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	var sends, recvs, forwards int

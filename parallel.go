@@ -7,13 +7,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"muzha/internal/packet"
 	"muzha/internal/phy"
 	"muzha/internal/sim"
 	"muzha/internal/stats"
 	"muzha/internal/topo"
+	"muzha/internal/trace"
 )
 
-// Spatial-domain decomposition: the parallel engine.
+// Spatial-domain decomposition: the only engine.
 //
 // The channel model is strictly local — no radio pair farther apart
 // than CSRange ever exchanges a frame, senses the other's carrier, or
@@ -26,25 +28,14 @@ import (
 // checker) executing on a worker pool, and the results are merged
 // deterministically afterwards.
 //
-// Determinism comes in two classes:
-//
-//   - Single-domain scenarios (every chain/cross/grid the paper uses)
-//     fall back to the classic engine and are bit-for-bit identical to
-//     Workers == 0 at any width.
-//   - Multi-domain scenarios produce output that is a pure function of
-//     (config, seed) and *independent of Workers*: per-domain seeds are
-//     derived by index, each domain's event stream is internally
-//     sequential, and every merge below iterates in domain order. The
-//     golden tests pin Workers=1 fixtures and replay them at widths
-//     2/4/8.
-//
-// What is intentionally different from the classic engine on
-// multi-domain inputs: each domain draws from its own seeded RNG
-// stream (one shared rand.Rand cannot be split without changing its
-// draw sequence), so multi-domain Workers>=1 results are a different —
-// equally valid — sample of the same scenario distribution than
-// Workers==0. The muzhad daemon therefore applies one engine mode
-// server-side for its whole cache (see -run-workers).
+// One determinism contract covers every run: the output is a pure
+// function of (config, seed) and independent of Workers. A
+// single-domain scenario (every chain and cross the paper uses) runs
+// as one sub-simulation with the run seed itself. A multi-domain
+// scenario derives per-domain seeds by index, each domain's event
+// stream is internally sequential, and every merge below iterates in
+// domain order. The golden tests pin the fixtures and replay them at
+// widths 0 through 8.
 
 // subSeed derives the RNG seed of one domain from the run seed, via a
 // splitmix64 finalizer so neighboring (seed, domain) pairs decorrelate.
@@ -108,13 +99,11 @@ func buildSub(cfg Config, domain int, nodes []int) subScenario {
 		pos[li] = tp.Positions[gi]
 	}
 	sub := cfg
-	sub.Workers = 0
 	sub.Seed = subSeed(cfg.Seed, domain)
 	sub.Topology = Topology{inner: &topo.Topology{
 		Name:      fmt.Sprintf("%s/domain-%d", tp.Name, domain),
 		Positions: pos,
 	}}
-	sub.PacketTrace = nil
 	sub.Progress = nil
 	sub.eventHook = nil
 
@@ -197,16 +186,46 @@ type subEvent struct {
 	seq uint64
 }
 
-// runDecomposed executes cfg as independent per-domain sub-simulations
-// on up to cfg.Workers goroutines and merges their results in domain
-// order, so the outcome is identical at every width >= 1.
-func runDecomposed(cfg Config) (*Result, error) {
-	// A packet trace must interleave exactly as the classic engine
-	// wrote it, and a single domain has nothing to decompose: both take
-	// the classic path, bit-for-bit.
+// domainTrace buffers one domain's packet trace for the merge,
+// renumbering each event to global node and flow IDs as it is recorded.
+// Packet UIDs stay per domain.
+type domainTrace struct {
+	sub    *subScenario
+	flows  int // global TCP flow count
+	events *[]trace.Event
+}
+
+// Record implements trace.Recorder.
+func (t *domainTrace) Record(e trace.Event) {
+	e.Node, e.Src, e.Dst = t.node(e.Node), t.node(e.Src), t.node(e.Dst)
+	if e.Flow > 0 {
+		// Local TCP flows are numbered 1..n, background flows above them.
+		n := len(t.sub.flows)
+		if li := int(e.Flow) - 1; li < n {
+			e.Flow = int32(t.sub.flows[li] + 1)
+		} else {
+			e.Flow = int32(t.flows + t.sub.bgFlows[li-n] + 1)
+		}
+	}
+	*t.events = append(*t.events, e)
+}
+
+func (t *domainTrace) node(id packet.NodeID) packet.NodeID {
+	if id < 0 {
+		return id // broadcast
+	}
+	return packet.NodeID(t.sub.nodes[id])
+}
+
+// runDomains executes cfg as independent per-domain sub-simulations on
+// max(cfg.Workers, 1) goroutines and merges their results, event-hook
+// streams and packet traces (to rec, when non-nil) in domain order, so
+// the outcome is identical at every width. A single domain runs with
+// cfg itself, seed included.
+func runDomains(cfg Config, rec trace.Recorder) (*Result, error) {
 	domains := planDomains(cfg)
-	if len(domains) <= 1 || cfg.PacketTrace != nil {
-		return run(cfg)
+	if len(domains) <= 1 {
+		return run(cfg, rec)
 	}
 
 	subs := make([]subScenario, len(domains))
@@ -214,12 +233,10 @@ func runDecomposed(cfg Config) (*Result, error) {
 		subs[d] = buildSub(cfg, d, nodes)
 	}
 
-	// Event-hook streams are buffered per domain and replayed merged
-	// after the run; only pay for that when a hook is installed.
-	var streams [][]subEvent
-	if cfg.eventHook != nil {
-		streams = make([][]subEvent, len(domains))
-	}
+	// Event-hook streams and packet traces are buffered per domain and
+	// replayed merged after the run, when observed.
+	streams := make([][]subEvent, len(domains))
+	traces := make([][]trace.Event, len(domains))
 
 	// Progress aggregation: each domain bumps its own atomic counters;
 	// a mutex serializes the user callback. The aggregate virtual time
@@ -247,11 +264,7 @@ func runDecomposed(cfg Config) (*Result, error) {
 	results := make([]*Result, len(domains))
 	errs := make([]error, len(domains))
 
-	workers := cfg.Workers
-	if workers > len(domains) {
-		workers = len(domains)
-	}
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, min(max(cfg.Workers, 1), len(domains)))
 	var wg sync.WaitGroup
 	for d := range subs {
 		d := d
@@ -262,10 +275,14 @@ func runDecomposed(cfg Config) (*Result, error) {
 			defer func() { <-sem }()
 
 			sub := subs[d].cfg
-			if streams != nil {
+			if cfg.eventHook != nil {
 				sub.eventHook = func(at sim.Time, seq uint64) {
 					streams[d] = append(streams[d], subEvent{at: at, seq: seq})
 				}
+			}
+			var subRec trace.Recorder
+			if rec != nil {
+				subRec = &domainTrace{sub: &subs[d], flows: len(cfg.Flows), events: &traces[d]}
 			}
 			if cfg.Progress != nil {
 				sub.Progress = func(u ProgressUpdate) {
@@ -275,7 +292,7 @@ func runDecomposed(cfg Config) (*Result, error) {
 				}
 				sub.ProgressEvery = cfg.ProgressEvery
 			}
-			results[d], errs[d] = run(sub)
+			results[d], errs[d] = run(sub, subRec)
 		}()
 	}
 	wg.Wait()
@@ -293,7 +310,7 @@ func runDecomposed(cfg Config) (*Result, error) {
 	res := mergeResults(cfg, subs, results)
 
 	if cfg.Progress != nil {
-		// Terminal snapshot mirroring the classic engine's: the full
+		// Terminal snapshot mirroring a single domain's: the full
 		// virtual time span and the total event count.
 		var maxTime time.Duration
 		for _, r := range results {
@@ -307,17 +324,20 @@ func runDecomposed(cfg Config) (*Result, error) {
 	}
 
 	if cfg.eventHook != nil {
-		replayMerged(cfg.eventHook, streams)
+		mergeStreams(streams, func(e subEvent) sim.Time { return e.at },
+			func(e subEvent) { cfg.eventHook(e.at, e.seq) })
+	}
+	if rec != nil {
+		mergeStreams(traces, func(e trace.Event) sim.Time { return e.T }, rec.Record)
 	}
 	return res, nil
 }
 
-// replayMerged feeds the buffered per-domain event streams to the hook
-// as one globally ordered stream: ascending fire time, ties broken by
-// domain index, order within a domain preserved. Each stream is
-// already time-sorted (a scheduler's execution times are monotone), so
-// this is a k-way merge.
-func replayMerged(hook func(sim.Time, uint64), streams [][]subEvent) {
+// mergeStreams emits the buffered per-domain streams as one globally
+// ordered stream: ascending time, ties broken by domain index, order
+// within a domain preserved. Each stream is already time-sorted (a
+// scheduler's execution times are monotone), so this is a k-way merge.
+func mergeStreams[T any](streams [][]T, at func(T) sim.Time, emit func(T)) {
 	heads := make([]int, len(streams))
 	for {
 		best := -1
@@ -325,16 +345,16 @@ func replayMerged(hook func(sim.Time, uint64), streams [][]subEvent) {
 			if heads[d] >= len(s) {
 				continue
 			}
-			if best < 0 || s[heads[d]].at < streams[best][heads[best]].at {
+			if best < 0 || at(s[heads[d]]) < at(streams[best][heads[best]]) {
 				best = d
 			}
 		}
 		if best < 0 {
 			return
 		}
-		ev := streams[best][heads[best]]
+		e := streams[best][heads[best]]
 		heads[best]++
-		hook(ev.at, ev.seq)
+		emit(e)
 	}
 }
 
@@ -380,7 +400,7 @@ func mergeResults(cfg Config, subs []subScenario, results []*Result) *Result {
 
 	// Invariants merge by name: counts sum, first-seen domain order is
 	// kept (every domain registers the shared assertions in the same
-	// code order, so this matches the classic report's shape), details
+	// code order, so this matches a single checker's report shape), details
 	// keep the first few like a single checker would.
 	index := make(map[string]int)
 	for _, r := range results {

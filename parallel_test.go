@@ -3,72 +3,95 @@ package muzha
 import (
 	"fmt"
 	"reflect"
+	"regexp"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
 
 // Parallel-engine proof tests.
 //
-// Two determinism classes, both pinned here:
-//
-//   - Fallback identity: every single-domain scenario (all four
-//     pre-parallel golden fixtures) must be bit-for-bit identical to
-//     the classic engine at ANY worker width, because the decomposed
-//     engine detects the single domain and takes the classic path.
-//   - Width invariance: multi-domain scenarios must produce the same
-//     merged event stream and the same Result at every width >= 1 —
-//     worker scheduling must be unobservable.
+// One determinism contract, pinned here: every scenario produces the
+// same event stream and the same Result at every width, so worker
+// scheduling is unobservable. Single-domain scenarios run with the run
+// seed itself.
 
-var testWidths = []int{1, 2, 4, 8}
-
-func TestParallelFallbackIdentical(t *testing.T) {
-	for name, cfg := range goldenScenarios(t) {
-		if cfg.Workers != 0 {
-			continue // multi-domain scenarios are covered below
-		}
-		name, cfg := name, cfg
-		t.Run(name, func(t *testing.T) {
-			serial := goldenHash(t, cfg)
-			for _, w := range testWidths {
-				pcfg := cfg
-				pcfg.Workers = w
-				if got := goldenHash(t, pcfg); got != serial {
-					t.Errorf("workers=%d diverged from classic engine: %s vs %s", w, got, serial)
-				}
-			}
-		})
-	}
-}
+var testWidths = []int{0, 1, 2, 4, 8}
 
 func TestParallelWidthInvariance(t *testing.T) {
-	for name, cfg := range parallelGoldenScenarios(t) {
+	multi := parallelGoldenScenarios(t)
+	for name, cfg := range goldenScenarios(t) {
 		name, cfg := name, cfg
 		t.Run(name, func(t *testing.T) {
-			if n := len(planDomains(cfg)); n < 2 {
-				t.Fatalf("scenario is not multi-domain (%d domains); the test would prove nothing", n)
-			}
-			cfg.Workers = 1
-			ref := goldenHash(t, cfg)
-			refRes, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range testWidths[1:] {
-				pcfg := cfg
-				pcfg.Workers = w
-				if got := goldenHash(t, pcfg); got != ref {
-					t.Errorf("workers=%d changed the merged event stream: %s vs %s", w, got, ref)
+			if _, ok := multi[name]; ok {
+				if n := len(planDomains(cfg)); n < 2 {
+					t.Fatalf("scenario is not multi-domain (%d domains); the test would prove nothing", n)
 				}
-				res, err := Run(pcfg)
-				if err != nil {
-					t.Fatal(err)
+			}
+			var ref string
+			var refRes *Result
+			for _, w := range testWidths {
+				cfg.Workers = w
+				hash, res := goldenRun(t, cfg)
+				if refRes == nil {
+					ref, refRes = hash, res
+					continue
+				}
+				if hash != ref {
+					t.Errorf("workers=%d changed the event stream: %s vs %s", w, hash, ref)
 				}
 				if !reflect.DeepEqual(res, refRes) {
 					t.Errorf("workers=%d changed the Result", w)
 				}
 			}
 		})
+	}
+}
+
+// TestPacketTraceObservesDecomposedRun proves PacketTrace is a pure
+// observer of a multi-domain run: tracing leaves the Result unchanged,
+// the merged trace is byte-identical at widths 1 and 4, and every
+// transport send is renumbered to its flow's global source node.
+func TestPacketTraceObservesDecomposedRun(t *testing.T) {
+	cfg := parallelGoldenScenarios(t)["islands-3x-parallel"]
+	cfg.Workers = 1
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := func(workers int) string {
+		var sb strings.Builder
+		c := cfg
+		c.Workers = workers
+		c.PacketTrace = &sb
+		res, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, plain) {
+			t.Fatalf("workers=%d: tracing changed the Result (%d events, untraced %d)", workers, res.Events, plain.Events)
+		}
+		return sb.String()
+	}
+	one, four := traced(1), traced(4)
+	if one != four {
+		t.Fatal("merged packet trace differs between widths 1 and 4")
+	}
+
+	send := regexp.MustCompile(`(?m)^s \S+ _(\d+)_ data \d+ f(\d+) seq=`)
+	seen := make(map[int]bool)
+	for _, m := range send.FindAllStringSubmatch(one, -1) {
+		node, _ := strconv.Atoi(m[1])
+		flow, _ := strconv.Atoi(m[2])
+		if flow < 1 || flow > len(cfg.Flows) || cfg.Flows[flow-1].Src != node {
+			t.Fatalf("send of flow %d traced at node %d", flow, node)
+		}
+		seen[flow] = true
+	}
+	if len(seen) != len(cfg.Flows) {
+		t.Fatalf("trace has data sends of %d flows, want %d", len(seen), len(cfg.Flows))
 	}
 }
 
@@ -143,8 +166,8 @@ func TestParallelValidatesConfig(t *testing.T) {
 	}
 }
 
-// TestParallelProgressAndCancel exercises the observer plumbing of the
-// decomposed path: progress snapshots arrive serialized with a
+// TestParallelProgressAndCancel exercises the observer plumbing of a
+// multi-domain run: progress snapshots arrive serialized with a
 // terminal snapshot carrying the total event count, and a pre-closed
 // Cancel aborts every domain.
 func TestParallelProgressAndCancel(t *testing.T) {
@@ -171,7 +194,7 @@ func TestParallelProgressAndCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(updates) == 0 {
-		t.Fatal("no progress updates from decomposed run")
+		t.Fatal("no progress updates from multi-domain run")
 	}
 	last := updates[len(updates)-1]
 	if last.Events != res.Events {
@@ -187,7 +210,7 @@ func TestParallelProgressAndCancel(t *testing.T) {
 	cfg.Cancel = cancel
 	cfg.Guards = RunGuards{LivelockWindow: 1 << 20}
 	if _, err := Run(cfg); err == nil {
-		t.Fatal("pre-closed Cancel must abort the decomposed run")
+		t.Fatal("pre-closed Cancel must abort the multi-domain run")
 	}
 }
 

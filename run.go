@@ -53,33 +53,41 @@ func chainGuards(fns []func() error) func() error {
 // and progress; a tripped guard aborts cleanly with ErrDeadline,
 // ErrEventBudget or ErrLivelock.
 //
-// Config.Workers zero runs the classic single-threaded engine; any
-// positive value runs the spatial-domain decomposition (see
-// Config.Workers and runDecomposed), whose output is identical at
-// every width.
-func Run(cfg Config) (*Result, error) {
+// Every run goes through the spatial-domain decomposition (see
+// parallel.go); Config.Workers only sets how many domains simulate at
+// once, so the output is identical at every width.
+func Run(cfg Config) (res *Result, err error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	// Resolve the summary-only trace decision once, against the global
-	// flow count: the decomposed engine splits flows across domains, so
-	// deciding per sub-run would disagree with the classic engine.
+	// flow count: domains split the flows, so deciding per sub-run would
+	// make the outcome depend on the partition.
 	limit := cfg.TraceFlowLimit
 	if limit == 0 {
 		limit = DefaultTraceFlowLimit
 	}
 	cfg.summaryTraces = limit > 0 && len(cfg.Flows) > limit
-	if cfg.Workers > 0 {
-		return runDecomposed(cfg)
+	if cfg.PacketTrace == nil {
+		return runDomains(cfg, nil)
 	}
-	return run(cfg)
+	// A truncated packet trace must never be mistaken for a complete
+	// one: surface the writer's latched error, joined to the run error
+	// when there is one.
+	tw := trace.NewTextWriter(cfg.PacketTrace)
+	res, err = runDomains(cfg, tw)
+	if tw.Err() != nil {
+		res, err = nil, errors.Join(err, fmt.Errorf("muzha: packet trace: %w", tw.Err()))
+	}
+	return res, err
 }
 
-// run is the classic single-threaded engine. It assumes cfg has been
-// validated — the decomposed engine calls it with per-domain
-// sub-configs that are deliberately looser than user configs (a domain
-// may carry zero flows).
-func run(cfg Config) (res *Result, err error) {
+// run simulates one interaction domain on one goroutine, recording
+// packet events to rec when it is non-nil. It assumes cfg has been
+// validated — runDomains calls it with per-domain sub-configs that are
+// deliberately looser than user configs (a domain may carry zero
+// flows).
+func run(cfg Config, rec trace.Recorder) (res *Result, err error) {
 	s := sim.New(cfg.Seed)
 	hook := cfg.eventHook
 	if cfg.Progress != nil {
@@ -106,24 +114,10 @@ func run(cfg Config) (res *Result, err error) {
 	if hook != nil {
 		s.SetEventHook(hook)
 	}
-	var traceWriter *trace.TextWriter
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
 			err = fmt.Errorf("muzha: %w at t=%v seed=%d: %v", harness.ErrPanic, s.Now(), cfg.Seed, r)
-		}
-		// A truncated packet trace must never be mistaken for a complete
-		// one: surface the writer's latched error on every return path,
-		// joined to the run error when there is one.
-		if traceWriter == nil || traceWriter.Err() == nil {
-			return
-		}
-		res = nil
-		terr := fmt.Errorf("muzha: packet trace: %w", traceWriter.Err())
-		if err != nil {
-			err = errors.Join(err, terr)
-		} else {
-			err = terr
 		}
 	}()
 
@@ -159,10 +153,7 @@ func run(cfg Config) (res *Result, err error) {
 		nodeCfg.Protocol = node.RoutingDSR
 	}
 	nodeCfg.AODV.ExpandingRing = cfg.ExpandingRing
-	if cfg.PacketTrace != nil {
-		traceWriter = trace.NewTextWriter(cfg.PacketTrace)
-		nodeCfg.Trace = traceWriter
-	}
+	nodeCfg.Trace = rec
 	if cfg.RouterAssist {
 		p := cfg.DRAI.toCore()
 		nodeCfg.DRAI = &p

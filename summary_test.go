@@ -61,7 +61,7 @@ func TestSummaryTracesAboveFlowLimit(t *testing.T) {
 func TestSummaryDecisionIsGlobalAcrossDomains(t *testing.T) {
 	// Each island carries 2 flows — exactly the limit — so a per-domain
 	// decision would wrongly keep traces in every sub-run. The global
-	// count (4 > 2) must win in decomposed mode at every width.
+	// count (4 > 2) must win at every width.
 	cfg := islandsConfig(t, 2)
 	cfg.Workers = 1
 	w1, err := Run(cfg)
@@ -75,7 +75,7 @@ func TestSummaryDecisionIsGlobalAcrossDomains(t *testing.T) {
 	}
 	for i, f := range w2.Flows {
 		if f.CwndTrace != nil || f.ThroughputSeries != nil {
-			t.Fatalf("decomposed flow %d kept traces; summary decision must be global", f.ID)
+			t.Fatalf("flow %d kept traces; summary decision must be global", f.ID)
 		}
 		if f.BytesAcked != w1.Flows[i].BytesAcked {
 			t.Fatalf("flow %d: width-2 BytesAcked %d != width-1 %d",

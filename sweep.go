@@ -27,13 +27,9 @@ type SweepOptions struct {
 	// Guards bounds every run in the sweep (applied only to runs whose
 	// Config carries no guards of its own).
 	Guards RunGuards
-	// Workers selects each run's engine (Config.Workers): zero keeps
-	// the classic single-threaded engine, >= 1 enables the
-	// spatial-domain decomposition inside every run whose Config does
-	// not set its own width. Independent of Parallel, which schedules
-	// whole runs. Because multi-domain runs sample different RNG
-	// streams under decomposition, journal keys grow an engine-mode
-	// suffix when this is set — a journal never mixes engine modes.
+	// Workers is the Config.Workers width given to every run whose
+	// Config does not set its own. Independent of Parallel, which
+	// schedules whole runs; neither changes a Result.
 	Workers int
 }
 
@@ -126,16 +122,10 @@ func runPool(units []runUnit, opt SweepOptions, verify bool) ([]runOutcome, erro
 		if !cfg.Guards.enabled() {
 			cfg.Guards = opt.Guards
 		}
-		key := u.Key
-		if opt.Workers > 0 && cfg.Workers == 0 {
+		if cfg.Workers == 0 {
 			cfg.Workers = opt.Workers
-			// Decomposed multi-domain runs are a different (equally
-			// valid) sample than classic runs; keying them apart keeps a
-			// resumed journal from mixing engine modes. Classic-mode
-			// sweeps keep their historical keys.
-			key += "/engine=decomposed"
 		}
-		jobs[i] = harness.Job{Key: key, Fn: func() (any, error) {
+		jobs[i] = harness.Job{Key: u.Key, Fn: func() (any, error) {
 			res, err := Run(cfg)
 			if err != nil {
 				return nil, err
