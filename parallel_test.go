@@ -15,37 +15,62 @@ import (
 //
 // One determinism contract, pinned here: every scenario produces the
 // same event stream and the same Result at every width, so worker
-// scheduling is unobservable. Single-domain scenarios run with the run
-// seed itself.
+// scheduling is unobservable. It is checked in two classes:
+//
+//   - Single-domain identity: every single-domain golden scenario runs
+//     as one domain with the run seed itself, so it must be identical
+//     at any width, 0 included.
+//   - Width invariance: multi-domain scenarios must produce the same
+//     merged event stream and the same Result at every width.
 
 var testWidths = []int{0, 1, 2, 4, 8}
 
-func TestParallelWidthInvariance(t *testing.T) {
+// assertWidthInvariant runs cfg at every test width and fails on any
+// change of the event stream or the Result against the first width.
+func assertWidthInvariant(t *testing.T, cfg Config) {
+	t.Helper()
+	var ref string
+	var refRes *Result
+	for _, w := range testWidths {
+		cfg.Workers = w
+		hash, res := goldenRun(t, cfg)
+		if refRes == nil {
+			ref, refRes = hash, res
+			continue
+		}
+		if hash != ref {
+			t.Errorf("workers=%d changed the event stream: %s vs %s", w, hash, ref)
+		}
+		if !reflect.DeepEqual(res, refRes) {
+			t.Errorf("workers=%d changed the Result", w)
+		}
+	}
+}
+
+func TestParallelFallbackIdentical(t *testing.T) {
 	multi := parallelGoldenScenarios(t)
 	for name, cfg := range goldenScenarios(t) {
+		if _, ok := multi[name]; ok {
+			continue // multi-domain scenarios are covered below
+		}
 		name, cfg := name, cfg
 		t.Run(name, func(t *testing.T) {
-			if _, ok := multi[name]; ok {
-				if n := len(planDomains(cfg)); n < 2 {
-					t.Fatalf("scenario is not multi-domain (%d domains); the test would prove nothing", n)
-				}
+			if n := len(planDomains(cfg)); n != 1 {
+				t.Fatalf("scenario is not single-domain (%d domains)", n)
 			}
-			var ref string
-			var refRes *Result
-			for _, w := range testWidths {
-				cfg.Workers = w
-				hash, res := goldenRun(t, cfg)
-				if refRes == nil {
-					ref, refRes = hash, res
-					continue
-				}
-				if hash != ref {
-					t.Errorf("workers=%d changed the event stream: %s vs %s", w, hash, ref)
-				}
-				if !reflect.DeepEqual(res, refRes) {
-					t.Errorf("workers=%d changed the Result", w)
-				}
+			assertWidthInvariant(t, cfg)
+		})
+	}
+}
+
+func TestParallelWidthInvariance(t *testing.T) {
+	for name, cfg := range parallelGoldenScenarios(t) {
+		name, cfg := name, cfg
+		t.Run(name, func(t *testing.T) {
+			if n := len(planDomains(cfg)); n < 2 {
+				t.Fatalf("scenario is not multi-domain (%d domains); the test would prove nothing", n)
 			}
+			assertWidthInvariant(t, cfg)
 		})
 	}
 }
