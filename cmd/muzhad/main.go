@@ -18,19 +18,6 @@
 // trigger a graceful drain: new submissions are refused, running jobs
 // get -drain-grace to finish, then in-flight runs are canceled
 // cooperatively and left queued for the next start.
-//
-// Fleet mode federates daemons. A coordinator serves the same /v1 API
-// but dispatches jobs to workers under time-bounded leases instead of
-// simulating, and its result cache is the fleet's shared tier:
-//
-//	muzhad -coordinator -addr :7370 -data /var/lib/muzhad-coord
-//	muzhad -join http://coord:7370 -addr :7371 -data /var/lib/muzhad-w1
-//
-// Workers keep serving their local /v1 API; a worker that loses the
-// coordinator degrades to plain single-node operation and rejoins
-// automatically. A killed worker's leases expire and its jobs re-shard;
-// a killed coordinator restarts from its job-store journal and
-// re-dispatches everything non-terminal.
 package main
 
 import (
@@ -49,7 +36,6 @@ import (
 
 	"muzha"
 	"muzha/internal/chaoscov"
-	"muzha/internal/fleet"
 	"muzha/internal/jobs"
 )
 
@@ -77,19 +63,9 @@ func run(args []string) error {
 		cacheEntries = fs.Int("cache-max-entries", 0, "result-cache entry cap; least-recently-used results are evicted past it (0 = unbounded)")
 		cacheBytes   = fs.Int64("cache-max-bytes", 0, "result-cache byte cap for cached result payloads (0 = unbounded)")
 		corpus       = fs.String("chaos-corpus", "", "chaos-corpus JSONL to summarize in /v1/stats (written by muzhasim -chaos-cov)")
-
-		coordinator = fs.Bool("coordinator", false, "run as fleet coordinator: lease jobs to joined workers instead of simulating locally")
-		join        = fs.String("join", "", "coordinator URL to join as a fleet worker (e.g. http://127.0.0.1:7370)")
-		fleetID     = fs.String("fleet-id", "", "stable worker identity (default: the listen address)")
-		leaseTTL    = fs.Duration("lease-ttl", 15*time.Second, "coordinator: lease duration; an unrenewed lease re-shards its job")
-		fleetHB     = fs.Duration("fleet-heartbeat", 3*time.Second, "coordinator: heartbeat interval advertised to workers")
-		fleetSlots  = fs.Int("fleet-slots", 0, "worker: max concurrently leased fleet jobs (default: workers)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *coordinator && *join != "" {
-		return errors.New("-coordinator and -join are mutually exclusive")
 	}
 	if err := os.MkdirAll(*data, 0o755); err != nil {
 		return err
@@ -126,77 +102,19 @@ func run(args []string) error {
 		}
 	}
 
-	var coord *fleet.Coordinator
-	var agent *fleet.Agent
-	if *coordinator {
-		coord = fleet.NewCoordinator(fleet.CoordinatorConfig{
-			LeaseTTL:  *leaseTTL,
-			Heartbeat: *fleetHB,
-			Logf:      logger.Printf,
-		})
-		scfg.Runner = coord
-		scfg.FleetStats = coord.FleetStats
-	}
-	if *join != "" {
-		id := *fleetID
-		if id == "" {
-			id = *addr
-		}
-		slots := *fleetSlots
-		if slots <= 0 {
-			slots = *workers
-			// Leased jobs are admitted as one local client; never lease
-			// more than that client is allowed to have in flight.
-			if *perClient > 0 && slots > *perClient {
-				slots = *perClient
-			}
-		}
-		agent = fleet.NewAgent(fleet.AgentConfig{
-			Coordinator: *join,
-			ID:          id,
-			Slots:       slots,
-			Logf:        logger.Printf,
-		})
-		scfg.Peer = agent
-		scfg.FleetStats = agent.FleetStats
-	}
-
 	srv, err := jobs.NewServer(scfg)
 	if err != nil {
 		return err
 	}
 
-	handler := http.Handler(srv.Handler())
-	if coord != nil {
-		coord.Bind(srv)
-		mux := http.NewServeMux()
-		mux.Handle("/", srv.Handler())
-		coord.Register(mux)
-		handler = mux
-	}
-	if agent != nil {
-		agent.Bind(srv)
-		agent.Start()
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		if agent != nil {
-			agent.Stop()
-		}
 		srv.Drain(0)
 		srv.Close()
 		return err
 	}
-	httpSrv := &http.Server{Handler: handler}
-	switch {
-	case coord != nil:
-		logger.Printf("coordinator listening on http://%s (data %s, lease TTL %v)", ln.Addr(), *data, *leaseTTL)
-	case agent != nil:
-		logger.Printf("worker listening on http://%s (data %s, %d workers, joined %s)", ln.Addr(), *data, *workers, *join)
-	default:
-		logger.Printf("listening on http://%s (data %s, %d workers, queue %d)", ln.Addr(), *data, *workers, *queue)
-	}
+	httpSrv := &http.Server{Handler: srv.Handler()}
+	logger.Printf("listening on http://%s (data %s, %d workers, queue %d)", ln.Addr(), *data, *workers, *queue)
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
@@ -215,15 +133,11 @@ func run(args []string) error {
 	// Stop the listener first so the drain sees no new submissions. Open
 	// SSE streams are allowed to outlive the short shutdown window —
 	// they end naturally when their jobs finish during the drain, and
-	// Close force-ends any stragglers. A worker leaves the fleet before
-	// draining so no fresh leases arrive for a dying daemon.
+	// Close force-ends any stragglers.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Printf("http shutdown: %v", err)
-	}
-	if agent != nil {
-		agent.Stop()
 	}
 	srv.Drain(*drainGrace)
 	httpSrv.Close()

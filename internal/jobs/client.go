@@ -28,10 +28,10 @@ type Client struct {
 	// HTTPClient overrides http.DefaultClient.
 	HTTPClient *http.Client
 	// Retry is the request retry policy. The zero value makes exactly
-	// one attempt, preserving the pre-fleet behavior of surfacing
-	// BusyError to the caller. Retrying submissions is safe: admission
-	// is keyed by config hash, so a resent request lands on the cache or
-	// coalesces onto the in-flight run instead of duplicating work.
+	// one attempt and surfaces BusyError to the caller. Retrying
+	// submissions is safe: admission is keyed by config hash, so a
+	// resent request lands on the cache or coalesces onto the in-flight
+	// run instead of duplicating work.
 	Retry Backoff
 
 	// sleep and rand are test seams for the backoff schedule.
@@ -42,8 +42,8 @@ type Client struct {
 // Backoff is a jittered exponential retry policy with a budget.
 // Attempts is the total try count (<= 1 disables retries); delays grow
 // Base, 2*Base, 4*Base, ... capped at Max, and Jitter randomizes each
-// delay by ±Jitter/2 of itself so a fleet of clients rejected together
-// does not return in lockstep. A Retry-After hint larger than the
+// delay by ±Jitter/2 of itself so clients rejected together do not
+// return in lockstep. A Retry-After hint larger than the
 // computed delay wins — the daemon knows its own queue.
 type Backoff struct {
 	Attempts int
@@ -52,8 +52,8 @@ type Backoff struct {
 	Jitter   float64
 }
 
-// DefaultBackoff is the policy the fleet agent and muzhasim -remote
-// use: 5 attempts, 200ms base, 5s cap, half-width jitter.
+// DefaultBackoff is the policy muzhasim -remote uses: 5 attempts,
+// 200ms base, 5s cap, half-width jitter.
 func DefaultBackoff() Backoff {
 	return Backoff{Attempts: 5, Base: 200 * time.Millisecond, Max: 5 * time.Second, Jitter: 0.5}
 }

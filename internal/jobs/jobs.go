@@ -16,7 +16,6 @@ import (
 
 	"muzha"
 	"muzha/internal/canon"
-	"muzha/internal/harness"
 )
 
 // State is a job's lifecycle phase.
@@ -52,11 +51,9 @@ type Job struct {
 	// Client identifies the submitter for per-client admission limits.
 	Client string `json:"client,omitempty"`
 	State  State  `json:"state"`
-	// Cached marks a job satisfied from the result cache without running
-	// — the local cache at admission, or a fleet peer's before compute.
+	// Cached marks a job satisfied from the result cache at admission,
+	// without running.
 	Cached bool `json:"cached,omitempty"`
-	// Worker names the fleet worker a dispatched job is leased to.
-	Worker string `json:"worker,omitempty"`
 	// Config is the canonical encoding of the submitted muzha.Config.
 	Config json.RawMessage `json:"config,omitempty"`
 	// Result is the canonical Result encoding once the job is done. It
@@ -67,88 +64,6 @@ type Job struct {
 	Class string `json:"class,omitempty"`
 	// Progress is the latest in-run snapshot.
 	Progress Progress `json:"progress"`
-}
-
-// RunnerJob is one admitted job as handed to a Runner: its store ID,
-// config hash, canonical config bytes, and the closure that executes it
-// on the local engine. A remote Runner (the fleet dispatcher) ships
-// Config to a worker instead of calling Run.
-type RunnerJob struct {
-	ID     string
-	Hash   string
-	Config json.RawMessage
-	Run    func() (any, error)
-}
-
-// Runner executes admitted jobs on behalf of the Server. The default
-// runner is the local harness pool; the fleet coordinator substitutes a
-// dispatcher that leases jobs to remote workers. The contract mirrors
-// harness.Pool: Start either accepts the job and guarantees done is
-// invoked exactly once with its outcome, or returns false without side
-// effects; Close stops intake and settles every accepted job (running
-// it, or failing it with harness.ErrCanceled so the store re-queues it).
-type Runner interface {
-	Start(j RunnerJob, done func(harness.Outcome)) bool
-	// Running reports how many accepted jobs are executing right now.
-	Running() int
-	Close()
-}
-
-// PeerCache is a shared fleet-wide result-cache tier. A Server
-// configured with one consults it after a local cache miss before
-// spending compute, and feeds it freshly computed results. Both calls
-// are best-effort: Fetch returning false on an unreachable peer simply
-// costs a local run, and Publish must not block job completion (the
-// fleet agent retries failed publishes from an outbox).
-type PeerCache interface {
-	Fetch(hash string) (json.RawMessage, bool)
-	Publish(hash string, result json.RawMessage)
-}
-
-// FleetStats is the fleet block of /v1/stats. A coordinator fills the
-// lease-table view; a worker fills the agent view; single-node daemons
-// omit the block entirely.
-type FleetStats struct {
-	// Mode is "coordinator" or "worker".
-	Mode string `json:"mode"`
-
-	// Coordinator view of the fleet.
-	WorkersSeen  int `json:"workers_seen,omitempty"`
-	WorkersAlive int `json:"workers_alive,omitempty"`
-	// LeasesActive is the number of jobs currently leased to workers.
-	LeasesActive int `json:"leases_active"`
-	// LeasesExpired counts leases that timed out (worker killed,
-	// partitioned, or wedged); Resharded counts the jobs those leases
-	// held being re-queued for another worker.
-	LeasesExpired uint64 `json:"leases_expired"`
-	Resharded     uint64 `json:"resharded"`
-	// Dispatched counts lease grants; CompletedRemote/FailedRemote count
-	// worker-delivered outcomes; LateDeliveries counts deliveries for
-	// leases the coordinator no longer holds (double delivery, or a
-	// delivery after expiry/restart) — accepted idempotently, never run
-	// twice observably.
-	Dispatched      uint64 `json:"dispatched"`
-	CompletedRemote uint64 `json:"completed_remote"`
-	FailedRemote    uint64 `json:"failed_remote"`
-	LateDeliveries  uint64 `json:"late_deliveries"`
-	// ResolvedFromCache counts queued jobs satisfied from the shared
-	// cache at lease time instead of being dispatched.
-	ResolvedFromCache uint64 `json:"resolved_from_cache"`
-	// CacheServed / CachePublished count shared-tier lookups served and
-	// worker results accepted into the tier.
-	CacheServed    uint64 `json:"cache_served"`
-	CachePublished uint64 `json:"cache_published"`
-
-	// Worker (agent) view.
-	Registered bool   `json:"registered,omitempty"`
-	Leased     uint64 `json:"leased,omitempty"`
-	Delivered  uint64 `json:"delivered,omitempty"`
-	// OutboxDepth is the number of undelivered completions/publishes
-	// waiting for the coordinator to come back.
-	OutboxDepth int `json:"outbox_depth,omitempty"`
-	// Degraded counts coordinator round-trips that failed — each one is
-	// a tick the worker served local traffic without the fleet.
-	Degraded uint64 `json:"degraded,omitempty"`
 }
 
 // EncodeResult renders a Result in the daemon's canonical form:

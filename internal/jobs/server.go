@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -46,17 +45,9 @@ type ServerConfig struct {
 	RunWorkers int
 	// Logf, when non-nil, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
-	// Runner executes admitted jobs. Nil uses the local harness pool;
-	// the fleet coordinator substitutes its lease dispatcher.
-	Runner Runner
 	// CacheLimit bounds the result cache; least-recently-used results
 	// are evicted past the caps. Zero fields are unbounded.
 	CacheLimit CacheLimit
-	// Peer, when non-nil, is the shared fleet cache tier consulted on a
-	// local cache miss before compute and fed fresh local results.
-	Peer PeerCache
-	// FleetStats, when non-nil, supplies the fleet block of /v1/stats.
-	FleetStats func() FleetStats
 	// ChaosStats, when non-nil, supplies the chaos block of /v1/stats —
 	// a summary of the chaos-corpus journal (muzhad -chaos-corpus).
 	ChaosStats func() *chaoscov.Info
@@ -71,18 +62,13 @@ type Stats struct {
 	CacheHits    uint64 `json:"cache_hits"`
 	// Cache details the result cache's live set, byte footprint, LRU
 	// eviction count and configured caps.
-	Cache CacheStats `json:"cache"`
-	// PeerCacheHits counts jobs satisfied from the shared fleet tier
-	// instead of simulating — the "never runs twice anywhere" counter.
-	PeerCacheHits uint64 `json:"peer_cache_hits"`
-	Coalesced     uint64 `json:"coalesced"`
-	Rejected      uint64 `json:"rejected"`
-	Completed     uint64 `json:"completed"`
-	Failed        uint64 `json:"failed"`
-	Requeued      int    `json:"requeued"`
-	Draining      bool   `json:"draining"`
-	// Fleet is present on coordinators and workers only.
-	Fleet *FleetStats `json:"fleet,omitempty"`
+	Cache     CacheStats `json:"cache"`
+	Coalesced uint64     `json:"coalesced"`
+	Rejected  uint64     `json:"rejected"`
+	Completed uint64     `json:"completed"`
+	Failed    uint64     `json:"failed"`
+	Requeued  int        `json:"requeued"`
+	Draining  bool       `json:"draining"`
 	// Chaos summarizes the chaos corpus when one is configured.
 	Chaos *chaoscov.Info `json:"chaos,omitempty"`
 }
@@ -94,7 +80,7 @@ type Server struct {
 	cfg        ServerConfig
 	store      *Store
 	cache      *Cache
-	runner     Runner
+	pool       *harness.Pool
 	cancel     chan struct{} // closed when the drain grace expires
 	cancelOnce sync.Once
 
@@ -109,16 +95,6 @@ type Server struct {
 	requeued  int
 	stats     Stats
 }
-
-// localRunner adapts the harness pool to the Runner interface — the
-// default single-node execution backend.
-type localRunner struct{ pool *harness.Pool }
-
-func (r localRunner) Start(j RunnerJob, done func(harness.Outcome)) bool {
-	return r.pool.TrySubmit(harness.Job{Key: j.ID, Fn: j.Run}, done)
-}
-func (r localRunner) Running() int { return r.pool.Running() }
-func (r localRunner) Close()       { r.pool.Close() }
 
 // NewServer opens the store and cache under cfg.DataDir, re-queues any
 // jobs a previous process left unfinished, and starts the worker pool.
@@ -166,14 +142,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		started:   make(map[string]time.Time),
 	}
 	requeued := store.Requeued()
-	if cfg.Runner != nil {
-		s.runner = cfg.Runner
-	} else {
-		// The pool backlog must never be the binding constraint —
-		// admission is the inFlight counter — so size it for the worst
-		// case: a full queue plus every journal-recovered job.
-		s.runner = localRunner{pool: harness.NewPool(cfg.Workers, cfg.QueueDepth+cfg.Workers+len(requeued), harness.Options{})}
-	}
+	// The pool backlog must never be the binding constraint — admission
+	// is the inFlight counter — so size it for the worst case: a full
+	// queue plus every journal-recovered job.
+	s.pool = harness.NewPool(cfg.Workers, cfg.QueueDepth+cfg.Workers+len(requeued), harness.Options{})
 
 	s.mu.Lock()
 	for _, id := range requeued {
@@ -200,8 +172,8 @@ func (s *Server) enqueueLocked(j Job) {
 	s.active[j.Hash] = j.ID
 	s.hubs[j.ID] = newHub()
 	id, hash, client := j.ID, j.Hash, j.Client
-	ok := s.runner.Start(
-		RunnerJob{ID: id, Hash: j.Hash, Config: j.Config, Run: s.runFn(id)},
+	ok := s.pool.TrySubmit(
+		harness.Job{Key: id, Fn: s.runFn(id)},
 		func(o harness.Outcome) { s.complete(id, hash, client, o) },
 	)
 	if !ok {
@@ -214,13 +186,13 @@ func (s *Server) enqueueLocked(j Job) {
 		delete(s.hubs, id)
 		jj, _ := s.store.Transition(id, func(j *Job) {
 			j.State = StateFailed
-			j.Error = "jobs: runner refused submission"
+			j.Error = "jobs: worker pool refused submission"
 			j.Class = muzha.ClassError
 		})
 		if h != nil {
 			h.finish()
 		}
-		s.cfg.Logf("jobs: runner refused %s", jj.ID)
+		s.cfg.Logf("jobs: worker pool refused %s", jj.ID)
 	}
 }
 
@@ -232,9 +204,7 @@ func (s *Server) decClientLocked(client string) {
 
 // runFn builds the worker closure for one job: decode the stored
 // canonical config, attach guards, cancellation and the progress hook,
-// run, and encode the result canonically. When a shared fleet tier is
-// configured, it is consulted first — a peer that already simulated
-// this config answers in one round-trip instead of a full run.
+// run, and encode the result canonically.
 func (s *Server) runFn(id string) func() (any, error) {
 	return func() (any, error) {
 		j, ok := s.store.Transition(id, func(j *Job) { j.State = StateRunning })
@@ -242,15 +212,6 @@ func (s *Server) runFn(id string) func() (any, error) {
 			return nil, fmt.Errorf("jobs: job %s missing from store", id)
 		}
 		s.noteStart(id)
-		if s.cfg.Peer != nil {
-			if b, ok := s.cfg.Peer.Fetch(j.Hash); ok && json.Valid(b) {
-				s.mu.Lock()
-				s.stats.PeerCacheHits++
-				s.mu.Unlock()
-				s.store.Transition(id, func(j *Job) { j.Cached = true })
-				return json.RawMessage(b), nil
-			}
-		}
 		var cfg muzha.Config
 		if err := json.Unmarshal(j.Config, &cfg); err != nil {
 			return nil, fmt.Errorf("jobs: decode config of %s: %w", id, err)
@@ -285,7 +246,6 @@ func (s *Server) runFn(id string) func() (any, error) {
 func (s *Server) complete(id, hash, client string, o harness.Outcome) {
 	s.mu.Lock()
 	var j Job
-	var publish json.RawMessage
 	switch {
 	case o.Err == nil:
 		b := o.Value.(json.RawMessage)
@@ -295,11 +255,6 @@ func (s *Server) complete(id, hash, client string, o harness.Outcome) {
 			j.Result = b
 		})
 		s.stats.Completed++
-		if !j.Cached {
-			// A fresh local run is news to the fleet; a result that
-			// itself came from the shared tier is not.
-			publish = b
-		}
 	case errors.Is(o.Err, harness.ErrCanceled):
 		j, _ = s.store.Transition(id, func(j *Job) {
 			j.State = StateQueued
@@ -324,26 +279,18 @@ func (s *Server) complete(id, hash, client string, o harness.Outcome) {
 	delete(s.active, hash)
 	h := s.hubs[id]
 	delete(s.hubs, id)
-	peer := s.cfg.Peer
 	s.mu.Unlock()
 	if h != nil {
 		h.finish()
 	}
-	if publish != nil && peer != nil {
-		// Best-effort and off the completion path: a dead coordinator
-		// must not slow down job turnaround (the agent's outbox retries).
-		go peer.Publish(hash, publish)
-	}
 	s.cfg.Logf("jobs: %s -> %s", id, j.State)
 }
 
-// noteStart records when a job began executing (locally, or on a fleet
-// worker at lease grant) for the mean-duration Retry-After hint.
+// noteStart records when a job began executing on a pool worker, for
+// the mean-duration Retry-After hint.
 func (s *Server) noteStart(id string) {
 	s.mu.Lock()
-	if _, ok := s.started[id]; !ok {
-		s.started[id] = time.Now()
-	}
+	s.started[id] = time.Now()
 	s.mu.Unlock()
 }
 
@@ -427,7 +374,7 @@ func (s *Server) Snapshot() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Running = s.runner.Running()
+	st.Running = s.pool.Running()
 	st.Queued = s.inFlight - st.Running
 	if st.Queued < 0 {
 		st.Queued = 0
@@ -437,10 +384,6 @@ func (s *Server) Snapshot() Stats {
 	st.CacheEntries = st.Cache.Entries
 	st.Requeued = s.requeued
 	st.Draining = s.draining
-	if s.cfg.FleetStats != nil {
-		f := s.cfg.FleetStats()
-		st.Fleet = &f
-	}
 	if s.cfg.ChaosStats != nil {
 		st.Chaos = s.cfg.ChaosStats()
 	}
@@ -464,7 +407,7 @@ func (s *Server) retryHintLocked() string {
 	if workers < 1 {
 		workers = 1
 	}
-	queued := s.inFlight - s.runner.Running()
+	queued := s.inFlight - s.pool.Running()
 	if queued < 0 {
 		queued = 0
 	}
@@ -481,101 +424,6 @@ func (s *Server) retryHintLocked() string {
 	return strconv.FormatFloat(sec, 'f', 1, 64)
 }
 
-// SetJobPhase flips a non-terminal job between queued and running on
-// behalf of an external Runner: the fleet dispatcher marks a job
-// running (and by which worker) at lease grant, and back to queued when
-// the lease expires and the job is re-sharded. Terminal states are owned
-// by complete and never overwritten here.
-func (s *Server) SetJobPhase(id string, st State, worker string) {
-	if st != StateQueued && st != StateRunning {
-		return
-	}
-	s.store.Transition(id, func(j *Job) {
-		if j.State.Terminal() {
-			return
-		}
-		j.State = st
-		j.Worker = worker
-		if st == StateQueued {
-			j.Progress = Progress{}
-		}
-	})
-	if st == StateRunning {
-		s.noteStart(id)
-	}
-}
-
-// CachedResult returns the locally cached canonical result bytes for a
-// config hash — the read side of the shared fleet tier.
-func (s *Server) CachedResult(hash string) (json.RawMessage, bool) {
-	return s.cache.Get(hash)
-}
-
-// CacheResult accepts an externally produced result into the cache (a
-// worker publish, or a late fleet delivery whose lease already expired).
-// Bytes that do not decode are dropped: a truncated upload must not
-// poison the tier. Re-putting a hash is harmless — results are a pure
-// function of the config.
-func (s *Server) CacheResult(hash string, b json.RawMessage) bool {
-	if hash == "" || len(b) == 0 || !json.Valid(b) {
-		return false
-	}
-	s.cache.Put(hash, b)
-	return true
-}
-
-// Execute admits canonical config bytes on behalf of the fleet agent
-// and blocks until the job is terminal or ctx ends. Capacity pushback
-// surfaces as BusyError so the agent leases less next round instead of
-// spinning.
-func (s *Server) Execute(ctx context.Context, raw json.RawMessage, client string) (Job, error) {
-	j, status, err := s.submitOne(raw, client)
-	if err != nil {
-		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-			return Job{}, &BusyError{Status: status, RetryAfter: time.Second, Msg: err.Error()}
-		}
-		return Job{}, err
-	}
-	return s.waitTerminal(ctx, j.ID)
-}
-
-// waitTerminal blocks until the job reaches a terminal state, waking on
-// its hub when one exists and polling otherwise (a job re-queued by a
-// drain has no hub until the next start re-admits it).
-func (s *Server) waitTerminal(ctx context.Context, id string) (Job, error) {
-	for {
-		s.mu.Lock()
-		h := s.hubs[id]
-		s.mu.Unlock()
-		var wake <-chan struct{}
-		if h != nil {
-			// Grab the wait channel before reading state so a completion
-			// between the read and the select still wakes us.
-			wake = h.wait()
-		}
-		j, ok := s.store.Get(id)
-		if !ok {
-			return Job{}, fmt.Errorf("jobs: job %s missing from store", id)
-		}
-		if j.State.Terminal() {
-			return j, nil
-		}
-		if wake == nil {
-			select {
-			case <-ctx.Done():
-				return j, ctx.Err()
-			case <-time.After(50 * time.Millisecond):
-			}
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			return j, ctx.Err()
-		case <-wake:
-		}
-	}
-}
-
 // Drain gracefully shuts the server down: stop admitting, let queued
 // and running jobs finish for up to grace, then close the shared Cancel
 // channel so the engine aborts in-flight runs cooperatively (within one
@@ -588,7 +436,7 @@ func (s *Server) Drain(grace time.Duration) {
 	s.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
-		s.runner.Close()
+		s.pool.Close()
 		close(done)
 	}()
 	if grace <= 0 {

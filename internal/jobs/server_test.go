@@ -254,6 +254,49 @@ func TestSweepAdmissionIsAtomic(t *testing.T) {
 	}
 }
 
+// TestSweepResultsMatchLocalRuns: every result a sweep serves is the
+// byte-exact canonical encoding of the same config run in-process.
+func TestSweepResultsMatchLocalRuns(t *testing.T) {
+	ctx := testCtx(t)
+	_, cli := newTestServer(t, ServerConfig{Workers: 2})
+	cfgs := []muzha.Config{
+		chainConfig(t, 2, time.Second, 21),
+		chainConfig(t, 3, time.Second, 22),
+		chainConfig(t, 4, time.Second, 23),
+	}
+	jobsOut, err := cli.SubmitSweep(ctx, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobsOut) != len(cfgs) {
+		t.Fatalf("sweep returned %d jobs for %d configs", len(jobsOut), len(cfgs))
+	}
+	for i, cfg := range cfgs {
+		j, err := cli.Wait(ctx, jobsOut[i].ID, 10*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.State != StateDone {
+			t.Fatalf("config %d ended %s [%s]: %s", i, j.State, j.Class, j.Error)
+		}
+		got, err := cli.Result(ctx, j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := muzha.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := EncodeResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("config %d: sweep result differs from local run:\nsweep: %.120s\nlocal: %.120s", i, got, want)
+		}
+	}
+}
+
 func TestStreamDeliversProgressAndDone(t *testing.T) {
 	ctx := testCtx(t)
 	_, cli := newTestServer(t, ServerConfig{ProgressEvery: 512})

@@ -123,6 +123,32 @@ func TestStoreRecoversRunningJobAndSkipsTruncatedLine(t *testing.T) {
 	if j2.State != StateQueued {
 		t.Fatalf("second reopen state = %s", j2.State)
 	}
+
+	// A journal written by an older daemon whose Job records carried a
+	// "worker" field still opens cleanly: the unknown field is ignored,
+	// not counted as a bad line, and the interrupted job is requeued.
+	legacyPath := filepath.Join(t.TempDir(), "jobs.jsonl")
+	legacy := `{"id":"j000005-cd34ef56ab12","hash":"cd34ef56ab12bb","client":"old",` +
+		`"state":"running","worker":"w1","config":{"seed":8},` +
+		`"progress":{"sim_time_ns":9,"events":10}}` + "\n"
+	if err := os.WriteFile(legacyPath, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := OpenStore(legacyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if s3.Skipped() != 0 {
+		t.Fatalf("legacy journal: skipped = %d, want 0", s3.Skipped())
+	}
+	if req := s3.Requeued(); len(req) != 1 || req[0] != "j000005-cd34ef56ab12" {
+		t.Fatalf("legacy journal: requeued = %v", req)
+	}
+	j3, _ := s3.Get("j000005-cd34ef56ab12")
+	if j3.State != StateQueued || j3.Progress != (Progress{}) || string(j3.Config) != `{"seed":8}` {
+		t.Fatalf("legacy job recovered as %+v", j3)
+	}
 }
 
 // TestStoreKeepsJobSubmittedAfterTruncatedLine: with nothing to
