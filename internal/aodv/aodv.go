@@ -30,15 +30,18 @@ type Output interface {
 	DropData(pkt *packet.Packet, reason string)
 }
 
-// Expanding-ring search defaults (RFC 3561 section 6.4) and the
-// duplicate-RREQ cache bound, applied when the corresponding Config
-// field is zero.
+// Expanding-ring search schedule (RFC 3561 section 6.4). TTLIncrement
+// and TTLThreshold are the RFC's section 10 values; TTLStart is not:
+// the RFC gives TTL_START = 1, this simulator starts at 2.
 const (
-	DefaultTTLStart      = 2
-	DefaultTTLIncrement  = 2
-	DefaultTTLThreshold  = 7
-	DefaultSeenCacheSize = 2048
+	TTLStart     = 2
+	TTLIncrement = 2
+	TTLThreshold = 7
 )
+
+// DefaultSeenCacheSize is the duplicate-RREQ cache bound applied when
+// Config.SeenCacheSize is zero.
+const DefaultSeenCacheSize = 2048
 
 // Config holds AODV protocol parameters.
 type Config struct {
@@ -64,11 +67,6 @@ type Config struct {
 	// network-wide. Off by default so paper-scale scenarios keep their
 	// exact historical flood behavior.
 	ExpandingRing bool
-	// TTLStart / TTLIncrement / TTLThreshold tune the ring schedule.
-	// Zero selects the RFC defaults (2 / 2 / 7).
-	TTLStart     int
-	TTLIncrement int
-	TTLThreshold int
 	// SeenCacheSize bounds the duplicate-RREQ suppression cache
 	// (FIFO eviction). Zero selects DefaultSeenCacheSize. The default
 	// is far above anything the paper's scenarios produce, so eviction
@@ -101,8 +99,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("aodv: MaxBuffered must be >= 1, got %d", c.MaxBuffered)
 	case c.BroadcastJitter < 0:
 		return fmt.Errorf("aodv: BroadcastJitter must be >= 0, got %v", c.BroadcastJitter)
-	case c.TTLStart < 0 || c.TTLIncrement < 0 || c.TTLThreshold < 0:
-		return fmt.Errorf("aodv: TTL ring parameters must be >= 0")
 	case c.SeenCacheSize < 0:
 		return fmt.Errorf("aodv: SeenCacheSize must be >= 0, got %d", c.SeenCacheSize)
 	}
@@ -198,15 +194,6 @@ func New(s *sim.Simulator, self packet.NodeID, out Output, ids *packet.IDGen, cf
 	}
 	if cfg.SeenCacheSize == 0 {
 		cfg.SeenCacheSize = DefaultSeenCacheSize
-	}
-	if cfg.TTLStart == 0 {
-		cfg.TTLStart = DefaultTTLStart
-	}
-	if cfg.TTLIncrement == 0 {
-		cfg.TTLIncrement = DefaultTTLIncrement
-	}
-	if cfg.TTLThreshold == 0 {
-		cfg.TTLThreshold = DefaultTTLThreshold
 	}
 	return &Router{
 		sim:     s,
@@ -307,11 +294,11 @@ func (r *Router) startDiscovery(dst packet.NodeID, d *discovery) {
 	if r.cfg.ExpandingRing {
 		// A known (possibly stale) route hints at the destination's
 		// distance; otherwise start at TTLStart (RFC 3561 6.4).
-		d.ttl = r.cfg.TTLStart
+		d.ttl = TTLStart
 		if rt := r.routes[dst]; rt != nil && rt.hops > 0 {
-			d.ttl = rt.hops + r.cfg.TTLIncrement
+			d.ttl = rt.hops + TTLIncrement
 		}
-		if d.ttl > r.cfg.TTLThreshold {
+		if d.ttl > TTLThreshold {
 			d.ttl = 0
 		}
 	}
@@ -349,8 +336,8 @@ func (r *Router) discoveryTimeout(dst packet.NodeID) {
 		// Expanding ring: widen and retry without consuming a
 		// network-wide retry. Ring attempts use the plain timeout;
 		// binary backoff applies only to network-wide floods.
-		d.ttl += r.cfg.TTLIncrement
-		if d.ttl > r.cfg.TTLThreshold {
+		d.ttl += TTLIncrement
+		if d.ttl > TTLThreshold {
 			d.ttl = 0
 		}
 		r.sendRREQ(dst, d.ttl)

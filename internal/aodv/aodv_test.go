@@ -57,9 +57,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.RREQRetries = -1 },
 		func(c *Config) { c.MaxBuffered = 0 },
 		func(c *Config) { c.BroadcastJitter = -1 },
-		func(c *Config) { c.TTLStart = -1 },
-		func(c *Config) { c.TTLIncrement = -2 },
-		func(c *Config) { c.TTLThreshold = -1 },
 		func(c *Config) { c.SeenCacheSize = -1 },
 	}
 	for i, mutate := range bad {

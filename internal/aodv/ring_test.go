@@ -7,8 +7,9 @@ import (
 	"muzha/internal/sim"
 )
 
-// ringConfig is DefaultConfig with expanding-ring search enabled and
-// the RFC defaults made explicit.
+// ringConfig is DefaultConfig with expanding-ring search enabled; the
+// ring schedule is the package's TTLStart/TTLIncrement/TTLThreshold
+// (2/2/7), which starts one hop wider than RFC 3561's TTL_START = 1.
 func ringConfig() Config {
 	cfg := DefaultConfig()
 	cfg.ExpandingRing = true

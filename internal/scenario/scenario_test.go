@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -229,6 +230,29 @@ func TestSpecConfigIsDeterministicAndRunnable(t *testing.T) {
 	}
 	if err := CheckExpect(s, res, ""); err != nil {
 		t.Fatalf("expectations not met: %v", err)
+	}
+}
+
+// TestCommittedSpecsBuildValidConfigs loads every spec under
+// examples/scenarios and builds its Config, which validates it, without
+// running it.
+func TestCommittedSpecsBuildValidConfigs(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 3 {
+		t.Fatalf("found %d committed specs, want at least 3: %v", len(paths), paths)
+	}
+	for _, p := range paths {
+		s, err := Load(p)
+		if err != nil {
+			t.Errorf("%s: %v", p, err)
+			continue
+		}
+		if _, err := s.Config(); err != nil {
+			t.Errorf("%s: %v", p, err)
+		}
 	}
 }
 

@@ -82,8 +82,7 @@ func (c *CUBIC) update(s *Sender) {
 		c.wEst = cwnd
 	}
 	// W_cubic(t + RTT): the window the cubic targets one RTT ahead.
-	t := (s.Now() - c.epoch).Seconds() + rtt.Seconds()
-	target := c.origin + cubicC*math.Pow(t-c.k, 3)
+	target := c.wCubic((s.Now() - c.epoch).Seconds() + rtt.Seconds())
 	// RFC 8312 4.1: clamp the per-RTT target into [cwnd, 1.5*cwnd].
 	if target < cwnd {
 		target = cwnd
@@ -99,6 +98,12 @@ func (c *CUBIC) update(s *Sender) {
 		cwnd = c.wEst
 	}
 	s.SetCwnd(cwnd)
+}
+
+// wCubic is RFC 8312's W_cubic(t) = C*(t-K)^3 + W_max for t seconds
+// into the current epoch (W_max is the origin).
+func (c *CUBIC) wCubic(t float64) float64 {
+	return c.origin + cubicC*math.Pow(t-c.k, 3)
 }
 
 // registerLoss updates W_max for a congestion event at window w, with

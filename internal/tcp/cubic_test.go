@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"math"
 	"testing"
 
 	"muzha/internal/sim"
@@ -70,6 +71,49 @@ func TestCUBICConcaveThenConvex(t *testing.T) {
 	// The convex region probes beyond the pre-loss operating point.
 	if traj[79] <= 100 {
 		t.Errorf("cwnd after 80 rounds = %g, never passed W_max 100", traj[79])
+	}
+}
+
+// TestCUBICRFC8312ReferenceValues pins RFC 8312's worked numbers for a
+// loss at W_max = 100 segments. The expected values are written out
+// from C = 0.4 and beta_cubic = 0.7 rather than derived from cubicC and
+// cubicBeta, so a drift in either constant fails here.
+func TestCUBICRFC8312ReferenceValues(t *testing.T) {
+	const (
+		wantK     = 4.217163         // section 4.1: cbrt(W_max*(1-beta)/C) = cbrt(75) s
+		wantAlpha = 0.52941176470588 // section 4.2: 3*(1-beta)/(1+beta) = 9/17 per RTT
+	)
+	v := NewCUBIC()
+	s, snd, _, _ := testSender(t, v, func(c *SenderConfig) { c.AdvertisedWindow = 1 << 20 })
+	snd.SetCwnd(100)
+	snd.SetSsthresh(50) // congestion avoidance
+	v.OnDupAck(snd, ackFor(0, -1), 3)
+	v.OnNewAck(snd, ackFor(snd.SndNxt(), -1), int64(snd.MSS())) // exit recovery
+	if got := snd.Cwnd(); got != 70 {
+		t.Fatalf("window after the reduction = %g, want W_max*beta = 70", got)
+	}
+
+	// The first congestion-avoidance ACK opens the epoch with W_est =
+	// W_max*beta; each ACK then adds alpha/cwnd, i.e. alpha per RTT of
+	// cwnd ACKs.
+	s.Run(s.Now() + 100*sim.Millisecond)
+	wEst := 70.0
+	for i := 0; i < 10; i++ {
+		v.OnNewAck(snd, ackFor(1<<40, -1), int64(snd.MSS()))
+		if got := (v.wEst - wEst) * snd.Cwnd(); math.Abs(got-wantAlpha) > 1e-9 {
+			t.Fatalf("ACK %d: W_est slope = %.12g per RTT, want 3(1-beta)/(1+beta) = %.12g", i, got, wantAlpha)
+		}
+		wEst = v.wEst
+	}
+
+	if math.Abs(v.k-wantK) > 1e-6 {
+		t.Errorf("K = %.7f s, want cbrt(75) = %.7f s", v.k, wantK)
+	}
+	if got := v.wCubic(0); math.Abs(got-70) > 1e-9 {
+		t.Errorf("W_cubic(0) = %.12g, want 70", got)
+	}
+	if got := v.wCubic(v.k); got != 100 {
+		t.Errorf("W_cubic(K) = %g, want W_max = 100", got)
 	}
 }
 

@@ -189,15 +189,3 @@ func (t *TextWriter) Record(e Event) {
 func (t *TextWriter) Err() error { return t.err }
 
 var _ Recorder = (*TextWriter)(nil)
-
-// Multi fans events out to several recorders.
-type Multi []Recorder
-
-// Record implements Recorder.
-func (m Multi) Record(e Event) {
-	for _, r := range m {
-		r.Record(e)
-	}
-}
-
-var _ Recorder = (Multi)(nil)

@@ -169,12 +169,3 @@ func TestTextWriterLatchesError(t *testing.T) {
 		t.Fatalf("error = %v", w.Err())
 	}
 }
-
-func TestMultiFansOut(t *testing.T) {
-	a, b := NewBuffer(0), NewBuffer(0)
-	m := Multi{a, b}
-	m.Record(sampleEvent())
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("fan-out: %d, %d", a.Len(), b.Len())
-	}
-}
