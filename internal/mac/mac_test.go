@@ -468,3 +468,80 @@ func TestUtilizationIdleIsZero(t *testing.T) {
 		t.Fatalf("idle utilization = %.2f, want 0", u)
 	}
 }
+
+// nopMAC is a radio's upper layer that ignores every upcall, so a radio
+// wired to it is a bare transmitter.
+type nopMAC struct{}
+
+func (nopMAC) OnCarrierBusy()                 {}
+func (nopMAC) OnCarrierIdle()                 {}
+func (nopMAC) OnReceive(*packet.Packet, bool) {}
+func (nopMAC) OnTxDone(*packet.Packet)        {}
+
+// txClock forwards every upcall to a DCF and records when its radio
+// last finished a transmission.
+type txClock struct {
+	deferredMAC
+	sim    *sim.Simulator
+	doneAt sim.Time
+	frames int
+}
+
+func (c *txClock) OnTxDone(p *packet.Packet) {
+	c.doneAt = c.sim.Now()
+	c.frames++
+	c.m.OnTxDone(p)
+}
+
+func TestBackoffFreezeKeepsRemainingSlots(t *testing.T) {
+	// One station draws n backoff slots and starts contending at t=0.
+	// A co-located transmitter (zero propagation delay) raises carrier
+	// k whole slots plus delta into the countdown. The k elapsed slots
+	// count, the partial one does not, so after the interference ends
+	// the station waits DIFS and exactly n-k more slots.
+	cfg := DefaultConfig()
+	seed, n := int64(0), 0
+	for n < 6 {
+		seed++
+		n = sim.New(seed).Rand().Intn(cfg.CWMin + 1)
+	}
+	k := n / 2
+	const burst = 300 * sim.Microsecond
+	for _, delta := range []sim.Time{0, 1, cfg.SlotTime - 1} {
+		t.Run(delta.String(), func(t *testing.T) {
+			s := sim.New(seed)
+			ch, err := phy.NewChannel(s, phy.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			clock := &txClock{sim: s}
+			radio := ch.AddRadio(topo.Position{}, clock)
+			up := &stubUpper{}
+			m, err := New(s, radio, 0, up, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clock.m = m
+			intf := ch.AddRadio(topo.Position{}, nopMAC{})
+
+			frame := frameTo(packet.Broadcast, 64)
+			up.queue = append(up.queue, frame)
+			m.Kick()
+			busyAt := cfg.DIFS + sim.Time(k)*cfg.SlotTime + delta
+			s.At(busyAt, func() {
+				intf.Transmit(&packet.Packet{UID: uidGen.Next(), Kind: packet.KindData, Size: 100, MACDst: 99}, burst)
+			})
+			s.Run(sim.Second)
+
+			if clock.frames != 1 || len(up.succeeded) != 1 {
+				t.Fatalf("station sent %d frames, %d succeeded; want 1", clock.frames, len(up.succeeded))
+			}
+			idle := busyAt + burst
+			want := idle + cfg.DIFS + sim.Time(n-k)*cfg.SlotTime
+			if got := clock.doneAt - m.dataAir(frame); got != want {
+				t.Fatalf("n=%d k=%d: frame went out at %v, want %v (idle %v + DIFS + %d slots)",
+					n, k, got, want, idle, n-k)
+			}
+		})
+	}
+}
