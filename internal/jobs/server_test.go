@@ -102,6 +102,9 @@ func TestSubmitRunAndCacheHitByteIdentical(t *testing.T) {
 	if !bytes.Equal(r1, r2) {
 		t.Fatal("cached result differs from the original bytes")
 	}
+	if cap(r1) != len(r1) {
+		t.Fatalf("result holds %d bytes in a %d-byte buffer, want no slack", len(r1), cap(r1))
+	}
 
 	// ...and identical to an uninterrupted local run through the shared
 	// encoder. The daemon arms default guards; a completed run is
@@ -180,6 +183,49 @@ func TestCrashRecoveryRequeuesAndMatchesUninterruptedRun(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("recovered run differs from the uninterrupted run")
+	}
+}
+
+// TestCacheHitJobsShareConfigBytes: repeated submissions of one config
+// keep one copy of its canonical bytes, but a config that differs only
+// in a field Config.Hash leaves out keeps its own.
+func TestCacheHitJobsShareConfigBytes(t *testing.T) {
+	ctx := testCtx(t)
+	srv, cli := newTestServer(t, ServerConfig{})
+	cfg := chainConfig(t, 2, time.Second, 5)
+	first, err := cli.Submit(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Wait(ctx, first.ID, 10*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	guarded := cfg
+	guarded.Guards.MaxEvents = 1 << 40
+	var ids []string
+	for _, c := range []muzha.Config{cfg, cfg, guarded} {
+		j, err := cli.Submit(ctx, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !j.Cached {
+			t.Fatalf("submission %d missed the cache", len(ids))
+		}
+		ids = append(ids, j.ID)
+	}
+	stored := func(id string) json.RawMessage {
+		j, ok := srv.store.Get(id)
+		if !ok {
+			t.Fatalf("job %s missing from the store", id)
+		}
+		return j.Config
+	}
+	a, b, g := stored(ids[0]), stored(ids[1]), stored(ids[2])
+	if !bytes.Equal(a, b) || &a[0] != &b[0] {
+		t.Fatal("two identical submissions keep separate config copies")
+	}
+	if bytes.Equal(a, g) || &a[0] == &g[0] {
+		t.Fatal("a config differing only in Guards shares another config's bytes")
 	}
 }
 

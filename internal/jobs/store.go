@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -24,12 +25,15 @@ type Store struct {
 	requeued []string
 	nextSeq  uint64
 	skipped  int
+	// configs holds the config bytes last stored under each hash, so
+	// repeated submissions of one config share a single copy.
+	configs map[string]json.RawMessage
 }
 
 // OpenStore opens (creating if absent) the job journal at path and
 // replays it.
 func OpenStore(path string) (*Store, error) {
-	s := &Store{jobs: make(map[string]*Job)}
+	s := &Store{jobs: make(map[string]*Job), configs: make(map[string]json.RawMessage)}
 	log, skipped, err := jsonl.Open(path, func(line []byte) bool {
 		var j Job
 		if err := json.Unmarshal(line, &j); err != nil || j.ID == "" {
@@ -91,10 +95,18 @@ func (s *Store) Skipped() int {
 }
 
 // NewJob creates and journals a queued job for the given config hash,
-// client and canonical config bytes, returning a copy.
+// client and canonical config bytes, returning a copy. A job whose
+// config bytes equal those last stored under the same hash shares their
+// backing array; the bytes are compared because Config.Hash leaves out
+// fields (Guards, Workers) that the canonical encoding keeps.
 func (s *Store) NewJob(hash, client string, cfg json.RawMessage) Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if prev, ok := s.configs[hash]; ok && bytes.Equal(prev, cfg) {
+		cfg = prev
+	} else {
+		s.configs[hash] = cfg
+	}
 	short := hash
 	if len(short) > 12 {
 		short = short[:12]
