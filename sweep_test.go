@@ -252,8 +252,14 @@ func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk ful
 // trace is never mistaken for a complete one.
 func TestRunSurfacesTraceErrorAlongsideRunError(t *testing.T) {
 	cfg := guardConfig(t)
+	// An event budget of half what the unguarded run needs aborts it
+	// midway under any event model.
+	full, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.PacketTrace = failingWriter{}
-	cfg.Guards = RunGuards{MaxEvents: 20_000}
+	cfg.Guards = RunGuards{MaxEvents: full.Events / 2}
 	res, err := Run(cfg)
 	if res != nil {
 		t.Fatal("partial Result escaped a failed traced run")
