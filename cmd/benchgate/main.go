@@ -18,8 +18,10 @@
 //   - a baseline entry may carry "max_allocs_per_op", a hand-committed
 //     absolute ceiling gated even at one iteration — the memory gate
 //     for expensive node-scale benchmarks CI only smokes once.
-//   - ns/op is reported but never gated: wall-clock noise on shared
-//     runners would make it flaky.
+//   - ns/op is reported beside events/s but never gated: wall-clock
+//     noise on shared runners would make it flaky. It keeps a change to
+//     the event model legible: fewer, costlier events per op lower
+//     events/s while ns/op improves.
 //
 // With -update the tool instead rewrites the baseline's "benchmarks"
 // section from the parsed output, preserving the "history" section.
@@ -53,6 +55,10 @@ type result struct {
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	Iters       int     `json:"iters,omitempty"`
+	// EventsPerOp is recorded by hand in history entries, so a change
+	// to the event model (fewer, costlier events) stays legible. The
+	// gate ignores it.
+	EventsPerOp float64 `json:"events_per_op,omitempty"`
 	// MaxAllocsPerOp is a hand-committed absolute allocs/op ceiling,
 	// gated even at one iteration (allocation counts are deterministic,
 	// so set it with enough headroom to absorb fixed setup costs). Zero
@@ -225,8 +231,8 @@ func compare(base, got map[string]result, maxRegress, maxAllocRatio float64, out
 			failures = append(failures, fmt.Sprintf("%s allocs/op %.0f > ceiling %.0f",
 				name, g.AllocsPerOp, b.MaxAllocsPerOp))
 		}
-		fmt.Fprintf(out, "%-5s %-28s events/s %12.0f (baseline %12.0f)  allocs/op %7.0f (baseline %7.0f)\n",
-			status, name, g.EventsPerS, b.EventsPerS, g.AllocsPerOp, b.AllocsPerOp)
+		fmt.Fprintf(out, "%-5s %-28s events/s %12.0f (baseline %12.0f)  ns/op %12.0f (baseline %12.0f)  allocs/op %7.0f (baseline %7.0f)\n",
+			status, name, g.EventsPerS, b.EventsPerS, g.NsPerOp, b.NsPerOp, g.AllocsPerOp, b.AllocsPerOp)
 	}
 	return failures
 }

@@ -62,6 +62,13 @@ func TestCompareRegressionFails(t *testing.T) {
 		t.Fatalf("setup-dominated allocs at 1 iteration failed the gate: %v", f)
 	}
 
+	// The report line carries ns/op beside events/s.
+	var line strings.Builder
+	compare(base, map[string]result{"BenchmarkX": {NsPerOp: 1234, EventsPerS: 1000}}, 0.20, 1.5, &line)
+	if !strings.Contains(line.String(), "ns/op         1234") {
+		t.Fatalf("report line lacks ns/op: %q", line.String())
+	}
+
 	// Baseline entry missing from input is a skip, not a failure.
 	if f := compare(base, map[string]result{}, 0.20, 1.5, &sb); len(f) != 0 {
 		t.Fatalf("missing benchmark failed the gate: %v", f)
