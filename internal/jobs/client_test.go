@@ -273,6 +273,22 @@ func TestResultDetectsCorruptBodyAndRetries(t *testing.T) {
 	}
 }
 
+// TestResultWithoutContentLength: a chunked body carries no
+// Content-Length, so the client reads it to EOF instead.
+func TestResultWithoutContentLength(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.(http.Flusher).Flush()
+		w.Write([]byte(`{"ok":true}`))
+	}))
+	defer ts.Close()
+	c := &Client{BaseURL: ts.URL}
+	got, err := c.Result(context.Background(), "j1")
+	if err != nil || string(got) != `{"ok":true}` {
+		t.Fatalf("Result = %q, %v", got, err)
+	}
+}
+
 // TestRetryHintTracksBacklog exercises the queue-derived Retry-After:
 // "1" before any observation, then mean duration scaled by the number
 // of full waves ahead of the caller, clamped to [0.5, 60].
