@@ -17,7 +17,8 @@
 //     check is skipped when the benchmark ran fewer than 100 iterations.
 //   - a baseline entry may carry "max_allocs_per_op", a hand-committed
 //     absolute ceiling gated even at one iteration — the memory gate
-//     for expensive node-scale benchmarks CI only smokes once.
+//     for expensive node-scale benchmarks CI only smokes once, and, at
+//     0, the gate that keeps an allocation-free path allocation-free.
 //   - ns/op is reported beside events/s but never gated: wall-clock
 //     noise on shared runners would make it flaky. It keeps a change to
 //     the event model legible: fewer, costlier events per op lower
@@ -61,9 +62,10 @@ type result struct {
 	EventsPerOp float64 `json:"events_per_op,omitempty"`
 	// MaxAllocsPerOp is a hand-committed absolute allocs/op ceiling,
 	// gated even at one iteration (allocation counts are deterministic,
-	// so set it with enough headroom to absorb fixed setup costs). Zero
-	// disables it. -update carries it over from the old baseline.
-	MaxAllocsPerOp float64 `json:"max_allocs_per_op,omitempty"`
+	// so set it with enough headroom to absorb fixed setup costs). Absent
+	// (nil) disables it; a committed 0 demands an allocation-free op.
+	// -update carries it over from the old baseline.
+	MaxAllocsPerOp *float64 `json:"max_allocs_per_op,omitempty"`
 }
 
 // baseline mirrors BENCH_sim.json: a current "benchmarks" section the
@@ -226,10 +228,10 @@ func compare(base, got map[string]result, maxRegress, maxAllocRatio float64, out
 			failures = append(failures, fmt.Sprintf("%s allocs/op %.0f > %.1fx baseline %.0f",
 				name, g.AllocsPerOp, maxAllocRatio, b.AllocsPerOp))
 		}
-		if b.MaxAllocsPerOp > 0 && g.AllocsPerOp > b.MaxAllocsPerOp {
+		if b.MaxAllocsPerOp != nil && g.AllocsPerOp > *b.MaxAllocsPerOp {
 			status = "FAIL"
 			failures = append(failures, fmt.Sprintf("%s allocs/op %.0f > ceiling %.0f",
-				name, g.AllocsPerOp, b.MaxAllocsPerOp))
+				name, g.AllocsPerOp, *b.MaxAllocsPerOp))
 		}
 		fmt.Fprintf(out, "%-5s %-28s events/s %12.0f (baseline %12.0f)  ns/op %12.0f (baseline %12.0f)  allocs/op %7.0f (baseline %7.0f)\n",
 			status, name, g.EventsPerS, b.EventsPerS, g.NsPerOp, b.NsPerOp, g.AllocsPerOp, b.AllocsPerOp)
@@ -291,7 +293,7 @@ func writeBaseline(path string, got map[string]result, out io.Writer) error {
 	// Ceilings are hand-committed policy, not measurements: carry them
 	// over so a routine -update cannot silently drop the gate.
 	for name, old := range b.Benchmarks {
-		if g, ok := got[name]; ok && old.MaxAllocsPerOp > 0 {
+		if g, ok := got[name]; ok && old.MaxAllocsPerOp != nil {
 			g.MaxAllocsPerOp = old.MaxAllocsPerOp
 			got[name] = g
 		}

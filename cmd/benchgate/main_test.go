@@ -75,8 +75,10 @@ func TestCompareRegressionFails(t *testing.T) {
 	}
 }
 
+func ceiling(n float64) *float64 { return &n }
+
 func TestCompareAllocCeiling(t *testing.T) {
-	base := map[string]result{"BenchmarkBig": {EventsPerS: 1000, AllocsPerOp: 100, MaxAllocsPerOp: 150}}
+	base := map[string]result{"BenchmarkBig": {EventsPerS: 1000, AllocsPerOp: 100, MaxAllocsPerOp: ceiling(150)}}
 	var sb strings.Builder
 
 	// Under the ceiling passes even at one iteration (where the
@@ -91,13 +93,24 @@ func TestCompareAllocCeiling(t *testing.T) {
 	if f := compare(base, bad, 0.20, 1.5, &sb); len(f) != 1 {
 		t.Fatalf("allocs over the ceiling passed the gate: %v", f)
 	}
+
+	// A committed ceiling of 0 gates an allocation-free benchmark, whose
+	// zero baseline allocs/op disables the ratio check.
+	zero := map[string]result{"BenchmarkFree": {EventsPerS: 1000, MaxAllocsPerOp: ceiling(0)}}
+	if f := compare(zero, map[string]result{"BenchmarkFree": {EventsPerS: 1000, Iters: 1000}}, 0.20, 1.5, &sb); len(f) != 0 {
+		t.Fatalf("0 allocs/op failed a 0 ceiling: %v", f)
+	}
+	if f := compare(zero, map[string]result{"BenchmarkFree": {EventsPerS: 1000, AllocsPerOp: 1, Iters: 1000}}, 0.20, 1.5, &sb); len(f) != 1 {
+		t.Fatalf("1 alloc/op passed a 0 ceiling: %v", f)
+	}
 }
 
 func TestUpdatePreservesAllocCeiling(t *testing.T) {
 	dir := t.TempDir()
 	basePath := filepath.Join(dir, "BENCH_sim.json")
 	if err := os.WriteFile(basePath, []byte(`{"benchmarks":
-		{"BenchmarkScenario4HopChain": {"events_per_s": 1, "max_allocs_per_op": 70000}}}`), 0o644); err != nil {
+		{"BenchmarkScenario4HopChain": {"events_per_s": 1, "max_allocs_per_op": 70000},
+		 "BenchmarkEventChurn": {"events_per_s": 1, "max_allocs_per_op": 0}}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	benchOut := filepath.Join(dir, "bench.out")
@@ -112,8 +125,11 @@ func TestUpdatePreservesAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := updated.Benchmarks["BenchmarkScenario4HopChain"].MaxAllocsPerOp; got != 70000 {
+	if got := updated.Benchmarks["BenchmarkScenario4HopChain"].MaxAllocsPerOp; got == nil || *got != 70000 {
 		t.Fatalf("-update dropped the allocs ceiling: got %v, want 70000", got)
+	}
+	if got := updated.Benchmarks["BenchmarkEventChurn"].MaxAllocsPerOp; got == nil || *got != 0 {
+		t.Fatalf("-update dropped the zero allocs ceiling: got %v, want 0", got)
 	}
 }
 

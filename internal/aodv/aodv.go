@@ -234,18 +234,16 @@ func (r *Router) Reset() {
 	r.rreqID = 0
 }
 
-// NextHops returns a snapshot of the valid, unexpired routing table as a
-// dst -> next-hop map, without refreshing lifetimes. Used by the run-time
-// loop-freedom invariant scan.
-func (r *Router) NextHops() map[packet.NodeID]packet.NodeID {
+// VisitNextHops calls fn for every valid, unexpired route, in no
+// particular order, without refreshing lifetimes. The run-time
+// loop-freedom invariant scan reads the tables through it.
+func (r *Router) VisitNextHops(fn func(dst, nextHop packet.NodeID)) {
 	now := r.sim.Now()
-	out := make(map[packet.NodeID]packet.NodeID, len(r.routes))
 	for dst, rt := range r.routes {
 		if rt.valid && now < rt.expiry {
-			out[dst] = rt.nextHop
+			fn(dst, rt.nextHop)
 		}
 	}
-	return out
 }
 
 // NextHop returns the next hop for dst if a valid, unexpired route

@@ -87,7 +87,7 @@ func FuzzAODVMessages(f *testing.F) {
 		}
 		s.Run(s.Now() + 10*sim.Second)
 
-		if _, ok := r.NextHops()[2]; ok {
+		if _, ok := nextHops(r)[2]; ok {
 			t.Fatal("router installed a route to itself")
 		}
 	})

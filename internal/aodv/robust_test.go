@@ -175,7 +175,7 @@ func TestResetDropsPendingDiscoveries(t *testing.T) {
 	if len(out.routing) != before {
 		t.Fatal("discovery retries survived Reset")
 	}
-	if len(r.NextHops()) != 0 {
+	if len(nextHops(r)) != 0 {
 		t.Fatal("routes survived Reset")
 	}
 }
@@ -213,6 +213,13 @@ func TestCachedReplySkippedWhenRouteBacktracks(t *testing.T) {
 
 // TestNextHopsSnapshot checks the loop-scan accessor reflects validity
 // and expiry without refreshing lifetimes.
+// nextHops collects VisitNextHops into a dst -> next-hop map.
+func nextHops(r *Router) map[packet.NodeID]packet.NodeID {
+	out := make(map[packet.NodeID]packet.NodeID)
+	r.VisitNextHops(func(dst, nh packet.NodeID) { out[dst] = nh })
+	return out
+}
+
 func TestNextHopsSnapshot(t *testing.T) {
 	s, r, _ := newRouter(t, 0)
 	r.HandleRouting(&packet.Packet{
@@ -224,19 +231,19 @@ func TestNextHopsSnapshot(t *testing.T) {
 		Payload: &RREP{Src: 0, Dst: 7, DstSeq: 1, HopCount: 2},
 	})
 
-	nh := r.NextHops()
+	nh := nextHops(r)
 	if len(nh) != 2 || nh[4] != 1 || nh[7] != 2 {
-		t.Fatalf("NextHops = %v", nh)
+		t.Fatalf("next hops = %v", nh)
 	}
 
 	r.LinkFailure(2, nil)
-	nh = r.NextHops()
+	nh = nextHops(r)
 	if len(nh) != 1 || nh[4] != 1 {
-		t.Fatalf("NextHops after link failure = %v", nh)
+		t.Fatalf("next hops after link failure = %v", nh)
 	}
 
 	s.Run(DefaultConfig().ActiveRouteTimeout + sim.Second)
-	if nh = r.NextHops(); len(nh) != 0 {
-		t.Fatalf("NextHops after expiry = %v", nh)
+	if nh = nextHops(r); len(nh) != 0 {
+		t.Fatalf("next hops after expiry = %v", nh)
 	}
 }

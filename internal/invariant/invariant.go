@@ -312,52 +312,137 @@ func (l *Ledger) retire(uid uint64) {
 	l.cooled[uid] = struct{}{}
 }
 
-// LoopFree walks a next-hop graph for one destination and asserts it is
-// cycle-free. nextHop maps node -> next hop for nodes holding a valid
-// route; nodes absent from the map terminate a walk (no route, or the
-// destination itself). Returns false when a cycle was found.
-func LoopFree(a *Assertion, dst int32, nextHop map[int32]int32) bool {
-	if len(nextHop) == 0 {
-		a.Checked()
-		return true
+// LoopScan checks next-hop graphs for cycles, one graph per destination.
+// A scan feeds every node's routes through Add, in ascending node order,
+// then Check walks the destinations in ascending ID order and, within
+// one, starts a walk at each routed node in ascending ID order, so
+// violation details come out in a fixed order. Its tables are indexed by
+// node ID and kept from scan to scan: a warmed scan allocates nothing.
+// The zero value is ready to use.
+type LoopScan struct {
+	hops  []hop   // this scan's routes in Add order
+	byDst []hop   // the same, bucketed by destination, stable
+	start []int32 // bucket boundaries: dst d holds byDst[start[d]:start[d+1]]
+	last  int32   // largest from passed to Add this scan
+	ids   int32   // one past the largest node ID seen this scan
+
+	// Per-node tables for the destination being walked. An entry is
+	// valid only while its stamp equals gen, so a new destination costs
+	// one increment, not a clear.
+	next, state    []int32
+	nextGen, stGen []uint32
+	gen            uint32
+}
+
+type hop struct{ from, dst, next int32 }
+
+// Add records that node from routes to dst via next. Calls within one
+// scan must come in non-decreasing from order.
+func (l *LoopScan) Add(from, dst, next int32) {
+	if len(l.hops) > 0 && from < l.last {
+		panic(fmt.Sprintf("invariant: LoopScan.Add from n%d after n%d", from, l.last))
 	}
-	// Order start nodes for deterministic violation details.
-	starts := make([]int32, 0, len(nextHop))
-	for n := range nextHop {
-		starts = append(starts, n)
+	l.last = from
+	l.hops = append(l.hops, hop{from: from, dst: dst, next: next})
+	l.ids = max(l.ids, from+1, dst+1, next+1)
+}
+
+// Check walks every destination added since the last Check and asserts
+// its next-hop graph is cycle-free: a destination that passes counts one
+// check on a, and each cycle found counts one violation ("routing loop
+// to nD through nN"). A node without a route to the destination, or the
+// destination itself, ends a walk. It returns false when any cycle was
+// found, and resets the scan.
+func (l *LoopScan) Check(a *Assertion) bool {
+	n := int(l.ids)
+	if cap(l.start) < n+1 {
+		l.next, l.state = make([]int32, n), make([]int32, n)
+		l.nextGen, l.stGen = make([]uint32, n), make([]uint32, n)
+		l.start = make([]int32, n+1)
+		l.gen = 0
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	const done = -2 // walked and proven loop-free
-	state := make(map[int32]int32, len(nextHop))
+	l.next, l.state = l.next[:n], l.state[:n]
+	l.nextGen, l.stGen = l.nextGen[:n], l.stGen[:n]
+	// Counting sort by destination; stable, so each bucket keeps the
+	// ascending from order Add was called in.
+	start := l.start[:n+1]
+	clear(start)
+	for _, h := range l.hops {
+		start[h.dst+1]++
+	}
+	for d := 1; d <= n; d++ {
+		start[d] += start[d-1]
+	}
+	l.byDst = append(l.byDst[:0], l.hops...)
+	// state doubles as the bucket cursors: every stamp in stGen predates
+	// the next walk's gen, so the values left behind read as unvisited.
+	fill := l.state
+	copy(fill, start[:n])
+	for _, h := range l.hops {
+		l.byDst[fill[h.dst]] = h
+		fill[h.dst]++
+	}
+
 	ok := true
-	for _, start := range starts {
-		// Follow the chain, marking nodes with the walk's start; meeting
-		// the same mark again means a cycle.
+	for dst := int32(0); dst < int32(n); dst++ {
+		bucket := l.byDst[start[dst]:start[dst+1]]
+		if len(bucket) == 0 {
+			continue
+		}
+		ok = l.walk(a, dst, bucket) && ok
+	}
+	l.hops = l.hops[:0]
+	l.ids = 0
+	return ok
+}
+
+// walk checks one destination's graph. A node's state is 0 (unvisited),
+// start+1 while the walk from start is on it, or done once proven
+// loop-free; meeting the current walk's mark again means a cycle.
+func (l *LoopScan) walk(a *Assertion, dst int32, bucket []hop) bool {
+	l.gen++
+	if l.gen == 0 { // wrapped: old stamps could alias
+		clear(l.nextGen)
+		clear(l.stGen)
+		l.gen = 1
+	}
+	g := l.gen
+	for _, h := range bucket {
+		l.next[h.from], l.nextGen[h.from] = h.next, g
+	}
+	state := func(n int32) int32 {
+		if l.stGen[n] != g {
+			return 0
+		}
+		return l.state[n]
+	}
+	const done = -2
+	ok := true
+	for _, h := range bucket {
+		start := h.from
 		n := start
 		for {
-			if state[n] == done {
+			if state(n) == done {
 				break
 			}
-			if state[n] == start+1 { // +1 so the zero value stays "unvisited"
+			if state(n) == start+1 {
 				ok = a.Check(false, "routing loop to n%d through n%d", dst, n) && ok
 				break
 			}
-			state[n] = start + 1
-			nh, has := nextHop[n]
-			if !has || nh == dst {
+			l.state[n], l.stGen[n] = start+1, g
+			if l.nextGen[n] != g || l.next[n] == dst {
 				break
 			}
-			n = nh
+			n = l.next[n]
 		}
 		// Mark the walked chain as settled.
 		m := start
-		for state[m] == start+1 {
-			state[m] = done
-			nh, has := nextHop[m]
-			if !has {
+		for state(m) == start+1 {
+			l.state[m] = done
+			if l.nextGen[m] != g {
 				break
 			}
-			m = nh
+			m = l.next[m]
 		}
 	}
 	if ok {

@@ -228,17 +228,28 @@ func TestLedgerPeak(t *testing.T) {
 func TestLoopFree(t *testing.T) {
 	c := New(nil)
 	a := c.Always("route-loop-free")
+	var l LoopScan
+
+	// A scan with no routes checks nothing, even before any table exists.
+	if !l.Check(a) || a.checks != 0 {
+		t.Fatal("empty first scan flagged or counted")
+	}
 
 	// 0 -> 1 -> 2 -> dst(3): clean chain.
-	if !LoopFree(a, 3, map[int32]int32{0: 1, 1: 2, 2: 3}) {
+	l.Add(0, 3, 1)
+	l.Add(1, 3, 2)
+	l.Add(2, 3, 3)
+	if !l.Check(a) {
 		t.Fatal("chain flagged as loop")
 	}
-	if c.Violations() != 0 {
-		t.Fatalf("violations = %d, want 0", c.Violations())
+	if c.Violations() != 0 || a.checks != 1 {
+		t.Fatalf("violations = %d, checks = %d; want 0 and 1", c.Violations(), a.checks)
 	}
 
 	// 0 -> 1 -> 0: two-node loop.
-	if LoopFree(a, 3, map[int32]int32{0: 1, 1: 0}) {
+	l.Add(0, 3, 1)
+	l.Add(1, 3, 0)
+	if l.Check(a) {
 		t.Fatal("loop not detected")
 	}
 	if c.Violations() == 0 {
@@ -247,15 +258,17 @@ func TestLoopFree(t *testing.T) {
 
 	// Self-loop.
 	before := c.Violations()
-	if LoopFree(a, 5, map[int32]int32{2: 2}) {
+	l.Add(2, 5, 2)
+	if l.Check(a) {
 		t.Fatal("self-loop not detected")
 	}
 	if c.Violations() == before {
 		t.Fatal("self-loop must record a violation")
 	}
 
-	// Empty table is trivially loop-free.
-	if !LoopFree(a, 1, nil) {
-		t.Fatal("empty table flagged")
+	// A scan with no routes checks nothing.
+	checks := a.checks
+	if !l.Check(a) || a.checks != checks {
+		t.Fatal("empty scan flagged or counted")
 	}
 }

@@ -45,10 +45,12 @@ type CacheLimit struct {
 	MaxBytes int64
 }
 
-// cacheItem is one LRU slot.
+// cacheItem is one LRU slot. size is the result's unpacked length, the
+// unit of CacheLimit.MaxBytes and CacheStats.Bytes.
 type cacheItem struct {
-	key string
-	val json.RawMessage
+	key  string
+	val  packedResult
+	size int64
 }
 
 // CacheStats is the cache block of the daemon's /v1/stats payload.
@@ -82,7 +84,7 @@ func OpenCache(path string, limit CacheLimit) (*Cache, error) {
 		}
 		// File order is append order, so each accepted line is the most
 		// recent use of its key seen so far.
-		c.putLocked(e.Key, e.Value)
+		c.putLocked(e.Key, packResult(e.Value), int64(len(e.Value)))
 		return true
 	})
 	if err != nil {
@@ -100,7 +102,7 @@ func OpenCache(path string, limit CacheLimit) (*Cache, error) {
 		err := log.Rewrite(func(enc *json.Encoder) error {
 			for el := c.lru.Back(); el != nil; el = el.Prev() {
 				it := el.Value.(*cacheItem)
-				if err := enc.Encode(harness.Entry{Key: it.key, OK: true, Value: it.val}); err != nil {
+				if err := enc.Encode(harness.Entry{Key: it.key, OK: true, Value: it.val.unpack()}); err != nil {
 					return err
 				}
 			}
@@ -117,6 +119,16 @@ func OpenCache(path string, limit CacheLimit) (*Cache, error) {
 // Get returns the cached canonical Result bytes for a config hash and
 // marks the entry as recently used.
 func (c *Cache) Get(hash string) (json.RawMessage, bool) {
+	p, ok := c.lookup(hash)
+	if !ok {
+		return nil, false
+	}
+	return p.unpack(), true
+}
+
+// lookup is Get without the inflate: the packed result, for a job to
+// share.
+func (c *Cache) lookup(hash string) (packedResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[hash]
@@ -128,26 +140,30 @@ func (c *Cache) Get(hash string) (json.RawMessage, bool) {
 }
 
 // Put records a result, evicting least-recently-used entries if a cap
-// is exceeded. Re-putting the same hash refreshes recency; the value
-// is a pure function of the hash, so last-write-wins changes nothing.
-func (c *Cache) Put(hash string, result json.RawMessage) {
+// is exceeded, and returns the packed form it keeps, for the job that
+// produced the result to share. Re-putting the same hash refreshes
+// recency; the value is a pure function of the hash, so last-write-wins
+// changes nothing.
+func (c *Cache) Put(hash string, result json.RawMessage) packedResult {
+	p := packResult(result)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.putLocked(hash, result)
+	c.putLocked(hash, p, int64(len(result)))
 	c.log.Append(harness.Entry{Key: hash, OK: true, Value: result})
+	return p
 }
 
 // putLocked applies the in-memory insert + LRU eviction; shared by Put
 // and the load path (which must not write back what it just read).
-func (c *Cache) putLocked(hash string, result json.RawMessage) {
+func (c *Cache) putLocked(hash string, result packedResult, size int64) {
 	if el, ok := c.byKey[hash]; ok {
 		it := el.Value.(*cacheItem)
-		c.bytes += int64(len(result)) - int64(len(it.val))
-		it.val = result
+		c.bytes += size - it.size
+		it.val, it.size = result, size
 		c.lru.MoveToFront(el)
 	} else {
-		c.byKey[hash] = c.lru.PushFront(&cacheItem{key: hash, val: result})
-		c.bytes += int64(len(result))
+		c.byKey[hash] = c.lru.PushFront(&cacheItem{key: hash, val: result, size: size})
+		c.bytes += size
 	}
 	for c.overLocked() {
 		el := c.lru.Back()
@@ -156,7 +172,7 @@ func (c *Cache) putLocked(hash string, result json.RawMessage) {
 		}
 		it := c.lru.Remove(el).(*cacheItem)
 		delete(c.byKey, it.key)
-		c.bytes -= int64(len(it.val))
+		c.bytes -= it.size
 		c.evicted++
 	}
 }

@@ -182,7 +182,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	need := 0
 	seen := make(map[string]bool, len(items))
 	for _, it := range items {
-		if _, hit := s.cache.Get(it.hash); hit {
+		if _, hit := s.cache.lookup(it.hash); hit {
 			continue
 		}
 		if _, running := s.active[it.hash]; running {
@@ -238,10 +238,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	// Results can be large; the listing carries metadata only.
+	// Results can be large; the listing carries metadata only (List
+	// already leaves out Result).
 	list := s.store.List()
 	for i := range list {
-		list[i].Result = nil
 		list[i].Config = nil
 	}
 	writeJSON(w, http.StatusOK, map[string][]Job{"jobs": list})

@@ -248,12 +248,7 @@ func (s *Server) complete(id, hash, client string, o harness.Outcome) {
 	var j Job
 	switch {
 	case o.Err == nil:
-		b := o.Value.(json.RawMessage)
-		s.cache.Put(hash, b)
-		j, _ = s.store.Transition(id, func(j *Job) {
-			j.State = StateDone
-			j.Result = b
-		})
+		j, _ = s.store.Done(id, s.cache.Put(hash, o.Value.(json.RawMessage)), false)
 		s.stats.Completed++
 	case errors.Is(o.Err, harness.ErrCanceled):
 		j, _ = s.store.Transition(id, func(j *Job) {
@@ -332,15 +327,11 @@ func (s *Server) submitOne(raw json.RawMessage, client string) (Job, int, error)
 }
 
 func (s *Server) admitLocked(hash string, canonical json.RawMessage, client string) (Job, int, error) {
-	if b, ok := s.cache.Get(hash); ok {
+	if p, ok := s.cache.lookup(hash); ok {
 		// Cache hit: the job is born done, no simulation runs.
 		s.stats.CacheHits++
 		j := s.store.NewJob(hash, client, canonical)
-		j, _ = s.store.Transition(j.ID, func(j *Job) {
-			j.State = StateDone
-			j.Cached = true
-			j.Result = b
-		})
+		j, _ = s.store.Done(j.ID, p, true)
 		return j, http.StatusOK, nil
 	}
 	if id, ok := s.active[hash]; ok {

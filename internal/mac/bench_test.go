@@ -91,7 +91,7 @@ func BenchmarkDCFExchange(b *testing.B) {
 }
 
 // TestDCFExchangeAllocFree pins the allocation-free frame path: once the
-// engine's event pool and the medium's flight pool are warm, a contended
+// engine's event pool and the medium's fanout pool are warm, a contended
 // RTS/CTS/DATA/ACK exchange with backoff allocates nothing. A closure or
 // method value handed to Schedule, or a control frame built per
 // exchange, shows up here as allocs > 0.

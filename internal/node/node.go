@@ -287,14 +287,13 @@ func (n *Node) QueueLen() int { return n.ifq.Len() }
 // Down reports whether the node is currently crashed.
 func (n *Node) Down() bool { return n.down }
 
-// NextHops returns a snapshot of the AODV next-hop table for the
-// run-time loop-freedom scan, or nil under DSR (source routing keeps no
-// per-hop table to walk).
-func (n *Node) NextHops() map[packet.NodeID]packet.NodeID {
-	if n.aodv == nil {
-		return nil
+// VisitNextHops calls fn for every route in the AODV next-hop table, for
+// the run-time loop-freedom scan; under DSR (source routing keeps no
+// per-hop table to walk) it calls nothing.
+func (n *Node) VisitNextHops(fn func(dst, nextHop packet.NodeID)) {
+	if n.aodv != nil {
+		n.aodv.VisitNextHops(fn)
 	}
-	return n.aodv.NextHops()
 }
 
 // Crash implements fault.NodeControl: the radio goes silent, the IFQ is

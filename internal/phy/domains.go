@@ -11,7 +11,7 @@ import (
 //
 // Two radios farther apart than CSRange can never interact in this
 // channel model: Transmit fans out only to neighbors within CSRange,
-// carrier sense only consults flights whose source is within CSRange,
+// carrier sense only counts signals whose source is within CSRange,
 // and the neighbor cache itself is rebuilt from the CSRange cell grid.
 // The dist<=CSRange interaction graph therefore partitions the radio
 // set into connected components ("domains") whose event timelines are

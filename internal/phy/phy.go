@@ -12,7 +12,7 @@ package phy
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"muzha/internal/packet"
 	"muzha/internal/sim"
@@ -120,9 +120,10 @@ type Channel struct {
 	// (O(neighbors)), not every radio on the channel.
 	grid map[gridCell][]*Radio
 
-	// flights recycles the argument blocks carried by in-flight signal
-	// events, so a transmission schedules zero allocations.
-	flights []*flight
+	// fanouts recycles the per-frame signal cursors, so a transmission
+	// schedules zero allocations; rank is fanOut's scratch table.
+	fanouts []*fanout
+	rank    []int32
 
 	// Fault-injection state (see internal/fault): directional link
 	// mutes, partition classes, and the Gilbert–Elliott loss overlay.
@@ -302,12 +303,14 @@ type Radio struct {
 	// nb caches, per potential receiver within carrier-sense range, the
 	// precomputed propagation delay, received power and in-rx-range flag
 	// that Transmit previously derived per frame from geometry. The list
-	// is sorted by radio ID so signal events are scheduled in exactly
-	// the order the O(N) all-radios scan produced. Valid while nbEpoch
-	// matches the channel's invalidation epoch; built once per topology
-	// for static runs, rebuilt O(neighbors) via the spatial grid after
-	// movement or fault-state changes.
+	// is sorted by radio ID, the order in which a frame's signal events
+	// take their sequence numbers. byDelay lists nb's indices sorted by
+	// (delay, ID), the order in which those signals start and end. Valid
+	// while nbEpoch matches the channel's invalidation epoch; built once
+	// per topology for static runs, rebuilt O(neighbors) via the spatial
+	// grid after movement or fault-state changes.
 	nb      []neighbor
+	byDelay []int32
 	nbEpoch uint64
 
 	// Stats.
@@ -335,54 +338,113 @@ type reception struct {
 	collided bool
 }
 
-// flight carries one scheduled signal's arguments through the engine's
-// closure-free ScheduleArg path. One flight serves a signal's start and
-// end events at a receiver (the end event recycles it); the transmitter's
-// own tx-done event uses a flight with only to/pkt set.
-type flight struct {
-	to    *Radio
-	from  *Radio
-	pkt   *packet.Packet
+// fanout is one transmitted frame's cursor through its signal events. A
+// frame heard by k live receivers has 2k+1 events: a start and an end at
+// every receiver and the transmitter's own tx-done. Transmit reserves
+// their sequence numbers in one block, in the order one schedule call per
+// event would have taken them (receiver i in ID order gets start s0+2i
+// and end s0+2i+1, tx-done gets s0+2k), but the fanout keeps only its
+// next event in the queue. Each step fires the earliest of three sorted
+// streams, merged by (at, seq): starts by (delay, ID), the tx-done, and
+// ends by (delay, ID). Every callback therefore runs at exactly the key
+// it would have had with all 2k+1 events queued up front.
+type fanout struct {
+	from    *Radio
+	pkt     *packet.Packet
+	air     sim.Time
+	done    sim.Time // tx-done key: transmit time + airtime, s0+2k
+	doneSeq uint64
+	rx      []fanRx // live receivers in (delay, ID) order
+	// Cursor: the next start and the next end to fire, whether the
+	// tx-done has fired, and which of the three fires at the queued key.
+	starts, ends int
+	txDone       bool
+	step         fanStep
+}
+
+// fanRx is one receiver's part of a fanout: its start key (at, seq); its
+// end key is (at+air, seq+1).
+type fanRx struct {
+	r     *Radio
+	at    sim.Time
+	seq   uint64
 	power float64
 	inRx  bool
 }
 
-func (c *Channel) getFlight() *flight {
-	if n := len(c.flights); n > 0 {
-		f := c.flights[n-1]
-		c.flights[n-1] = nil
-		c.flights = c.flights[:n-1]
+type fanStep uint8
+
+const (
+	stepStart fanStep = iota
+	stepEnd
+	stepTxDone
+)
+
+func (c *Channel) getFanout() *fanout {
+	if n := len(c.fanouts); n > 0 {
+		f := c.fanouts[n-1]
+		c.fanouts[n-1] = nil
+		c.fanouts = c.fanouts[:n-1]
 		return f
 	}
-	return &flight{}
+	return &fanout{}
 }
 
-func (c *Channel) putFlight(f *flight) {
-	*f = flight{}
-	c.flights = append(c.flights, f)
+func (c *Channel) putFanout(f *fanout) {
+	*f = fanout{rx: f.rx[:0]}
+	c.fanouts = append(c.fanouts, f)
 }
 
-// flightStart, flightEnd and flightTxDone are the package-level event
-// functions behind Transmit; taking their state via *flight keeps the
-// per-frame hot path free of closure allocations.
-func flightStart(a any) {
-	f := a.(*flight)
-	f.to.signalStart(f.from, f.pkt, f.power, f.inRx)
+// arm queues the earliest unfired event of f under its reserved key, or
+// returns f to the pool when all 2k+1 have fired.
+func (f *fanout) arm() {
+	at, seq, step := f.done, f.doneSeq, stepTxDone
+	if f.txDone {
+		at, seq = math.MaxInt64, math.MaxUint64
+	}
+	if f.starts < len(f.rx) {
+		if e := &f.rx[f.starts]; e.at < at || (e.at == at && e.seq < seq) {
+			at, seq, step = e.at, e.seq, stepStart
+		}
+	}
+	if f.ends < len(f.rx) {
+		e := &f.rx[f.ends]
+		if ea := e.at + f.air; ea < at || (ea == at && e.seq+1 < seq) {
+			at, seq, step = ea, e.seq+1, stepEnd
+		}
+	}
+	if seq == math.MaxUint64 {
+		f.from.ch.putFanout(f)
+		return
+	}
+	f.step = step
+	f.from.ch.sim.AtSeq(at, seq, fanoutStep, f)
 }
 
-func flightEnd(a any) {
-	f := a.(*flight)
-	to, from, pkt := f.to, f.from, f.pkt
-	to.ch.putFlight(f)
-	to.signalEnd(from, pkt)
-}
-
-func flightTxDone(a any) {
-	f := a.(*flight)
-	r, pkt := f.to, f.pkt
-	r.ch.putFlight(f)
-	r.transmitting = false
-	r.mac.OnTxDone(pkt)
+// fanoutStep fires one signal event of a fanout. The cursor re-arms
+// before the callback runs, so its next key takes the fired event's slot
+// at the heap root (see sim's held-root rule).
+func fanoutStep(a any) {
+	f := a.(*fanout)
+	from, pkt := f.from, f.pkt
+	switch f.step {
+	case stepStart:
+		e := &f.rx[f.starts]
+		to, power, inRx := e.r, e.power, e.inRx
+		f.starts++
+		f.arm()
+		to.signalStart(from, pkt, power, inRx)
+	case stepEnd:
+		to := f.rx[f.ends].r
+		f.ends++
+		f.arm()
+		to.signalEnd(from, pkt)
+	default:
+		f.txDone = true
+		f.arm()
+		from.transmitting = false
+		from.mac.OnTxDone(pkt)
+	}
 }
 
 // ID returns the radio's channel index.
@@ -421,9 +483,10 @@ func (r *Radio) Stats() (sent, delivered, collided, chanError uint64) {
 
 // rebuildNeighbors recomputes the radio's neighbor cache from the
 // spatial grid: every other radio within CSRange, with its propagation
-// delay, received power and in-rx-range flag, sorted by radio ID. The
-// computed values are the exact same float expressions the per-frame
-// scan evaluated, so cached and uncached runs are bit-identical.
+// delay, received power and in-rx-range flag, sorted by radio ID, plus
+// the (delay, ID) order of those entries. The computed values are the
+// exact same float expressions the per-frame scan evaluated, so cached
+// and uncached runs are bit-identical.
 func (r *Radio) rebuildNeighbors() {
 	c := r.ch
 	r.nb = r.nb[:0]
@@ -449,7 +512,22 @@ func (r *Radio) rebuildNeighbors() {
 			}
 		}
 	}
-	sort.Slice(r.nb, func(i, j int) bool { return r.nb[i].r.id < r.nb[j].r.id })
+	slices.SortFunc(r.nb, func(a, b neighbor) int { return a.r.id - b.r.id })
+	r.byDelay = r.byDelay[:0]
+	for i := range r.nb {
+		r.byDelay = append(r.byDelay, int32(i))
+	}
+	// nb is in ID order, so comparing indices breaks delay ties by ID.
+	nb := r.nb
+	slices.SortFunc(r.byDelay, func(a, b int32) int {
+		if da, db := nb[a].delay, nb[b].delay; da != db {
+			if da < db {
+				return -1
+			}
+			return 1
+		}
+		return int(a - b)
+	})
 	r.nbEpoch = c.epoch
 }
 
@@ -465,35 +543,55 @@ func (r *Radio) Transmit(pkt *packet.Packet, airtime sim.Time) {
 	// Own transmission stomps any frame being received.
 	r.rxLive = false
 	c := r.ch
+	f := c.getFanout()
+	f.from, f.pkt, f.air = r, pkt, airtime
+	f.done = c.sim.Now() + airtime
 	if r.down {
 		// Crashed radio: complete the local transmit cycle so the MAC
-		// state machine stays consistent, but radiate nothing.
-		f := c.getFlight()
-		f.to, f.pkt = r, pkt
-		c.sim.ScheduleArg(airtime, flightTxDone, f)
-		return
+		// state machine stays consistent, but radiate nothing — a fanout
+		// with no receivers.
+		f.doneSeq = c.sim.Reserve(1)
+	} else {
+		r.fanOut(f)
 	}
+	f.arm()
+}
+
+// fanOut reserves the frame's 2k+1 sequence numbers and fills f.rx with
+// its k live receivers in (delay, ID) order. Crash and link/partition
+// state are read per frame — only geometry is trusted from the cache — so
+// fault injection mid-run behaves exactly as the uncached scan did; down
+// or muted receivers take no sequence numbers at all.
+func (r *Radio) fanOut(f *fanout) {
+	c := r.ch
 	if r.nbEpoch != c.epoch {
 		r.rebuildNeighbors()
 	}
-	// Crash and link/partition state are read per frame — only geometry
-	// is trusted from the cache — so fault injection mid-run behaves
-	// exactly as the uncached scan did.
+	if cap(c.rank) < len(r.nb) {
+		c.rank = make([]int32, len(r.nb))
+	}
+	rank := c.rank[:len(r.nb)]
 	faulty := c.blocked != nil || c.group != nil
+	live := 0
 	for i := range r.nb {
-		nb := &r.nb[i]
-		other := nb.r
+		other := r.nb[i].r
 		if other.down || (faulty && !c.linkOpen(r.id, other.id)) {
+			rank[i] = -1
 			continue
 		}
-		f := c.getFlight()
-		f.to, f.from, f.pkt, f.power, f.inRx = other, r, pkt, nb.power, nb.inRx
-		c.sim.ScheduleArg(nb.delay, flightStart, f)
-		c.sim.ScheduleArg(nb.delay+airtime, flightEnd, f)
+		rank[i] = int32(live)
+		live++
 	}
-	f := c.getFlight()
-	f.to, f.pkt = r, pkt
-	c.sim.ScheduleArg(airtime, flightTxDone, f)
+	s0 := c.sim.Reserve(2*live + 1)
+	f.doneSeq = s0 + 2*uint64(live)
+	now := c.sim.Now()
+	for _, i := range r.byDelay {
+		if rank[i] < 0 {
+			continue
+		}
+		nb := &r.nb[i]
+		f.rx = append(f.rx, fanRx{r: nb.r, at: now + nb.delay, seq: s0 + 2*uint64(rank[i]), power: nb.power, inRx: nb.inRx})
+	}
 }
 
 func (r *Radio) signalStart(from *Radio, pkt *packet.Packet, power float64, inRxRange bool) {

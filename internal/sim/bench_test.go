@@ -1,11 +1,15 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Engine microbenchmarks. These isolate the event-queue costs from the
 // full-run numbers in the repository root's BenchmarkScenario4HopChain:
-// steady-state schedule/fire churn, schedule-then-cancel churn (lazy
-// deletion + compaction), and the TCP-style rearm-per-ACK timer pattern.
+// steady-state schedule/fire churn, the hold model at two queue sizes,
+// schedule-then-cancel churn (lazy deletion + compaction), and the
+// TCP-style rearm-per-ACK timer pattern.
 // All report events/s so the CI benchmark gate (cmd/benchgate) can
 // compare them against BENCH_sim.json uniformly.
 
@@ -30,6 +34,37 @@ func BenchmarkEventChurn(b *testing.B) {
 	b.ResetTimer()
 	s.RunAll()
 	b.ReportMetric(float64(fired)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkHoldModel is the classic event-queue hold model: a fixed
+// population of pending events in which every fired event schedules one
+// successor a random 1-1000 us later. Each firing is the fused pop+push
+// the held root exists for; the two populations bracket the mean queue
+// lengths of the chain and 1000-node scenarios. An op is one event; the
+// pool is primed before the timer starts, so it allocates nothing.
+func BenchmarkHoldModel(b *testing.B) {
+	for _, pop := range []int{16, 128} {
+		b.Run(fmt.Sprintf("events=%d", pop), func(b *testing.B) {
+			s := New(1)
+			rng := s.Rand()
+			scheduled := 0
+			var hold func()
+			hold = func() {
+				if scheduled < b.N {
+					scheduled++
+					s.Schedule(Time(1+rng.Intn(1000))*Microsecond, hold)
+				}
+			}
+			for i := 0; i < pop && scheduled < b.N; i++ {
+				scheduled++
+				s.Schedule(Time(1+rng.Intn(1000))*Microsecond, hold)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			s.RunAll()
+			b.ReportMetric(float64(s.EventsExecuted())/b.Elapsed().Seconds(), "events/s")
+		})
+	}
 }
 
 // BenchmarkScheduleCancel measures the cancel-heavy pattern: every

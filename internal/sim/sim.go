@@ -14,6 +14,20 @@
 // of a fresh closure (ScheduleArg). Outstanding event handles are
 // generation-stamped EventRef values, so a handle kept past its event's
 // lifetime becomes inert instead of aliasing a recycled slot.
+//
+// A fired event stays at the heap root, held, while its callback runs.
+// The first event the callback schedules takes the root's slot with one
+// sift-down, so the common fire-then-rearm step costs one heap walk, not
+// a pop and a push. A callback that schedules nothing has its root popped
+// on return; every other queue operation (compaction, Timer.Reset of a
+// pending timer, Pending, QueueLen) releases the held root first. The
+// held root keeps the fired key, the minimum, so the heap stays valid
+// throughout.
+//
+// A caller that knows now which events it will need can Reserve a run of
+// sequence numbers and later enqueue each with AtSeq, one at a time. The
+// events keep the keys they would have had if all were scheduled at once,
+// but occupy one queue entry between them.
 package sim
 
 import (
@@ -121,6 +135,10 @@ type Simulator struct {
 	rng     *rand.Rand
 	stopped bool
 	events  uint64 // total events executed, for diagnostics
+	last    uint64 // seq of the event that fired last
+	// held is set while the fired event's slot still sits at heap[0]
+	// waiting for its callback to schedule into it (see release).
+	held bool
 
 	guard      func() error // cooperative interrupt hook, see SetGuard
 	guardEvery uint64
@@ -177,9 +195,53 @@ func (s *Simulator) ScheduleArg(delay Time, fn func(any), arg any) EventRef {
 	return s.insert(s.now+delay, nil, fn, arg)
 }
 
+// Reserve sets aside n consecutive sequence numbers and returns the
+// first. Each is later passed to AtSeq; a reserved number that is never
+// used leaves a gap in the (at, seq) order and changes nothing else.
+func (s *Simulator) Reserve(n int) uint64 {
+	first := s.seq
+	s.seq += uint64(n)
+	return first
+}
+
+// AtSeq runs fn(arg) at the absolute time at with a sequence number taken
+// from Reserve. The key (at, seq) must fall after the key of the event
+// that fired last; AtSeq panics on a key at or before it, or on a sequence
+// number that was never reserved. It returns no handle: a reserved-key
+// event cannot be cancelled.
+func (s *Simulator) AtSeq(at Time, seq uint64, fn func(any), arg any) {
+	if fn == nil {
+		panic("sim: nil event function")
+	}
+	if seq >= s.seq || at < s.now || (at == s.now && s.events > 0 && seq <= s.last) {
+		panic(fmt.Sprintf("sim: AtSeq key (%v, %d) is not after the fired key (%v, %d) or was not reserved",
+			at, seq, s.now, s.last))
+	}
+	if s.held {
+		s.held = false
+		e := s.heap[0]
+		e.at, e.seq, e.fn, e.argFn, e.arg = at, seq, nil, fn, arg
+		s.down(0)
+		return
+	}
+	e := s.alloc()
+	e.at, e.seq, e.argFn, e.arg = at, seq, fn, arg
+	s.heapPush(e)
+}
+
 func (s *Simulator) insert(at Time, fn func(), argFn func(any), arg any) EventRef {
 	if at < s.now {
 		at = s.now
+	}
+	if s.held {
+		// Fused pop+push: the first event a callback schedules takes the
+		// fired event's slot at the root.
+		s.held = false
+		e := s.heap[0]
+		e.at, e.seq, e.fn, e.argFn, e.arg = at, s.seq, fn, argFn, arg
+		s.seq++
+		s.down(0)
+		return EventRef{e: e, gen: e.gen}
 	}
 	e := s.alloc()
 	e.at = at
@@ -223,13 +285,34 @@ func (s *Simulator) recycle(e *event) {
 	s.free = append(s.free, e)
 }
 
+// release pops the held root, if any, onto the free list. Every queue
+// operation other than scheduling calls it first, so only insert and
+// AtSeq ever see a held root. It is small enough to inline; popHeld is
+// the rare slow half.
+func (s *Simulator) release() {
+	if s.held {
+		s.popHeld()
+	}
+}
+
+func (s *Simulator) popHeld() {
+	s.held = false
+	s.recycle(s.heapPopMin())
+}
+
 // noteCancelled tracks lazy deletions and compacts the heap once
 // cancelled events outnumber live ones, so long runs with heavy timer
 // churn cannot bloat the queue.
 func (s *Simulator) noteCancelled() {
 	s.dead++
-	if s.dead >= compactMin && s.dead*2 >= len(s.heap) {
-		s.compact()
+	if s.dead >= compactMin {
+		n := len(s.heap)
+		if s.held {
+			n-- // the held root has already fired
+		}
+		if s.dead*2 >= n {
+			s.compact()
+		}
 	}
 }
 
@@ -237,6 +320,7 @@ func (s *Simulator) noteCancelled() {
 // heap invariant in O(n). Relative order of live events is unchanged —
 // (at, seq) is a total order — so compaction never affects a run.
 func (s *Simulator) compact() {
+	s.release()
 	live := s.heap[:0]
 	for _, e := range s.heap {
 		if e.cancelled {
@@ -308,13 +392,15 @@ func (s *Simulator) RunAll() Time {
 }
 
 func (s *Simulator) drain(until Time) {
+	// A callback that panicked out of a previous drain left its root held.
+	s.release()
 	for len(s.heap) > 0 && !s.stopped && s.guardErr == nil {
 		e := s.heap[0]
 		if e.at > until {
 			return
 		}
-		s.heapPopMin()
 		if e.cancelled {
+			s.heapPopMin()
 			s.dead--
 			s.recycle(e)
 			continue
@@ -324,20 +410,24 @@ func (s *Simulator) drain(until Time) {
 			panic(fmt.Sprintf("sim: time went backwards: %v -> %v", s.now, e.at))
 		}
 		s.now = e.at
+		s.last = e.seq
 		s.events++
 		if s.hook != nil {
 			s.hook(e.at, e.seq)
 		}
-		// Recycle before invoking so the slot is immediately reusable by
-		// whatever the callback schedules; the callback itself was copied
-		// out first.
+		// Hold the fired slot at the root so the first event the callback
+		// schedules can take it with one sift-down, overwriting the stale
+		// callback copied out here. The generation bump retires every
+		// handle to the fired event.
 		fn, argFn, arg := e.fn, e.argFn, e.arg
-		s.recycle(e)
+		e.gen++
+		s.held = true
 		if argFn != nil {
 			argFn(arg)
 		} else {
 			fn()
 		}
+		s.release()
 		if s.guard != nil && s.events%s.guardEvery == 0 {
 			if err := s.guard(); err != nil {
 				s.guardErr = err
@@ -348,11 +438,17 @@ func (s *Simulator) drain(until Time) {
 }
 
 // Pending returns the number of live (not cancelled) queued events.
-func (s *Simulator) Pending() int { return len(s.heap) - s.dead }
+func (s *Simulator) Pending() int {
+	s.release()
+	return len(s.heap) - s.dead
+}
 
 // QueueLen returns the raw queue length including cancelled events that
 // are still awaiting lazy collection. Diagnostics only.
-func (s *Simulator) QueueLen() int { return len(s.heap) }
+func (s *Simulator) QueueLen() int {
+	s.release()
+	return len(s.heap)
+}
 
 // --- 4-ary indexed min-heap, ordered by (at, seq) ---
 //
@@ -454,6 +550,7 @@ func (s *Simulator) fix(i int) {
 // (at, seq) stream — and therefore every run — is bit-identical to the
 // cancel-and-reallocate implementation it replaces.
 func (s *Simulator) reschedule(e *event, at Time) {
+	s.release()
 	if at < s.now {
 		at = s.now
 	}

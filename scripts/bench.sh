@@ -7,6 +7,8 @@
 #   scripts/bench.sh -update    # run gated benchmarks, rewrite the baseline
 #   scripts/bench.sh -scaling   # run the multi-domain scaling benchmarks and
 #                               # print the parallel speedup curve
+#   scripts/bench.sh -gated     # print the gated -bench regex and exit; CI's
+#                               # regression gate reads it from here
 #
 # Run on an idle machine: events/s is wall-clock throughput. The
 # "history" section of BENCH_sim.json is preserved across -update; add
@@ -15,7 +17,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-GATED='^(BenchmarkScenario4HopChain|BenchmarkScenarioGrid|BenchmarkScenarioLargeRandom|BenchmarkScenario1000Node|BenchmarkEventChurn|BenchmarkScheduleCancel|BenchmarkTimerRearm|BenchmarkTransmitFanout|BenchmarkTransmitMobile|BenchmarkSenderPacing|BenchmarkDCFExchange)$'
+GATED='^(BenchmarkScenario4HopChain|BenchmarkScenarioGrid|BenchmarkScenarioLargeRandom|BenchmarkScenario1000Node|BenchmarkEventChurn|BenchmarkHoldModel|BenchmarkScheduleCancel|BenchmarkTimerRearm|BenchmarkTransmitFanout|BenchmarkTransmitMobile|BenchmarkSenderPacing|BenchmarkDCFExchange)$'
+if [ "${1:-}" = "-gated" ]; then
+    echo "$GATED"
+    exit 0
+fi
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
 
