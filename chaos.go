@@ -7,80 +7,6 @@ import (
 	"time"
 )
 
-// ChaosOptions configures a chaos sweep: Runs randomized scenarios are
-// generated from Seed (scenario i uses Seed+i) and executed, each with
-// its own topology, flow mix, optional mobility and background load,
-// and a randomized fault schedule. With Verify set, every scenario runs
-// twice and the two Results must match bit-for-bit — any divergence is
-// a determinism bug in the simulator itself.
-type ChaosOptions struct {
-	// Seed is the base scenario seed.
-	Seed int64
-	// Runs is how many scenarios to generate (default 10).
-	Runs int
-	// Duration is the simulated time per scenario (default 3s).
-	Duration time.Duration
-	// Verify re-runs each scenario and compares full Results (default
-	// off; the muzhasim -chaos mode turns it on).
-	Verify bool
-	// Sweep supervises the sweep: worker parallelism, per-run guards,
-	// and the resumable journal. The zero value runs serial and
-	// unguarded.
-	Sweep SweepOptions
-}
-
-// ChaosRun is one chaos scenario's outcome.
-type ChaosRun struct {
-	// Seed regenerates the scenario via ChaosScenario.
-	Seed int64
-	// Scenario is a short human-readable description.
-	Scenario string
-	// Result is the run's outcome; nil when Err is set.
-	Result *Result
-	// Err holds a run failure — recovered engine panics, guard aborts
-	// (deadline, event budget, livelock) and scenario-generation errors
-	// included. Classify(Err) names the failure class.
-	Err error
-	// NonDeterministic is set when Verify found the second run's Result
-	// differing from the first, or the automatic failure replay diverged
-	// from the first attempt.
-	NonDeterministic bool
-	// Coverage lists the Sometimes assertions the run reached (sorted).
-	// Historically the invariant report was only inspected on failure;
-	// surfacing it per run lets any caller — not just the
-	// coverage-guided loop — see which interesting states a sweep
-	// actually explored. Empty when the run produced no Result.
-	Coverage []string
-	// Resumed is set when the outcome came from the sweep journal
-	// instead of a fresh run.
-	Resumed bool
-}
-
-// Failed reports whether the scenario hit any chaos-failure condition:
-// an error (or panic), an Always-invariant violation, or
-// non-determinism.
-func (r ChaosRun) Failed() bool {
-	if r.Err != nil || r.NonDeterministic {
-		return true
-	}
-	return r.Result != nil && r.Result.InvariantViolations > 0
-}
-
-// FailureClass names the run's failure class — ClassPanic,
-// ClassLivelock, ClassEventBudget, ClassDeadline, ClassNonDeterministic,
-// ClassInvariant or ClassError — or "" for a healthy run.
-func (r ChaosRun) FailureClass() string {
-	switch {
-	case r.NonDeterministic:
-		return ClassNonDeterministic
-	case r.Err != nil:
-		return Classify(r.Err)
-	case r.Result != nil && r.Result.InvariantViolations > 0:
-		return ClassInvariant
-	}
-	return ""
-}
-
 // ChaosScenario deterministically generates one randomized scenario
 // from a seed: a topology (chain, cross, grid or random placement), one
 // to three TCP flows cycling through the variant set, optional DSR,
@@ -262,62 +188,4 @@ func ChaosScenario(seed int64, duration time.Duration) (Config, string, error) {
 		return Config{}, "", fmt.Errorf("muzha: chaos scenario seed %d invalid: %w", seed, err)
 	}
 	return cfg, desc.String(), nil
-}
-
-// chaosScenario is swappable in tests to exercise generation failures.
-var chaosScenario = ChaosScenario
-
-// ChaosSweep generates and executes opt.Runs chaos scenarios through
-// the supervised worker pool. It returns one ChaosRun per scenario;
-// inspect Failed or FailureClass on each. The sweep degrades gracefully
-// — a scenario that fails to generate, panics, livelocks or blows its
-// budget is recorded and the remaining seeds still run. The returned
-// error reports only harness-level problems (an unusable journal).
-func ChaosSweep(opt ChaosOptions) ([]ChaosRun, error) {
-	if opt.Runs <= 0 {
-		opt.Runs = 10
-	}
-	dur := opt.Duration
-	if dur < time.Second {
-		dur = 3 * time.Second // mirror ChaosScenario's default for stable journal keys
-	}
-
-	runs := make([]ChaosRun, opt.Runs)
-	var units []runUnit
-	var unitIdx []int // units[k] belongs to runs[unitIdx[k]]
-	for i := 0; i < opt.Runs; i++ {
-		seed := opt.Seed + int64(i)
-		runs[i] = ChaosRun{Seed: seed}
-		cfg, desc, err := chaosScenario(seed, dur)
-		if err != nil {
-			// A broken generator seed is one failed run, not a dead sweep.
-			runs[i].Err = err
-			continue
-		}
-		runs[i].Scenario = desc
-		units = append(units, runUnit{
-			Key: fmt.Sprintf("chaos/seed=%d/d=%s/verify=%t", seed, dur, opt.Verify),
-			Cfg: cfg,
-		})
-		unitIdx = append(unitIdx, i)
-	}
-
-	outs, err := runPool(units, opt.Sweep, opt.Verify)
-	if err != nil {
-		return runs, err
-	}
-	for k, o := range outs {
-		r := &runs[unitIdx[k]]
-		r.Result = o.Result
-		r.Resumed = o.Resumed
-		if o.Class == ClassNonDeterministic {
-			r.NonDeterministic = true
-		} else {
-			r.Err = o.Err
-		}
-		if o.Result != nil {
-			r.Coverage = o.Result.SometimesCoverage()
-		}
-	}
-	return runs, nil
 }

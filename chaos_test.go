@@ -123,27 +123,6 @@ func TestChaosScenarioGeneration(t *testing.T) {
 	}
 }
 
-// TestChaosSweepSmoke executes a short verified sweep — the same gate
-// the CI chaos step runs.
-func TestChaosSweepSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos sweep in -short mode")
-	}
-	results, err := ChaosSweep(ChaosOptions{Seed: 1, Runs: 5, Duration: 2 * time.Second, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 5 {
-		t.Fatalf("got %d results, want 5", len(results))
-	}
-	for _, r := range results {
-		if r.Failed() {
-			t.Errorf("seed %d (%s): err=%v nondet=%v result=%v",
-				r.Seed, r.Scenario, r.Err, r.NonDeterministic, r.Result)
-		}
-	}
-}
-
 // FuzzChaosScenario drives the whole simulator through
 // generator-produced scenarios: any panic, run error, or invariant
 // violation fails the fuzz target.

@@ -10,7 +10,6 @@
 //	muzhasim -exp modern                    # modernized comparison grid
 //	muzhasim -exp single -hops 4 -variants muzha -duration 30s
 //	muzhasim -exp single -hops 4 -variants muzha -set stack.packet_error_rate=0.02
-//	muzhasim -chaos -runs 20 -seed 7 -duration 3s
 //	muzhasim -chaos-cov -runs 40 -corpus corpus.jsonl -repro-dir repros
 //	muzhasim -scenario spec.json -out result.json
 //	muzhasim -scenario examples/scenarios/islands-1k.json -set duration_ms=5000 -run-workers 8
@@ -28,12 +27,11 @@
 // -deadline / -max-events bound each run's wall-clock time and event
 // count so one stuck scenario cannot hang a sweep.
 //
-// The -chaos mode generates randomized fault-injection scenarios, runs
-// each one twice, and exits nonzero on any failure. The -chaos-cov mode
-// replaces blind seed iteration with the coverage-guided loop: specs
-// are mutated from a persistent corpus (-corpus) toward unreached
-// Sometimes assertions, and failures are auto-shrunk to minimal
-// reproducers under -repro-dir.
+// The -chaos-cov mode runs the coverage-guided chaos loop: randomized
+// fault-injection specs are mutated from a persistent corpus (-corpus)
+// toward unreached Sometimes assertions, each spec runs twice to check
+// determinism, any failure exits nonzero, and failures are auto-shrunk
+// to minimal reproducers under -repro-dir.
 //
 // Every single run is a scenario spec (see EXPERIMENTS.md for the
 // format): -scenario loads one from a file, and -exp single makes one
@@ -131,7 +129,6 @@ const sweepFlags = "exp seed duration parallel run-workers resume deadline max-e
 var modeFlags = map[string]string{
 	"-scenario":       "scenario set shrink out run-workers deadline max-events",
 	"-chaos-cov":      "chaos-cov runs seed duration corpus repro-dir deadline max-events",
-	"-chaos":          "chaos runs seed duration parallel run-workers resume deadline max-events",
 	"-exp cwnd":       sweepFlags + "hops variants",
 	"-exp throughput": sweepFlags + "hops windows variants seeds",
 	"-exp fairness":   sweepFlags + "hops seeds",
@@ -164,13 +161,12 @@ func run(args []string, out io.Writer) error {
 		duration   = fs.Duration("duration", 0, "simulated time per run (default depends on experiment)")
 		seed       = fs.Int64("seed", 1, "base random seed")
 		seeds      = fs.Int("seeds", 3, "number of seeds to average (throughput/fairness)")
-		chaos      = fs.Bool("chaos", false, "run randomized fault-injection scenarios instead of an experiment")
-		chaosCov   = fs.Bool("chaos-cov", false, "run the coverage-guided chaos loop instead of blind -chaos iteration")
+		chaosCov   = fs.Bool("chaos-cov", false, "run the coverage-guided chaos loop instead of an experiment")
 		corpus     = fs.String("corpus", "", "chaos-corpus JSONL path (-chaos-cov): persists coverage and resumes on restart")
 		reproDir   = fs.String("repro-dir", "", "directory for shrunk repro-<class>.json files (-chaos-cov)")
 		scenPath   = fs.String("scenario", "", "run one declarative scenario spec file and verify its expect block")
 		shrink     = fs.Bool("shrink", false, "with -scenario: minimize a failing spec and write the reproducer to -out")
-		runs       = fs.Int("runs", 10, "number of chaos scenarios (-chaos / -chaos-cov)")
+		runs       = fs.Int("runs", 10, "number of chaos scenarios (-chaos-cov)")
 		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (per-run results are identical at any width)")
 		runWorkers = fs.Int("run-workers", 0, "interaction domains each run simulates at once (0 or 1 = one goroutine; output identical at any width)")
 		resume     = fs.String("resume", "", "JSONL journal path: record finished runs, skip them on restart")
@@ -192,8 +188,6 @@ func run(args []string, out io.Writer) error {
 		mode = "-scenario"
 	case *chaosCov:
 		mode = "-chaos-cov"
-	case *chaos:
-		mode = "-chaos"
 	}
 	reads, ok := modeFlags[mode]
 	if !ok {
@@ -261,9 +255,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *chaosCov {
 		return runChaosCov(out, *runs, *seed, *duration, *corpus, *reproDir, sw.Guards)
-	}
-	if *chaos {
-		return runChaos(out, *runs, *seed, *duration, sw)
 	}
 
 	vs, err := parseVariants(*variants)
@@ -453,45 +444,6 @@ func runDynamics(out io.Writer, vs []muzha.Variant, d time.Duration, seed int64,
 	return rerr
 }
 
-func runChaos(out io.Writer, runs int, seed int64, d time.Duration, sw muzha.SweepOptions) error {
-	results, err := muzha.ChaosSweep(muzha.ChaosOptions{
-		Seed:     seed,
-		Runs:     runs,
-		Duration: orDefault(d, 3*time.Second),
-		Verify:   true,
-		Sweep:    sw,
-	})
-	if err != nil {
-		return err
-	}
-	counts := make(map[string]int)
-	resumed, failed := 0, 0
-	for _, r := range results {
-		if r.Resumed {
-			resumed++
-		}
-		cls := r.FailureClass()
-		if cls != "" {
-			counts[cls]++
-			failed++
-		}
-		label := fmt.Sprintf("seed=%d %s", r.Seed, r.Scenario)
-		if r.Resumed {
-			label = fmt.Sprintf("seed=%d (resumed) %s", r.Seed, r.Scenario)
-		}
-		report(out, label, r.Result, cls, r.Err)
-	}
-	if failed > 0 {
-		return &exitError{
-			code: worstExitCode(counts),
-			err:  fmt.Errorf("chaos: %d of %d scenarios failed %v", failed, len(results), counts),
-		}
-	}
-	fmt.Fprintf(out, "chaos: all %d scenarios passed, resumed=%d (deterministic, zero invariant violations)\n",
-		len(results), resumed)
-	return nil
-}
-
 // report prints one run's outcome line: ok with its headline numbers,
 // or FAIL with its failure class and cause.
 func report(out io.Writer, label string, res *muzha.Result, class string, err error) {
@@ -500,10 +452,8 @@ func report(out io.Writer, label string, res *muzha.Result, class string, err er
 		fmt.Fprintf(out, "ok   %s: jain=%.3f events=%d faults=%+v\n", label, res.JainIndex, res.Events, res.Faults)
 	case err != nil:
 		fmt.Fprintf(out, "FAIL %s [%s]: %v\n", label, class, err)
-	case class == muzha.ClassInvariant:
+	default: // an invariant failure: the run completed
 		fmt.Fprintf(out, "FAIL %s [%s]: %d invariant violations\n%s", label, class, res.InvariantViolations, res.InvariantReport())
-	default:
-		fmt.Fprintf(out, "FAIL %s [%s]: results differ between identical runs\n", label, class)
 	}
 }
 
@@ -533,7 +483,7 @@ func (r runner) run(spec scenario.Spec) (res *muzha.Result, raw json.RawMessage,
 	} else if res, err = muzha.Run(cfg); err == nil {
 		raw, err = jobs.EncodeResult(res)
 	}
-	return res, raw, muzha.ChaosRun{Result: res, Err: err}.FailureClass(), err
+	return res, raw, muzha.ClassifyRun(res, err), err
 }
 
 // verdict checks one run against its spec's expect block. A miss names
@@ -607,10 +557,10 @@ func runScenario(out io.Writer, path string, sets []string, shrink bool, outPath
 	return nil
 }
 
-// runChaosCov drives the coverage-guided chaos loop. Like -chaos, any
-// scenario failure exits nonzero with the worst class's code — but the
-// corpus, coverage history and shrunk reproducers are flushed first,
-// so a red run leaves everything needed to triage it.
+// runChaosCov drives the coverage-guided chaos loop. Any scenario
+// failure exits nonzero with the worst class's code, but only after the
+// corpus, coverage history and shrunk reproducers are flushed, so a red
+// run leaves everything needed to triage it.
 func runChaosCov(out io.Writer, runs int, seed int64, d time.Duration, corpus, reproDir string, guards muzha.RunGuards) error {
 	rep, err := chaoscov.Loop(chaoscov.Options{
 		Seed:       seed,

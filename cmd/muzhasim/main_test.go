@@ -121,8 +121,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{[]string{"-exp", "single", "-hops", "2", "-duration", "1500us"}, "whole milliseconds"},
 		{[]string{"-exp", "fairness", "-variants", "muzha"}, "-variants does not apply to -exp fairness"},
 		{[]string{"-exp", "single", "-parallel", "2"}, "-parallel does not apply to -exp single"},
-		{[]string{"-chaos", "-shrink"}, "-shrink does not apply to -chaos"},
-		{[]string{"-chaos-cov", "-chaos"}, "-chaos does not apply to -chaos-cov"},
+		{[]string{"-chaos-cov", "-shrink"}, "-shrink does not apply to -chaos-cov"},
+		{[]string{"-chaos-cov", "-resume", "j.jsonl"}, "-resume does not apply to -chaos-cov"},
+		{[]string{"-chaos"}, "flag provided but not defined: -chaos"},
 	} {
 		err := run(tt.args, &sb)
 		if err == nil || !strings.Contains(err.Error(), tt.want) {
@@ -280,7 +281,7 @@ func TestParseVariants(t *testing.T) {
 
 func TestChaosGuardFailureExitCode(t *testing.T) {
 	var sb strings.Builder
-	err := run([]string{"-chaos", "-runs", "2", "-duration", "1s", "-max-events", "500"}, &sb)
+	err := run([]string{"-chaos-cov", "-runs", "2", "-duration", "1s", "-max-events", "500"}, &sb)
 	if err == nil {
 		t.Fatal("event-budget blowout passed")
 	}
@@ -288,32 +289,92 @@ func TestChaosGuardFailureExitCode(t *testing.T) {
 	if !errors.As(err, &ee) || ee.code != exitGuard {
 		t.Fatalf("err = %v (%T), want exitError code %d", err, err, exitGuard)
 	}
-	if !strings.Contains(sb.String(), "[event-budget]") {
+	if !strings.Contains(sb.String(), "FAILED class=event-budget") {
 		t.Fatalf("failure class missing from report:\n%s", sb.String())
 	}
 }
 
 func TestChaosDeadlineExitCode(t *testing.T) {
 	var sb strings.Builder
-	err := run([]string{"-chaos", "-runs", "1", "-duration", "1s", "-deadline", "1ns"}, &sb)
+	err := run([]string{"-chaos-cov", "-runs", "1", "-duration", "1s", "-deadline", "1ns"}, &sb)
 	var ee *exitError
 	if !errors.As(err, &ee) || ee.code != exitGuard {
 		t.Fatalf("err = %v, want exitError code %d", err, exitGuard)
 	}
 }
 
+// TestChaosResumeSkipsCompletedRuns: a second -chaos-cov loop on the
+// same corpus starts from every entry the first one recorded.
 func TestChaosResumeSkipsCompletedRuns(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "chaos.jsonl")
+	corpus := filepath.Join(t.TempDir(), "corpus.jsonl")
 	var first strings.Builder
-	if err := run([]string{"-chaos", "-runs", "2", "-seed", "1", "-duration", "1s", "-resume", journal}, &first); err != nil {
-		t.Fatalf("first sweep: %v\n%s", err, first.String())
+	if err := run([]string{"-chaos-cov", "-runs", "2", "-seed", "1", "-duration", "1s", "-corpus", corpus}, &first); err != nil {
+		t.Fatalf("first loop: %v\n%s", err, first.String())
+	}
+	m := regexp.MustCompile(`(\d+) corpus entries`).FindStringSubmatch(first.String())
+	if m == nil || m[1] == "0" {
+		t.Fatalf("first loop recorded no corpus entries:\n%s", first.String())
 	}
 	var second strings.Builder
-	if err := run([]string{"-chaos", "-runs", "4", "-seed", "1", "-duration", "1s", "-resume", journal}, &second); err != nil {
-		t.Fatalf("resumed sweep: %v\n%s", err, second.String())
+	if err := run([]string{"-chaos-cov", "-runs", "2", "-seed", "2", "-duration", "1s", "-corpus", corpus}, &second); err != nil {
+		t.Fatalf("resumed loop: %v\n%s", err, second.String())
 	}
-	if !strings.Contains(second.String(), "resumed=2") {
-		t.Fatalf("completed seeds not resumed:\n%s", second.String())
+	if want := "resumed corpus: " + m[1] + " entries"; !strings.Contains(second.String(), want) {
+		t.Fatalf("corpus not resumed, want %q:\n%s", want, second.String())
+	}
+}
+
+// TestExpResumeMatchesUnjournaled: an -exp sweep grown from one hop
+// count to two against the same journal runs only the new cells, and
+// its CSV matches an unjournaled sweep of both.
+func TestExpResumeMatchesUnjournaled(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "exp.jsonl")
+	args := func(hops string, extra ...string) []string {
+		return append([]string{"-exp", "throughput", "-windows", "4", "-variants", "newreno,muzha",
+			"-seeds", "2", "-duration", "2s", "-hops", hops}, extra...)
+	}
+	lines := func() int {
+		b, err := os.ReadFile(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(string(b), "\n")
+	}
+	var sb strings.Builder
+	if err := run(args("2", "-resume", journal), &sb); err != nil {
+		t.Fatal(err)
+	}
+	if n := lines(); n != 4 {
+		t.Fatalf("journal holds %d runs after -hops 2, want 4", n)
+	}
+	var resumed, fresh strings.Builder
+	if err := run(args("2,3", "-resume", journal), &resumed); err != nil {
+		t.Fatal(err)
+	}
+	if n := lines(); n != 8 {
+		t.Fatalf("journal holds %d runs after -hops 2,3, want 8", n)
+	}
+	if err := run(args("2,3"), &fresh); err != nil {
+		t.Fatal(err)
+	}
+	if resumed.String() != fresh.String() {
+		t.Fatalf("resumed CSV differs from an unjournaled sweep:\n%s\nvs\n%s", resumed.String(), fresh.String())
+	}
+}
+
+func TestWorstExitCode(t *testing.T) {
+	for class, want := range map[string]int{
+		muzha.ClassPanic:            exitPanic,
+		muzha.ClassLivelock:         exitGuard,
+		muzha.ClassEventBudget:      exitGuard,
+		muzha.ClassDeadline:         exitGuard,
+		muzha.ClassNonDeterministic: exitNonDet,
+		muzha.ClassInvariant:        exitInvariant,
+		muzha.ClassError:            exitGeneric,
+	} {
+		if got := worstExitCode(map[string]int{class: 1}); got != want {
+			t.Errorf("worstExitCode(%s) = %d, want %d", class, got, want)
+		}
 	}
 }
 

@@ -56,8 +56,8 @@ func TestOutAndRemoteRequireSingle(t *testing.T) {
 	if err := run([]string{"-exp", "cwnd", "-out", "x.json"}, &sb); err == nil {
 		t.Fatal("-out accepted outside -exp single")
 	}
-	if err := run([]string{"-chaos", "-remote", "localhost:1"}, &sb); err == nil {
-		t.Fatal("-remote accepted with -chaos")
+	if err := run([]string{"-chaos-cov", "-remote", "localhost:1"}, &sb); err == nil {
+		t.Fatal("-remote accepted with -chaos-cov")
 	}
 }
 

@@ -26,8 +26,8 @@ var (
 	ErrCanceled = harness.ErrCanceled
 )
 
-// Failure-class names, as reported by Classify, ChaosRun.FailureClass
-// and SweepError.Counts. The empty string means success.
+// Failure-class names, as reported by Classify, ClassifyRun and
+// SweepError.Counts. The empty string means success.
 const (
 	ClassPanic            = string(harness.ClassPanic)
 	ClassLivelock         = string(harness.ClassLivelock)
@@ -43,3 +43,16 @@ const (
 // "panic", "livelock", "event-budget", "deadline", "nondeterministic",
 // "invariant", "error" for unclassified failures, or "" for nil.
 func Classify(err error) string { return string(harness.Classify(err)) }
+
+// ClassifyRun names one run's failure class from Run's return values:
+// Classify(err) when the run failed, ClassInvariant when it completed
+// with an Always assertion violated, or "" for a healthy run.
+func ClassifyRun(res *Result, err error) string {
+	switch {
+	case err != nil:
+		return Classify(err)
+	case res != nil && res.InvariantViolations > 0:
+		return ClassInvariant
+	}
+	return ""
+}

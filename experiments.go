@@ -83,7 +83,7 @@ func ThroughputVsHops(sweep ChainSweepConfig) ([]ChainRow, error) {
 			}
 		}
 	}
-	outs, err := runPool(units, sweep.Sweep, false)
+	outs, err := runPool(units, sweep.Sweep)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +147,7 @@ func CwndTraces(hops []int, variants []Variant, duration time.Duration, seed int
 			})
 		}
 	}
-	outs, err := runPool(units, sweepOpt(opts), false)
+	outs, err := runPool(units, sweepOpt(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +228,7 @@ func CoexistenceFairness(hops []int, pairs [][2]Variant, duration time.Duration,
 			}
 		}
 	}
-	outs, err := runPool(units, sweepOpt(opts), false)
+	outs, err := runPool(units, sweepOpt(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +293,7 @@ func ThroughputDynamics(variants []Variant, duration time.Duration, bin time.Dur
 			Cfg: cfg,
 		})
 	}
-	outs, err := runPool(units, sweepOpt(opts), false)
+	outs, err := runPool(units, sweepOpt(opts))
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"time"
 
 	"muzha"
@@ -17,8 +19,9 @@ type Options struct {
 	// Seed drives scenario generation and mutation choices; the same
 	// seed (with the same corpus starting state) replays the same loop.
 	Seed int64
-	// Runs is the simulation budget (default 20). Shrinking spends
-	// additional runs outside this budget.
+	// Runs is the spec budget (default 20); each spec simulates twice
+	// for the determinism replay. Shrinking spends additional runs
+	// outside this budget.
 	Runs int
 	// Duration is the simulated time per scenario (default 3s).
 	Duration time.Duration
@@ -45,7 +48,7 @@ type Options struct {
 
 // Report summarizes a finished loop.
 type Report struct {
-	// Runs is the number of budget simulations executed.
+	// Runs is the number of budget specs executed.
 	Runs int `json:"runs"`
 	// Coverage lists the distinct Sometimes assertions reached across
 	// the whole corpus (including resumed state), sorted.
@@ -70,10 +73,11 @@ type Report struct {
 const freshEvery = 5
 
 // Loop runs the coverage-guided chaos loop: generate or mutate a
-// scenario spec, run it, record its Sometimes-assertion and
+// scenario spec, run it twice, record its Sometimes-assertion and
 // failure-class coverage in the corpus, and steer the next mutation —
 // preferring parents that recently expanded coverage and directing
 // mutations toward registered assertions nothing has reached yet.
+// A spec whose two runs disagree fails as ClassNonDeterministic.
 // Failures are shrunk to minimal reproducers as they appear.
 //
 // The loop is sequential by design (each run's coverage steers the
@@ -119,7 +123,7 @@ func Loop(opt Options) (Report, error) {
 			spec, parent, how = freshSpec(rng, durMs), -1, "fresh(fallback)"
 		}
 
-		res, class, runErr := RunSpec(spec, opt.Guards)
+		res, class, runErr := runTwice(spec, opt.Guards)
 		rep.Runs++
 		var coverage []string
 		if res != nil {
@@ -141,7 +145,7 @@ func Loop(opt Options) (Report, error) {
 
 		if class != "" {
 			rep.Failures++
-			logf("run %d [%s]: FAILED class=%s err=%v", i, how, class, runErr)
+			logf("run %d [%s]: FAILED class=%s %s", i, how, class, failureCause(res, runErr))
 			if !opt.NoShrink && added && isNew(entry, classElement(class)) {
 				path, serr := shrinkAndWrite(spec, class, opt, logf)
 				if serr != nil {
@@ -198,6 +202,50 @@ func nextSpec(rng *rand.Rand, corpus *Corpus, i int, durMs int64) (scenario.Spec
 		return mutateToward(rng, parent, target), id, fmt.Sprintf("directed:%s<-%d", target, id)
 	}
 	return mutate(rng, parent), id, fmt.Sprintf("mutate<-%d", id)
+}
+
+// runSpec executes one spec; tests swap it to inject divergence.
+var runSpec = RunSpec
+
+// runTwice executes spec twice and returns the first run's outcome.
+// When the replay's failure class differs, or the two runs completed
+// with Results that are not reflect.DeepEqual, the outcome is
+// ClassNonDeterministic wrapping muzha.ErrNonDeterministic: the
+// simulator broke its same-Config-same-Result guarantee. A wall-clock
+// deadline abort depends on host load, not on the model, so it is
+// reported as such instead of as a divergence.
+func runTwice(spec scenario.Spec, guards muzha.RunGuards) (*muzha.Result, string, error) {
+	res, class, err := runSpec(spec, guards)
+	if class == muzha.ClassDeadline {
+		return res, class, err
+	}
+	again, againClass, againErr := runSpec(spec, guards)
+	switch {
+	case againClass == muzha.ClassDeadline:
+		return again, againClass, againErr
+	case againClass != class:
+		return res, muzha.ClassNonDeterministic, fmt.Errorf("chaoscov: %s: %w: failure class %q, then %q on replay",
+			spec.Summary(), muzha.ErrNonDeterministic, class, againClass)
+	case err == nil && !reflect.DeepEqual(res, again):
+		return res, muzha.ClassNonDeterministic, fmt.Errorf("chaoscov: %s: %w: results differ between identical runs",
+			spec.Summary(), muzha.ErrNonDeterministic)
+	}
+	return res, class, err
+}
+
+// failureCause says why a run failed: the violated Always assertions
+// of an invariant failure, otherwise the run's error.
+func failureCause(res *muzha.Result, err error) string {
+	if err != nil || res == nil {
+		return fmt.Sprintf("err=%v", err)
+	}
+	var violated []string
+	for _, iv := range res.Invariants {
+		if iv.Violations > 0 {
+			violated = append(violated, fmt.Sprintf("%s(x%d)", iv.Name, iv.Violations))
+		}
+	}
+	return "violated=" + strings.Join(violated, ",")
 }
 
 func isNew(e Entry, element string) bool {

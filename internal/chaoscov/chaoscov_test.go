@@ -1,8 +1,11 @@
 package chaoscov
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -232,64 +235,125 @@ func TestShrinkReturnsNondeterministicUnshrunk(t *testing.T) {
 
 // TestGuidedBeatsBlindAtEqualBudget is the guidance acceptance test:
 // with the same run budget and deterministic seeds, the coverage-guided
-// loop must reach strictly more distinct Sometimes assertions than
-// blind ChaosSweep iteration.
+// loop must reach a strict superset of the distinct Sometimes
+// assertions that blind iteration over muzha.ChaosScenario seeds
+// reaches, on every seed tried.
 func TestGuidedBeatsBlindAtEqualBudget(t *testing.T) {
 	const budget = 12
 	const dur = 2 * time.Second
 
-	blindRuns, err := muzha.ChaosSweep(muzha.ChaosOptions{
-		Seed:     3,
-		Runs:     budget,
-		Duration: dur,
-		Sweep:    muzha.SweepOptions{Parallel: 1, Guards: loopGuards},
-	})
+	for seed := int64(1); seed <= 5; seed++ {
+		blind := make(map[string]bool)
+		for i := int64(0); i < budget; i++ {
+			cfg, _, err := muzha.ChaosScenario(seed+i, dur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Guards = loopGuards
+			res, err := muzha.Run(cfg)
+			if err != nil {
+				t.Fatalf("blind seed %d: %v", seed+i, err)
+			}
+			for _, name := range res.SometimesCoverage() {
+				blind[name] = true
+			}
+		}
+
+		rep, err := Loop(Options{
+			Seed:     seed,
+			Runs:     budget,
+			Duration: dur,
+			Guards:   loopGuards,
+			NoShrink: true,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: guided loop: %v", seed, err)
+		}
+		guided := make(map[string]bool)
+		for _, name := range rep.Coverage {
+			guided[name] = true
+		}
+		for name := range blind {
+			if !guided[name] {
+				t.Errorf("seed %d: blind iteration reached %s, the guided loop did not", seed, name)
+			}
+		}
+		if len(guided) <= len(blind) {
+			t.Errorf("seed %d: guided coverage (%d: %v) not strictly above blind (%d: %v) at %d runs",
+				seed, len(guided), rep.Coverage, len(blind), keys(blind), budget)
+		}
+		// The structural reason guidance wins: blind generation never
+		// bounds a transfer, so flow-finished is unreachable for it by
+		// construction.
+		if blind["flow-finished"] {
+			t.Errorf("seed %d: blind chaos reached flow-finished; the directed-mutation premise is stale", seed)
+		}
+		// Seed 3 pins that directed mutation reaches that target; at this
+		// budget seeds 2-5 reach it, and seed 1 gains queue-overflow only.
+		if seed == 3 && !guided["flow-finished"] {
+			t.Errorf("seed %d: guided loop missed its directed target flow-finished", seed)
+		}
+		// Cumulative coverage history must be monotonically non-decreasing.
+		for i := 1; i < len(rep.History); i++ {
+			if rep.History[i] < rep.History[i-1] {
+				t.Fatalf("seed %d: coverage history decreased at run %d: %v", seed, i, rep.History)
+			}
+		}
+		var extra []string
+		for _, name := range rep.Coverage {
+			if !blind[name] {
+				extra = append(extra, name)
+			}
+		}
+		t.Logf("seed %d: blind %d, guided %d assertions; guided only: %v", seed, len(blind), len(guided), extra)
+	}
+}
+
+// TestLoopFlagsDivergentReplay swaps in a run function whose replay
+// returns a different Result: the loop must fail the run as
+// nondeterministic, the class muzhasim exits 3 for.
+func TestLoopFlagsDivergentReplay(t *testing.T) {
+	orig := runSpec
+	defer func() { runSpec = orig }()
+	calls := 0
+	runSpec = func(s scenario.Spec, g muzha.RunGuards) (*muzha.Result, string, error) {
+		res, class, err := orig(s, g)
+		if calls++; calls%2 == 0 && res != nil {
+			res.Events++
+		}
+		return res, class, err
+	}
+
+	var lines []string
+	rep, err := Loop(Options{Seed: 3, Runs: 1, Duration: time.Second, Guards: loopGuards, NoShrink: true,
+		Logf: func(f string, a ...any) { lines = append(lines, fmt.Sprintf(f, a...)) }})
 	if err != nil {
-		t.Fatalf("blind sweep: %v", err)
+		t.Fatal(err)
 	}
-	blind := make(map[string]bool)
-	for _, r := range blindRuns {
-		for _, name := range r.Coverage {
-			blind[name] = true
-		}
+	if calls != 2 {
+		t.Fatalf("loop ran the spec %d times, want 2", calls)
 	}
+	if rep.Failures != 1 || len(rep.Classes) != 1 || rep.Classes[0] != muzha.ClassNonDeterministic {
+		t.Fatalf("failures=%d classes=%v, want one %s failure", rep.Failures, rep.Classes, muzha.ClassNonDeterministic)
+	}
+	if !slices.ContainsFunc(lines, func(l string) bool { return strings.Contains(l, "results differ between identical runs") }) {
+		t.Fatalf("divergence cause missing from the log:\n%s", strings.Join(lines, "\n"))
+	}
+}
 
-	rep, err := Loop(Options{
-		Seed:     3,
-		Runs:     budget,
-		Duration: dur,
-		Guards:   loopGuards,
-		NoShrink: true,
-		Logf:     t.Logf,
-	})
+// TestLoopNamesViolatedInvariants: an invariant failure's log line
+// names the violated Always assertions, not a nil error.
+func TestLoopNamesViolatedInvariants(t *testing.T) {
+	spec, err := scenario.Load(filepath.Join("testdata", "snduna-past-sndnxt.json"))
 	if err != nil {
-		t.Fatalf("guided loop: %v", err)
+		t.Fatal(err)
 	}
-
-	if len(rep.Coverage) <= len(blind) {
-		t.Fatalf("guided coverage (%d: %v) not strictly above blind (%d: %v) at %d runs",
-			len(rep.Coverage), rep.Coverage, len(blind), keys(blind), budget)
+	res, class, runErr := runTwice(spec, loopGuards)
+	if class != muzha.ClassInvariant {
+		t.Fatalf("class = %q (err %v), want %s", class, runErr, muzha.ClassInvariant)
 	}
-	// The structural reason guidance wins: blind generation never bounds
-	// a transfer, so flow-finished is unreachable for it by construction.
-	if blind["flow-finished"] {
-		t.Fatal("blind chaos reached flow-finished; the directed-mutation premise is stale")
-	}
-	found := false
-	for _, name := range rep.Coverage {
-		if name == "flow-finished" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("guided loop missed its directed target flow-finished")
-	}
-
-	// Cumulative coverage history must be monotonically non-decreasing.
-	for i := 1; i < len(rep.History); i++ {
-		if rep.History[i] < rep.History[i-1] {
-			t.Fatalf("coverage history decreased at run %d: %v", i, rep.History)
-		}
+	if got := failureCause(res, runErr); !strings.HasPrefix(got, "violated=tcp-snduna-monotone(x") {
+		t.Fatalf("failure cause = %q, want the violated assertion", got)
 	}
 }
 

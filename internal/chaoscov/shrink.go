@@ -7,20 +7,6 @@ import (
 	"muzha/internal/scenario"
 )
 
-// classify derives the failure class for one executed spec: the
-// error's class when the run failed, ClassInvariant when an Always
-// assertion was violated, "" for a healthy run. Mirrors
-// muzha.ChaosRun.FailureClass.
-func classify(res *muzha.Result, err error) string {
-	switch {
-	case err != nil:
-		return muzha.Classify(err)
-	case res != nil && res.InvariantViolations > 0:
-		return string(muzha.ClassInvariant)
-	}
-	return ""
-}
-
 // RunSpec executes one spec. When the spec carries no Guards block the
 // fallback guards bound the run, so a shrink candidate that livelocks
 // cannot hang the shrinker.
@@ -33,7 +19,7 @@ func RunSpec(s scenario.Spec, fallback muzha.RunGuards) (*muzha.Result, string, 
 		cfg.Guards = fallback
 	}
 	res, err := muzha.Run(cfg)
-	return res, classify(res, err), err
+	return res, muzha.ClassifyRun(res, err), err
 }
 
 // ShrinkResult reports one shrink session.

@@ -19,10 +19,13 @@ import (
 // draws. The model is independent of this package's code: it sees only
 // the contention window, the slot time and the airtime of each exchange.
 
-// saturatedUpper always has another data frame for dst.
+// saturatedUpper always has another data frame for dst. uids is the
+// station's run-local UID source: the subtests run in parallel, so they
+// must not share the package-level uidGen.
 type saturatedUpper struct {
 	dst       packet.NodeID
 	size      int
+	uids      *packet.IDGen
 	delivered int
 }
 
@@ -30,7 +33,7 @@ func (u *saturatedUpper) OnMACReceive(*packet.Packet) { u.delivered++ }
 func (u *saturatedUpper) OnTxSuccess(*packet.Packet)  {}
 func (u *saturatedUpper) OnTxFail(*packet.Packet)     {}
 func (u *saturatedUpper) NextFrame() *packet.Packet {
-	return &packet.Packet{UID: uidGen.Next(), Kind: packet.KindData, Size: u.size, MACDst: u.dst}
+	return &packet.Packet{UID: u.uids.Next(), Kind: packet.KindData, Size: u.size, MACDst: u.dst}
 }
 
 // bianchiTau solves Bianchi's fixed point for the per-slot transmission
@@ -110,12 +113,13 @@ func TestBianchiSaturationThroughput(t *testing.T) {
 				holder.m = d
 				return d
 			}
+			var uids packet.IDGen
 			sink := &saturatedUpper{}
 			newDCF(0, topo.Position{}, sink)
 			for i := 1; i <= n; i++ {
 				a := 2 * math.Pi * float64(i) / float64(n)
 				d := newDCF(i, topo.Position{X: radius * math.Cos(a), Y: radius * math.Sin(a)},
-					&saturatedUpper{dst: 0, size: size})
+					&saturatedUpper{dst: 0, size: size, uids: &uids})
 				d.Kick()
 			}
 			s.Run(duration)

@@ -556,7 +556,7 @@ func (s Spec) topology() (muzha.Topology, error) {
 }
 
 // Summary renders a short human-readable description of the scenario,
-// in the style of ChaosSweep's scenario strings.
+// in the style of muzha.ChaosScenario's description strings.
 func (s Spec) Summary() string {
 	var b strings.Builder
 	switch s.Topology.Kind {
@@ -612,7 +612,7 @@ func (s Spec) Summary() string {
 
 // CheckExpect verifies a run outcome against the spec's expectations.
 // class is the run's failure class ("" for a healthy run, see
-// muzha.ChaosRun.FailureClass); res may be nil when the run produced
+// muzha.ClassifyRun); res may be nil when the run produced
 // no Result (guard abort, panic). It returns nil when every
 // expectation held.
 func CheckExpect(s Spec, res *muzha.Result, class string) error {

@@ -178,7 +178,7 @@ func ModernComparisonGrid(grid ModernGridConfig) ([]ModernGridRow, error) {
 		}
 	}
 
-	outs, err := runPool(units, grid.Sweep, false)
+	outs, err := runPool(units, grid.Sweep)
 	if err != nil {
 		return nil, err
 	}

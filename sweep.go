@@ -3,7 +3,6 @@ package muzha
 import (
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"strings"
 
 	"muzha/internal/harness"
@@ -102,11 +101,10 @@ type runOutcome struct {
 
 // runPool executes the units on the supervised worker pool: panics are
 // contained, failures replayed once to classify deterministic versus
-// divergent, outcomes journaled and resumed. With verify set, each run
-// executes twice and any Result divergence is ErrNonDeterministic. The
-// returned error is only for harness plumbing (an unopenable or
-// unwritable journal); per-run failures live in the outcomes.
-func runPool(units []runUnit, opt SweepOptions, verify bool) ([]runOutcome, error) {
+// divergent, outcomes journaled and resumed. The returned error is only
+// for harness plumbing (an unopenable or unwritable journal); per-run
+// failures live in the outcomes.
+func runPool(units []runUnit, opt SweepOptions) ([]runOutcome, error) {
 	var journal *harness.Journal
 	if opt.Journal != "" {
 		j, err := harness.OpenJournal(opt.Journal)
@@ -129,16 +127,6 @@ func runPool(units []runUnit, opt SweepOptions, verify bool) ([]runOutcome, erro
 			res, err := Run(cfg)
 			if err != nil {
 				return nil, err
-			}
-			if verify {
-				again, err := Run(cfg)
-				if err != nil {
-					return nil, fmt.Errorf("muzha: verify replay seed %d: %w", cfg.Seed, err)
-				}
-				if !reflect.DeepEqual(res, again) {
-					return nil, fmt.Errorf("muzha: seed %d: %w: results differ between identical runs",
-						cfg.Seed, harness.ErrNonDeterministic)
-				}
 			}
 			return res, nil
 		}}

@@ -137,20 +137,33 @@ func TestSweepClassifiesLivelockBudgetAndPanic(t *testing.T) {
 	}
 }
 
+// chaosUnits builds sweep units for ChaosScenario seeds 1..n, the
+// randomized fault worlds the chaos sweep tests run on the pool.
+func chaosUnits(t *testing.T, n int) []runUnit {
+	t.Helper()
+	var us []runUnit
+	for seed := int64(1); seed <= int64(n); seed++ {
+		cfg, _, err := ChaosScenario(seed, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		us = append(us, runUnit{Key: fmt.Sprintf("chaos/seed=%d", seed), Cfg: cfg})
+	}
+	return us
+}
+
 // TestChaosSweepParallelMatchesSerial is the acceptance determinism
-// gate: per-run Results from a parallel sweep must be
-// reflect.DeepEqual to the serial sweep's.
+// gate: per-run outcomes from a parallel sweep of ChaosScenario seeds
+// must be reflect.DeepEqual to the serial sweep's.
 func TestChaosSweepParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep in -short mode")
 	}
-	opt := ChaosOptions{Seed: 1, Runs: 6, Duration: time.Second}
-	serial, err := ChaosSweep(opt)
+	serial, err := runPool(chaosUnits(t, 6), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Sweep.Parallel = 4
-	parallel, err := ChaosSweep(opt)
+	parallel, err := runPool(chaosUnits(t, 6), SweepOptions{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,85 +171,46 @@ func TestChaosSweepParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("run counts differ: %d vs %d", len(serial), len(parallel))
 	}
 	for i := range serial {
-		if serial[i].Scenario != parallel[i].Scenario {
-			t.Fatalf("run %d scenarios differ: %q vs %q", i, serial[i].Scenario, parallel[i].Scenario)
+		if serial[i].Err != nil {
+			t.Fatalf("seed %d failed serially: %v", i+1, serial[i].Err)
 		}
-		if !reflect.DeepEqual(serial[i].Result, parallel[i].Result) {
-			t.Fatalf("run %d (seed %d) Results differ between serial and parallel sweeps",
-				i, serial[i].Seed)
-		}
-	}
-}
-
-// TestChaosSweepRecordsGenerationFailure: a seed whose scenario cannot
-// be generated becomes one failed ChaosRun; the rest of the sweep runs.
-func TestChaosSweepRecordsGenerationFailure(t *testing.T) {
-	orig := chaosScenario
-	defer func() { chaosScenario = orig }()
-	chaosScenario = func(seed int64, d time.Duration) (Config, string, error) {
-		if seed == 2 {
-			return Config{}, "", fmt.Errorf("synthetic generation failure for seed %d", seed)
-		}
-		return orig(seed, d)
-	}
-
-	runs, err := ChaosSweep(ChaosOptions{Seed: 1, Runs: 3, Duration: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 3 {
-		t.Fatalf("sweep returned %d runs, want all 3", len(runs))
-	}
-	if runs[1].Err == nil || !strings.Contains(runs[1].Err.Error(), "synthetic generation failure") {
-		t.Fatalf("generation failure not recorded: %+v", runs[1])
-	}
-	for _, i := range []int{0, 2} {
-		if runs[i].Err != nil || runs[i].Result == nil {
-			t.Fatalf("healthy seed %d did not run: err=%v", runs[i].Seed, runs[i].Err)
+		if !reflect.DeepEqual(serial[i], parallel[i]) {
+			t.Fatalf("seed %d outcomes differ between serial and parallel sweeps", i+1)
 		}
 	}
 }
 
-// TestChaosSweepJournalResume is the satellite resume test: completed
-// seeds are skipped on restart and the merged outcome matches an
-// uninterrupted sweep run for run.
+// TestChaosSweepJournalResume: completed seeds are skipped on restart
+// and the merged outcome matches an uninterrupted sweep run for run.
 func TestChaosSweepJournalResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep in -short mode")
 	}
-	journal := filepath.Join(t.TempDir(), "chaos.jsonl")
-	opt := func(runs int, j string) ChaosOptions {
-		return ChaosOptions{Seed: 1, Runs: runs, Duration: time.Second,
-			Sweep: SweepOptions{Parallel: 2, Journal: j}}
-	}
-
-	full, err := ChaosSweep(opt(5, ""))
+	full, err := runPool(chaosUnits(t, 5), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial, err := ChaosSweep(opt(3, journal))
+	opt := SweepOptions{Parallel: 2, Journal: filepath.Join(t.TempDir(), "chaos.jsonl")}
+	partial, err := runPool(chaosUnits(t, 3), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range partial {
-		if r.Resumed {
-			t.Fatalf("first journaled sweep reported seed %d resumed", r.Seed)
+	for i, o := range partial {
+		if o.Resumed {
+			t.Fatalf("first journaled sweep reported seed %d resumed", i+1)
 		}
 	}
-	merged, err := ChaosSweep(opt(5, journal))
+	merged, err := runPool(chaosUnits(t, 5), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for i, r := range merged {
-		if wantResumed := i < 3; r.Resumed != wantResumed {
-			t.Errorf("run %d resumed=%v, want %v", i, r.Resumed, wantResumed)
+	for i := range merged {
+		if wantResumed := i < 3; merged[i].Resumed != wantResumed {
+			t.Errorf("seed %d resumed=%v, want %v", i+1, merged[i].Resumed, wantResumed)
 		}
-		if (r.Err == nil) != (full[i].Err == nil) || r.NonDeterministic != full[i].NonDeterministic {
-			t.Errorf("run %d outcome diverged from uninterrupted sweep: %+v vs %+v", i, r, full[i])
-		}
-		if !reflect.DeepEqual(r.Result, full[i].Result) {
-			t.Errorf("run %d (seed %d) Result diverged across the journal round-trip", i, r.Seed)
+		merged[i].Resumed = false
+		if !reflect.DeepEqual(merged[i], full[i]) {
+			t.Errorf("seed %d outcome diverged across the journal round-trip", i+1)
 		}
 	}
 }
