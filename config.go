@@ -20,6 +20,7 @@ import (
 
 	"muzha/internal/core"
 	"muzha/internal/fault"
+	"muzha/internal/harness"
 	"muzha/internal/packet"
 	"muzha/internal/sim"
 	"muzha/internal/topo"
@@ -346,30 +347,9 @@ func (c *Config) faultSchedule() ([]fault.Event, error) {
 	return events, nil
 }
 
-// RunGuards bounds one run's resource usage. Each zero value disables
-// that guard. The engine checks the guards cooperatively every
-// CheckEvery events; a tripped guard aborts the run cleanly — no leaked
-// goroutine, no partial Result — with an error wrapping ErrDeadline,
-// ErrEventBudget or ErrLivelock.
-type RunGuards struct {
-	// WallClock is the real-time deadline for the run. Whether a slow
-	// run aborts depends on the host, but a run that completes is
-	// bit-for-bit identical with or without the deadline.
-	WallClock time.Duration
-	// MaxEvents is the event budget (ErrEventBudget past it).
-	MaxEvents uint64
-	// LivelockWindow aborts when this many consecutive events execute
-	// without virtual time advancing — a zero-delay event cycle that
-	// would otherwise spin forever.
-	LivelockWindow uint64
-	// CheckEvery is the guard-check period in events (default 1024).
-	CheckEvery uint64
-}
-
-// enabled reports whether any guard is armed.
-func (g RunGuards) enabled() bool {
-	return g.WallClock > 0 || g.MaxEvents > 0 || g.LivelockWindow > 0
-}
+// RunGuards bounds one run's wall-clock time, event count and
+// progress; see harness.WatchdogConfig for the fields.
+type RunGuards = harness.WatchdogConfig
 
 // Supported mobility models.
 const (
@@ -398,118 +378,121 @@ type Mobility struct {
 }
 
 // Config describes one simulation scenario. The zero value is not
-// runnable; start from DefaultConfig.
+// runnable; start from DefaultConfig. The json tags define the wire
+// form and so the Hash (see config_json.go): every exported field
+// reaches both unless it is tagged "-".
 type Config struct {
-	Topology Topology
-	Flows    []Flow
+	Topology Topology `json:"topology"`
+	Flows    []Flow   `json:"flows"`
 	// Duration is the simulated time (paper: 10-50 s per experiment).
-	Duration time.Duration
+	Duration time.Duration `json:"duration_ns"`
 	// Seed drives all model randomness; same seed, same results.
-	Seed int64
+	Seed int64 `json:"seed"`
 
 	// MSS is the TCP payload per segment (paper: 1460 bytes).
-	MSS int
+	MSS int `json:"mss"`
 	// Window is the default advertised window in segments.
-	Window int
+	Window int `json:"window"`
 	// DelayedAck, when positive, enables RFC 1122 delayed ACKs at every
 	// sink with the given maximum delay. The paper's simulations (and
 	// the default) acknowledge every segment.
-	DelayedAck time.Duration
+	DelayedAck time.Duration `json:"delayed_ack_ns"`
 
 	// QueueLimit is the per-node IFQ capacity (paper: 50, drop-tail).
-	QueueLimit int
+	QueueLimit int `json:"queue_limit"`
 	// UseRED swaps the IFQ for a RED queue (ablation).
-	UseRED bool
+	UseRED bool `json:"use_red"`
 	// REDMarkECN makes the RED queue congestion-mark packets instead of
 	// dropping them (ECN-style signalling; the marks surface to senders
 	// through the ACK echo). Requires UseRED.
-	REDMarkECN bool
+	REDMarkECN bool `json:"red_mark_ecn"`
 	// REDMinTh and REDMaxTh override the RED thresholds in packets.
 	// Zero keeps the historical derivation from QueueLimit (min = QL/4,
 	// max = 3*QL/4). Requires UseRED when set.
-	REDMinTh, REDMaxTh int
+	REDMinTh int `json:"red_min_th"`
+	REDMaxTh int `json:"red_max_th"`
 
 	// Pacing enables auto-rate pacing on every sender: segments leave
 	// on a cwnd/SRTT-derived rate schedule instead of ack-clocked
 	// bursts. Off by default — unpaced runs are bit-identical to the
 	// historical scheduling, keeping golden hashes stable. BBR-lite
 	// flows pace regardless (the model drives its own rate).
-	Pacing bool
+	Pacing bool `json:"pacing"`
 
 	// PacketErrorRate injects uniform random loss on data/routing frames
 	// at the PHY. The 802.11 MAC's retries repair most of it, so little
 	// reaches TCP; use ResidualLossRate for TCP-visible random loss.
-	PacketErrorRate float64
+	PacketErrorRate float64 `json:"packet_error_rate"`
 	// BitErrorRate injects size-dependent random corruption at the PHY.
-	BitErrorRate float64
+	BitErrorRate float64 `json:"bit_error_rate"`
 	// ResidualLossRate drops received data packets per hop at the
 	// network layer, past the MAC's ARQ — the TCP-visible "random loss"
 	// of Section 4.7 (deep fades, undetected corruption).
-	ResidualLossRate float64
+	ResidualLossRate float64 `json:"residual_loss_rate"`
 
 	// DisableRTSCTS turns off RTS/CTS protection (ablation).
-	DisableRTSCTS bool
+	DisableRTSCTS bool `json:"disable_rts_cts"`
 	// UseDSR swaps AODV for Dynamic Source Routing (ablation).
-	UseDSR bool
+	UseDSR bool `json:"use_dsr"`
 	// ExpandingRing enables RFC 3561 6.4 expanding-ring route discovery
 	// in AODV: TTL-limited RREQ rings before a network-wide flood, so a
 	// discovery storm costs O(neighbourhood) instead of O(N)
 	// rebroadcasts when the destination is near. Off by default — the
 	// paper's scenarios keep their exact historical flood behavior (and
 	// golden hashes). Essential at hundreds of nodes.
-	ExpandingRing bool
+	ExpandingRing bool `json:"expanding_ring"`
 
 	// RouterAssist enables DRAI stamping/marking at every node. On by
 	// default; Muzha flows degrade to hold-the-window without it.
-	RouterAssist bool
+	RouterAssist bool `json:"router_assist"`
 	// DRAI is the router policy when RouterAssist is on.
-	DRAI DRAIPolicy
+	DRAI DRAIPolicy `json:"drai"`
 	// MuzhaLossDiscrimination toggles the marked/unmarked dup-ACK
 	// random-loss classification (Section 4.7). On by default.
-	MuzhaLossDiscrimination bool
+	MuzhaLossDiscrimination bool `json:"muzha_loss_discrimination"`
 	// DRAIClamp makes non-Muzha flows router-assisted hybrids when
 	// RouterAssist is on: their data packets carry the AVBW-S option and
 	// the echoed path recommendation acts as a deceleration-only window
 	// ceiling on top of the variant's own control (core.DRAIClamped).
 	// Off by default — the paper's comparisons pit pure end-to-end
 	// senders against Muzha, and the golden hashes pin that behavior.
-	DRAIClamp bool
+	DRAIClamp bool `json:"drai_clamp"`
 
 	// ThroughputBin is the resolution of per-flow throughput dynamics
 	// series (Figures 5.19-5.22). Zero disables the series.
-	ThroughputBin time.Duration
+	ThroughputBin time.Duration `json:"throughput_bin_ns"`
 	// TraceCwnd records congestion-window traces (Figures 5.2-5.7).
-	TraceCwnd bool
+	TraceCwnd bool `json:"trace_cwnd"`
 	// TraceCap bounds each per-flow time series (throughput bins and
 	// cwnd samples): past the cap the recorder halves its resolution in
 	// place, so per-flow memory is O(cap) regardless of Duration. Zero
 	// selects the stats package defaults (4096 bins / 16384 cwnd
 	// samples), which paper-scale runs never reach.
-	TraceCap int
+	TraceCap int `json:"trace_cap"`
 	// TraceFlowLimit bounds how many flows keep full traces in the
 	// Result. Runs with more flows than the limit record summary-only
 	// per-flow rows (scalar counters, no series), keeping Result size
 	// O(flows) instead of O(flows x duration). Zero selects the default
 	// of DefaultTraceFlowLimit (64); negative means unlimited (every
 	// flow keeps its traces).
-	TraceFlowLimit int
+	TraceFlowLimit int `json:"trace_flow_limit"`
 
 	// Background holds unreactive CBR streams competing with the TCP
 	// flows (extension; the paper runs without background traffic).
-	Background []BackgroundFlow
+	Background []BackgroundFlow `json:"background"`
 
 	// Mobility, when non-nil, enables random-waypoint motion.
-	Mobility *Mobility
+	Mobility *Mobility `json:"mobility"`
 
 	// Faults is the deterministic fault-injection schedule: node
 	// crash/reboot cycles, link blackouts, partitions and bursty-loss
 	// phases, all replayed exactly from the same Config and seed.
-	Faults []FaultEvent
+	Faults []FaultEvent `json:"faults"`
 
 	// Guards bounds the run's wall-clock time, event count and progress;
 	// the zero value runs unguarded. Sweeps set these per run so one
 	// stuck scenario cannot hang a whole batch.
-	Guards RunGuards
+	Guards RunGuards `json:"guards"`
 
 	// Workers is how many interaction domains simulate at once. Every
 	// run partitions its radios into conservative interaction domains
@@ -522,7 +505,7 @@ type Config struct {
 	// the paper's chains and crosses) runs as one sub-run with Seed
 	// itself. With several domains, Progress may fire from worker
 	// goroutines (calls are serialized).
-	Workers int
+	Workers int `json:"workers"`
 
 	// PacketTrace, when non-nil, receives an NS-2-style packet trace:
 	// one line per transport send/receive, forward, drop and congestion
@@ -532,7 +515,7 @@ type Config struct {
 	// each domain's trace and writes the merged trace, in time order
 	// with ties in domain order, when the run ends; packet UIDs are
 	// unique within a domain only.
-	PacketTrace io.Writer
+	PacketTrace io.Writer `json:"-"`
 
 	// Progress, when non-nil, receives an in-run progress snapshot every
 	// ProgressEvery executed events plus one final snapshot when the run
@@ -540,17 +523,17 @@ type Config struct {
 	// be fast; it observes the run without influencing it, so a run is
 	// bit-for-bit identical with or without it. The job daemon streams
 	// these snapshots to clients.
-	Progress func(ProgressUpdate)
+	Progress func(ProgressUpdate) `json:"-"`
 	// ProgressEvery is the Progress callback period in events
 	// (default 65536).
-	ProgressEvery uint64
+	ProgressEvery uint64 `json:"-"`
 
 	// Cancel, when non-nil, aborts the run cooperatively once the
 	// channel is closed: the engine notices within one guard period
 	// (~1024 events) and Run returns an error wrapping ErrCanceled.
 	// Like the wall-clock guard, cancellation only decides whether a
 	// run completes, never what a completed run computes.
-	Cancel <-chan struct{}
+	Cancel <-chan struct{} `json:"-"`
 
 	// eventHook observes every executed engine event (fire time, sequence
 	// number). The (time, seq) stream fingerprints a run's entire control

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"time"
 
 	"muzha/internal/canon"
 	"muzha/internal/packet"
@@ -67,126 +66,25 @@ func (t *Topology) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// configWire mirrors Config's serializable fields. Every field is
-// always emitted (no omitempty), so defaults are explicit in the
-// encoding and adding a field changes every hash at once instead of
-// silently colliding old and new configs. Durations encode as
-// nanosecond integers.
-type configWire struct {
-	Topology                Topology         `json:"topology"`
-	Flows                   []Flow           `json:"flows"`
-	Duration                int64            `json:"duration_ns"`
-	Seed                    int64            `json:"seed"`
-	MSS                     int              `json:"mss"`
-	Window                  int              `json:"window"`
-	DelayedAck              int64            `json:"delayed_ack_ns"`
-	QueueLimit              int              `json:"queue_limit"`
-	UseRED                  bool             `json:"use_red"`
-	REDMarkECN              bool             `json:"red_mark_ecn"`
-	REDMinTh                int              `json:"red_min_th"`
-	REDMaxTh                int              `json:"red_max_th"`
-	Pacing                  bool             `json:"pacing"`
-	PacketErrorRate         float64          `json:"packet_error_rate"`
-	BitErrorRate            float64          `json:"bit_error_rate"`
-	ResidualLossRate        float64          `json:"residual_loss_rate"`
-	DisableRTSCTS           bool             `json:"disable_rts_cts"`
-	UseDSR                  bool             `json:"use_dsr"`
-	ExpandingRing           bool             `json:"expanding_ring"`
-	RouterAssist            bool             `json:"router_assist"`
-	DRAI                    DRAIPolicy       `json:"drai"`
-	MuzhaLossDiscrimination bool             `json:"muzha_loss_discrimination"`
-	DRAIClamp               bool             `json:"drai_clamp"`
-	ThroughputBin           int64            `json:"throughput_bin_ns"`
-	TraceCwnd               bool             `json:"trace_cwnd"`
-	TraceCap                int              `json:"trace_cap"`
-	TraceFlowLimit          int              `json:"trace_flow_limit"`
-	Background              []BackgroundFlow `json:"background"`
-	Mobility                *Mobility        `json:"mobility"`
-	Faults                  []FaultEvent     `json:"faults"`
-	Guards                  RunGuards        `json:"guards"`
-	Workers                 int              `json:"workers"`
-}
-
-// MarshalJSON emits the canonical wire encoding: sorted keys, explicit
-// defaults, observer fields (PacketTrace, Progress, Cancel) omitted.
+// MarshalJSON emits the canonical wire encoding: Config's tagged
+// fields with sorted keys and explicit defaults (no omitempty, so
+// adding a field changes every hash at once instead of silently
+// colliding old and new configs), durations as nanosecond integers,
+// observer fields (PacketTrace, Progress, Cancel) omitted.
 func (c Config) MarshalJSON() ([]byte, error) {
-	return canon.JSON(configWire{
-		Topology:                c.Topology,
-		Flows:                   c.Flows,
-		Duration:                int64(c.Duration),
-		Seed:                    c.Seed,
-		MSS:                     c.MSS,
-		Window:                  c.Window,
-		DelayedAck:              int64(c.DelayedAck),
-		QueueLimit:              c.QueueLimit,
-		UseRED:                  c.UseRED,
-		REDMarkECN:              c.REDMarkECN,
-		REDMinTh:                c.REDMinTh,
-		REDMaxTh:                c.REDMaxTh,
-		Pacing:                  c.Pacing,
-		PacketErrorRate:         c.PacketErrorRate,
-		BitErrorRate:            c.BitErrorRate,
-		ResidualLossRate:        c.ResidualLossRate,
-		DisableRTSCTS:           c.DisableRTSCTS,
-		UseDSR:                  c.UseDSR,
-		ExpandingRing:           c.ExpandingRing,
-		RouterAssist:            c.RouterAssist,
-		DRAI:                    c.DRAI,
-		MuzhaLossDiscrimination: c.MuzhaLossDiscrimination,
-		DRAIClamp:               c.DRAIClamp,
-		ThroughputBin:           int64(c.ThroughputBin),
-		TraceCwnd:               c.TraceCwnd,
-		TraceCap:                c.TraceCap,
-		TraceFlowLimit:          c.TraceFlowLimit,
-		Background:              c.Background,
-		Mobility:                c.Mobility,
-		Faults:                  c.Faults,
-		Guards:                  c.Guards,
-		Workers:                 c.Workers,
-	})
+	type plain Config
+	return canon.JSON(plain(c))
 }
 
 // UnmarshalJSON decodes the wire encoding. Observer fields come back
 // zero; a daemon attaches its own trace writers and progress hooks.
 func (c *Config) UnmarshalJSON(b []byte) error {
-	var w configWire
-	if err := json.Unmarshal(b, &w); err != nil {
+	type plain Config
+	var p plain
+	if err := json.Unmarshal(b, &p); err != nil {
 		return fmt.Errorf("muzha: config: %w", err)
 	}
-	*c = Config{
-		Topology:                w.Topology,
-		Flows:                   w.Flows,
-		Duration:                durationNs(w.Duration),
-		Seed:                    w.Seed,
-		MSS:                     w.MSS,
-		Window:                  w.Window,
-		DelayedAck:              durationNs(w.DelayedAck),
-		QueueLimit:              w.QueueLimit,
-		UseRED:                  w.UseRED,
-		REDMarkECN:              w.REDMarkECN,
-		REDMinTh:                w.REDMinTh,
-		REDMaxTh:                w.REDMaxTh,
-		Pacing:                  w.Pacing,
-		PacketErrorRate:         w.PacketErrorRate,
-		BitErrorRate:            w.BitErrorRate,
-		ResidualLossRate:        w.ResidualLossRate,
-		DisableRTSCTS:           w.DisableRTSCTS,
-		UseDSR:                  w.UseDSR,
-		ExpandingRing:           w.ExpandingRing,
-		RouterAssist:            w.RouterAssist,
-		DRAI:                    w.DRAI,
-		MuzhaLossDiscrimination: w.MuzhaLossDiscrimination,
-		DRAIClamp:               w.DRAIClamp,
-		ThroughputBin:           durationNs(w.ThroughputBin),
-		TraceCwnd:               w.TraceCwnd,
-		TraceCap:                w.TraceCap,
-		TraceFlowLimit:          w.TraceFlowLimit,
-		Background:              w.Background,
-		Mobility:                w.Mobility,
-		Faults:                  w.Faults,
-		Guards:                  w.Guards,
-		Workers:                 w.Workers,
-	}
+	*c = Config(p)
 	return nil
 }
 
@@ -221,6 +119,3 @@ func (c Config) ShortHash() (string, error) {
 	h.Write([]byte(full))
 	return fmt.Sprintf("%016x", h.Sum64()), nil
 }
-
-// durationNs converts wire nanoseconds back to a time.Duration.
-func durationNs(ns int64) time.Duration { return time.Duration(ns) }

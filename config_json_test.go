@@ -2,7 +2,9 @@ package muzha
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -150,6 +152,22 @@ func TestConfigHashStability(t *testing.T) {
 	}
 	if len(h1) != 64 {
 		t.Fatalf("hash is not sha256 hex: %q", h1)
+	}
+	// Pinned literals: the cache key and the canonical wire bytes
+	// (guards and workers included) of this config. A change to either
+	// orphans every cached result and journaled sweep, so it must be
+	// deliberate.
+	const wantHash = "43f41cd04bdb1ba2b0d864afce73f5983b9b42264c4552c8c203bcaea53089e8"
+	if h1 != wantHash {
+		t.Fatalf("Hash = %s, want pinned %s", h1, wantHash)
+	}
+	wire, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantWire = "d2791304ffe24c0d13b0026f60cd64453a4a6225ea715702a2330f6851bcff6d"
+	if got := fmt.Sprintf("%x", sha256.Sum256(wire)); got != wantWire {
+		t.Fatalf("canonical bytes digest = %s, want pinned %s:\n%s", got, wantWire, wire)
 	}
 
 	// Guard budgets, observers and the engine width must not move the

@@ -1,9 +1,6 @@
 package muzha
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // This file packages the paper's Chapter 5 experiments as reusable
 // drivers. Each function reproduces one table/figure family and returns
@@ -60,7 +57,7 @@ func ThroughputVsHops(sweep ChainSweepConfig) ([]ChainRow, error) {
 	if len(sweep.Seeds) == 0 {
 		sweep.Seeds = []int64{1}
 	}
-	var units []runUnit
+	var cfgs []Config
 	for _, w := range sweep.Windows {
 		for _, hops := range sweep.Hops {
 			top, err := ChainTopology(hops)
@@ -75,15 +72,12 @@ func ThroughputVsHops(sweep ChainSweepConfig) ([]ChainRow, error) {
 					cfg.Window = w
 					cfg.Seed = seed
 					cfg.Flows = []Flow{{Src: 0, Dst: hops, Variant: v}}
-					units = append(units, runUnit{
-						Key: fmt.Sprintf("chain/w=%d/h=%d/%s/seed=%d/d=%s", w, hops, v, seed, sweep.Duration),
-						Cfg: cfg,
-					})
+					cfgs = append(cfgs, cfg)
 				}
 			}
 		}
 	}
-	outs, err := runPool(units, sweep.Sweep)
+	outs, err := runPool(cfgs, sweep.Sweep)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +121,7 @@ type CwndTraceResult struct {
 // CwndTraces reproduces Simulation 1: for each hop count and variant, a
 // 10-second single-flow run with the congestion window recorded.
 func CwndTraces(hops []int, variants []Variant, duration time.Duration, seed int64, opts ...SweepOptions) ([]CwndTraceResult, error) {
-	var units []runUnit
+	var cfgs []Config
 	for _, h := range hops {
 		top, err := ChainTopology(h)
 		if err != nil {
@@ -141,13 +135,10 @@ func CwndTraces(hops []int, variants []Variant, duration time.Duration, seed int
 			cfg.Seed = seed
 			cfg.TraceCwnd = true
 			cfg.Flows = []Flow{{Src: 0, Dst: h, Variant: v}}
-			units = append(units, runUnit{
-				Key: fmt.Sprintf("cwnd/h=%d/%s/seed=%d/d=%s", h, v, seed, duration),
-				Cfg: cfg,
-			})
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	outs, err := runPool(units, sweepOpt(opts))
+	outs, err := runPool(cfgs, sweepOpt(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +194,7 @@ func CoexistenceFairness(hops []int, pairs [][2]Variant, duration time.Duration,
 	if len(seeds) == 0 {
 		seeds = []int64{1}
 	}
-	var units []runUnit
+	var cfgs []Config
 	for _, h := range hops {
 		top, err := CrossTopology(h)
 		if err != nil {
@@ -221,14 +212,11 @@ func CoexistenceFairness(hops []int, pairs [][2]Variant, duration time.Duration,
 					{Src: fe[0][0], Dst: fe[0][1], Variant: pair[0]},
 					{Src: fe[1][0], Dst: fe[1][1], Variant: pair[1]},
 				}
-				units = append(units, runUnit{
-					Key: fmt.Sprintf("fairness/h=%d/%s+%s/seed=%d/d=%s", h, pair[0], pair[1], seed, duration),
-					Cfg: cfg,
-				})
+				cfgs = append(cfgs, cfg)
 			}
 		}
 	}
-	outs, err := runPool(units, sweepOpt(opts))
+	outs, err := runPool(cfgs, sweepOpt(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +263,7 @@ func ThroughputDynamics(variants []Variant, duration time.Duration, bin time.Dur
 	if err != nil {
 		return nil, err
 	}
-	var units []runUnit
+	var cfgs []Config
 	for _, v := range variants {
 		cfg := DefaultConfig()
 		cfg.Topology = top
@@ -288,12 +276,9 @@ func ThroughputDynamics(variants []Variant, duration time.Duration, bin time.Dur
 			{Src: 0, Dst: 4, Variant: v, Start: duration / 3},
 			{Src: 0, Dst: 4, Variant: v, Start: 2 * duration / 3},
 		}
-		units = append(units, runUnit{
-			Key: fmt.Sprintf("dynamics/%s/seed=%d/d=%s/bin=%s", v, seed, duration, bin),
-			Cfg: cfg,
-		})
+		cfgs = append(cfgs, cfg)
 	}
-	outs, err := runPool(units, sweepOpt(opts))
+	outs, err := runPool(cfgs, sweepOpt(opts))
 	if err != nil {
 		return nil, err
 	}

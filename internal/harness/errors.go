@@ -1,8 +1,11 @@
-// Package harness supervises batches of simulation runs: a worker pool
-// with per-job panic containment, a typed failure taxonomy, a
+// Package harness supervises simulation runs: one worker pool (an
+// unbounded FIFO queue drained by a fixed set of workers) with per-job
+// panic containment and failure replay, a typed failure taxonomy, a
 // wall-clock/event-budget/livelock watchdog that the engine checks
 // cooperatively, and a JSONL journal that makes interrupted sweeps
-// resumable.
+// resumable. Batch sweeps submit every job and close the pool; the
+// muzhad daemon submits jobs as clients send them and bounds its own
+// admission.
 //
 // The package is deliberately generic — jobs are plain closures — so it
 // carries no dependency on the simulation model and the root package can
@@ -61,6 +64,10 @@ var worstFirst = []Class{
 	ClassPanic, ClassLivelock, ClassEventBudget, ClassDeadline,
 	ClassNonDeterministic, ClassInvariant, ClassCanceled, ClassError,
 }
+
+// WorstFirst returns every failure class, most severe first — the order
+// failure tallies are reported in.
+func WorstFirst() []Class { return append([]Class(nil), worstFirst...) }
 
 // Classify maps an error to its failure class. A nil error is ClassOK;
 // an error wrapping none of the sentinels is ClassError.

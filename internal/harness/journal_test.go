@@ -2,8 +2,6 @@ package harness
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -75,56 +73,5 @@ func TestJournalTruncatedLine(t *testing.T) {
 	}
 	if _, ok := j2.Lookup("after"); !ok {
 		t.Fatal("record appended after the truncated line was lost")
-	}
-}
-
-// TestExecuteResumesFromJournal: re-executing the same jobs against the
-// same journal must not re-run completed work, and failed entries keep
-// their classification across the restart.
-func TestExecuteResumesFromJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	ran := map[string]int{}
-	mkJobs := func() []Job {
-		return []Job{
-			{Key: "ok-job", Fn: func() (any, error) { ran["ok-job"]++; return 42, nil }},
-			{Key: "bad-job", Fn: func() (any, error) {
-				ran["bad-job"]++
-				return nil, fmt.Errorf("always: %w", ErrEventBudget)
-			}},
-		}
-	}
-
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, _ := Execute(mkJobs(), Options{Workers: 1, Journal: j})
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if outs[0].Err != nil || outs[1].Class != ClassEventBudget {
-		t.Fatalf("first pass outcomes %+v", outs)
-	}
-
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs2, sum := Execute(mkJobs(), Options{Workers: 1, Journal: j2})
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if ran["ok-job"] != 1 || ran["bad-job"] != 1 {
-		t.Fatalf("journaled jobs re-ran: %v", ran)
-	}
-	if !outs2[0].Resumed || !outs2[1].Resumed || sum.Resumed != 2 {
-		t.Fatalf("resume not reported: %+v %+v", outs2, sum)
-	}
-	var v int
-	if err := json.Unmarshal(outs2[0].Raw, &v); err != nil || v != 42 {
-		t.Fatalf("resumed value %s (%v)", outs2[0].Raw, err)
-	}
-	if !errors.Is(outs2[1].Err, ErrEventBudget) || outs2[1].Class != ClassEventBudget {
-		t.Fatalf("resumed failure lost its class: %+v", outs2[1])
 	}
 }

@@ -19,7 +19,7 @@ type Job struct {
 	Fn func() (any, error)
 }
 
-// Outcome is one job's terminal state, in job order.
+// Outcome is one job's terminal state.
 type Outcome struct {
 	Key string
 	// Value is Fn's result for jobs that ran; nil for resumed jobs
@@ -38,10 +38,8 @@ type Outcome struct {
 	Replayed bool
 }
 
-// Options configures Execute.
+// Options configures a Pool.
 type Options struct {
-	// Workers is the concurrent worker count; <= 0 uses GOMAXPROCS.
-	Workers int
 	// Journal, when non-nil, records outcomes as they complete and
 	// satisfies jobs it already holds without re-running them.
 	Journal *Journal
@@ -50,116 +48,6 @@ type Options struct {
 	// ErrNonDeterministic. Wall-clock deadline failures are exempt —
 	// they depend on host load, not the model.
 	Replay bool
-}
-
-// Summary aggregates a pool execution per failure class.
-type Summary struct {
-	Total    int
-	OK       int
-	Resumed  int
-	Replayed int
-	Failures map[Class]int
-}
-
-// Failed totals the failures across classes.
-func (s Summary) Failed() int {
-	n := 0
-	for _, c := range s.Failures {
-		n += c
-	}
-	return n
-}
-
-// Worst returns the sentinel of the most severe failure class, or nil
-// when every job succeeded (ClassError failures return a generic
-// non-sentinel error).
-func (s Summary) Worst() error {
-	switch c := WorstOf(s.Failures); c {
-	case ClassOK:
-		return nil
-	case ClassError:
-		return fmt.Errorf("unclassified run failure")
-	default:
-		return Sentinel(c)
-	}
-}
-
-// String renders e.g. "12 runs: 9 ok (3 resumed), 3 failed [panic:1 livelock:2]".
-func (s Summary) String() string {
-	out := fmt.Sprintf("%d runs: %d ok", s.Total, s.OK)
-	if s.Resumed > 0 {
-		out += fmt.Sprintf(" (%d resumed)", s.Resumed)
-	}
-	if f := s.Failed(); f > 0 {
-		out += fmt.Sprintf(", %d failed [", f)
-		first := true
-		for _, c := range worstFirst {
-			if n := s.Failures[c]; n > 0 {
-				if !first {
-					out += " "
-				}
-				out += fmt.Sprintf("%s:%d", c, n)
-				first = false
-			}
-		}
-		out += "]"
-	}
-	return out
-}
-
-// Summarize tallies outcomes into a Summary.
-func Summarize(outs []Outcome) Summary {
-	s := Summary{Total: len(outs), Failures: make(map[Class]int)}
-	for _, o := range outs {
-		if o.Resumed {
-			s.Resumed++
-		}
-		if o.Replayed {
-			s.Replayed++
-		}
-		if o.Err == nil {
-			s.OK++
-		} else {
-			s.Failures[o.Class]++
-		}
-	}
-	return s
-}
-
-// Execute runs the jobs on a supervised worker pool and returns one
-// Outcome per job, in job order, plus their Summary. The pool never
-// aborts early: a failed, panicking or stuck job is classified and the
-// remaining jobs still run. Each Fn executes single-threaded within its
-// worker, so per-run results are independent of the worker count.
-func Execute(jobs []Job, opt Options) ([]Outcome, Summary) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	outs := make([]Outcome, len(jobs))
-	if len(jobs) == 0 {
-		return outs, Summarize(outs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				outs[i] = runJob(jobs[i], opt)
-			}
-		}()
-	}
-	wg.Wait()
-	return outs, Summarize(outs)
 }
 
 // runJob executes (or resumes) one job with panic containment, failure
@@ -212,18 +100,22 @@ func describeReplay(err error) string {
 	return fmt.Sprintf("failed differently (%v)", err)
 }
 
-// Pool is the streaming counterpart of Execute for long-running
-// services: jobs arrive one at a time over a bounded backlog, a fixed
-// set of workers runs them with the same panic containment, replay
-// classification and journaling as Execute, and each outcome is handed
-// to its submit-time callback as it completes. The backlog bound is the
-// daemon's admission control — TrySubmit refusing is the signal to push
-// back (HTTP 429) instead of growing memory without limit.
+// Pool is the supervised worker pool every batch sweep and the muzhad
+// daemon run on. Jobs are submitted one at a time into an unbounded
+// FIFO queue; a fixed set of workers takes them in submission order,
+// runs each with panic containment, optional replay classification and
+// journaling, and hands the outcome to its submit-time callback. The
+// pool never aborts early: a failed, panicking or stuck job is
+// classified and the queued jobs still run. Each Fn executes
+// single-threaded within its worker, so per-job results are independent
+// of the worker count. Admission control belongs to the caller (the
+// daemon's in-flight limit); the pool itself never refuses work.
 type Pool struct {
 	opt     Options
-	items   chan poolItem
 	wg      sync.WaitGroup
 	mu      sync.Mutex
+	ready   *sync.Cond // signaled on Submit and Close
+	queue   []poolItem
 	closed  bool
 	running atomic.Int64
 }
@@ -233,66 +125,72 @@ type poolItem struct {
 	done func(Outcome)
 }
 
-// NewPool starts workers goroutines (<= 0 uses GOMAXPROCS) consuming a
-// backlog of at most backlog queued jobs.
-func NewPool(workers, backlog int, opt Options) *Pool {
+// NewPool starts workers goroutines (<= 0 uses GOMAXPROCS) consuming
+// the pool's queue.
+func NewPool(workers int, opt Options) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if backlog < 0 {
-		backlog = 0
-	}
-	p := &Pool{opt: opt, items: make(chan poolItem, backlog)}
+	p := &Pool{opt: opt}
+	p.ready = sync.NewCond(&p.mu)
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for it := range p.items {
-				p.running.Add(1)
-				out := runJob(it.job, p.opt)
-				p.running.Add(-1)
-				if it.done != nil {
-					it.done(out)
-				}
-			}
-		}()
+		go p.work()
 	}
 	return p
 }
 
-// TrySubmit enqueues the job without blocking. It returns false when
-// the backlog is full or the pool is closed; the job was not accepted
-// and done will never be called.
-func (p *Pool) TrySubmit(job Job, done func(Outcome)) bool {
+// work runs queued jobs until the pool is closed and its queue empty.
+func (p *Pool) work() {
+	defer p.wg.Done()
+	for {
+		p.mu.Lock()
+		for len(p.queue) == 0 && !p.closed {
+			p.ready.Wait()
+		}
+		if len(p.queue) == 0 {
+			p.mu.Unlock()
+			return
+		}
+		it := p.queue[0]
+		p.queue[0] = poolItem{}
+		p.queue = p.queue[1:]
+		p.running.Add(1)
+		p.mu.Unlock()
+
+		out := runJob(it.job, p.opt)
+		p.running.Add(-1)
+		if it.done != nil {
+			it.done(out)
+		}
+	}
+}
+
+// Submit queues the job behind every job submitted before it; done,
+// when non-nil, receives its outcome from a worker goroutine. Submit
+// never blocks and never refuses a job. Submitting to a closed pool is
+// a programming error and panics.
+func (p *Pool) Submit(job Job, done func(Outcome)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return false
+		panic("harness: Submit on a closed Pool")
 	}
-	select {
-	case p.items <- poolItem{job: job, done: done}:
-		return true
-	default:
-		return false
-	}
+	p.queue = append(p.queue, poolItem{job: job, done: done})
+	p.ready.Signal()
 }
 
 // Running reports how many jobs are executing right now (not queued).
 func (p *Pool) Running() int { return int(p.running.Load()) }
 
-// Queued reports how many accepted jobs are waiting for a worker.
-func (p *Pool) Queued() int { return len(p.items) }
-
 // Close stops intake and blocks until every queued and running job has
 // finished and delivered its outcome. A service that must bound the
 // wait cancels its in-flight jobs (closing their Cancel channels)
-// before or during Close.
+// before or during Close. Close is idempotent.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.items)
-	}
+	p.closed = true
+	p.ready.Broadcast()
 	p.mu.Unlock()
 	p.wg.Wait()
 }

@@ -11,7 +11,12 @@ import (
 // against microsecond-scale events.
 const defaultCheckEvery = 1024
 
-// WatchdogConfig bounds one run. Each zero value disables that guard.
+// WatchdogConfig bounds one run's resource usage; the root package
+// exports it as muzha.RunGuards. Each zero value disables that guard.
+// The engine checks the guards cooperatively every Interval() events; a
+// tripped guard aborts the run cleanly — no leaked goroutine, no
+// partial Result — with an error wrapping ErrDeadline, ErrEventBudget
+// or ErrLivelock.
 type WatchdogConfig struct {
 	// WallClock aborts the run once this much real time has elapsed
 	// (ErrDeadline). The abort point depends on host speed, but a run
@@ -21,7 +26,8 @@ type WatchdogConfig struct {
 	// (ErrEventBudget).
 	MaxEvents uint64
 	// LivelockWindow aborts once this many consecutive events execute
-	// without the virtual clock advancing (ErrLivelock).
+	// without the virtual clock advancing (ErrLivelock) — a zero-delay
+	// event cycle that would otherwise spin forever.
 	LivelockWindow uint64
 	// CheckEvery is the guard-check period in events (default 1024; it
 	// is tightened automatically so small budgets are hit exactly).

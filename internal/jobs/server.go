@@ -141,14 +141,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		hubs:      make(map[string]*hub),
 		started:   make(map[string]time.Time),
 	}
-	requeued := store.Requeued()
-	// The pool backlog must never be the binding constraint — admission
-	// is the inFlight counter — so size it for the worst case: a full
-	// queue plus every journal-recovered job.
-	s.pool = harness.NewPool(cfg.Workers, cfg.QueueDepth+cfg.Workers+len(requeued), harness.Options{})
+	// Admission is the inFlight counter; the pool queues whatever it is
+	// given, journal-recovered jobs included.
+	s.pool = harness.NewPool(cfg.Workers, harness.Options{})
 
 	s.mu.Lock()
-	for _, id := range requeued {
+	for _, id := range store.Requeued() {
 		j, ok := store.Get(id)
 		if !ok {
 			continue
@@ -172,28 +170,10 @@ func (s *Server) enqueueLocked(j Job) {
 	s.active[j.Hash] = j.ID
 	s.hubs[j.ID] = newHub()
 	id, hash, client := j.ID, j.Hash, j.Client
-	ok := s.pool.TrySubmit(
+	s.pool.Submit(
 		harness.Job{Key: id, Fn: s.runFn(id)},
 		func(o harness.Outcome) { s.complete(id, hash, client, o) },
 	)
-	if !ok {
-		// Cannot happen while admission holds inFlight below the backlog
-		// size; fail the job loudly rather than strand it in queued.
-		s.inFlight--
-		s.decClientLocked(client)
-		delete(s.active, hash)
-		h := s.hubs[id]
-		delete(s.hubs, id)
-		jj, _ := s.store.Transition(id, func(j *Job) {
-			j.State = StateFailed
-			j.Error = "jobs: worker pool refused submission"
-			j.Class = muzha.ClassError
-		})
-		if h != nil {
-			h.finish()
-		}
-		s.cfg.Logf("jobs: worker pool refused %s", jj.ID)
-	}
 }
 
 func (s *Server) decClientLocked(client string) {

@@ -136,7 +136,7 @@ func ModernComparisonGrid(grid ModernGridConfig) ([]ModernGridRow, error) {
 	}
 
 	assists := []bool{true, false}
-	var units []runUnit
+	var cfgs []Config
 	for _, world := range grid.Worlds {
 		top, fe, mob, err := modernWorld(world)
 		if err != nil {
@@ -168,17 +168,13 @@ func ModernComparisonGrid(grid ModernGridConfig) ([]ModernGridRow, error) {
 						MeanBurstFrames: 6,
 						MeanGapFrames:   150,
 					}}
-					units = append(units, runUnit{
-						Key: fmt.Sprintf("modern/%s/%s/assist=%t/seed=%d/d=%s",
-							world, v, assist, seed, grid.Duration),
-						Cfg: cfg,
-					})
+					cfgs = append(cfgs, cfg)
 				}
 			}
 		}
 	}
 
-	outs, err := runPool(units, grid.Sweep)
+	outs, err := runPool(cfgs, grid.Sweep)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package muzha
 
 import (
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -46,6 +47,38 @@ func TestModernGridDeterministic(t *testing.T) {
 		if row.ThroughputBps <= 0 {
 			t.Fatalf("cell %s/%s moved no data: %+v", row.World, row.Variant, row)
 		}
+	}
+}
+
+// TestModernGridResumeKeysWindow: a sweep resumed from a journal must
+// only reuse runs of the identical configuration. A window-32 grid run
+// against a journal a window-2 grid filled must recompute every cell
+// and match an unjournaled window-32 grid.
+func TestModernGridResumeKeysWindow(t *testing.T) {
+	grid := func(window int, journal string) ModernGridConfig {
+		return ModernGridConfig{
+			Variants: []Variant{NewReno},
+			Worlds:   []string{ModernWorldChain},
+			Duration: 2 * time.Second,
+			Seeds:    []int64{1},
+			Window:   window,
+			Sweep:    SweepOptions{Journal: journal},
+		}
+	}
+	journal := filepath.Join(t.TempDir(), "grid.jsonl")
+	if _, err := ModernComparisonGrid(grid(2, journal)); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := ModernComparisonGrid(grid(32, journal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := ModernComparisonGrid(grid(32, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resumed, fresh) {
+		t.Fatalf("window-32 grid reused window-2 journal rows:\nresumed: %+v\nfresh:   %+v", resumed, fresh)
 	}
 }
 

@@ -221,8 +221,8 @@ func run(cfg Config, rec trace.Recorder) (res *Result, err error) {
 		bin := sim.FromDuration(cfg.ThroughputBin)
 		if cfg.summaryTraces {
 			// Summary-only rows keep scalar counters but no series;
-			// disabling the recorders here (not just nil-ing the result)
-			// means a 1000-flow run pays no trace memory at all.
+			// disabling the recorders here means a 1000-flow run pays
+			// no trace memory at all.
 			bin = 0
 		}
 		fl := stats.NewFlow(i+1, string(f.variant()), bin)
@@ -409,16 +409,10 @@ func run(cfg Config, rec trace.Recorder) (res *Result, err error) {
 	// noticed within ~1024 events.
 	var guards []func() error
 	interval := uint64(0)
-	if g := cfg.Guards; g.enabled() {
-		wc := harness.WatchdogConfig{
-			WallClock:      g.WallClock,
-			MaxEvents:      g.MaxEvents,
-			LivelockWindow: g.LivelockWindow,
-			CheckEvery:     g.CheckEvery,
-		}
-		interval = wc.Interval()
+	if g := cfg.Guards; g.Enabled() {
+		interval = g.Interval()
 		guards = append(guards, harness.NewWatchdog(
-			func() int64 { return int64(s.Now()) }, s.EventsExecuted, wc))
+			func() int64 { return int64(s.Now()) }, s.EventsExecuted, g))
 	}
 	if cancel := cfg.Cancel; cancel != nil {
 		guards = append(guards, func() error {
@@ -455,14 +449,6 @@ func run(cfg Config, rec trace.Recorder) (res *Result, err error) {
 		fr := flowResult(i+1, f, fl, senders[i].Finished())
 		if fr.Finished {
 			someFinished.Reach()
-		}
-		if !cfg.TraceCwnd {
-			fr.CwndTrace = nil
-		}
-		if cfg.summaryTraces {
-			// Summary-only rows: scalar metrics survive (throughput,
-			// retransmissions, Jain inputs), series are dropped.
-			fr.CwndTrace, fr.ThroughputSeries = nil, nil
 		}
 		res.Flows = append(res.Flows, fr)
 		throughputs[i] = fr.ThroughputBps

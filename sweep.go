@@ -53,11 +53,9 @@ type SweepError struct {
 func (e *SweepError) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sweep: %d of %d runs failed [", e.Failed, e.Total)
-	classes := []string{ClassPanic, ClassLivelock, ClassEventBudget, ClassDeadline,
-		ClassNonDeterministic, ClassInvariant, ClassError}
 	first := true
-	for _, c := range classes {
-		if n := e.Counts[c]; n > 0 {
+	for _, c := range harness.WorstFirst() {
+		if n := e.Counts[string(c)]; n > 0 {
 			if !first {
 				b.WriteByte(' ')
 			}
@@ -84,14 +82,7 @@ func (e *SweepError) Unwrap() []error {
 	return out
 }
 
-// runUnit is one Run(cfg) job inside a sweep. Key must be stable across
-// restarts — it identifies the run in the journal.
-type runUnit struct {
-	Key string
-	Cfg Config
-}
-
-// runOutcome is one unit's terminal state.
+// runOutcome is one run's terminal state.
 type runOutcome struct {
 	Result  *Result
 	Err     error
@@ -99,31 +90,28 @@ type runOutcome struct {
 	Resumed bool
 }
 
-// runPool executes the units on the supervised worker pool: panics are
-// contained, failures replayed once to classify deterministic versus
-// divergent, outcomes journaled and resumed. The returned error is only
-// for harness plumbing (an unopenable or unwritable journal); per-run
-// failures live in the outcomes.
-func runPool(units []runUnit, opt SweepOptions) ([]runOutcome, error) {
-	var journal *harness.Journal
-	if opt.Journal != "" {
-		j, err := harness.OpenJournal(opt.Journal)
+// runPool executes one Run per config on the supervised worker pool:
+// panics are contained, failures replayed once to classify
+// deterministic versus divergent, outcomes journaled and resumed. Each
+// run's journal key is its Config.Hash — the muzhad cache key — so a
+// resumed sweep reuses exactly the runs whose scenario is unchanged.
+// The returned error is only for harness plumbing (an unhashable
+// config, an unopenable or unwritable journal); per-run failures live
+// in the outcomes.
+func runPool(cfgs []Config, opt SweepOptions) ([]runOutcome, error) {
+	jobs := make([]harness.Job, len(cfgs))
+	for i, cfg := range cfgs {
+		key, err := cfg.Hash()
 		if err != nil {
 			return nil, err
 		}
-		journal = j
-	}
-
-	jobs := make([]harness.Job, len(units))
-	for i, u := range units {
-		cfg := u.Cfg
-		if !cfg.Guards.enabled() {
+		if !cfg.Guards.Enabled() {
 			cfg.Guards = opt.Guards
 		}
 		if cfg.Workers == 0 {
 			cfg.Workers = opt.Workers
 		}
-		jobs[i] = harness.Job{Key: u.Key, Fn: func() (any, error) {
+		jobs[i] = harness.Job{Key: key, Fn: func() (any, error) {
 			res, err := Run(cfg)
 			if err != nil {
 				return nil, err
@@ -132,41 +120,50 @@ func runPool(units []runUnit, opt SweepOptions) ([]runOutcome, error) {
 		}}
 	}
 
-	workers := opt.Parallel
-	if workers <= 0 {
-		workers = 1
-	}
-	outs, _ := harness.Execute(jobs, harness.Options{
-		Workers: workers,
-		Journal: journal,
-		Replay:  true,
-	})
-
-	result := make([]runOutcome, len(outs))
-	for i, o := range outs {
-		ro := runOutcome{Err: o.Err, Class: string(o.Class), Resumed: o.Resumed}
-		switch {
-		case o.Err != nil:
-		case o.Resumed:
-			var r Result
-			if derr := json.Unmarshal(o.Raw, &r); derr != nil {
-				ro.Err = fmt.Errorf("muzha: journal entry %q: %w", o.Key, derr)
-				ro.Class = ClassError
-			} else {
-				ro.Result = &r
-			}
-		default:
-			ro.Result = o.Value.(*Result)
+	var journal *harness.Journal
+	if opt.Journal != "" {
+		j, err := harness.OpenJournal(opt.Journal)
+		if err != nil {
+			return nil, err
 		}
-		result[i] = ro
+		journal = j
 	}
-
+	outs := supervise(jobs, opt.Parallel, harness.Options{Journal: journal, Replay: true})
 	if journal != nil {
 		if cerr := journal.Close(); cerr != nil {
-			return result, cerr
+			return outs, cerr
 		}
 	}
-	return result, nil
+	return outs, nil
+}
+
+// supervise submits the jobs to a pool of parallel workers (at least
+// one), closes it, and returns the outcomes in job order. A successful
+// job's value is a *Result, or its journaled encoding when resumed.
+func supervise(jobs []harness.Job, parallel int, opt harness.Options) []runOutcome {
+	outs := make([]runOutcome, len(jobs))
+	pool := harness.NewPool(max(1, min(parallel, len(jobs))), opt)
+	for i, job := range jobs {
+		pool.Submit(job, func(o harness.Outcome) {
+			ro := runOutcome{Err: o.Err, Class: string(o.Class), Resumed: o.Resumed}
+			switch {
+			case o.Err != nil:
+			case o.Resumed:
+				var r Result
+				if derr := json.Unmarshal(o.Raw, &r); derr != nil {
+					ro.Err = fmt.Errorf("muzha: journal entry %q: %w", o.Key, derr)
+					ro.Class = ClassError
+				} else {
+					ro.Result = &r
+				}
+			default:
+				ro.Result = o.Value.(*Result)
+			}
+			outs[i] = ro
+		})
+	}
+	pool.Close()
+	return outs
 }
 
 // sweepError folds the outcomes' failures into a *SweepError, or nil

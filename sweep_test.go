@@ -88,7 +88,7 @@ func TestLivelockDetectorTripsOnZeroDelayCycle(t *testing.T) {
 // TestSweepClassifiesLivelockBudgetAndPanic is the acceptance scenario:
 // one sweep containing a livelocking run, an event-budget blowup and a
 // panicking run completes, finishes the healthy job, and classifies all
-// three failures correctly in the summary.
+// three failures correctly in its outcomes and SweepError.
 func TestSweepClassifiesLivelockBudgetAndPanic(t *testing.T) {
 	guardedSim := func(seed int64, wc harness.WatchdogConfig, load func(*sim.Simulator)) func() (any, error) {
 		return func() (any, error) {
@@ -119,37 +119,42 @@ func TestSweepClassifiesLivelockBudgetAndPanic(t *testing.T) {
 		{Key: "healthy", Fn: func() (any, error) { return Run(healthy) }},
 	}
 
-	outs, sum := harness.Execute(jobs, harness.Options{Workers: 4, Replay: true})
-	if sum.Failures[harness.ClassLivelock] != 1 ||
-		sum.Failures[harness.ClassEventBudget] != 1 ||
-		sum.Failures[harness.ClassPanic] != 1 || sum.OK != 1 {
-		t.Fatalf("summary misclassified the sweep: %+v", sum)
-	}
-	for i, want := range []harness.Class{
-		harness.ClassLivelock, harness.ClassEventBudget, harness.ClassPanic, harness.ClassOK,
-	} {
+	outs := supervise(jobs, 4, harness.Options{Replay: true})
+	for i, want := range []string{ClassLivelock, ClassEventBudget, ClassPanic, ""} {
 		if outs[i].Class != want {
-			t.Errorf("job %q classified %q, want %q (err=%v)", outs[i].Key, outs[i].Class, want, outs[i].Err)
+			t.Errorf("job %q classified %q, want %q (err=%v)", jobs[i].Key, outs[i].Class, want, outs[i].Err)
 		}
 	}
-	if !errors.Is(sum.Worst(), ErrPanic) {
-		t.Fatalf("Worst() = %v, want ErrPanic", sum.Worst())
+	if outs[3].Result == nil || outs[3].Err != nil {
+		t.Fatalf("healthy job lost its Result: %+v", outs[3])
+	}
+	err := sweepError(outs)
+	var se *SweepError
+	if !errors.As(err, &se) {
+		t.Fatalf("sweepError = %T (%v)", err, err)
+	}
+	if se.Total != 4 || se.Failed != 3 ||
+		se.Counts[ClassLivelock] != 1 || se.Counts[ClassEventBudget] != 1 || se.Counts[ClassPanic] != 1 {
+		t.Fatalf("sweep misclassified: %+v", se)
+	}
+	if !errors.Is(err, ErrPanic) {
+		t.Fatalf("worst class %v, want ErrPanic", err)
 	}
 }
 
-// chaosUnits builds sweep units for ChaosScenario seeds 1..n, the
+// chaosConfigs returns the ChaosScenario configs of seeds 1..n, the
 // randomized fault worlds the chaos sweep tests run on the pool.
-func chaosUnits(t *testing.T, n int) []runUnit {
+func chaosConfigs(t *testing.T, n int) []Config {
 	t.Helper()
-	var us []runUnit
+	var cfgs []Config
 	for seed := int64(1); seed <= int64(n); seed++ {
 		cfg, _, err := ChaosScenario(seed, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		us = append(us, runUnit{Key: fmt.Sprintf("chaos/seed=%d", seed), Cfg: cfg})
+		cfgs = append(cfgs, cfg)
 	}
-	return us
+	return cfgs
 }
 
 // TestChaosSweepParallelMatchesSerial is the acceptance determinism
@@ -159,11 +164,11 @@ func TestChaosSweepParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep in -short mode")
 	}
-	serial, err := runPool(chaosUnits(t, 6), SweepOptions{})
+	serial, err := runPool(chaosConfigs(t, 6), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := runPool(chaosUnits(t, 6), SweepOptions{Parallel: 4})
+	parallel, err := runPool(chaosConfigs(t, 6), SweepOptions{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,12 +191,12 @@ func TestChaosSweepJournalResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep in -short mode")
 	}
-	full, err := runPool(chaosUnits(t, 5), SweepOptions{})
+	full, err := runPool(chaosConfigs(t, 5), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := SweepOptions{Parallel: 2, Journal: filepath.Join(t.TempDir(), "chaos.jsonl")}
-	partial, err := runPool(chaosUnits(t, 3), opt)
+	partial, err := runPool(chaosConfigs(t, 3), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +205,7 @@ func TestChaosSweepJournalResume(t *testing.T) {
 			t.Fatalf("first journaled sweep reported seed %d resumed", i+1)
 		}
 	}
-	merged, err := runPool(chaosUnits(t, 5), opt)
+	merged, err := runPool(chaosConfigs(t, 5), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +300,15 @@ func TestSweepErrorClassification(t *testing.T) {
 	if !errors.Is(err, ErrLivelock) {
 		t.Fatalf("worst class not exposed: %v", err)
 	}
+	if !strings.Contains(err.Error(), "[livelock:1 event-budget:1 invariant:1]") {
+		t.Fatalf("classes not rendered worst first: %v", err)
+	}
 	if sweepError([]runOutcome{{Result: &Result{}}}) != nil {
 		t.Fatal("healthy sweep produced an error")
+	}
+	// Every class renders, canceled included.
+	canceled := sweepError([]runOutcome{{Err: fmt.Errorf("x: %w", ErrCanceled), Class: ClassCanceled}})
+	if !strings.Contains(canceled.Error(), "[canceled:1]") {
+		t.Fatalf("canceled runs not rendered: %v", canceled)
 	}
 }
