@@ -1,12 +1,15 @@
 // Command muzhareport reruns the paper's headline experiments and emits
 // a markdown report that checks each reproduced claim, pass/fail. It is
-// the self-auditing companion to EXPERIMENTS.md.
+// the self-auditing companion to EXPERIMENTS.md. It exits 1 when any
+// claim fails.
 //
-//	muzhareport            # full 30 s runs, 3 seeds (minutes)
-//	muzhareport -quick     # reduced runs for smoke-testing (seconds)
+//	muzhareport            # full 30 s runs, 3 seeds (seconds)
+//	muzhareport -quick     # reduced runs for smoke-testing; too short
+//	                       # for every claim to hold
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,13 +26,23 @@ func main() {
 	}
 }
 
+// errClaimsFailed is returned, after the whole report is written, when
+// at least one claim reads FAIL.
+var errClaimsFailed = errors.New("paper claims failed")
+
+// reporter is the report's output; it tallies the claims checked.
+type reporter struct {
+	io.Writer
+	claims, failed int
+}
+
 type params struct {
 	duration time.Duration
 	fairDur  time.Duration
 	seeds    []int64
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("muzhareport", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "reduced durations and one seed (smoke test)")
 	if err := fs.Parse(args); err != nil {
@@ -40,6 +53,7 @@ func run(args []string, out io.Writer) error {
 		p = params{duration: 5 * time.Second, fairDur: 5 * time.Second, seeds: []int64{1}}
 	}
 
+	out := &reporter{Writer: w}
 	fmt.Fprintln(out, "# TCP Muzha reproduction report")
 	fmt.Fprintln(out)
 	fmt.Fprintf(out, "Runs: %v (fairness %v), seeds %v.\n\n", p.duration, p.fairDur, p.seeds)
@@ -50,18 +64,26 @@ func run(args []string, out io.Writer) error {
 	if err := reportFairness(out, p); err != nil {
 		return err
 	}
-	return reportRandomLoss(out, p)
+	if err := reportRandomLoss(out, p); err != nil {
+		return err
+	}
+	if out.failed > 0 {
+		return fmt.Errorf("%w: %d of %d", errClaimsFailed, out.failed, out.claims)
+	}
+	return nil
 }
 
-func check(out io.Writer, ok bool, claim string) {
+func check(out *reporter, ok bool, claim string) {
 	mark := "PASS"
+	out.claims++
 	if !ok {
 		mark = "FAIL"
+		out.failed++
 	}
 	fmt.Fprintf(out, "- [%s] %s\n", mark, claim)
 }
 
-func reportThroughput(out io.Writer, p params) error {
+func reportThroughput(out *reporter, p params) error {
 	rows, err := muzha.ThroughputVsHops(muzha.ChainSweepConfig{
 		Windows:  []int{8},
 		Hops:     []int{4, 8, 16},
@@ -107,7 +129,7 @@ func reportThroughput(out io.Writer, p params) error {
 	return nil
 }
 
-func reportFairness(out io.Writer, p params) error {
+func reportFairness(out *reporter, p params) error {
 	pairs := [][2]muzha.Variant{{muzha.NewReno, muzha.Vegas}, {muzha.NewReno, muzha.Muzha}}
 	rows, err := muzha.CoexistenceFairness([]int{6}, pairs, p.fairDur, p.seeds)
 	if err != nil {
@@ -135,7 +157,7 @@ func reportFairness(out io.Writer, p params) error {
 	return nil
 }
 
-func reportRandomLoss(out io.Writer, p params) error {
+func reportRandomLoss(out *reporter, p params) error {
 	fmt.Fprintln(out, "## Section 4.7: random-loss discrimination (4-hop chain, 2% residual loss)")
 	fmt.Fprintln(out)
 	top, err := muzha.ChainTopology(4)

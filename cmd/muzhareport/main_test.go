@@ -1,13 +1,16 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
 
 func TestQuickReportRenders(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-quick"}, &sb); err != nil {
+	// The quick runs are too short for every claim to hold, so a
+	// failed-claims error is expected; any other error is not.
+	if err := run([]string{"-quick"}, &sb); err != nil && !errors.Is(err, errClaimsFailed) {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -30,6 +33,18 @@ func TestQuickReportRenders(t *testing.T) {
 				t.Fatalf("malformed claim line: %q", line)
 			}
 		}
+	}
+}
+
+// TestFullReportPasses runs the report at its full parameters: every
+// paper claim must hold, or the command exits 1.
+func TestFullReportPasses(t *testing.T) {
+	var sb strings.Builder
+	if err := run(nil, &sb); err != nil {
+		t.Fatalf("%v\n%s", err, sb.String())
+	}
+	if strings.Contains(sb.String(), "- [FAIL]") {
+		t.Fatalf("a FAIL line without an error:\n%s", sb.String())
 	}
 }
 

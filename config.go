@@ -186,64 +186,31 @@ type Flow struct {
 	MaxBytes int64
 }
 
-// DRAIPolicy mirrors the router-side Muzha policy for public
-// configuration; see the paper's Table 5.2 and internal/core.
-type DRAIPolicy struct {
-	// Thresholds are ascending queue-occupancy fractions.
-	Thresholds []float64
-	// Levels are the DRAI recommendations (5..1) between thresholds;
-	// one more entry than Thresholds, strictly descending.
-	Levels []int
-	// MarkLevel congestion-marks packets when the DRAI is at or below
-	// it.
-	MarkLevel int
-	// ChannelThresholds, when non-empty, add a MAC channel-utilization
-	// gate (see ChannelAwareDRAIPolicy).
-	ChannelThresholds []float64
-	// DelayThresholds, when non-empty, add a queueing-delay input in
-	// seconds (see DelayAwareDRAIPolicy).
-	DelayThresholds []float64
-}
+// DRAIPolicy is the router-side Muzha policy (core.DRAIPolicy): the
+// queue-occupancy thresholds, the DRAI recommendation (Table 5.2, 5..1)
+// between them, the congestion-marking level, and the optional channel
+// and queueing-delay inputs.
+type DRAIPolicy = core.DRAIPolicy
 
 // DefaultDRAIPolicy returns the five-level policy used for the headline
 // experiments.
-func DefaultDRAIPolicy() DRAIPolicy { return fromCore(core.DefaultDRAIPolicy()) }
+func DefaultDRAIPolicy() DRAIPolicy { return core.DefaultDRAIPolicy() }
 
 // BinaryDRAIPolicy returns the ECN-like two-level ablation policy.
 func BinaryDRAIPolicy(threshold float64) DRAIPolicy {
-	return fromCore(core.BinaryDRAIPolicy(threshold))
+	return core.BinaryDRAIPolicy(threshold)
 }
 
 // ThreeLevelDRAIPolicy returns the coarse three-level ablation policy.
-func ThreeLevelDRAIPolicy() DRAIPolicy { return fromCore(core.ThreeLevelDRAIPolicy()) }
+func ThreeLevelDRAIPolicy() DRAIPolicy { return core.ThreeLevelDRAIPolicy() }
 
 // ChannelAwareDRAIPolicy returns the default policy with the MAC
 // channel-utilization gate enabled (ablation comparison).
-func ChannelAwareDRAIPolicy() DRAIPolicy { return fromCore(core.ChannelAwareDRAIPolicy()) }
+func ChannelAwareDRAIPolicy() DRAIPolicy { return core.ChannelAwareDRAIPolicy() }
 
 // DelayAwareDRAIPolicy returns the default policy with the queueing-delay
 // input enabled — the thesis' future-work DRAI refinement.
-func DelayAwareDRAIPolicy() DRAIPolicy { return fromCore(core.DelayAwareDRAIPolicy()) }
-
-func fromCore(p core.DRAIPolicy) DRAIPolicy {
-	return DRAIPolicy{
-		Thresholds:        p.Thresholds,
-		Levels:            p.Levels,
-		MarkLevel:         p.MarkLevel,
-		ChannelThresholds: p.ChannelThresholds,
-		DelayThresholds:   p.DelayThresholds,
-	}
-}
-
-func (p DRAIPolicy) toCore() core.DRAIPolicy {
-	return core.DRAIPolicy{
-		Thresholds:        p.Thresholds,
-		Levels:            p.Levels,
-		MarkLevel:         p.MarkLevel,
-		ChannelThresholds: p.ChannelThresholds,
-		DelayThresholds:   p.DelayThresholds,
-	}
-}
+func DelayAwareDRAIPolicy() DRAIPolicy { return core.DelayAwareDRAIPolicy() }
 
 // BackgroundFlow is an unreactive constant-bit-rate datagram stream that
 // competes with the TCP flows for the channel — an extension beyond the

@@ -3,6 +3,7 @@ package aodv
 import (
 	"testing"
 
+	"muzha/internal/ondemand"
 	"muzha/internal/packet"
 	"muzha/internal/sim"
 )
@@ -39,7 +40,7 @@ func newRouter(t *testing.T, self packet.NodeID) (*sim.Simulator, *Router, *stub
 	s := sim.New(1)
 	out := &stubOut{}
 	var ids packet.IDGen
-	r, err := New(s, self, out, &ids, DefaultConfig())
+	r, err := New(s, self, out, &ids, ondemand.DefaultConfig(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,20 +52,14 @@ func dataTo(dst packet.NodeID) *packet.Packet {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.ActiveRouteTimeout = 0 },
-		func(c *Config) { c.DiscoveryTimeout = 0 },
-		func(c *Config) { c.RREQRetries = -1 },
-		func(c *Config) { c.MaxBuffered = 0 },
-		func(c *Config) { c.BroadcastJitter = -1 },
-		func(c *Config) { c.SeenCacheSize = -1 },
+	cfg := DefaultConfig()
+	cfg.ActiveRouteTimeout = 0
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("zero ActiveRouteTimeout accepted")
 	}
-	for i, mutate := range bad {
-		cfg := DefaultConfig()
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Fatalf("bad config %d accepted", i)
-		}
+	var ids packet.IDGen
+	if _, err := New(sim.New(1), 0, &stubOut{}, &ids, ondemand.DefaultConfig(), cfg); err == nil {
+		t.Fatal("New accepted an invalid config")
 	}
 }
 
@@ -147,8 +142,8 @@ func TestDiscoveryRetriesThenFails(t *testing.T) {
 	r.SendData(pkt)
 	s.Run(time30s())
 
-	// 1 initial + RREQRetries rebroadcasts.
-	wantRREQ := 1 + DefaultConfig().RREQRetries
+	// 1 initial + Retries rebroadcasts.
+	wantRREQ := 1 + ondemand.DefaultConfig().Retries
 	got := 0
 	for _, m := range out.routing {
 		if _, ok := m.pkt.Payload.(*RREQ); ok {
@@ -170,7 +165,7 @@ func time30s() sim.Time { return 30 * sim.Second }
 
 func TestBufferOverflowDrops(t *testing.T) {
 	_, r, out := newRouter(t, 0)
-	n := DefaultConfig().MaxBuffered + 5
+	n := ondemand.DefaultConfig().MaxBuffered + 5
 	for i := 0; i < n; i++ {
 		r.SendData(dataTo(9))
 	}
@@ -215,7 +210,7 @@ func TestRREQAtIntermediateRebroadcastsWithJitter(t *testing.T) {
 	if len(out.routing) != 0 {
 		t.Fatal("rebroadcast was not jittered")
 	}
-	s.Run(DefaultConfig().BroadcastJitter + sim.Millisecond)
+	s.Run(ondemand.DefaultConfig().BroadcastJitter + sim.Millisecond)
 	if len(out.routing) != 1 {
 		t.Fatalf("rebroadcasts = %d, want 1", len(out.routing))
 	}
@@ -487,7 +482,7 @@ func TestRouteExpiry(t *testing.T) {
 	var ids packet.IDGen
 	cfg := DefaultConfig()
 	cfg.ActiveRouteTimeout = sim.Second
-	r, err := New(s, 0, out, &ids, cfg)
+	r, err := New(s, 0, out, &ids, ondemand.DefaultConfig(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"muzha/internal/ondemand"
 	"muzha/internal/packet"
 	"muzha/internal/sim"
 )
@@ -22,7 +23,7 @@ func FuzzAODVMessages(f *testing.F) {
 		s := sim.New(1)
 		out := &stubOut{}
 		var ids packet.IDGen
-		r, err := New(s, 2, out, &ids, DefaultConfig())
+		r, err := New(s, 2, out, &ids, ondemand.DefaultConfig(), DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package aodv
 import (
 	"testing"
 
+	"muzha/internal/ondemand"
 	"muzha/internal/packet"
 	"muzha/internal/sim"
 )
@@ -31,7 +32,7 @@ func newMiniNet(t *testing.T, n int, cfg Config) *miniNet {
 	var ids packet.IDGen
 	for i := 0; i < n; i++ {
 		id := packet.NodeID(i)
-		r, err := New(net.s, id, &miniPort{net: net, self: id}, &ids, cfg)
+		r, err := New(net.s, id, &miniPort{net: net, self: id}, &ids, ondemand.DefaultConfig(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,12 +73,12 @@ func totalRREQSent(net *miniNet) uint64 {
 
 // TTL progression on an unreachable destination: rings at TTLStart,
 // +TTLIncrement per timeout, then network-wide (HopLimit 0) once past
-// TTLThreshold, with RREQRetries counting only network-wide attempts.
+// TTLThreshold, with Retries counting only network-wide attempts.
 func TestExpandingRingTTLProgression(t *testing.T) {
 	s := sim.New(1)
 	out := &stubOut{}
 	var ids packet.IDGen
-	r, err := New(s, 0, out, &ids, ringConfig())
+	r, err := New(s, 0, out, &ids, ondemand.DefaultConfig(), ringConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestExpandingRingTTLProgression(t *testing.T) {
 		}
 	}
 	// TTLStart=2, +2, +2, then 8 > TTLThreshold=7 escalates to
-	// network-wide; 1 initial network-wide + RREQRetries=3 retries.
+	// network-wide; 1 initial network-wide + Retries=3 retries.
 	want := []int{2, 4, 6, 0, 0, 0, 0}
 	if len(limits) != len(want) {
 		t.Fatalf("RREQ HopLimits = %v, want %v", limits, want)
@@ -201,30 +202,38 @@ func TestGridExpandingRingSendsFewerRREQs(t *testing.T) {
 	}
 }
 
-// The duplicate-RREQ cache is bounded: FIFO eviction keeps the map at
-// the configured capacity while still suppressing recent duplicates.
+// The router's duplicate-RREQ cache is bounded: FIFO eviction keeps it
+// at the configured capacity while still suppressing recent duplicates.
 func TestSeenCacheBounded(t *testing.T) {
-	c := newSeenCache(4)
+	disc := ondemand.DefaultConfig()
+	disc.SeenCacheSize = 4
+	var ids packet.IDGen
+	r, err := New(sim.New(1), 5, &stubOut{}, &ids, disc, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 10; i++ {
-		c.add(rreqKey{src: 1, id: uint32(i)})
-	}
-	if len(c.m) != 4 || len(c.order) != 4 {
-		t.Fatalf("cache size = %d/%d, want 4", len(c.m), len(c.order))
-	}
-	for i := 0; i < 6; i++ {
-		if c.has(rreqKey{src: 1, id: uint32(i)}) {
-			t.Fatalf("old key %d survived eviction", i)
+		if r.od.Duplicate(1, uint32(i)) {
+			t.Fatalf("fresh request %d reported as a duplicate", i)
 		}
 	}
 	for i := 6; i < 10; i++ {
-		if !c.has(rreqKey{src: 1, id: uint32(i)}) {
-			t.Fatalf("recent key %d evicted", i)
+		if !r.od.Duplicate(1, uint32(i)) {
+			t.Fatalf("recent request %d evicted", i)
 		}
 	}
-	// Re-adding an existing key is a no-op, not a duplicate slot.
-	c.add(rreqKey{src: 1, id: 9})
-	if len(c.m) != 4 || len(c.order) != 4 {
-		t.Fatal("duplicate add grew the cache")
+	// A request seen again takes no second slot: one new id evicts only
+	// the oldest entry (6), so 7..9 and the new id are all still held.
+	if r.od.Duplicate(1, 0) {
+		t.Fatal("old request 0 survived eviction")
+	}
+	for _, id := range []uint32{7, 8, 9, 0} {
+		if !r.od.Duplicate(1, id) {
+			t.Fatalf("request %d evicted; the cache holds fewer than 4", id)
+		}
+	}
+	if r.od.Duplicate(1, 6) {
+		t.Fatal("request 6 survived; the cache holds more than 4")
 	}
 }
 
@@ -235,9 +244,9 @@ func TestSeenCacheEvictionAllowsReprocessing(t *testing.T) {
 	s := sim.New(1)
 	out := &stubOut{}
 	var ids packet.IDGen
-	cfg := DefaultConfig()
-	cfg.SeenCacheSize = 2
-	r, err := New(s, 5, out, &ids, cfg)
+	disc := ondemand.DefaultConfig()
+	disc.SeenCacheSize = 2
+	r, err := New(s, 5, out, &ids, disc, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

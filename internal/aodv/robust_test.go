@@ -3,6 +3,7 @@ package aodv
 import (
 	"testing"
 
+	"muzha/internal/ondemand"
 	"muzha/internal/packet"
 	"muzha/internal/sim"
 )
@@ -36,7 +37,7 @@ func newMiniChain(t *testing.T, n int) *miniNet {
 	var ids packet.IDGen
 	for i := 0; i < n; i++ {
 		id := packet.NodeID(i)
-		r, err := New(net.s, id, &miniPort{net: net, self: id}, &ids, DefaultConfig())
+		r, err := New(net.s, id, &miniPort{net: net, self: id}, &ids, ondemand.DefaultConfig(), DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

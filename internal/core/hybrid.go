@@ -36,10 +36,6 @@ func NewDRAIClamped(inner tcp.Variant) *DRAIClamped {
 	return &DRAIClamped{Inner: inner, MinWindow: 2}
 }
 
-// Name implements tcp.Variant. The flow keeps the inner variant's name:
-// the grid's router-assist column, not the label, carries the axis.
-func (c *DRAIClamped) Name() string { return c.Inner.Name() }
-
 // Clamps reports how many times the router recommendation actually
 // lowered the window (observability for tests and experiments).
 func (c *DRAIClamped) Clamps() int64 { return c.clampCount }

@@ -40,11 +40,10 @@ type Muzha struct {
 	// the routers in the operating range.
 	MinOperatingWindow float64
 
-	ff         bool    // in FF (fast retransmit & recovery) phase
-	recover    int64   // recovery point: SndNxt when FF was entered
-	exitCwnd   float64 // window to restore when FF completes
-	minMRAI    int     // minimum MRAI echoed since the last adjustment
-	markedSeen bool    // any marked dup ACK in the current dup-ACK run
+	ff         tcp.Recovery // the FF (fast retransmit & recovery) phase
+	exitCwnd   float64      // window to restore when FF completes
+	minMRAI    int          // minimum MRAI echoed since the last adjustment
+	markedSeen bool         // any marked dup ACK in the current dup-ACK run
 	lastAdjust sim.Time
 }
 
@@ -60,27 +59,20 @@ func NewMuzhaSender(s *sim.Simulator, send func(*packet.Packet), cfg tcp.SenderC
 	return tcp.NewSender(s, send, cfg, NewMuzha())
 }
 
-// Name implements tcp.Variant.
-func (*Muzha) Name() string { return "muzha" }
-
 // OnNewAck implements tcp.Variant: CA-phase window adjustment driven by
 // router recommendations, once per RTT.
 func (m *Muzha) OnNewAck(s *tcp.Sender, ack *packet.Packet, _ int64) {
 	m.markedSeen = false
 	m.noteMRAI(ack)
 
-	if m.ff {
-		if ack.TCP.Ack >= m.recover {
-			// Full acknowledgement: FF complete. Deflate the inflated
-			// window back to the value decided at entry (halved for
-			// congestion loss, unchanged for random loss).
-			m.ff = false
+	if m.ff.Active() {
+		// NewReno-style loss recovery, inherited per Section 4.8: a
+		// partial acknowledgement resends the next hole and stays in
+		// FF; the full one completes FF and deflates the inflated
+		// window back to the value decided at entry (halved for
+		// congestion loss, unchanged for random loss).
+		if m.ff.OnNewAck(s, ack) {
 			s.SetCwnd(m.exitCwnd)
-		} else {
-			// Partial acknowledgement: the next hole starts at the new
-			// SndUna. Retransmit it and stay in FF (NewReno-style loss
-			// recovery, inherited per Section 4.8).
-			s.RetransmitSegment(s.SndUna())
 		}
 		return
 	}
@@ -126,22 +118,12 @@ func (m *Muzha) OnDupAck(s *tcp.Sender, ack *packet.Packet, n int) {
 	if ack.TCP.Echo.Marked {
 		m.markedSeen = true
 	}
-	if m.ff {
-		// Window inflation per extra dup ACK keeps the ACK clock alive
-		// during FF (inherited from NewReno, Section 4.8); the window
-		// deflates to exitCwnd when FF completes.
-		s.SetCwnd(s.Cwnd() + 1)
+	// During FF each extra dup ACK inflates the window to keep the ACK
+	// clock alive (inherited from NewReno, Section 4.8); the window
+	// deflates to exitCwnd when FF completes.
+	if !m.ff.OnDupAck(s, n) {
 		return
 	}
-	if n != 3 {
-		return
-	}
-	if s.Stats() != nil {
-		s.Stats().FastRecoveries++
-	}
-	m.ff = true
-	m.recover = s.SndNxt()
-	s.RetransmitSegment(s.SndUna())
 	m.exitCwnd = s.Cwnd()
 	if !m.MarkedMeansCongestion || m.markedSeen {
 		// Congestion loss: fast respond and halve (Table 4.1 row 2).
@@ -162,7 +144,7 @@ func (m *Muzha) OnDupAck(s *tcp.Sender, ack *packet.Packet, n int) {
 // the sender stays in (re-enters) CA — Muzha has no slow-start phase
 // (Table 4.1 row 4).
 func (m *Muzha) OnTimeout(s *tcp.Sender) {
-	m.ff = false
+	m.ff.Leave()
 	m.minMRAI = 0
 	s.SetCwnd(1)
 }

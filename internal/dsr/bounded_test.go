@@ -3,6 +3,7 @@ package dsr
 import (
 	"testing"
 
+	"muzha/internal/ondemand"
 	"muzha/internal/packet"
 	"muzha/internal/sim"
 )
@@ -16,7 +17,7 @@ func TestRouteCacheDstBound(t *testing.T) {
 	var ids packet.IDGen
 	cfg := DefaultConfig()
 	cfg.MaxCacheDsts = 3
-	r, err := New(s, 0, out, &ids, cfg)
+	r, err := New(s, 0, out, &ids, ondemand.DefaultConfig(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestRouteCacheEvictionSkipsPurged(t *testing.T) {
 	var ids packet.IDGen
 	cfg := DefaultConfig()
 	cfg.MaxCacheDsts = 2
-	r, err := New(s, 0, out, &ids, cfg)
+	r, err := New(s, 0, out, &ids, ondemand.DefaultConfig(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,27 +77,30 @@ func TestRouteCacheEvictionSkipsPurged(t *testing.T) {
 // Duplicate-request suppression stays effective within the bound and
 // the cache never exceeds it.
 func TestSeenCacheBoundedDSR(t *testing.T) {
-	c := newSeenCache(3)
+	disc := ondemand.DefaultConfig()
+	disc.SeenCacheSize = 3
+	var ids packet.IDGen
+	r, err := New(sim.New(1), 0, &stubOut{}, &ids, disc, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 9; i++ {
-		c.add(rreqKey{src: 1, id: uint32(i)})
+		r.od.Duplicate(1, uint32(i))
 	}
-	if len(c.m) != 3 || len(c.order) != 3 {
-		t.Fatalf("cache size = %d/%d, want 3", len(c.m), len(c.order))
+	for i := 6; i < 9; i++ {
+		if !r.od.Duplicate(1, uint32(i)) {
+			t.Fatalf("recent request %d evicted", i)
+		}
 	}
-	if c.has(rreqKey{src: 1, id: 0}) || !c.has(rreqKey{src: 1, id: 8}) {
-		t.Fatal("FIFO eviction order wrong")
+	if r.od.Duplicate(1, 0) {
+		t.Fatal("FIFO eviction order wrong: request 0 survived")
 	}
 }
 
 func TestBoundedConfigValidation(t *testing.T) {
-	for i, mutate := range []func(*Config){
-		func(c *Config) { c.MaxCacheDsts = -1 },
-		func(c *Config) { c.SeenCacheSize = -5 },
-	} {
-		cfg := DefaultConfig()
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Fatalf("bad config %d accepted", i)
-		}
+	cfg := DefaultConfig()
+	cfg.MaxCacheDsts = -1
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("negative MaxCacheDsts accepted")
 	}
 }

@@ -4,23 +4,18 @@
 // traversed path; the destination reverses it into a route reply; data
 // packets then carry the full source route. Nodes keep a route cache and
 // remove routes crossing a broken link when the MAC reports a failure.
+// Route discovery — the send buffer, request retries with binary
+// exponential backoff, the jittered re-flood and the duplicate cache —
+// is internal/ondemand's, shared with AODV; DSR has no expanding ring.
 package dsr
 
 import (
 	"fmt"
-	"sort"
 
+	"muzha/internal/ondemand"
 	"muzha/internal/packet"
 	"muzha/internal/sim"
 )
-
-// Output is the node-side interface, structurally identical to
-// aodv.Output so one node type serves both protocols.
-type Output interface {
-	SendRouting(pkt *packet.Packet, nextHop packet.NodeID)
-	ForwardData(pkt *packet.Packet, nextHop packet.NodeID)
-	DropData(pkt *packet.Packet, reason string)
-}
 
 // Message sizes in bytes: fixed header plus 4 bytes per recorded hop.
 const (
@@ -79,189 +74,85 @@ func (r *RouteError) ClonePayload() any {
 	return &c
 }
 
-// Cache bounds applied when the corresponding Config field is zero.
-// Both are far above anything the paper's scenarios reach, so eviction
-// never fires there.
-const (
-	DefaultMaxCacheDsts  = 1024
-	DefaultSeenCacheSize = 2048
-)
+// DefaultMaxCacheDsts is the route-cache bound applied when
+// Config.MaxCacheDsts is zero. It is far above anything the paper's
+// scenarios reach, so eviction never fires there.
+const DefaultMaxCacheDsts = 1024
 
-// Config holds DSR parameters.
+// Config holds the DSR-only parameters; the discovery parameters are the
+// ondemand.Config passed to New alongside, the same block AODV uses, for
+// a fair comparison.
 type Config struct {
-	// DiscoveryTimeout is the initial route-reply wait, doubling per
-	// retry.
-	DiscoveryTimeout sim.Time
-	// Retries bounds re-floods after the first attempt.
-	Retries int
-	// MaxBuffered bounds the per-destination send buffer.
-	MaxBuffered int
 	// MaxRoutesPerDst bounds the route cache fan-out.
 	MaxRoutesPerDst int
-	// BroadcastJitter de-synchronizes request re-floods.
-	BroadcastJitter sim.Time
 	// MaxCacheDsts bounds how many destinations the route cache holds;
 	// the oldest-inserted destination is evicted first. Zero selects
 	// DefaultMaxCacheDsts. Without a bound, learning every prefix of
 	// every overheard route grows the cache O(N) dsts x O(N) hops.
 	MaxCacheDsts int
-	// SeenCacheSize bounds the duplicate-request suppression cache
-	// (FIFO eviction). Zero selects DefaultSeenCacheSize.
-	SeenCacheSize int
 }
 
-// DefaultConfig mirrors the AODV defaults for a fair comparison.
+// DefaultConfig returns the DSR defaults.
 func DefaultConfig() Config {
-	return Config{
-		DiscoveryTimeout: 500 * sim.Millisecond,
-		Retries:          3,
-		MaxBuffered:      64,
-		MaxRoutesPerDst:  4,
-		BroadcastJitter:  10 * sim.Millisecond,
-	}
+	return Config{MaxRoutesPerDst: 4}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.DiscoveryTimeout <= 0:
-		return fmt.Errorf("dsr: DiscoveryTimeout must be positive, got %v", c.DiscoveryTimeout)
-	case c.Retries < 0:
-		return fmt.Errorf("dsr: Retries must be >= 0, got %d", c.Retries)
-	case c.MaxBuffered < 1:
-		return fmt.Errorf("dsr: MaxBuffered must be >= 1, got %d", c.MaxBuffered)
 	case c.MaxRoutesPerDst < 1:
 		return fmt.Errorf("dsr: MaxRoutesPerDst must be >= 1, got %d", c.MaxRoutesPerDst)
-	case c.BroadcastJitter < 0:
-		return fmt.Errorf("dsr: BroadcastJitter must be >= 0, got %v", c.BroadcastJitter)
 	case c.MaxCacheDsts < 0:
 		return fmt.Errorf("dsr: MaxCacheDsts must be >= 0, got %d", c.MaxCacheDsts)
-	case c.SeenCacheSize < 0:
-		return fmt.Errorf("dsr: SeenCacheSize must be >= 0, got %d", c.SeenCacheSize)
 	}
 	return nil
 }
 
-// Stats are cumulative router counters, aligned with the AODV set.
-type Stats struct {
-	RREQSent     uint64
-	RREPSent     uint64
-	RERRSent     uint64
-	Discoveries  uint64
-	DiscoveryOK  uint64
-	DiscoveryErr uint64
-	LinkFailures uint64
-	CacheHits    uint64
-}
-
-type rreqKey struct {
-	src packet.NodeID
-	id  uint32
-}
-
-// seenCache is a bounded duplicate-request suppression set with FIFO
-// eviction, mirroring the AODV one: unbounded growth here is O(total
-// discoveries in the network) per node.
-type seenCache struct {
-	cap   int
-	m     map[rreqKey]struct{}
-	order []rreqKey
-	head  int
-}
-
-func newSeenCache(capacity int) *seenCache {
-	return &seenCache{cap: capacity, m: make(map[rreqKey]struct{})}
-}
-
-func (c *seenCache) has(k rreqKey) bool {
-	_, ok := c.m[k]
-	return ok
-}
-
-func (c *seenCache) add(k rreqKey) {
-	if _, ok := c.m[k]; ok {
-		return
-	}
-	if len(c.order) < c.cap {
-		c.order = append(c.order, k)
-	} else {
-		delete(c.m, c.order[c.head])
-		c.order[c.head] = k
-		c.head = (c.head + 1) % c.cap
-	}
-	c.m[k] = struct{}{}
-}
-
-type discovery struct {
-	buffer  []*packet.Packet
-	retries int
-	timer   *sim.Timer
-}
-
 // Router is one node's DSR instance.
 type Router struct {
-	sim  *sim.Simulator
 	self packet.NodeID
-	out  Output
+	out  ondemand.Output
 	cfg  Config
-	ids  *packet.IDGen
+	od   *ondemand.Core
 
-	rreqID     uint32
 	cache      map[packet.NodeID][][]packet.NodeID // dst -> candidate routes
 	cacheOrder []packet.NodeID                     // dst insertion order for eviction
-	seen       *seenCache
-	pending    map[packet.NodeID]*discovery
-
-	stats Stats
 }
 
-// New creates a DSR router for node self.
-func New(s *sim.Simulator, self packet.NodeID, out Output, ids *packet.IDGen, cfg Config) (*Router, error) {
+// New creates a DSR router for node self. ids must be the
+// simulation-wide packet ID generator; disc holds the route-discovery
+// parameters.
+func New(s *sim.Simulator, self packet.NodeID, out ondemand.Output, ids *packet.IDGen, disc ondemand.Config, cfg Config) (*Router, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.MaxCacheDsts == 0 {
 		cfg.MaxCacheDsts = DefaultMaxCacheDsts
 	}
-	if cfg.SeenCacheSize == 0 {
-		cfg.SeenCacheSize = DefaultSeenCacheSize
+	r := &Router{
+		self:  self,
+		out:   out,
+		cfg:   cfg,
+		cache: make(map[packet.NodeID][][]packet.NodeID),
 	}
-	return &Router{
-		sim:     s,
-		self:    self,
-		out:     out,
-		cfg:     cfg,
-		ids:     ids,
-		cache:   make(map[packet.NodeID][][]packet.NodeID),
-		seen:    newSeenCache(cfg.SeenCacheSize),
-		pending: make(map[packet.NodeID]*discovery),
-	}, nil
+	od, err := ondemand.New(s, self, out, ids, disc, r)
+	if err != nil {
+		return nil, err
+	}
+	r.od = od
+	return r, nil
 }
 
 // Stats returns a copy of the counters.
-func (r *Router) Stats() Stats { return r.stats }
+func (r *Router) Stats() ondemand.Stats { return r.od.Stats }
 
 // Reset wipes all volatile protocol state, as a node crash would: the
 // route cache, duplicate-suppression set, and in-flight discoveries
 // (timers stopped, buffered packets dropped). Cumulative stats survive.
 func (r *Router) Reset() {
-	dsts := make([]packet.NodeID, 0, len(r.pending))
-	for dst := range r.pending {
-		dsts = append(dsts, dst)
-	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	for _, dst := range dsts {
-		d := r.pending[dst]
-		d.timer.Stop()
-		for _, pkt := range d.buffer {
-			r.out.DropData(pkt, "router reset")
-		}
-	}
+	r.od.Reset()
 	r.cache = make(map[packet.NodeID][][]packet.NodeID)
 	r.cacheOrder = nil
-	r.seen = newSeenCache(r.cfg.SeenCacheSize)
-	r.pending = make(map[packet.NodeID]*discovery)
-	r.rreqID = 0
 }
 
 // BestRoute returns the shortest cached route to dst (full path
@@ -290,10 +181,9 @@ func (r *Router) SendData(pkt *packet.Packet) {
 	}
 	route, ok := r.BestRoute(pkt.Dst)
 	if !ok {
-		r.bufferForDiscovery(pkt)
+		r.od.Buffer(pkt)
 		return
 	}
-	r.stats.CacheHits++
 	r.attachRoute(pkt, route)
 	r.forwardAlongRoute(pkt)
 }
@@ -318,7 +208,7 @@ func (r *Router) forwardAlongRoute(pkt *packet.Packet) {
 			r.attachRoute(pkt, route)
 			idx = 0
 		} else {
-			r.bufferForDiscovery(pkt)
+			r.od.Buffer(pkt)
 			return
 		}
 	}
@@ -330,51 +220,18 @@ func (r *Router) forwardAlongRoute(pkt *packet.Packet) {
 	r.out.ForwardData(pkt, pkt.SrcRoute[idx+1])
 }
 
-func (r *Router) bufferForDiscovery(pkt *packet.Packet) {
-	d := r.pending[pkt.Dst]
-	if d == nil {
-		d = &discovery{}
-		r.pending[pkt.Dst] = d
-		r.startDiscovery(pkt.Dst, d)
-	}
-	if len(d.buffer) >= r.cfg.MaxBuffered {
-		r.out.DropData(pkt, "discovery buffer full")
-		return
-	}
-	d.buffer = append(d.buffer, pkt)
-}
+// FirstTTL implements ondemand.Protocol: DSR has no expanding ring, so
+// every request floods network-wide.
+func (r *Router) FirstTTL(packet.NodeID) int { return 0 }
 
-func (r *Router) startDiscovery(dst packet.NodeID, d *discovery) {
-	r.stats.Discoveries++
-	r.sendRREQ(dst)
-	d.timer = sim.NewTimer(r.sim, func() { r.discoveryTimeout(dst) })
-	d.timer.Reset(r.cfg.DiscoveryTimeout)
-}
+// WidenTTL implements ondemand.Protocol; with no ring it is never asked.
+func (r *Router) WidenTTL(int) int { return 0 }
 
-func (r *Router) sendRREQ(dst packet.NodeID) {
-	r.rreqID++
-	req := &RouteRequest{ID: r.rreqID, Src: r.self, Dst: dst}
-	r.seen.add(rreqKey{src: r.self, id: req.ID})
-	r.stats.RREQSent++
-	r.out.SendRouting(r.routingPacket(req, req.size(), packet.Broadcast), packet.Broadcast)
-}
-
-func (r *Router) discoveryTimeout(dst packet.NodeID) {
-	d := r.pending[dst]
-	if d == nil {
-		return
-	}
-	if d.retries >= r.cfg.Retries {
-		delete(r.pending, dst)
-		r.stats.DiscoveryErr++
-		for _, pkt := range d.buffer {
-			r.out.DropData(pkt, "no route after retries")
-		}
-		return
-	}
-	d.retries++
-	r.sendRREQ(dst)
-	d.timer.Reset(r.cfg.DiscoveryTimeout << uint(d.retries))
+// SendRequest implements ondemand.Protocol: it floods a route request
+// for dst with an empty recorded path.
+func (r *Router) SendRequest(dst packet.NodeID, _ int) {
+	req := &RouteRequest{ID: r.od.NewRequest(), Src: r.self, Dst: dst}
+	r.od.Broadcast(req, req.size())
 }
 
 // HandleRouting processes a received DSR message.
@@ -390,11 +247,9 @@ func (r *Router) HandleRouting(pkt *packet.Packet) {
 }
 
 func (r *Router) handleRREQ(req *RouteRequest) {
-	key := rreqKey{src: req.Src, id: req.ID}
-	if r.seen.has(key) {
+	if r.od.Duplicate(req.Src, req.ID) {
 		return
 	}
-	r.seen.add(key)
 
 	// Learn the reverse route back to the originator.
 	reverse := make([]packet.NodeID, 0, len(req.Path)+2)
@@ -419,14 +274,7 @@ func (r *Router) handleRREQ(req *RouteRequest) {
 	// Re-flood with ourselves appended, after jitter.
 	fwd := req.ClonePayload().(*RouteRequest)
 	fwd.Path = append(fwd.Path, r.self)
-	jitter := sim.Time(0)
-	if r.cfg.BroadcastJitter > 0 {
-		jitter = sim.Time(r.sim.Rand().Int63n(int64(r.cfg.BroadcastJitter)))
-	}
-	r.sim.Schedule(jitter, func() {
-		r.stats.RREQSent++
-		r.out.SendRouting(r.routingPacket(fwd, fwd.size(), packet.Broadcast), packet.Broadcast)
-	})
+	r.od.Rebroadcast(fwd, fwd.size())
 }
 
 // sendReply source-routes a route reply along the given path (starting at
@@ -435,11 +283,11 @@ func (r *Router) sendReply(rep *RouteReply, path []packet.NodeID) {
 	if len(path) < 2 {
 		return
 	}
-	pkt := r.routingPacket(rep, rep.size(), path[1])
+	pkt := r.od.Packet(rep, rep.size(), path[1])
 	pkt.SrcRoute = append([]packet.NodeID(nil), path...)
 	pkt.RouteHop = 1
 	pkt.Dst = path[len(path)-1]
-	r.stats.RREPSent++
+	r.od.Stats.RREPSent++
 	r.out.SendRouting(pkt, path[1])
 }
 
@@ -447,23 +295,18 @@ func (r *Router) handleRREP(pkt *packet.Packet, rep *RouteReply) {
 	r.learnRoute(routeFrom(rep.Route, r.self))
 
 	if rep.Src == r.self {
-		d := r.pending[rep.Dst]
-		if d == nil {
+		buf, ok := r.od.Complete(rep.Dst)
+		if !ok {
 			return
 		}
-		delete(r.pending, rep.Dst)
-		d.timer.Stop()
-		r.stats.DiscoveryOK++
 		route, ok := r.BestRoute(rep.Dst)
-		if !ok {
-			for _, p := range d.buffer {
+		for _, p := range buf {
+			if ok {
+				r.attachRoute(p, route)
+				r.forwardAlongRoute(p)
+			} else {
 				r.out.DropData(p, "route vanished after reply")
 			}
-			return
-		}
-		for _, p := range d.buffer {
-			r.attachRoute(p, route)
-			r.forwardAlongRoute(p)
 		}
 		return
 	}
@@ -491,7 +334,7 @@ func (r *Router) handleRERR(pkt *packet.Packet, rerr *RouteError) {
 // source, and the packet is salvaged over an alternative route when one
 // is cached.
 func (r *Router) LinkFailure(nextHop packet.NodeID, failed *packet.Packet) {
-	r.stats.LinkFailures++
+	r.od.Stats.LinkFailures++
 	r.purgeLink(r.self, nextHop)
 	if failed == nil || failed.Kind != packet.KindData {
 		return
@@ -500,11 +343,11 @@ func (r *Router) LinkFailure(nextHop packet.NodeID, failed *packet.Packet) {
 	if failed.Src != r.self && len(failed.SrcRoute) > 0 {
 		if prefix := reversePrefix(failed.SrcRoute, r.self); len(prefix) >= 2 {
 			rerr := &RouteError{From: r.self, To: nextHop}
-			pkt := r.routingPacket(rerr, rerrSize, prefix[1])
+			pkt := r.od.Packet(rerr, rerrSize, prefix[1])
 			pkt.SrcRoute = prefix
 			pkt.RouteHop = 1
 			pkt.Dst = prefix[len(prefix)-1]
-			r.stats.RERRSent++
+			r.od.Stats.RERRSent++
 			r.out.SendRouting(pkt, prefix[1])
 		}
 	}
@@ -598,20 +441,6 @@ func (r *Router) purgeLink(from, to packet.NodeID) {
 		} else {
 			r.cache[dst] = kept
 		}
-	}
-}
-
-func (r *Router) routingPacket(payload any, size int, macDst packet.NodeID) *packet.Packet {
-	return &packet.Packet{
-		UID:     r.ids.Next(),
-		Kind:    packet.KindRouting,
-		Src:     r.self,
-		Dst:     macDst,
-		TTL:     32,
-		Size:    size + packet.IPHeaderSize,
-		MACSrc:  r.self,
-		MACDst:  macDst,
-		Payload: payload,
 	}
 }
 

@@ -91,9 +91,6 @@ func TestReplayClassifiesNonDeterministic(t *testing.T) {
 	if calls["flaky"] != 2 || calls["stuck"] != 2 {
 		t.Fatalf("replay counts %v, want exactly one replay each", calls)
 	}
-	if !outs[0].Replayed || !outs[1].Replayed {
-		t.Fatalf("replay not reported: %+v", outs)
-	}
 }
 
 // TestReplaySkipsDeadline: wall-clock failures depend on host load, so

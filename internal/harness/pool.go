@@ -34,8 +34,6 @@ type Outcome struct {
 	// Resumed is set when the outcome was satisfied from the journal
 	// without running Fn.
 	Resumed bool
-	// Replayed is set when the failure replay ran.
-	Replayed bool
 }
 
 // Options configures a Pool.
@@ -68,7 +66,6 @@ func runJob(job Job, opt Options) Outcome {
 
 	v, err := safeCall(job.Fn)
 	if err != nil && opt.Replay && Classify(err) != ClassDeadline && Classify(err) != ClassCanceled {
-		out.Replayed = true
 		_, err2 := safeCall(job.Fn)
 		if Classify(err2) != Classify(err) {
 			err = fmt.Errorf("%w: first attempt failed (%v) but replay %s",

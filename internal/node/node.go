@@ -12,6 +12,7 @@ import (
 	"muzha/internal/dsr"
 	"muzha/internal/invariant"
 	"muzha/internal/mac"
+	"muzha/internal/ondemand"
 	"muzha/internal/packet"
 	"muzha/internal/phy"
 	"muzha/internal/queue"
@@ -40,11 +41,15 @@ const (
 
 // Config assembles per-node parameters.
 type Config struct {
-	MAC  mac.Config
-	AODV aodv.Config
+	MAC mac.Config
 	// Protocol selects AODV (default) or DSR.
 	Protocol Routing
-	// DSR holds DSR parameters when Protocol is RoutingDSR.
+	// Discovery holds the route-discovery parameters both protocols
+	// share.
+	Discovery ondemand.Config
+	// AODV holds the AODV-only parameters when Protocol is RoutingAODV.
+	AODV aodv.Config
+	// DSR holds the DSR-only parameters when Protocol is RoutingDSR.
 	DSR dsr.Config
 	// QueueLimit is the IFQ capacity in packets (paper: 50, drop-tail).
 	QueueLimit int
@@ -80,6 +85,7 @@ func DefaultConfig() Config {
 	p := core.DefaultDRAIPolicy()
 	return Config{
 		MAC:        mac.DefaultConfig(),
+		Discovery:  ondemand.DefaultConfig(),
 		AODV:       aodv.DefaultConfig(),
 		DSR:        dsr.DefaultConfig(),
 		QueueLimit: queue.DefaultLimit,
@@ -87,16 +93,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// RoutingStats unifies the AODV and DSR counters.
-type RoutingStats struct {
-	RREQSent     uint64
-	RREPSent     uint64
-	RERRSent     uint64
-	Discoveries  uint64
-	DiscoveryOK  uint64
-	DiscoveryErr uint64
-	LinkFailures uint64
-}
+// RoutingStats are the router counters, the same for AODV and DSR.
+type RoutingStats = ondemand.Stats
 
 // routingProtocol is what the node needs from a routing implementation;
 // both aodv.Router and dsr.Router satisfy it.
@@ -106,6 +104,7 @@ type routingProtocol interface {
 	LinkFailure(nextHop packet.NodeID, failed *packet.Packet)
 	// Reset wipes volatile protocol state, as a crash would.
 	Reset()
+	Stats() ondemand.Stats
 }
 
 // Stats are per-node network-layer counters.
@@ -131,7 +130,6 @@ type Node struct {
 	ifq    queue.Queue
 	router routingProtocol
 	aodv   *aodv.Router // non-nil when Protocol == RoutingAODV
-	dsr    *dsr.Router  // non-nil when Protocol == RoutingDSR
 	agents map[int32]Agent
 	ids    *packet.IDGen
 
@@ -217,14 +215,13 @@ func New(s *sim.Simulator, ch *phy.Channel, pos topo.Position, id packet.NodeID,
 
 	switch cfg.Protocol {
 	case RoutingDSR:
-		r, err := dsr.New(s, id, n, ids, cfg.DSR)
+		r, err := dsr.New(s, id, n, ids, cfg.Discovery, cfg.DSR)
 		if err != nil {
 			return nil, err
 		}
-		n.dsr = r
 		n.router = r
 	default:
-		r, err := aodv.New(s, id, n, ids, cfg.AODV)
+		r, err := aodv.New(s, id, n, ids, cfg.Discovery, cfg.AODV)
 		if err != nil {
 			return nil, err
 		}
@@ -256,30 +253,7 @@ func (n *Node) MACStats() mac.Stats { return n.mac.Stats() }
 func (n *Node) MACUtilization() float64 { return n.mac.Utilization() }
 
 // RouterStats returns the node's routing-protocol counters.
-func (n *Node) RouterStats() RoutingStats {
-	if n.dsr != nil {
-		s := n.dsr.Stats()
-		return RoutingStats{
-			RREQSent:     s.RREQSent,
-			RREPSent:     s.RREPSent,
-			RERRSent:     s.RERRSent,
-			Discoveries:  s.Discoveries,
-			DiscoveryOK:  s.DiscoveryOK,
-			DiscoveryErr: s.DiscoveryErr,
-			LinkFailures: s.LinkFailures,
-		}
-	}
-	s := n.aodv.Stats()
-	return RoutingStats{
-		RREQSent:     s.RREQSent,
-		RREPSent:     s.RREPSent,
-		RERRSent:     s.RERRSent,
-		Discoveries:  s.Discoveries,
-		DiscoveryOK:  s.DiscoveryOK,
-		DiscoveryErr: s.DiscoveryErr,
-		LinkFailures: s.LinkFailures,
-	}
-}
+func (n *Node) RouterStats() RoutingStats { return n.router.Stats() }
 
 // QueueLen returns the current IFQ depth.
 func (n *Node) QueueLen() int { return n.ifq.Len() }
@@ -438,16 +412,16 @@ func (n *Node) OnTxFail(pkt *packet.Packet) {
 	n.router.LinkFailure(pkt.MACDst, failedData)
 }
 
-// --- aodv.Output ---
+// --- ondemand.Output ---
 
-// SendRouting implements aodv.Output.
+// SendRouting implements ondemand.Output.
 func (n *Node) SendRouting(pkt *packet.Packet, nextHop packet.NodeID) {
 	pkt.MACSrc = n.id
 	pkt.MACDst = nextHop
 	n.enqueue(pkt)
 }
 
-// ForwardData implements aodv.Output: transmit a routed data packet to
+// ForwardData implements ondemand.Output: transmit a routed data packet to
 // its next hop, applying the Muzha router-assist hooks.
 func (n *Node) ForwardData(pkt *packet.Packet, nextHop packet.NodeID) {
 	if pkt.Src != n.id {
@@ -485,7 +459,7 @@ func (n *Node) ForwardData(pkt *packet.Packet, nextHop packet.NodeID) {
 	n.enqueue(pkt)
 }
 
-// DropData implements aodv.Output.
+// DropData implements ondemand.Output.
 func (n *Node) DropData(pkt *packet.Packet, reason string) {
 	n.stats.RouteDrops++
 	n.cfg.Ledger.Dropped(pkt.UID)

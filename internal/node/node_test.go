@@ -323,9 +323,18 @@ func TestInvalidConfigs(t *testing.T) {
 	}
 
 	cfg = DefaultConfig()
-	cfg.AODV.MaxBuffered = 0
+	cfg.AODV.ActiveRouteTimeout = 0
 	if _, err := New(s, ch, topo.Position{}, 0, &ids, cfg); err == nil {
 		t.Fatal("invalid AODV config accepted")
+	}
+
+	for _, proto := range []Routing{RoutingAODV, RoutingDSR} {
+		cfg = DefaultConfig()
+		cfg.Protocol = proto
+		cfg.Discovery.MaxBuffered = 0
+		if _, err := New(s, ch, topo.Position{}, 0, &ids, cfg); err == nil {
+			t.Fatalf("invalid discovery config accepted (protocol %d)", proto)
+		}
 	}
 }
 

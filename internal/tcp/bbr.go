@@ -95,9 +95,6 @@ type BBRLite struct {
 // sampler automatically.
 func NewBBRLite() *BBRLite { return &BBRLite{} }
 
-// Name implements Variant.
-func (*BBRLite) Name() string { return "bbr-lite" }
-
 // Bind implements Binder: install the pacing engine and the sampler,
 // and take over the pacing rate from the cwnd/SRTT auto-rate.
 func (b *BBRLite) Bind(s *Sender) {
@@ -240,13 +237,7 @@ func (b *BBRLite) setRates(s *Sender, acked int64) {
 // -derived window — BBR does not treat isolated loss as a congestion
 // signal.
 func (b *BBRLite) OnDupAck(s *Sender, _ *packet.Packet, n int) {
-	if n != 3 {
-		return
-	}
-	if s.Stats() != nil {
-		s.Stats().FastRecoveries++
-	}
-	s.RetransmitSegment(s.SndUna())
+	FastRetransmit(s, n)
 }
 
 // OnTimeout implements Variant: collapse conservatively to the minimum

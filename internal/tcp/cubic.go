@@ -30,28 +30,21 @@ type CUBIC struct {
 	origin float64  // window at the cubic's inflection point
 	wEst   float64  // TCP-friendly (AIMD-equivalent) window estimate
 
-	inRecovery bool
-	recover    int64 // highest sequence outstanding when recovery began
+	rec Recovery
 }
 
 // NewCUBIC returns the CUBIC variant with fast convergence enabled.
 func NewCUBIC() *CUBIC { return &CUBIC{fastConvergence: true} }
 
-// Name implements Variant.
-func (*CUBIC) Name() string { return "cubic" }
-
 // OnNewAck implements Variant.
 func (c *CUBIC) OnNewAck(s *Sender, ack *packet.Packet, acked int64) {
-	if c.inRecovery {
-		if ack.TCP.Ack >= c.recover {
-			c.inRecovery = false
+	if c.rec.Active() {
+		if c.rec.OnNewAck(s, ack) {
 			s.SetCwnd(s.Ssthresh())
 			return
 		}
-		// Partial ACK: retransmit the next hole, deflate by the amount
-		// acknowledged plus one, stay in recovery (as NewReno).
-		s.RetransmitSegment(s.SndUna())
-		s.SetCwnd(s.Cwnd() - float64(acked)/float64(s.MSS()) + 1)
+		// Partial ACK: the next hole was resent; deflate as NewReno.
+		deflatePartial(s, acked)
 		return
 	}
 	if s.Cwnd() < s.Ssthresh() {
@@ -120,27 +113,17 @@ func (c *CUBIC) registerLoss(w float64) {
 
 // OnDupAck implements Variant.
 func (c *CUBIC) OnDupAck(s *Sender, _ *packet.Packet, n int) {
-	if c.inRecovery {
-		s.SetCwnd(s.Cwnd() + 1) // window inflation
+	if !c.rec.OnDupAck(s, n) {
 		return
 	}
-	if n != 3 {
-		return
-	}
-	if s.Stats() != nil {
-		s.Stats().FastRecoveries++
-	}
-	c.inRecovery = true
-	c.recover = s.SndNxt()
 	c.registerLoss(s.Cwnd())
 	s.SetSsthresh(s.Cwnd() * cubicBeta)
-	s.RetransmitSegment(s.SndUna())
 	s.SetCwnd(s.Ssthresh() + 3)
 }
 
 // OnTimeout implements Variant.
 func (c *CUBIC) OnTimeout(s *Sender) {
-	c.inRecovery = false
+	c.rec.Leave()
 	c.registerLoss(s.Cwnd())
 	s.SetSsthresh(s.Cwnd() * cubicBeta)
 	s.SetCwnd(1)

@@ -211,12 +211,12 @@ func TestCUBICSlowStartAndRecoveryBookkeeping(t *testing.T) {
 	if len(part) == 0 || part[0].TCP.Seq != base+1000 {
 		t.Fatalf("partial ACK did not retransmit the next hole, got %d pkts", len(part))
 	}
-	if !v.inRecovery {
+	if !v.rec.Active() {
 		t.Fatal("partial ACK ended recovery early")
 	}
 	// The full ACK ends recovery at ssthresh.
 	snd.Recv(ackFor(snd.SndNxt(), -1))
-	if v.inRecovery {
+	if v.rec.Active() {
 		t.Fatal("full ACK did not end recovery")
 	}
 	if snd.Cwnd() != snd.Ssthresh() {

@@ -18,12 +18,9 @@ type ECNNewReno struct {
 // NewECNNewReno returns the ECN-reactive NewReno variant.
 func NewECNNewReno() *ECNNewReno { return &ECNNewReno{} }
 
-// Name implements Variant.
-func (*ECNNewReno) Name() string { return "ecn-newreno" }
-
 // OnNewAck implements Variant.
 func (e *ECNNewReno) OnNewAck(s *Sender, ack *packet.Packet, acked int64) {
-	if ack.TCP.Echo.Marked && !e.nr.inRecovery {
+	if ack.TCP.Echo.Marked && !e.nr.rec.Active() {
 		rtt := s.SRTT()
 		if rtt <= 0 {
 			rtt = 100 * sim.Millisecond

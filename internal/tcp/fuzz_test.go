@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,7 @@ func TestQuickSenderInvariantsUnderRandomAcks(t *testing.T) {
 	f := func(seed int64, vIdx uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		v := variants[int(vIdx)%len(variants)]()
+		name := fmt.Sprintf("%T", v)
 		s := sim.New(seed)
 		var sentBytes int64
 		send := func(p *packet.Packet) {
@@ -77,17 +79,17 @@ func TestQuickSenderInvariantsUnderRandomAcks(t *testing.T) {
 			snd.Recv(&packet.Packet{Kind: packet.KindData, TCP: hdr})
 
 			if snd.SndUna() < prevUna {
-				t.Fatalf("%s: SndUna went backwards: %d -> %d", v.Name(), prevUna, snd.SndUna())
+				t.Fatalf("%s: SndUna went backwards: %d -> %d", name, prevUna, snd.SndUna())
 			}
 			prevUna = snd.SndUna()
 			if snd.SndUna() > snd.SndNxt() {
-				t.Fatalf("%s: SndUna %d passed SndNxt %d", v.Name(), snd.SndUna(), snd.SndNxt())
+				t.Fatalf("%s: SndUna %d passed SndNxt %d", name, snd.SndUna(), snd.SndNxt())
 			}
 			if snd.Cwnd() < 1 {
-				t.Fatalf("%s: cwnd below one segment: %g", v.Name(), snd.Cwnd())
+				t.Fatalf("%s: cwnd below one segment: %g", name, snd.Cwnd())
 			}
 			if snd.SndUna() > sentBytes {
-				t.Fatalf("%s: acked %d > sent %d", v.Name(), snd.SndUna(), sentBytes)
+				t.Fatalf("%s: acked %d > sent %d", name, snd.SndUna(), sentBytes)
 			}
 		}
 		return true

@@ -21,16 +21,12 @@ import (
 type Jersey struct {
 	abe        float64 // bytes/s, TSW-estimated
 	lastUpdate sim.Time
-	inRecovery bool
-	recover    int64
+	rec        Recovery
 	lastRate   sim.Time // last CW-triggered rate control
 }
 
 // NewJersey returns the Jersey variant.
 func NewJersey() *Jersey { return &Jersey{} }
-
-// Name implements Variant.
-func (*Jersey) Name() string { return "jersey" }
 
 // updateABE folds acked bytes into the time-sliding-window rate
 // estimator (the paper's equation 4 with RTT-scale smoothing).
@@ -73,12 +69,9 @@ func (j *Jersey) ownd(s *Sender) float64 {
 // OnNewAck implements Variant.
 func (j *Jersey) OnNewAck(s *Sender, ack *packet.Packet, acked int64) {
 	j.updateABE(s, acked)
-	if j.inRecovery {
-		if ack.TCP.Ack >= j.recover {
-			j.inRecovery = false
+	if j.rec.Active() {
+		if j.rec.OnNewAck(s, ack) {
 			s.SetCwnd(s.Ssthresh())
-		} else {
-			s.RetransmitSegment(s.SndUna())
 		}
 		return
 	}
@@ -98,20 +91,10 @@ func (j *Jersey) OnNewAck(s *Sender, ack *packet.Packet, acked int64) {
 }
 
 // OnDupAck implements Variant.
-func (j *Jersey) OnDupAck(s *Sender, ack *packet.Packet, n int) {
-	if j.inRecovery {
-		s.SetCwnd(s.Cwnd() + 1)
+func (j *Jersey) OnDupAck(s *Sender, _ *packet.Packet, n int) {
+	if !j.rec.OnDupAck(s, n) {
 		return
 	}
-	if n != 3 {
-		return
-	}
-	if s.Stats() != nil {
-		s.Stats().FastRecoveries++
-	}
-	j.inRecovery = true
-	j.recover = s.SndNxt()
-	s.RetransmitSegment(s.SndUna())
 	// Rate-based recovery: the window target is the estimated optimal
 	// window, not a blind half.
 	if w := j.ownd(s); w > 0 {
@@ -124,7 +107,7 @@ func (j *Jersey) OnDupAck(s *Sender, ack *packet.Packet, n int) {
 
 // OnTimeout implements Variant.
 func (j *Jersey) OnTimeout(s *Sender) {
-	j.inRecovery = false
+	j.rec.Leave()
 	if w := j.ownd(s); w > 0 {
 		s.SetSsthresh(w)
 	} else {

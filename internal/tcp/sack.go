@@ -107,29 +107,24 @@ func (b *Scoreboard) Reset() { b.blocks = b.blocks[:0] }
 // agent: Reno-style window adjustment with a scoreboard and pipe-based
 // transmission during recovery, retransmitting holes before new data.
 type SACK struct {
-	board      Scoreboard
-	inRecovery bool
-	recover    int64
-	pipe       int64 // estimated bytes in flight during recovery
-	nextHole   int64 // retransmission scan position
+	board    Scoreboard
+	rec      Recovery
+	pipe     int64 // estimated bytes in flight during recovery
+	nextHole int64 // retransmission scan position
 }
 
 // NewSACK returns the SACK variant.
 func NewSACK() *SACK { return &SACK{} }
 
-// Name implements Variant.
-func (*SACK) Name() string { return "sack" }
-
 // OnNewAck implements Variant.
 func (k *SACK) OnNewAck(s *Sender, ack *packet.Packet, acked int64) {
 	k.board.Add(ack.TCP.SACK)
 	k.board.AdvanceTo(ack.TCP.Ack)
-	if !k.inRecovery {
+	if !k.rec.Active() {
 		slowStartOrAvoid(s)
 		return
 	}
-	if ack.TCP.Ack >= k.recover {
-		k.inRecovery = false
+	if k.rec.Done(ack) {
 		s.SetCwnd(s.Ssthresh())
 		return
 	}
@@ -147,7 +142,7 @@ func (k *SACK) OnNewAck(s *Sender, ack *packet.Packet, acked int64) {
 // OnDupAck implements Variant.
 func (k *SACK) OnDupAck(s *Sender, ack *packet.Packet, n int) {
 	k.board.Add(ack.TCP.SACK)
-	if k.inRecovery {
+	if k.rec.Active() {
 		// Each dup ACK means one segment left the network.
 		k.pipe -= int64(s.MSS())
 		if k.pipe < 0 {
@@ -156,30 +151,22 @@ func (k *SACK) OnDupAck(s *Sender, ack *packet.Packet, n int) {
 		k.sendHoles(s)
 		return
 	}
-	if n != 3 {
+	// The fast retransmit resends the first hole, SndUna: SACK blocks
+	// lie above the cumulative ACK.
+	if !k.rec.Enter(s, n) {
 		return
 	}
-	if s.Stats() != nil {
-		s.Stats().FastRecoveries++
-	}
-	k.inRecovery = true
-	k.recover = s.SndNxt()
+	mss := int64(s.MSS())
 	s.SetSsthresh(halfFlight(s))
 	s.SetCwnd(s.Ssthresh())
-	// Pipe: bytes outstanding minus what the receiver holds, minus the
-	// head segment the three dup ACKs deem lost.
-	k.pipe = s.FlightBytes() - k.board.SackedBytes() - int64(s.MSS())
-	if k.pipe < 0 {
-		k.pipe = 0
+	// Pipe: bytes outstanding minus what the receiver holds, and at
+	// least the head segment just resent.
+	k.pipe = s.FlightBytes() - k.board.SackedBytes()
+	if k.pipe < mss {
+		k.pipe = mss
 	}
-	// Retransmit the first hole unconditionally (fast retransmit), then
-	// fill the pipe with further holes if the window allows.
-	k.nextHole = s.SndUna()
-	if hole, ok := k.board.NextHole(k.nextHole, k.recover); ok {
-		s.RetransmitSegment(hole)
-		k.nextHole = hole + int64(s.MSS())
-		k.pipe += int64(s.MSS())
-	}
+	// Fill the pipe with further holes if the window allows.
+	k.nextHole = s.SndUna() + mss
 	k.sendHoles(s)
 }
 
@@ -189,8 +176,8 @@ func (k *SACK) OnDupAck(s *Sender, ack *packet.Packet, n int) {
 func (k *SACK) sendHoles(s *Sender) {
 	mss := int64(s.MSS())
 	limit := k.board.HighestSACKed()
-	if limit > k.recover {
-		limit = k.recover
+	if limit > k.rec.point {
+		limit = k.rec.point
 	}
 	for k.pipe+mss <= int64(s.Cwnd()*float64(s.MSS())) {
 		hole, ok := k.board.NextHole(k.nextHole, limit)
@@ -205,7 +192,7 @@ func (k *SACK) sendHoles(s *Sender) {
 
 // OnTimeout implements Variant.
 func (k *SACK) OnTimeout(s *Sender) {
-	k.inRecovery = false
+	k.rec.Leave()
 	k.board.Reset()
 	s.SetSsthresh(halfFlight(s))
 	s.SetCwnd(1)

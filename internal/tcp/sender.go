@@ -1,9 +1,13 @@
 // Package tcp implements the transport layer of the reproduction: a
 // window-based TCP sender core (sequence/ACK bookkeeping, RFC 6298 RTO
-// estimation, retransmission, advertised-window flow control) with
-// pluggable congestion-control variants — Tahoe, Reno, NewReno, SACK and
-// Vegas — plus the receiver sink that generates cumulative ACKs, SACK
-// blocks and the TCP Muzha router-feedback echo. The Muzha variant itself
+// estimation, retransmission, advertised-window flow control, optional
+// pacing and delivery-rate sampling) with pluggable congestion-control
+// variants — Tahoe, Reno, NewReno, SACK, Vegas, Veno, Westwood, Jersey,
+// ECN-NewReno, CUBIC and BBR-lite — plus the receiver sink that generates
+// cumulative ACKs, SACK blocks and the TCP Muzha router-feedback echo.
+// Loss recovery is written once (recovery.go): every variant detects loss
+// through FastRetransmit, and those with fast recovery keep a NewReno
+// Recovery, choosing only their own windows. The Muzha variant itself
 // lives in internal/core.
 package tcp
 
@@ -19,8 +23,6 @@ import (
 // Variant supplies the congestion-control reactions of a TCP flavour.
 // Implementations mutate the sender through its exported methods.
 type Variant interface {
-	// Name identifies the variant ("newreno", "vegas", ...).
-	Name() string
 	// OnNewAck fires when the cumulative ACK advanced by acked bytes.
 	OnNewAck(s *Sender, ack *packet.Packet, acked int64)
 	// OnDupAck fires on each duplicate ACK; n is the consecutive count.

@@ -25,7 +25,7 @@ func testSender(t *testing.T, v Variant, mutate func(*SenderConfig)) (*sim.Simul
 	t.Helper()
 	s := sim.New(1)
 	w := &wire{}
-	fl := stats.NewFlow(1, v.Name(), 0)
+	fl := stats.NewFlow(1, "test", 0)
 	cfg := SenderConfig{
 		FlowID:           1,
 		Dst:              4,
@@ -340,23 +340,5 @@ func TestCwndTraceRecorded(t *testing.T) {
 	}
 	if trace[len(trace)-1].V != 4 {
 		t.Fatalf("final trace sample = %g, want 4", trace[len(trace)-1].V)
-	}
-}
-
-func TestVariantNames(t *testing.T) {
-	tests := []struct {
-		v    Variant
-		want string
-	}{
-		{NewTahoe(), "tahoe"},
-		{NewReno2(), "reno"},
-		{NewNewReno(), "newreno"},
-		{NewSACK(), "sack"},
-		{NewVegas(), "vegas"},
-	}
-	for _, tt := range tests {
-		if got := tt.v.Name(); got != tt.want {
-			t.Errorf("Name = %q, want %q", got, tt.want)
-		}
 	}
 }

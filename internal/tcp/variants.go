@@ -22,6 +22,12 @@ func halfFlight(s *Sender) float64 {
 	return half
 }
 
+// deflatePartial shrinks the window by the bytes a partial ACK
+// acknowledged and adds one segment back (RFC 6582 section 3.2 step 3).
+func deflatePartial(s *Sender, acked int64) {
+	s.SetCwnd(s.Cwnd() - float64(acked)/float64(s.MSS()) + 1)
+}
+
 // Tahoe is the original congestion control: slow start, congestion
 // avoidance and fast retransmit, with every loss resetting the window to
 // one segment.
@@ -30,22 +36,15 @@ type Tahoe struct{}
 // NewTahoe returns the Tahoe variant.
 func NewTahoe() *Tahoe { return &Tahoe{} }
 
-// Name implements Variant.
-func (*Tahoe) Name() string { return "tahoe" }
-
 // OnNewAck implements Variant.
 func (*Tahoe) OnNewAck(s *Sender, _ *packet.Packet, _ int64) { slowStartOrAvoid(s) }
 
 // OnDupAck implements Variant.
 func (*Tahoe) OnDupAck(s *Sender, _ *packet.Packet, n int) {
-	if n != 3 {
+	if !FastRetransmit(s, n) {
 		return
 	}
-	if s.Stats() != nil {
-		s.Stats().FastRecoveries++
-	}
 	s.SetSsthresh(halfFlight(s))
-	s.RetransmitSegment(s.SndUna())
 	s.SetCwnd(1) // Tahoe re-enters slow start after fast retransmit
 }
 
@@ -59,21 +58,18 @@ func (*Tahoe) OnTimeout(s *Sender) {
 // (not collapsed) and inflated by one segment per further duplicate ACK
 // until a new ACK arrives.
 type Reno struct {
-	inRecovery bool
+	rec Recovery
 }
 
 // NewReno2 returns the Reno variant. (The name avoids colliding with the
 // NewReno type below.)
 func NewReno2() *Reno { return &Reno{} }
 
-// Name implements Variant.
-func (*Reno) Name() string { return "reno" }
-
 // OnNewAck implements Variant.
 func (r *Reno) OnNewAck(s *Sender, _ *packet.Packet, _ int64) {
-	if r.inRecovery {
+	if r.rec.Active() {
 		// Any new ACK ends Reno recovery: deflate to ssthresh.
-		r.inRecovery = false
+		r.rec.Leave()
 		s.SetCwnd(s.Ssthresh())
 		return
 	}
@@ -82,25 +78,16 @@ func (r *Reno) OnNewAck(s *Sender, _ *packet.Packet, _ int64) {
 
 // OnDupAck implements Variant.
 func (r *Reno) OnDupAck(s *Sender, _ *packet.Packet, n int) {
-	if r.inRecovery {
-		s.SetCwnd(s.Cwnd() + 1) // window inflation
+	if !r.rec.OnDupAck(s, n) {
 		return
 	}
-	if n != 3 {
-		return
-	}
-	if s.Stats() != nil {
-		s.Stats().FastRecoveries++
-	}
-	r.inRecovery = true
 	s.SetSsthresh(halfFlight(s))
-	s.RetransmitSegment(s.SndUna())
 	s.SetCwnd(s.Ssthresh() + 3)
 }
 
 // OnTimeout implements Variant.
 func (r *Reno) OnTimeout(s *Sender) {
-	r.inRecovery = false
+	r.rec.Leave()
 	s.SetSsthresh(halfFlight(s))
 	s.SetCwnd(1)
 }
@@ -109,58 +96,40 @@ func (r *Reno) OnTimeout(s *Sender) {
 // window (RFC 3782): partial ACKs retransmit the next hole and keep the
 // sender in recovery until the recovery point is reached.
 type NewReno struct {
-	inRecovery bool
-	recover    int64 // highest sequence outstanding when recovery began
+	rec Recovery
 }
 
 // NewNewReno returns the NewReno variant.
 func NewNewReno() *NewReno { return &NewReno{} }
 
-// Name implements Variant.
-func (*NewReno) Name() string { return "newreno" }
-
 // OnNewAck implements Variant.
 func (n *NewReno) OnNewAck(s *Sender, ack *packet.Packet, acked int64) {
-	if !n.inRecovery {
+	if !n.rec.Active() {
 		slowStartOrAvoid(s)
 		return
 	}
-	if ack.TCP.Ack >= n.recover {
+	if n.rec.OnNewAck(s, ack) {
 		// Full acknowledgement: recovery complete, deflate.
-		n.inRecovery = false
 		s.SetCwnd(s.Ssthresh())
 		return
 	}
-	// Partial acknowledgement: the next hole starts at the new SndUna.
-	// Retransmit it, deflate by the amount acknowledged, add one, and
-	// stay in recovery (RFC 3782 step 5).
-	s.RetransmitSegment(s.SndUna())
-	w := s.Cwnd() - float64(acked)/float64(s.MSS()) + 1
-	s.SetCwnd(w)
+	// Partial acknowledgement: the head was resent; deflate and stay
+	// in recovery (RFC 3782 step 5).
+	deflatePartial(s, acked)
 }
 
 // OnDupAck implements Variant.
 func (n *NewReno) OnDupAck(s *Sender, _ *packet.Packet, count int) {
-	if n.inRecovery {
-		s.SetCwnd(s.Cwnd() + 1)
+	if !n.rec.OnDupAck(s, count) {
 		return
 	}
-	if count != 3 {
-		return
-	}
-	if s.Stats() != nil {
-		s.Stats().FastRecoveries++
-	}
-	n.inRecovery = true
-	n.recover = s.SndNxt()
 	s.SetSsthresh(halfFlight(s))
-	s.RetransmitSegment(s.SndUna())
 	s.SetCwnd(s.Ssthresh() + 3)
 }
 
 // OnTimeout implements Variant.
 func (n *NewReno) OnTimeout(s *Sender) {
-	n.inRecovery = false
+	n.rec.Leave()
 	s.SetSsthresh(halfFlight(s))
 	s.SetCwnd(1)
 }

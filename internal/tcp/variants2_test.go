@@ -9,9 +9,9 @@ import (
 
 // --- TCP Veno ---
 
-func TestVenoNamesAndDefaults(t *testing.T) {
+func TestVenoDefaults(t *testing.T) {
 	v := NewVeno()
-	if v.Name() != "veno" || v.Beta != 3 {
+	if v.Beta != 3 {
 		t.Fatalf("veno defaults: %+v", v)
 	}
 }
@@ -68,7 +68,7 @@ func TestVenoRecoveryExitsOnFullAck(t *testing.T) {
 		snd.Recv(ackFor(0, -1))
 	}
 	snd.Recv(ackFor(8000, -1))
-	if v.inRecovery {
+	if v.rec.Active() {
 		t.Fatal("Veno still in recovery after full ACK")
 	}
 	if snd.Cwnd() != snd.Ssthresh() {
@@ -229,7 +229,7 @@ func TestJerseyLossUsesABE(t *testing.T) {
 	}
 	// Full ACK (everything sent so far) exits recovery.
 	snd.Recv(jerseyAck(snd.SndNxt(), false, -1))
-	if j.inRecovery {
+	if j.rec.Active() {
 		t.Fatal("Jersey stuck in recovery")
 	}
 }
@@ -302,22 +302,5 @@ func TestECNNewRenoLossRecoveryDelegates(t *testing.T) {
 	e.OnTimeout(snd)
 	if snd.Cwnd() != 1 {
 		t.Fatalf("timeout delegation: cwnd = %g", snd.Cwnd())
-	}
-}
-
-func TestNewVariantNames(t *testing.T) {
-	tests := []struct {
-		v    Variant
-		want string
-	}{
-		{NewVeno(), "veno"},
-		{NewWestwood(), "westwood"},
-		{NewJersey(), "jersey"},
-		{NewECNNewReno(), "ecn-newreno"},
-	}
-	for _, tt := range tests {
-		if got := tt.v.Name(); got != tt.want {
-			t.Errorf("Name = %q, want %q", got, tt.want)
-		}
 	}
 }

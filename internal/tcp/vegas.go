@@ -20,17 +20,13 @@ type Vegas struct {
 	slowStart  bool
 	grewLast   bool // slow start grows every other RTT
 	lastAdjust sim.Time
-	inRecovery bool
-	recover    int64
+	rec        Recovery
 }
 
 // NewVegas returns a Vegas variant with the classical 1/3/1 thresholds.
 func NewVegas() *Vegas {
 	return &Vegas{Alpha: 1, Beta: 3, Gamma: 1, slowStart: true}
 }
-
-// Name implements Variant.
-func (*Vegas) Name() string { return "vegas" }
 
 // OnNewAck implements Variant.
 func (v *Vegas) OnNewAck(s *Sender, ack *packet.Packet, _ int64) {
@@ -41,9 +37,9 @@ func (v *Vegas) OnNewAck(s *Sender, ack *packet.Packet, _ int64) {
 	if v.baseRTT == 0 || rtt < v.baseRTT {
 		v.baseRTT = rtt
 	}
-	if v.inRecovery && ack.TCP.Ack >= v.recover {
-		v.inRecovery = false
-	}
+	// A full ACK ends recovery; a partial one neither resends nor
+	// changes the window.
+	v.rec.Done(ack)
 
 	// One window decision per RTT.
 	if s.Now()-v.lastAdjust < rtt {
@@ -90,15 +86,10 @@ func (v *Vegas) OnNewAck(s *Sender, ack *packet.Packet, _ int64) {
 
 // OnDupAck implements Variant.
 func (v *Vegas) OnDupAck(s *Sender, _ *packet.Packet, n int) {
-	if v.inRecovery || n != 3 {
+	// No window inflation during recovery.
+	if !v.rec.Enter(s, n) {
 		return
 	}
-	if s.Stats() != nil {
-		s.Stats().FastRecoveries++
-	}
-	v.inRecovery = true
-	v.recover = s.SndNxt()
-	s.RetransmitSegment(s.SndUna())
 	// Vegas cuts by a quarter on dup-ACK loss, not a half.
 	w := s.Cwnd() * 3 / 4
 	if w < 2 {
@@ -110,7 +101,7 @@ func (v *Vegas) OnDupAck(s *Sender, _ *packet.Packet, n int) {
 
 // OnTimeout implements Variant.
 func (v *Vegas) OnTimeout(s *Sender) {
-	v.inRecovery = false
+	v.rec.Leave()
 	v.slowStart = true
 	v.grewLast = false
 	s.SetSsthresh(halfFlight(s))

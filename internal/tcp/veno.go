@@ -16,17 +16,13 @@ type Veno struct {
 	// Beta is the backlog threshold in segments (paper value: 3).
 	Beta float64
 
-	baseRTT    sim.Time
-	inRecovery bool
-	recover    int64
-	holdOne    bool // skip every other increment when backlog is high
+	baseRTT sim.Time
+	rec     Recovery
+	holdOne bool // skip every other increment when backlog is high
 }
 
 // NewVeno returns a Veno variant with the paper's Beta of 3 segments.
 func NewVeno() *Veno { return &Veno{Beta: 3} }
-
-// Name implements Variant.
-func (*Veno) Name() string { return "veno" }
 
 // backlog returns the Vegas-style queue estimate in segments; negative
 // when no RTT information is available yet.
@@ -46,13 +42,10 @@ func (v *Veno) OnNewAck(s *Sender, ack *packet.Packet, _ int64) {
 	if rtt := s.LastRTT(); rtt > 0 && (v.baseRTT == 0 || rtt < v.baseRTT) {
 		v.baseRTT = rtt
 	}
-	if v.inRecovery {
-		if ack.TCP.Ack >= v.recover {
-			v.inRecovery = false
+	if v.rec.Active() {
+		// NewReno-style recovery, without partial-ACK deflation.
+		if v.rec.OnNewAck(s, ack) {
 			s.SetCwnd(s.Ssthresh())
-		} else {
-			// NewReno-style partial ACK handling.
-			s.RetransmitSegment(s.SndUna())
 		}
 		return
 	}
@@ -74,19 +67,9 @@ func (v *Veno) OnNewAck(s *Sender, ack *packet.Packet, _ int64) {
 
 // OnDupAck implements Variant.
 func (v *Veno) OnDupAck(s *Sender, _ *packet.Packet, n int) {
-	if v.inRecovery {
-		s.SetCwnd(s.Cwnd() + 1)
+	if !v.rec.OnDupAck(s, n) {
 		return
 	}
-	if n != 3 {
-		return
-	}
-	if s.Stats() != nil {
-		s.Stats().FastRecoveries++
-	}
-	v.inRecovery = true
-	v.recover = s.SndNxt()
-	s.RetransmitSegment(s.SndUna())
 	if b := v.backlog(s); b >= 0 && b < v.Beta {
 		// Random loss: mild 1/5 reduction (Veno's key move).
 		s.SetSsthresh(s.Cwnd() * 4 / 5)
@@ -99,7 +82,7 @@ func (v *Veno) OnDupAck(s *Sender, _ *packet.Packet, n int) {
 
 // OnTimeout implements Variant.
 func (v *Veno) OnTimeout(s *Sender) {
-	v.inRecovery = false
+	v.rec.Leave()
 	s.SetSsthresh(halfFlight(s))
 	s.SetCwnd(1)
 }

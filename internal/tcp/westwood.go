@@ -11,18 +11,14 @@ import (
 // is set to the estimated bandwidth-delay product (BWE x RTTmin) — the
 // "faster recovery" that makes Westwood robust to non-congestive loss.
 type Westwood struct {
-	bwe        float64 // smoothed bandwidth estimate, bytes/s
-	lastAck    sim.Time
-	minRTT     sim.Time
-	inRecovery bool
-	recover    int64
+	bwe     float64 // smoothed bandwidth estimate, bytes/s
+	lastAck sim.Time
+	minRTT  sim.Time
+	rec     Recovery
 }
 
 // NewWestwood returns the Westwood variant.
 func NewWestwood() *Westwood { return &Westwood{} }
-
-// Name implements Variant.
-func (*Westwood) Name() string { return "westwood" }
 
 // sampleBandwidth folds one ACK arrival into the low-pass-filtered
 // bandwidth estimate.
@@ -64,12 +60,9 @@ func (w *Westwood) erePipe(s *Sender) float64 {
 // OnNewAck implements Variant.
 func (w *Westwood) OnNewAck(s *Sender, ack *packet.Packet, acked int64) {
 	w.sampleBandwidth(s, acked)
-	if w.inRecovery {
-		if ack.TCP.Ack >= w.recover {
-			w.inRecovery = false
+	if w.rec.Active() {
+		if w.rec.OnNewAck(s, ack) {
 			s.SetCwnd(s.Ssthresh())
-		} else {
-			s.RetransmitSegment(s.SndUna())
 		}
 		return
 	}
@@ -78,19 +71,9 @@ func (w *Westwood) OnNewAck(s *Sender, ack *packet.Packet, acked int64) {
 
 // OnDupAck implements Variant.
 func (w *Westwood) OnDupAck(s *Sender, _ *packet.Packet, n int) {
-	if w.inRecovery {
-		s.SetCwnd(s.Cwnd() + 1)
+	if !w.rec.OnDupAck(s, n) {
 		return
 	}
-	if n != 3 {
-		return
-	}
-	if s.Stats() != nil {
-		s.Stats().FastRecoveries++
-	}
-	w.inRecovery = true
-	w.recover = s.SndNxt()
-	s.RetransmitSegment(s.SndUna())
 	if pipe := w.erePipe(s); pipe > 0 {
 		// Faster recovery: shrink only to the measured pipe size.
 		s.SetSsthresh(pipe)
@@ -104,7 +87,7 @@ func (w *Westwood) OnDupAck(s *Sender, _ *packet.Packet, n int) {
 
 // OnTimeout implements Variant.
 func (w *Westwood) OnTimeout(s *Sender) {
-	w.inRecovery = false
+	w.rec.Leave()
 	if pipe := w.erePipe(s); pipe > 0 {
 		s.SetSsthresh(pipe)
 	} else {

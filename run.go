@@ -154,7 +154,7 @@ func run(cfg Config, rec trace.Recorder) (res *Result, err error) {
 	nodeCfg.AODV.ExpandingRing = cfg.ExpandingRing
 	nodeCfg.Trace = rec
 	if cfg.RouterAssist {
-		p := cfg.DRAI.toCore()
+		p := cfg.DRAI
 		nodeCfg.DRAI = &p
 	} else {
 		nodeCfg.DRAI = nil
