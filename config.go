@@ -466,12 +466,14 @@ type Config struct {
 	// (connected components of the dist<=CSRange graph, with flow
 	// endpoints coupled and mobile nodes inflated to their whole
 	// mobility field) and simulates each as an independent sub-run on
-	// max(Workers, 1) goroutines. Results, packet traces and golden
-	// event-stream hashes do not depend on the width, so Workers is
-	// excluded from Hash(). A topology that forms a single domain (all
-	// the paper's chains and crosses) runs as one sub-run with Seed
-	// itself. With several domains, Progress may fire from worker
-	// goroutines (calls are serialized).
+	// min(Workers, domains) goroutines. 0, the default, means one per
+	// CPU (runtime.GOMAXPROCS(0)); 1 runs the domains one at a time.
+	// Results, packet traces and golden event-stream hashes do not
+	// depend on the width, so Workers is excluded from Hash(). A
+	// topology that forms a single domain (all the paper's chains and
+	// crosses) runs as one sub-run with Seed itself. With several domains, Progress may fire from worker
+	// goroutines (calls are serialized, and SimTime and Events never
+	// decrease).
 	Workers int `json:"workers"`
 
 	// PacketTrace, when non-nil, receives an NS-2-style packet trace:

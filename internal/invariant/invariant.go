@@ -221,7 +221,7 @@ func (c *Checker) Report() []Result {
 //
 // The ledger is memory-bounded: a UID lives in the outstanding set from
 // Originate until its first Delivered or Dropped, then moves to a
-// fixed-capacity cooling ring that still satisfies late lookups (a MAC
+// bounded cooling ring that still satisfies late lookups (a MAC
 // duplicate can arrive after the first copy was delivered, and a
 // salvaged retransmission can deliver after an earlier copy dropped).
 // Once ledgerCooledCap newer UIDs have retired, the slot is recycled;
@@ -299,16 +299,20 @@ func (l *Ledger) Dropped(uid uint64) {
 func (l *Ledger) Outstanding() int { return len(l.outstanding) }
 func (l *Ledger) Peak() int        { return l.peak }
 
+// retire moves uid to the cooling ring. The ring grows by append until
+// it holds ledgerCooledCap UIDs, so a short run never pays for the
+// whole ring, and only then recycles its oldest slot.
 func (l *Ledger) retire(uid uint64) {
 	delete(l.outstanding, uid)
-	if l.ring == nil {
-		l.ring = make([]uint64, ledgerCooledCap)
+	if len(l.ring) < ledgerCooledCap {
+		l.ring = append(l.ring, uid)
+	} else {
+		if old := l.ring[l.ringPos]; old != 0 {
+			delete(l.cooled, old)
+		}
+		l.ring[l.ringPos] = uid
+		l.ringPos = (l.ringPos + 1) % ledgerCooledCap
 	}
-	if old := l.ring[l.ringPos]; old != 0 {
-		delete(l.cooled, old)
-	}
-	l.ring[l.ringPos] = uid
-	l.ringPos = (l.ringPos + 1) % len(l.ring)
 	l.cooled[uid] = struct{}{}
 }
 

@@ -181,6 +181,47 @@ func TestLedgerBounded(t *testing.T) {
 	}
 }
 
+// TestLedgerRingGrowsToCap pins the cooling ring's growth and its
+// recycle point: k < ledgerCooledCap retirements hold exactly k UIDs,
+// and a UID stays queryable until ledgerCooledCap newer ones retire.
+func TestLedgerRingGrowsToCap(t *testing.T) {
+	c := New(nil)
+	l := NewLedger(c.Always("packet-conservation"))
+	for _, k := range []int{1, 7, 1000} {
+		for uid := uint64(len(l.ring) + 1); uid <= uint64(k); uid++ {
+			l.Originate(uid)
+			l.Delivered(uid)
+		}
+		if len(l.ring) != k || len(l.cooled) != k {
+			t.Fatalf("after %d retirements: ring %d, cooled %d, want %d", k, len(l.ring), len(l.cooled), k)
+		}
+	}
+	for uid := uint64(1001); uid <= ledgerCooledCap; uid++ {
+		l.Originate(uid)
+		l.Dropped(uid)
+	}
+	if len(l.ring) != ledgerCooledCap || len(l.cooled) != ledgerCooledCap {
+		t.Fatalf("full ring: ring %d, cooled %d, want %d", len(l.ring), len(l.cooled), ledgerCooledCap)
+	}
+	l.Delivered(1) // still cooled: ledgerCooledCap-1 newer retirements
+	if c.Violations() != 0 {
+		t.Fatalf("violations = %d, want 0 while uid 1 is in the ring", c.Violations())
+	}
+	l.Originate(ledgerCooledCap + 1)
+	l.Dropped(ledgerCooledCap + 1) // recycles uid 1's slot
+	if len(l.ring) != ledgerCooledCap || len(l.cooled) != ledgerCooledCap {
+		t.Fatalf("after wrap: ring %d, cooled %d, want %d", len(l.ring), len(l.cooled), ledgerCooledCap)
+	}
+	l.Delivered(2)
+	if c.Violations() != 0 {
+		t.Fatalf("violations = %d, want 0: uid 2 is still in the ring", c.Violations())
+	}
+	l.Delivered(1)
+	if c.Violations() != 1 {
+		t.Fatalf("violations = %d, want 1: uid 1 was recycled", c.Violations())
+	}
+}
+
 func TestLedgerLateDuplicateAfterRetire(t *testing.T) {
 	c := New(nil)
 	l := NewLedger(c.Always("packet-conservation"))

@@ -41,6 +41,8 @@ type ServerConfig struct {
 	ProgressEvery uint64
 	// RunWorkers sets every job's Config.Workers width, overriding the
 	// submission's: how many cores one job may use is server policy.
+	// 0 lets a job simulate one domain per CPU at once; 1 keeps each
+	// job on one goroutine.
 	// The width never changes a Result, so cached results stay valid.
 	RunWorkers int
 	// Logf, when non-nil, receives one line per lifecycle event.

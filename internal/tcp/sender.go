@@ -264,9 +264,6 @@ func (s *Sender) FlightSegments() float64 {
 // MSS returns the segment payload size.
 func (s *Sender) MSS() int { return s.cfg.MSS }
 
-// DupAcks returns the current consecutive duplicate-ACK count.
-func (s *Sender) DupAcks() int { return s.dupAcks }
-
 // Now returns the current virtual time.
 func (s *Sender) Now() sim.Time { return s.sim.Now() }
 

@@ -3,6 +3,7 @@ package muzha
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -217,11 +218,13 @@ func (t *domainTrace) node(id packet.NodeID) packet.NodeID {
 	return packet.NodeID(t.sub.nodes[id])
 }
 
-// runDomains executes cfg as independent per-domain sub-simulations on
-// max(cfg.Workers, 1) goroutines and merges their results, event-hook
-// streams and packet traces (to rec, when non-nil) in domain order, so
-// the outcome is identical at every width. A single domain runs with
-// cfg itself, seed included.
+// runDomains executes cfg as independent per-domain sub-simulations and
+// merges their results, event-hook streams and packet traces (to rec,
+// when non-nil) in domain order, so the outcome is identical at every
+// width. A fixed set of min(width, domains) worker goroutines pulls
+// domain indices from a shared counter; width is cfg.Workers, or
+// GOMAXPROCS when that is 0. A single domain runs with cfg itself, seed
+// included.
 func runDomains(cfg Config, rec trace.Recorder) (*Result, error) {
 	domains := planDomains(cfg)
 	if len(domains) <= 1 {
@@ -238,61 +241,65 @@ func runDomains(cfg Config, rec trace.Recorder) (*Result, error) {
 	streams := make([][]subEvent, len(domains))
 	traces := make([][]trace.Event, len(domains))
 
-	// Progress aggregation: each domain bumps its own atomic counters;
-	// a mutex serializes the user callback. The aggregate virtual time
-	// is the frontier (minimum) over unfinished domains — the
-	// conservative "simulated up to" claim.
+	// Progress aggregation: a domain's snapshot is recorded, folded into
+	// the aggregate and handed to the user callback under one mutex, so
+	// the aggregate never goes backwards. Its virtual time is the
+	// frontier (minimum) over the domains, the conservative "simulated
+	// up to" claim; its event count is the sum.
 	var (
 		progressMu sync.Mutex
-		domTime    = make([]atomic.Int64, len(domains))
-		domEvents  = make([]atomic.Uint64, len(domains))
+		domTime    = make([]time.Duration, len(domains))
+		domEvents  = make([]uint64, len(domains))
 	)
-	emitProgress := func() {
-		var events uint64
-		minTime := int64(1<<63 - 1)
-		for d := range domains {
-			events += domEvents[d].Load()
-			if t := domTime[d].Load(); t < minTime {
-				minTime = t
-			}
-		}
+	report := func(d int, u ProgressUpdate) {
 		progressMu.Lock()
-		cfg.Progress(ProgressUpdate{SimTime: time.Duration(minTime), Events: events})
-		progressMu.Unlock()
+		defer progressMu.Unlock()
+		domTime[d], domEvents[d] = u.SimTime, u.Events
+		agg := ProgressUpdate{SimTime: domTime[0]}
+		for i := range domains {
+			agg.SimTime = min(agg.SimTime, domTime[i])
+			agg.Events += domEvents[i]
+		}
+		cfg.Progress(agg)
 	}
 
 	results := make([]*Result, len(domains))
 	errs := make([]error, len(domains))
+	simulate := func(d int) {
+		sub := subs[d].cfg
+		if cfg.eventHook != nil {
+			sub.eventHook = func(at sim.Time, seq uint64) {
+				streams[d] = append(streams[d], subEvent{at: at, seq: seq})
+			}
+		}
+		var subRec trace.Recorder
+		if rec != nil {
+			subRec = &domainTrace{sub: &subs[d], flows: len(cfg.Flows), events: &traces[d]}
+		}
+		if cfg.Progress != nil {
+			sub.Progress = func(u ProgressUpdate) { report(d, u) }
+			sub.ProgressEvery = cfg.ProgressEvery
+		}
+		results[d], errs[d] = run(sub, subRec)
+	}
 
-	sem := make(chan struct{}, min(max(cfg.Workers, 1), len(domains)))
+	width := cfg.Workers
+	if width == 0 {
+		width = runtime.GOMAXPROCS(0)
+	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for d := range subs {
-		d := d
+	for range min(width, len(domains)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-
-			sub := subs[d].cfg
-			if cfg.eventHook != nil {
-				sub.eventHook = func(at sim.Time, seq uint64) {
-					streams[d] = append(streams[d], subEvent{at: at, seq: seq})
+			for {
+				d := int(next.Add(1)) - 1
+				if d >= len(domains) {
+					return
 				}
+				simulate(d)
 			}
-			var subRec trace.Recorder
-			if rec != nil {
-				subRec = &domainTrace{sub: &subs[d], flows: len(cfg.Flows), events: &traces[d]}
-			}
-			if cfg.Progress != nil {
-				sub.Progress = func(u ProgressUpdate) {
-					domTime[d].Store(int64(u.SimTime))
-					domEvents[d].Store(u.Events)
-					emitProgress()
-				}
-				sub.ProgressEvery = cfg.ProgressEvery
-			}
-			results[d], errs[d] = run(sub, subRec)
 		}()
 	}
 	wg.Wait()
@@ -318,9 +325,7 @@ func runDomains(cfg Config, rec trace.Recorder) (*Result, error) {
 				maxTime = r.Duration
 			}
 		}
-		progressMu.Lock()
 		cfg.Progress(ProgressUpdate{SimTime: maxTime, Events: res.Events})
-		progressMu.Unlock()
 	}
 
 	if cfg.eventHook != nil {

@@ -192,50 +192,60 @@ func TestParallelValidatesConfig(t *testing.T) {
 }
 
 // TestParallelProgressAndCancel exercises the observer plumbing of a
-// multi-domain run: progress snapshots arrive serialized with a
-// terminal snapshot carrying the total event count, and a pre-closed
+// multi-domain run at widths 0, 2 and 4: progress snapshots arrive
+// serialized, their virtual time and event count never decrease, the
+// terminal snapshot carries the total event count, and a pre-closed
 // Cancel aborts every domain.
 func TestParallelProgressAndCancel(t *testing.T) {
-	islands, err := GridIslandsTopology(2, 2, 2, 2000)
+	islands, err := GridIslandsTopology(4, 2, 2, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fe := islands.FlowEndpoints()
-	cfg := DefaultConfig()
-	cfg.Topology = islands
-	cfg.Duration = 2 * time.Second
-	cfg.Window = 8
-	cfg.Workers = 2
-	cfg.Flows = []Flow{
-		{Src: fe[0][0], Dst: fe[0][1]},
-		{Src: fe[1][0], Dst: fe[1][1]},
+	base := DefaultConfig()
+	base.Topology = islands
+	base.Duration = 2 * time.Second
+	base.Window = 8
+	for i := range fe {
+		base.Flows = append(base.Flows, Flow{Src: fe[i][0], Dst: fe[i][1]})
 	}
 
-	var updates []ProgressUpdate
-	cfg.Progress = func(u ProgressUpdate) { updates = append(updates, u) }
-	cfg.ProgressEvery = 1 << 12
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(updates) == 0 {
-		t.Fatal("no progress updates from multi-domain run")
-	}
-	last := updates[len(updates)-1]
-	if last.Events != res.Events {
-		t.Errorf("terminal snapshot events = %d, result has %d", last.Events, res.Events)
-	}
-	if last.SimTime != cfg.Duration {
-		t.Errorf("terminal snapshot sim time = %v, want %v", last.SimTime, cfg.Duration)
-	}
+	for _, width := range []int{0, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", width), func(t *testing.T) {
+			cfg := base
+			cfg.Workers = width
+			var updates []ProgressUpdate
+			cfg.Progress = func(u ProgressUpdate) { updates = append(updates, u) }
+			cfg.ProgressEvery = 1 << 8
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(updates) == 0 {
+				t.Fatal("no progress updates from multi-domain run")
+			}
+			for i := 1; i < len(updates); i++ {
+				if prev, u := updates[i-1], updates[i]; u.SimTime < prev.SimTime || u.Events < prev.Events {
+					t.Fatalf("snapshot %d went backwards: %+v after %+v", i, u, prev)
+				}
+			}
+			last := updates[len(updates)-1]
+			if last.Events != res.Events {
+				t.Errorf("terminal snapshot events = %d, result has %d", last.Events, res.Events)
+			}
+			if last.SimTime != cfg.Duration {
+				t.Errorf("terminal snapshot sim time = %v, want %v", last.SimTime, cfg.Duration)
+			}
 
-	cancel := make(chan struct{})
-	close(cancel)
-	cfg.Progress = nil
-	cfg.Cancel = cancel
-	cfg.Guards = RunGuards{LivelockWindow: 1 << 20}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("pre-closed Cancel must abort the multi-domain run")
+			cancel := make(chan struct{})
+			close(cancel)
+			cfg.Progress = nil
+			cfg.Cancel = cancel
+			cfg.Guards = RunGuards{LivelockWindow: 1 << 20}
+			if _, err := Run(cfg); err == nil {
+				t.Fatal("pre-closed Cancel must abort the multi-domain run")
+			}
+		})
 	}
 }
 

@@ -27,8 +27,9 @@ type SweepOptions struct {
 	// Config carries no guards of its own).
 	Guards RunGuards
 	// Workers is the Config.Workers width given to every run whose
-	// Config does not set its own. Independent of Parallel, which
-	// schedules whole runs; neither changes a Result.
+	// Config does not set its own; 0 leaves it at one worker per CPU
+	// and 1 simulates each run's domains one at a time. Independent of
+	// Parallel, which schedules whole runs; neither changes a Result.
 	Workers int
 }
 
