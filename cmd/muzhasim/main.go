@@ -670,7 +670,9 @@ func runSingle(out io.Writer, cells []scenario.Spec, outPath string, r runner) e
 		fails = append(fails, verdict(spec, res, class, runErr))
 	}
 	if outPath != "" {
-		doc, err := canon.JSON(map[string][]singleRecord{"runs": records})
+		doc, err := canon.JSON(struct {
+			Runs []singleRecord `json:"runs"`
+		}{records})
 		if err != nil {
 			return err
 		}

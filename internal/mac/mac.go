@@ -120,9 +120,9 @@ type DCF struct {
 
 	navUntil  sim.Time
 	useEIFS   bool
-	deferEv   sim.EventRef // end of the DIFS/EIFS wait plus every remaining backoff slot
+	deferT    *sim.Timer   // end of the DIFS/EIFS wait plus every remaining backoff slot
 	slotStart sim.Time     // when the armed countdown's first backoff slot begins
-	navEv     sim.EventRef // wake-up at NAV expiry
+	navT      *sim.Timer   // wake-up at NAV expiry
 	timeout   *sim.Timer   // CTS/ACK timeout
 	respEv    sim.EventRef // SIFS-scheduled response transmission
 	respBusy  bool         // respFrame is scheduled or on the air
@@ -132,12 +132,9 @@ type DCF struct {
 	ackWait   sim.Time // timeout after DATA leaves the air
 	dataAfter *packet.Packet
 
-	// Event callbacks, bound once in New. Every Schedule/At in this file
+	// Event callbacks, bound once in New. Every Schedule in this file
 	// passes one of these stored funcs: a closure or method value built
-	// per call would cost one heap allocation per event, and every
-	// contention round schedules at least one.
-	backoffFn   func()
-	resumeFn    func()
+	// per call would cost one heap allocation per event.
 	sendRespFn  func()
 	dataAfterFn func()
 
@@ -200,11 +197,13 @@ func New(s *sim.Simulator, radio *phy.Radio, self packet.NodeID, up Upper, cfg C
 		ctsWait: cfg.SIFS + ctsAir + 2*cfg.SlotTime,
 		ackWait: cfg.SIFS + ackAir + 2*cfg.SlotTime,
 	}
-	m.backoffFn = m.backoffDone
-	m.resumeFn = m.resume
 	m.sendRespFn = m.sendResponse
 	m.dataAfterFn = m.sendDataAfterCTS
 	m.timeout = sim.NewTimer(s, m.onTimeout)
+	// A paused countdown and a superseded NAV wake-up stop their timer;
+	// the next Reset revives the same queue slot.
+	m.deferT = sim.NewTimer(s, m.backoffDone)
+	m.navT = sim.NewTimer(s, m.resume)
 	m.winStart = s.Now()
 	m.busySince = s.Now()
 	return m, nil
@@ -317,7 +316,7 @@ func (m *DCF) resume() {
 		// If only the NAV blocks us, nothing else will wake us up:
 		// schedule a recheck at NAV expiry.
 		if now := m.sim.Now(); now < m.navUntil {
-			m.navEv = m.sim.At(m.navUntil, m.resumeFn)
+			m.navT.Reset(m.navUntil - now)
 		}
 		return
 	}
@@ -326,7 +325,7 @@ func (m *DCF) resume() {
 		wait = m.eifs
 	}
 	m.slotStart = m.sim.Now() + wait
-	m.deferEv = m.sim.At(m.slotStart+sim.Time(m.backoffSlots)*m.cfg.SlotTime, m.backoffFn)
+	m.deferT.Reset(wait + sim.Time(m.backoffSlots)*m.cfg.SlotTime)
 }
 
 // cancelDefer pauses channel access. Every carrier, NAV or response
@@ -335,20 +334,17 @@ func (m *DCF) resume() {
 // lost, so the next resume waits DIFS (or EIFS) and then the remaining
 // slots.
 func (m *DCF) cancelDefer() {
-	if m.deferEv.Cancel() && m.st == stateContend {
+	if m.deferT.Stop() && m.st == stateContend {
 		if idle := m.sim.Now() - m.slotStart; idle > 0 {
 			m.backoffSlots -= int(idle / m.cfg.SlotTime)
 		}
 	}
-	m.deferEv = sim.EventRef{}
-	m.navEv.Cancel()
-	m.navEv = sim.EventRef{}
+	m.navT.Stop()
 }
 
 // backoffDone ends a countdown that ran out with the medium idle
 // throughout: every slot has elapsed, so the frame goes out.
 func (m *DCF) backoffDone() {
-	m.deferEv = sim.EventRef{}
 	m.backoffSlots = 0
 	if m.st != stateContend || m.mediumBusy() {
 		return
@@ -579,7 +575,7 @@ func (m *DCF) setNAV(durNanos int64) {
 	m.navUntil = until
 	if m.st == stateContend {
 		m.cancelDefer()
-		m.navEv = m.sim.At(m.navUntil, m.resumeFn)
+		m.navT.Reset(m.navUntil - m.sim.Now())
 	}
 }
 

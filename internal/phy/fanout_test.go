@@ -194,3 +194,110 @@ func TestFanoutOneQueueEntryPerFrame(t *testing.T) {
 		t.Fatalf("max queue %d, events %d; want 1 and %d", max, s.EventsExecuted(), 2*len(radios[12].nb)+1)
 	}
 }
+
+// zeroDelayMAC schedules a zero-delay event from every carrier
+// transition and records its key: the event takes the next free
+// sequence number at the current instant.
+type zeroDelayMAC struct {
+	s    *sim.Simulator
+	keys *[]fanKey
+}
+
+func (m zeroDelayMAC) schedule() {
+	*m.keys = append(*m.keys, fanKey{at: m.s.Now(), seq: m.s.Reserve(0), radio: -1})
+	m.s.Schedule(0, func() {})
+}
+
+func (m zeroDelayMAC) OnCarrierBusy()                 { m.schedule() }
+func (m zeroDelayMAC) OnCarrierIdle()                 { m.schedule() }
+func (m zeroDelayMAC) OnReceive(*packet.Packet, bool) {}
+func (m zeroDelayMAC) OnTxDone(*packet.Packet)        {}
+
+// TestFanoutGroupingMatchesPerEventSchedule covers the same-instant
+// rule: a frame whose receivers sit at equal distances fires its tied
+// signal events from one queue entry, and every receiver's MAC schedules
+// a zero-delay event from inside them. The fired (at, seq) stream must
+// be the per-event schedule's 2k+1 keys plus the zero-delay events,
+// sorted: each zero-delay event fires after every same-instant key of
+// the frame, which was reserved before it.
+func TestFanoutGroupingMatchesPerEventSchedule(t *testing.T) {
+	chain := make([]topo.Position, 9)
+	for i := range chain {
+		chain[i] = topo.Position{X: float64(i) * 200}
+	}
+	var grid []topo.Position
+	for r := 0; r < 5; r++ {
+		for c := 0; c < 5; c++ {
+			grid = append(grid, topo.Position{X: float64(c) * 200, Y: float64(r) * 200})
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		pos  []topo.Position
+		tx   int
+	}{
+		{"chain interior", chain, 4},
+		{"grid centre", grid, 12},
+		{"grid corner", grid, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ch := newTestChannel(t, 1, DefaultConfig())
+			var zero []fanKey
+			var radios []*Radio
+			for _, p := range tc.pos {
+				radios = append(radios, ch.AddRadio(p, zeroDelayMAC{s: s, keys: &zero}))
+			}
+			var got []fanKey
+			s.SetEventHook(func(at sim.Time, seq uint64) {
+				got = append(got, fanKey{at: at, seq: seq, radio: -1})
+			})
+			air := ch.TxTime(1000, false)
+			s0 := s.Reserve(0)
+			want := perEventKeys(ch, radios[tc.tx], 0, s0, air)
+			frame := func(k fanKey) bool { return k.seq < s0+uint64(len(want)) }
+			radios[tc.tx].Transmit(dataPkt(1, 1000), air)
+			s.RunAll()
+
+			// Only keys are compared; the grouping must not move one.
+			for i := range want {
+				want[i].radio, want[i].delta = -1, 0
+			}
+			want = append(want, zero...)
+			sort.Slice(want, func(i, j int) bool {
+				return want[i].at < want[j].at || (want[i].at == want[j].at && want[i].seq < want[j].seq)
+			})
+			if len(got) != len(want) {
+				t.Fatalf("fired %d events, the per-event schedule has %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
+				}
+			}
+			// The geometry must produce what the test is about: frame
+			// keys tied at one instant, and a zero-delay event scheduled
+			// at such an instant before a tied key fired.
+			ties, zeroAtTie := 0, false
+			for i := 1; i < len(want); i++ {
+				if frame(want[i]) && frame(want[i-1]) && want[i].at == want[i-1].at {
+					ties++
+				}
+			}
+			for _, z := range zero {
+				n := 0
+				for _, k := range want {
+					if frame(k) && k.at == z.at {
+						n++
+					}
+				}
+				zeroAtTie = zeroAtTie || n >= 2
+			}
+			if ties == 0 || !zeroAtTie || len(zero) == 0 {
+				t.Fatalf("no same-instant keys to group: %d ties, zero-delay at a tie %v", ties, zeroAtTie)
+			}
+			if s.Pending() != 0 || len(ch.fanouts) != 1 {
+				t.Fatalf("after the run: %d pending events, %d pooled fanouts (want 0, 1)", s.Pending(), len(ch.fanouts))
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -13,8 +14,12 @@ import (
 // Timer.Reset, Timer.Stop and Reserve+AtSeq chains runs both from the top
 // level and from inside callbacks, so every path through the held root
 // (fused take, release on reschedule, compaction, Pending, QueueLen) is
-// exercised. The fired (at, seq) stream, every Cancel result and every
-// Pending/QueueLen read inside a callback must match the oracle.
+// exercised. A chain whose next key falls on the current instant claims
+// it with FireNow instead of queueing it, and a stopped timer's Reset
+// revives its queued slot. Some programs run under a guard, which may
+// abort the run, or call Stop; either can land in the middle of a
+// same-instant group. The fired (at, seq) stream, every Cancel result,
+// every guard call and every Pending/QueueLen read must match the oracle.
 
 // oEntry is one oracle queue entry. Cancelled entries stay queued until
 // they reach the front or a compaction drops them, mirroring the lazy
@@ -25,6 +30,7 @@ type oEntry struct {
 	id        int
 	cancelled bool
 	fired     bool
+	gone      bool // left the queue: fired, or collected after cancellation
 }
 
 type oracle struct {
@@ -55,7 +61,9 @@ func (o *oracle) cancel(e *oEntry) bool {
 	if o.dead >= compactMin && o.dead*2 >= len(o.entries) {
 		live := o.entries[:0]
 		for _, x := range o.entries {
-			if !x.cancelled {
+			if x.cancelled {
+				x.gone = true
+			} else {
 				live = append(live, x)
 			}
 		}
@@ -77,6 +85,7 @@ func (o *oracle) pop() *oEntry {
 		}
 		e := o.entries[m]
 		o.entries = append(o.entries[:m], o.entries[m+1:]...)
+		e.gone = true
 		if e.cancelled {
 			o.dead--
 			continue
@@ -90,12 +99,33 @@ func (o *oracle) pop() *oEntry {
 
 func (o *oracle) live() int { return len(o.entries) - o.dead }
 
+// rearm models Timer.Reset: a timer whose entry is still queued, pending
+// or cancelled, is moved to the new key (a cancelled one is revived);
+// otherwise the timer takes a new entry.
+func (o *oracle) rearm(e *oEntry, at Time, id int) *oEntry {
+	if e == nil || e.gone {
+		return o.push(at, id)
+	}
+	if e.cancelled {
+		e.cancelled = false
+		o.dead--
+	}
+	e.at, e.seq = at, o.seq
+	o.seq++
+	return e
+}
+
 // chain is a Reserve+AtSeq cursor: a block of reserved keys, sorted, of
 // which only the next is ever queued.
 type chain struct {
 	keys []oEntry
 	next int
+	fire func(*chain)
 }
+
+func (c *chain) Fire(any) { c.fire(c) }
+
+var errGuardAbort = errors.New("guard abort")
 
 // diffRun drives one random program and returns the first mismatch.
 func diffRun(seed int64, budget int) error {
@@ -118,10 +148,40 @@ func diffRun(seed int64, budget int) error {
 	}
 	delay := func() Time { return Time(rng.Intn(6)) } // small: many same-instant ties
 
+	// A quarter of the programs run under a guard that checks it is
+	// called after every every-th event, a quarter under one that also
+	// aborts the run after abortAt events, and a quarter call Stop from
+	// the stopAt-th event.
+	var every, abortAt, stopAt, guardCalls int
+	switch rng.Intn(4) {
+	case 1:
+		every = 1 + rng.Intn(8)
+	case 2:
+		every = 1 + rng.Intn(8)
+		abortAt = every * (1 + rng.Intn(budget/every+1))
+	case 3:
+		stopAt = 1 + rng.Intn(budget)
+	}
+	if every > 0 {
+		s.SetGuard(uint64(every), func() error {
+			guardCalls++
+			if n := s.EventsExecuted(); n != uint64(guardCalls*every) {
+				fail("guard call %d came after %d events, want %d", guardCalls, n, guardCalls*every)
+			}
+			if abortAt > 0 && guardCalls*every >= abortAt {
+				return errGuardAbort
+			}
+			return nil
+		})
+	}
+
 	// check runs when an event fires: the oracle's next entry must be the
 	// one the engine chose.
 	check := func(id int) {
 		fired++
+		if fired == stopAt {
+			s.Stop()
+		}
 		e := o.pop()
 		switch {
 		case e == nil:
@@ -134,30 +194,46 @@ func diffRun(seed int64, budget int) error {
 
 	var act func(depth int)
 	var onArg func(any)
-	var arm func(c *chain)
-	onChain := func(a any) {
-		c := a.(*chain)
-		check(c.keys[c.next].id)
-		c.next++
-		// Half the time the cursor re-arms before doing anything else (it
-		// takes the held slot), half after other work.
-		early := rng.Intn(2) == 0
-		if early {
-			arm(c)
-		}
-		act(1)
-		if !early {
-			arm(c)
+	// queue puts the chain's next key in the oracle; arm also queues it
+	// in the engine.
+	queue := func(c *chain) oEntry {
+		k := c.keys[c.next]
+		o.entries = append(o.entries, &oEntry{at: k.at, seq: k.seq, id: k.id})
+		return k
+	}
+	arm := func(c *chain) {
+		if c.next < len(c.keys) {
+			k := queue(c)
+			s.AtSeq(k.at, k.seq, c)
 		}
 	}
-	arm = func(c *chain) {
-		if c.next >= len(c.keys) {
+	onChain := func(c *chain) {
+		for {
+			check(c.keys[c.next].id)
+			c.next++
+			if c.next < len(c.keys) && c.keys[c.next].at == s.Now() && rng.Intn(4) != 0 {
+				// The next key is at this instant: do this event's work,
+				// then claim the key inline as the phy fanout does.
+				act(1)
+				k := queue(c)
+				if !s.FireNow(k.seq) {
+					s.AtSeq(k.at, k.seq, c)
+					return
+				}
+				continue
+			}
+			// Half the time the cursor re-arms before doing anything else
+			// (it takes the held slot), half after other work.
+			early := rng.Intn(2) == 0
+			if early {
+				arm(c)
+			}
+			act(1)
+			if !early {
+				arm(c)
+			}
 			return
 		}
-		k := c.keys[c.next]
-		e := &oEntry{at: k.at, seq: k.seq, id: k.id}
-		o.entries = append(o.entries, e)
-		s.AtSeq(k.at, k.seq, onChain, c)
 	}
 	onArg = func(a any) {
 		check(a.(int))
@@ -208,13 +284,7 @@ func diffRun(seed int64, budget int) error {
 			case 4, 5:
 				k := rng.Intn(len(timers))
 				d := delay()
-				if o.pending(tEnts[k]) {
-					e := tEnts[k]
-					e.at, e.seq = s.Now()+d, o.seq
-					o.seq++
-				} else {
-					tEnts[k] = o.push(s.Now()+d, -1-k)
-				}
+				tEnts[k] = o.rearm(tEnts[k], s.Now()+d, -1-k)
 				timers[k].Reset(d)
 			case 6:
 				k := rng.Intn(len(timers))
@@ -232,7 +302,7 @@ func diffRun(seed int64, budget int) error {
 					fail("Reserve returned %d, oracle seq %d", s0, o.seq)
 				}
 				o.seq += uint64(n)
-				c := &chain{}
+				c := &chain{fire: onChain}
 				for q := 0; q < n; q++ {
 					if rng.Intn(4) == 0 {
 						continue // a reserved number left unused
@@ -272,8 +342,30 @@ func diffRun(seed int64, budget int) error {
 		act(0)
 	}
 	s.RunAll()
-	if e := o.pop(); e != nil {
-		fail("oracle still holds id %d key (%v,%d) after the engine drained", e.id, e.at, e.seq)
+	aborted := s.GuardErr() != nil
+	switch {
+	case aborted || (stopAt > 0 && fired >= stopAt):
+		// The run ended early; whatever it left queued, including a
+		// same-instant key it did not claim, must match the oracle.
+		if aborted && (!errors.Is(s.GuardErr(), errGuardAbort) || fired != abortAt) {
+			fail("guard error %v after %d events, want %v after %d", s.GuardErr(), fired, errGuardAbort, abortAt)
+		}
+		if !aborted && fired != stopAt {
+			fail("%d events fired, want none after the Stop in event %d", fired, stopAt)
+		}
+		if got, want := s.Pending(), o.live(); got != want {
+			fail("Pending() = %d after the run ended early, oracle %d", got, want)
+		}
+		if got, want := s.QueueLen(), len(o.entries); got != want {
+			fail("QueueLen() = %d after the run ended early, oracle %d", got, want)
+		}
+	default:
+		if e := o.pop(); e != nil {
+			fail("oracle still holds id %d key (%v,%d) after the engine drained", e.id, e.at, e.seq)
+		}
+		if every > 0 && guardCalls != fired/every {
+			fail("guard ran %d times over %d events, want %d", guardCalls, fired, fired/every)
+		}
 	}
 	if s.EventsExecuted() != uint64(fired) {
 		fail("EventsExecuted = %d, callbacks ran %d", s.EventsExecuted(), fired)
@@ -317,7 +409,7 @@ func FuzzQueueDifferential(f *testing.F) {
 // TestAtSeqRejectsPastKeys pins AtSeq's misuse checks: a key before or at
 // the fired key, or a sequence number nobody reserved, panics.
 func TestAtSeqRejectsPastKeys(t *testing.T) {
-	nop := func(any) {}
+	nop := &chain{fire: func(*chain) {}}
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -328,14 +420,14 @@ func TestAtSeqRejectsPastKeys(t *testing.T) {
 		fn()
 	}
 	s := New(1)
-	mustPanic("unreserved", func() { s.AtSeq(10, 0, nop, nil) })
+	mustPanic("unreserved", func() { s.AtSeq(10, 0, nop) })
 	s0 := s.Reserve(4)
 	s.Schedule(10, func() {
 		// The firing event took seq 4, after the reserved block.
-		mustPanic("earlier time", func() { s.AtSeq(9, s0, nop, nil) })
-		mustPanic("same instant, earlier seq", func() { s.AtSeq(10, s0+1, nop, nil) })
-		mustPanic("the fired key itself", func() { s.AtSeq(10, s.last, nop, nil) })
-		s.AtSeq(11, s0+2, nop, nil) // later instant: any reserved seq
+		mustPanic("earlier time", func() { s.AtSeq(9, s0, nop) })
+		mustPanic("same instant, earlier seq", func() { s.AtSeq(10, s0+1, nop) })
+		mustPanic("the fired key itself", func() { s.AtSeq(10, s.last, nop) })
+		s.AtSeq(11, s0+2, nop) // later instant: any reserved seq
 	})
 	s.RunAll()
 	if s.EventsExecuted() != 2 {

@@ -99,13 +99,14 @@ func run(cfg Config, rec trace.Recorder) (res *Result, err error) {
 			every = defaultProgressEvery
 		}
 		prev, progress := hook, cfg.Progress
-		var count uint64
+		count, left := uint64(0), every
 		hook = func(at sim.Time, seq uint64) {
 			if prev != nil {
 				prev(at, seq)
 			}
 			count++
-			if count%every == 0 {
+			if left--; left == 0 {
+				left = every
 				progress(ProgressUpdate{SimTime: at.Duration(), Events: count})
 			}
 		}
