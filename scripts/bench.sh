@@ -17,7 +17,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-GATED='^(BenchmarkScenario4HopChain|BenchmarkScenarioGrid|BenchmarkScenarioLargeRandom|BenchmarkScenario1000Node|BenchmarkEventChurn|BenchmarkHoldModel|BenchmarkScheduleCancel|BenchmarkTimerRearm|BenchmarkTransmitFanout|BenchmarkTransmitMobile|BenchmarkSenderPacing|BenchmarkDCFExchange)$'
+GATED='^(BenchmarkScenario4HopChain|BenchmarkScenarioGrid|BenchmarkScenarioLargeRandom|BenchmarkScenario1000Node|BenchmarkEventChurn|BenchmarkHoldModel|BenchmarkScheduleCancel|BenchmarkTimerRearm|BenchmarkTransmitFanout|BenchmarkTransmitMobile|BenchmarkSenderPacing|BenchmarkDCFExchange|BenchmarkRREQHandling|BenchmarkEncodeResult)$'
 if [ "${1:-}" = "-gated" ]; then
     echo "$GATED"
     exit 0
@@ -34,5 +34,5 @@ if [ "${1:-}" = "-scaling" ]; then
     exit 0
 fi
 
-go test -run '^$' -bench "$GATED" -benchtime 2s . ./internal/sim ./internal/phy ./internal/mac ./internal/tcp | tee "$OUT"
+go test -run '^$' -bench "$GATED" -benchtime 2s . ./internal/sim ./internal/phy ./internal/mac ./internal/tcp ./internal/aodv ./internal/jobs | tee "$OUT"
 go run ./cmd/benchgate -baseline BENCH_sim.json "$@" "$OUT"
