@@ -14,14 +14,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"muzha"
-	"muzha/internal/plot"
 )
 
 func main() {
@@ -46,133 +47,43 @@ func run(args []string) error {
 	}
 
 	variants := []muzha.Variant{muzha.NewReno, muzha.SACK, muzha.Vegas, muzha.Muzha}
-	all := *exp == "all"
-	if all || *exp == "cwnd" {
-		if err := plotCwnd(*out, variants, *seed); err != nil {
-			return err
-		}
-	}
-	if all || *exp == "throughput" {
-		if err := plotThroughput(*out, variants, *seed); err != nil {
-			return err
-		}
-	}
-	if all || *exp == "dynamics" {
-		if err := plotDynamics(*out, variants, *seed); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeChart(dir, name string, c *plot.Chart) error {
-	svg, err := c.SVG()
-	if err != nil {
-		return fmt.Errorf("%s: %w", name, err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote", path)
-	return nil
-}
-
-func plotCwnd(dir string, variants []muzha.Variant, seed int64) error {
-	hops := []int{4, 8, 16}
-	traces, err := muzha.CwndTraces(hops, variants, 10*time.Second, seed)
-	if err != nil {
-		return err
-	}
-	for _, h := range hops {
-		chart := &plot.Chart{
-			Title:  fmt.Sprintf("Change of Congestion Window Size (%d-hop chain)", h),
-			XLabel: "time (s)",
-			YLabel: "cwnd (segments)",
-		}
-		for _, tr := range traces {
-			if tr.Hops != h {
-				continue
-			}
-			s := plot.Series{Name: string(tr.Variant)}
-			for _, p := range muzha.SampleTrace(tr.Trace, 100*time.Millisecond, 10*time.Second) {
-				s.X = append(s.X, p.At.Seconds())
-				s.Y = append(s.Y, p.Value)
-			}
-			chart.Series = append(chart.Series, s)
-		}
-		if err := writeChart(dir, fmt.Sprintf("fig5.2-5.7_cwnd_%dhop.svg", h), chart); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func plotThroughput(dir string, variants []muzha.Variant, seed int64) error {
 	sweep := muzha.DefaultChainSweep()
 	sweep.Variants = variants
-	sweep.Seeds = []int64{seed, seed + 1, seed + 2}
-	rows, err := muzha.ThroughputVsHops(sweep)
+	sweep.Seeds = []int64{*seed, *seed + 1, *seed + 2}
+	var exps []*muzha.Experiment
+	var errs []error
+	add := func(family string) func(*muzha.Experiment, error) {
+		return func(e *muzha.Experiment, err error) {
+			if *exp == "all" || *exp == family {
+				exps, errs = append(exps, e), append(errs, err)
+			}
+		}
+	}
+	add("cwnd")(muzha.CwndTraces([]int{4, 8, 16}, variants, 10*time.Second, *seed))
+	add("throughput")(muzha.ThroughputVsHops(sweep))
+	add("throughput")(muzha.RetransmissionsVsHops(sweep))
+	add("dynamics")(muzha.ThroughputDynamics(variants, 30*time.Second, time.Second, *seed))
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	if exps == nil {
+		return fmt.Errorf("unknown figure family %q", *exp)
+	}
+	outs, err := muzha.RunExperiments(exps, muzha.SweepOptions{Parallel: runtime.GOMAXPROCS(0)})
 	if err != nil {
 		return err
 	}
-	for _, w := range sweep.Windows {
-		thr := &plot.Chart{
-			Title:  fmt.Sprintf("Throughput vs Number of Hops (window_=%d)", w),
-			XLabel: "hops",
-			YLabel: "throughput (bit/s)",
-		}
-		rex := &plot.Chart{
-			Title:  fmt.Sprintf("Retransmissions vs Number of Hops (window_=%d)", w),
-			XLabel: "hops",
-			YLabel: "retransmitted segments",
-		}
-		for _, v := range variants {
-			st := plot.Series{Name: string(v)}
-			sr := plot.Series{Name: string(v)}
-			for _, r := range rows {
-				if r.Window != w || r.Variant != v {
-					continue
-				}
-				st.X = append(st.X, float64(r.Hops))
-				st.Y = append(st.Y, r.ThroughputBps)
-				sr.X = append(sr.X, float64(r.Hops))
-				sr.Y = append(sr.Y, r.Retransmissions)
+	for _, o := range outs {
+		for _, c := range o.Charts {
+			svg, err := c.SVG()
+			if err != nil {
+				return fmt.Errorf("%s: %w", c.File, err)
 			}
-			thr.Series = append(thr.Series, st)
-			rex.Series = append(rex.Series, sr)
-		}
-		if err := writeChart(dir, fmt.Sprintf("fig5.8-5.10_throughput_w%d.svg", w), thr); err != nil {
-			return err
-		}
-		if err := writeChart(dir, fmt.Sprintf("fig5.11-5.13_retransmissions_w%d.svg", w), rex); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func plotDynamics(dir string, variants []muzha.Variant, seed int64) error {
-	results, err := muzha.ThroughputDynamics(variants, 30*time.Second, time.Second, seed)
-	if err != nil {
-		return err
-	}
-	for _, dr := range results {
-		chart := &plot.Chart{
-			Title:  fmt.Sprintf("Throughput Dynamics, three %s flows", dr.Variant),
-			XLabel: "time (s)",
-			YLabel: "throughput (bit/s)",
-		}
-		for fi, series := range dr.Series {
-			s := plot.Series{Name: fmt.Sprintf("flow %d", fi+1)}
-			for _, p := range series {
-				s.X = append(s.X, p.At.Seconds())
-				s.Y = append(s.Y, p.Value)
+			path := filepath.Join(*out, c.File)
+			if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
+				return err
 			}
-			chart.Series = append(chart.Series, s)
-		}
-		if err := writeChart(dir, fmt.Sprintf("fig5.19-5.22_dynamics_%s.svg", dr.Variant), chart); err != nil {
-			return err
+			fmt.Println("wrote", path)
 		}
 	}
 	return nil

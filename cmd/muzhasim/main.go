@@ -274,19 +274,22 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	var family *muzha.Experiment
 	switch *exp {
 	case "cwnd":
-		return runCwnd(out, hs, vs, orDefault(*duration, 10*time.Second), *seed, sw)
+		family, err = muzha.CwndTraces(hs, vs, orDefault(*duration, 10*time.Second), *seed)
 	case "throughput":
-		ws, err := parseInts("-windows", *windows, []int{4, 8, 32})
-		if err != nil {
-			return err
+		var ws []int
+		if ws, err = parseInts("-windows", *windows, []int{4, 8, 32}); err == nil {
+			family, err = muzha.ThroughputVsHops(muzha.ChainSweepConfig{
+				Windows: ws, Hops: hs, Variants: vs, Duration: orDefault(*duration, 30*time.Second), Seeds: seedList,
+			})
 		}
-		return runThroughput(out, ws, hs, vs, orDefault(*duration, 30*time.Second), seedList, sw)
 	case "fairness":
-		return runFairness(out, hs, orDefault(*duration, 50*time.Second), seedList, sw)
+		pairs := [][2]muzha.Variant{{muzha.NewReno, muzha.Vegas}, {muzha.NewReno, muzha.Muzha}, {muzha.Muzha, muzha.Muzha}}
+		family, err = muzha.CoexistenceFairness(hs, pairs, orDefault(*duration, 50*time.Second), seedList)
 	case "dynamics":
-		return runDynamics(out, vs, orDefault(*duration, 30*time.Second), *seed, sw)
+		family, err = muzha.ThroughputDynamics(vs, orDefault(*duration, 30*time.Second), time.Second, *seed)
 	case "modern":
 		mg := muzha.DefaultModernGrid()
 		if given["variants"] {
@@ -305,8 +308,7 @@ func run(args []string, out io.Writer) error {
 		}
 		mg.Duration = orDefault(*duration, mg.Duration)
 		mg.Seeds = seedList
-		mg.Sweep = sw
-		return runModern(out, mg)
+		family, err = muzha.ModernComparisonGrid(mg)
 	default: // "single"; modeFlags admits no other experiment
 		cells, err := chainCells(hs, vs, orDefault(*duration, 30*time.Second), *seed, sets)
 		if err != nil {
@@ -320,6 +322,17 @@ func run(args []string, out io.Writer) error {
 		}
 		return runSingle(out, cells, *outPath, r)
 	}
+	if err != nil {
+		return err
+	}
+	outs, err := muzha.RunExperiments([]*muzha.Experiment{family}, sw)
+	if outs == nil {
+		return err
+	}
+	for _, line := range outs[0].CSV {
+		fmt.Fprintln(out, line)
+	}
+	return err // a *SweepError after the rows of the runs that finished
 }
 
 func orDefault(d, def time.Duration) time.Duration {
@@ -360,88 +373,6 @@ func parseVariants(s string) ([]muzha.Variant, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func runCwnd(out io.Writer, hops []int, vs []muzha.Variant, d time.Duration, seed int64, sw muzha.SweepOptions) error {
-	traces, terr := muzha.CwndTraces(hops, vs, d, seed, sw)
-	if traces == nil && terr != nil {
-		return terr
-	}
-	fmt.Fprintln(out, "hops,variant,time_s,cwnd")
-	for _, tr := range traces {
-		for _, s := range muzha.SampleTrace(tr.Trace, 100*time.Millisecond, d) {
-			fmt.Fprintf(out, "%d,%s,%.1f,%.2f\n", tr.Hops, tr.Variant, s.At.Seconds(), s.Value)
-		}
-	}
-	return terr
-}
-
-func runThroughput(out io.Writer, windows, hops []int, vs []muzha.Variant, d time.Duration, seeds []int64, sw muzha.SweepOptions) error {
-	rows, rerr := muzha.ThroughputVsHops(muzha.ChainSweepConfig{
-		Windows:  windows,
-		Hops:     hops,
-		Variants: vs,
-		Duration: d,
-		Seeds:    seeds,
-		Sweep:    sw,
-	})
-	if rows == nil && rerr != nil {
-		return rerr
-	}
-	fmt.Fprintln(out, "window,hops,variant,throughput_bps,retransmissions,timeouts")
-	for _, r := range rows {
-		fmt.Fprintf(out, "%d,%d,%s,%.0f,%.1f,%.1f\n",
-			r.Window, r.Hops, r.Variant, r.ThroughputBps, r.Retransmissions, r.Timeouts)
-	}
-	return rerr
-}
-
-func runModern(out io.Writer, grid muzha.ModernGridConfig) error {
-	rows, rerr := muzha.ModernComparisonGrid(grid)
-	if rows == nil && rerr != nil {
-		return rerr
-	}
-	fmt.Fprintln(out, "world,variant,router_assist,throughput_bps,retransmissions,timeouts,seeds")
-	for _, r := range rows {
-		fmt.Fprintf(out, "%s,%s,%t,%.0f,%.1f,%.1f,%d\n",
-			r.World, r.Variant, r.RouterAssist, r.ThroughputBps, r.Retransmissions, r.Timeouts, r.Seeds)
-	}
-	return rerr
-}
-
-func runFairness(out io.Writer, hops []int, d time.Duration, seeds []int64, sw muzha.SweepOptions) error {
-	pairs := [][2]muzha.Variant{
-		{muzha.NewReno, muzha.Vegas},
-		{muzha.NewReno, muzha.Muzha},
-		{muzha.Muzha, muzha.Muzha},
-	}
-	rows, rerr := muzha.CoexistenceFairness(hops, pairs, d, seeds, sw)
-	if rows == nil && rerr != nil {
-		return rerr
-	}
-	fmt.Fprintln(out, "hops,variant1,variant2,throughput1_bps,throughput2_bps,jain_index")
-	for _, r := range rows {
-		fmt.Fprintf(out, "%d,%s,%s,%.0f,%.0f,%.3f\n",
-			r.Hops, r.Variants[0], r.Variants[1],
-			r.ThroughputBps[0], r.ThroughputBps[1], r.JainIndex)
-	}
-	return rerr
-}
-
-func runDynamics(out io.Writer, vs []muzha.Variant, d time.Duration, seed int64, sw muzha.SweepOptions) error {
-	results, rerr := muzha.ThroughputDynamics(vs, d, time.Second, seed, sw)
-	if results == nil && rerr != nil {
-		return rerr
-	}
-	fmt.Fprintln(out, "variant,flow,time_s,throughput_bps")
-	for _, dr := range results {
-		for fi, series := range dr.Series {
-			for _, s := range series {
-				fmt.Fprintf(out, "%s,%d,%.0f,%.0f\n", dr.Variant, fi+1, s.At.Seconds(), s.Value)
-			}
-		}
-	}
-	return rerr
 }
 
 // report prints one run's outcome line: ok with its headline numbers,

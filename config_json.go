@@ -37,15 +37,19 @@ type topologyWire struct {
 
 // MarshalJSON encodes the topology as its name, positions and
 // conventional flow endpoints. A zero Topology encodes as null.
-func (t Topology) MarshalJSON() ([]byte, error) {
+func (t Topology) MarshalJSON() ([]byte, error) { return json.Marshal(t.Wire()) }
+
+// Wire returns the value MarshalJSON encodes, a topologyWire or nil, so
+// the canonical encoder of a Config writes it in one pass.
+func (t Topology) Wire() any {
 	if t.inner == nil {
-		return []byte("null"), nil
+		return nil
 	}
-	return json.Marshal(topologyWire{
+	return topologyWire{
 		Name:          t.inner.Name,
 		Positions:     t.inner.Positions,
 		FlowEndpoints: t.inner.FlowEndpoints,
-	})
+	}
 }
 
 // UnmarshalJSON reconstructs the topology from its wire form.
@@ -99,7 +103,7 @@ func (c *Config) UnmarshalJSON(b []byte) error {
 func (c Config) Hash() (string, error) {
 	c.Guards = RunGuards{}
 	c.Workers = 0
-	b, err := json.Marshal(c)
+	b, err := c.MarshalJSON()
 	if err != nil {
 		return "", fmt.Errorf("muzha: hash config: %w", err)
 	}

@@ -36,7 +36,7 @@ func ExampleRun() {
 // ExampleCoexistenceFairness reproduces one row of Simulation 3A: two
 // crossing flows sharing the centre of a cross topology.
 func ExampleCoexistenceFairness() {
-	rows, err := muzha.CoexistenceFairness(
+	exp, err := muzha.CoexistenceFairness(
 		[]int{4},
 		[][2]muzha.Variant{{muzha.NewReno, muzha.Muzha}},
 		10*time.Second,
@@ -46,7 +46,12 @@ func ExampleCoexistenceFairness() {
 		fmt.Println(err)
 		return
 	}
-	r := rows[0]
+	outs, err := muzha.RunExperiments([]*muzha.Experiment{exp}, muzha.SweepOptions{})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	r := outs[0].Rows.([]muzha.FairnessRow)[0]
 	fmt.Printf("%s+%s on the %d-hop cross: Jain index in (0,1]: %v\n",
 		r.Variants[0], r.Variants[1], r.Hops, r.JainIndex > 0 && r.JainIndex <= 1)
 	// Output:

@@ -1,6 +1,11 @@
 package muzha
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -63,17 +68,28 @@ func TestDefaultChainSweepMatchesPaper(t *testing.T) {
 	}
 }
 
+// rowsOf runs one experiment and returns its rows.
+func rowsOf[R any](t testing.TB, exp *Experiment, err error, opt SweepOptions) []R {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := RunExperiments([]*Experiment{exp}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outs[0].Rows.([]R)
+}
+
 func TestThroughputVsHopsSmall(t *testing.T) {
-	rows, err := ThroughputVsHops(ChainSweepConfig{
+	exp, err := ThroughputVsHops(ChainSweepConfig{
 		Windows:  []int{4},
 		Hops:     []int{2},
 		Variants: []Variant{NewReno, Muzha},
 		Duration: 2 * time.Second,
-		// Seeds deliberately empty: the driver must default to one seed.
+		// Seeds deliberately empty: the sweep must default to one seed.
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[ChainRow](t, exp, err, SweepOptions{})
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows))
 	}
@@ -88,10 +104,8 @@ func TestThroughputVsHopsSmall(t *testing.T) {
 }
 
 func TestCoexistenceFairnessSmall(t *testing.T) {
-	rows, err := CoexistenceFairness([]int{4}, [][2]Variant{{NewReno, Muzha}}, 2*time.Second, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exp, err := CoexistenceFairness([]int{4}, [][2]Variant{{NewReno, Muzha}}, 2*time.Second, nil)
+	rows := rowsOf[FairnessRow](t, exp, err, SweepOptions{})
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -105,10 +119,8 @@ func TestCoexistenceFairnessSmall(t *testing.T) {
 }
 
 func TestCwndTracesDriver(t *testing.T) {
-	out, err := CwndTraces([]int{2}, []Variant{Vegas}, 2*time.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exp, err := CwndTraces([]int{2}, []Variant{Vegas}, 2*time.Second, 1)
+	out := rowsOf[CwndTraceResult](t, exp, err, SweepOptions{})
 	if len(out) != 1 || out[0].Hops != 2 || out[0].Variant != Vegas {
 		t.Fatalf("traces = %+v", out)
 	}
@@ -129,5 +141,62 @@ func TestExperimentDriverErrors(t *testing.T) {
 	}
 	if _, err := CwndTraces([]int{-1}, []Variant{Vegas}, time.Second, 1); err == nil {
 		t.Fatal("negative hops accepted")
+	}
+}
+
+// TestSharedCellsRunOnce: the throughput and retransmission figures
+// list the same cells, so running them together must run each distinct
+// cell once (the journal gets one line per run), and each must reduce
+// to the rows it gives when run alone.
+func TestSharedCellsRunOnce(t *testing.T) {
+	sweep := ChainSweepConfig{
+		Windows:  []int{4},
+		Hops:     []int{2},
+		Variants: []Variant{NewReno, Muzha},
+		Duration: 2 * time.Second,
+		Seeds:    []int64{1},
+	}
+	build := func() []*Experiment {
+		return []*Experiment{must(ThroughputVsHops(sweep)), must(RetransmissionsVsHops(sweep))}
+	}
+	journal := filepath.Join(t.TempDir(), "runs.jsonl")
+	both, err := RunExperiments(build(), SweepOptions{Journal: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs := strings.Count(string(raw), "\n"); runs != 2 {
+		t.Fatalf("two experiments over 2 distinct cells ran %d times, want 2", runs)
+	}
+	for i, exp := range build() {
+		alone, err := RunExperiments([]*Experiment{exp}, SweepOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(both[i].Rows, alone[0].Rows) || !slices.Equal(both[i].Text, alone[0].Text) {
+			t.Fatalf("%s: shared rows differ from a lone run:\nshared: %+v\nalone:  %+v", exp.Name, both[i].Rows, alone[0].Rows)
+		}
+	}
+}
+
+// TestRegistryShape: the registry's 20 families have distinct names,
+// its claim checks distinct IDs, and a check carries a reason exactly
+// when it is expected to diverge.
+func TestRegistryShape(t *testing.T) {
+	names, ids := make(map[string]bool), make(map[string]bool)
+	for _, e := range Registry() {
+		names[e.Name] = true
+		for _, c := range e.claims {
+			if ids[c.ID] || (c.Expect == Diverges) != (c.Reason != "") {
+				t.Fatalf("claim %s: a duplicate ID, or a reason that does not go with its expected status", c.ID)
+			}
+			ids[c.ID] = true
+		}
+	}
+	if len(names) != 20 {
+		t.Fatalf("%d distinct family names, want 20", len(names))
 	}
 }

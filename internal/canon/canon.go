@@ -48,11 +48,12 @@ func Bytes(raw []byte) ([]byte, error) {
 // JSON returns the canonical encoding of v: the bytes Bytes makes of
 // json.Marshal(v), produced in one pass. Structs are written directly,
 // their fields in JSON-key order (computed once per type); numbers take
-// encoding/json's text, which Bytes keeps verbatim. Maps, embedded
-// structs, json.Marshaler and encoding.TextMarshaler values, and
-// anything unusual (a string that needs escaping, a byte slice, a ",string"
-// field) go through the json.Marshal-and-Bytes round trip. A value that
-// encoding/json rejects is rejected with its error.
+// encoding/json's text, which Bytes keeps verbatim. A Wirer is written
+// as its wire value. Maps, embedded structs, other json.Marshaler and
+// encoding.TextMarshaler values, and anything unusual (a string that
+// needs escaping, a byte slice, a ",string" field) go through the
+// json.Marshal-and-Bytes round trip. A value that encoding/json rejects
+// is rejected with its error.
 func JSON(v any) ([]byte, error) {
 	e := encStates.Get().(*encState)
 	defer encStates.Put(e)
@@ -148,7 +149,26 @@ func isMarshaler(t reflect.Type) bool {
 	return t.Implements(marshalerType) || t.Implements(textMarshalerType)
 }
 
+// Wirer is a json.Marshaler whose encoding is json.Marshal of the value
+// Wire returns. JSON writes that value in one pass instead of taking
+// the round trip through its MarshalJSON.
+type Wirer interface {
+	json.Marshaler
+	Wire() any
+}
+
+var wirerType = reflect.TypeFor[Wirer]()
+
 func newEncoder(t reflect.Type) encFn {
+	if t.Implements(wirerType) {
+		return func(e *encState, v reflect.Value) error {
+			if t.Kind() == reflect.Pointer && v.IsNil() {
+				e.b = append(e.b, "null"...)
+				return nil
+			}
+			return e.nest(reflect.ValueOf(v.Interface().(Wirer).Wire()), (*encState).value)
+		}
+	}
 	if isMarshaler(t) || t == numberType {
 		return fallback
 	}

@@ -94,6 +94,10 @@ func TestJSONMatchesRoundTripOnEdgeCases(t *testing.T) {
 		compare(t, fmt.Sprint(f), f)
 		compare(t, fmt.Sprint("f32 ", f), float32(f))
 	}
+	compare(t, "zero topologies", struct {
+		P *muzha.Topology
+		V muzha.Topology
+	}{})
 	for _, f := range []float64{math.NaN(), math.Inf(1)} {
 		if _, err := canon.JSON(f); err == nil {
 			t.Fatalf("%v encoded without error", f)
@@ -195,7 +199,8 @@ func fill(rng *rand.Rand, v reflect.Value, depth int) {
 	// Interfaces, funcs and channels stay nil.
 }
 
-// randomValues returns a random Result, Config and scenario Spec.
+// randomValues returns a random Result, Config, Topology and scenario
+// Spec.
 func randomValues(seed int64) []any {
 	rng := rand.New(rand.NewSource(seed))
 	var res muzha.Result
@@ -209,7 +214,9 @@ func randomValues(seed int64) []any {
 	}
 	var spec scenario.Spec
 	fill(rng, reflect.ValueOf(&spec).Elem(), 0)
-	return []any{res, &res, cfg, spec}
+	// The topology alone: a Config's own encoding writes it through
+	// Wire on both sides of the comparison.
+	return []any{res, &res, cfg, cfg.Topology, spec}
 }
 
 func TestJSONMatchesRoundTripOnRandomValues(t *testing.T) {

@@ -7,10 +7,9 @@ import (
 	"muzha"
 )
 
-// islandsResult runs one islands-scale world: 16 islands of 8x8 nodes
-// with 8 Muzha flows each, expanding-ring AODV, 3 s simulated. Its
-// Result, 1,024 node rows and 128 flows, encodes to about 155 KB.
-func islandsResult(tb testing.TB) *muzha.Result {
+// islandsConfig is one islands-scale world: 16 islands of 8x8 nodes
+// with 8 Muzha flows each, expanding-ring AODV, 3 s simulated.
+func islandsConfig(tb testing.TB) muzha.Config {
 	tb.Helper()
 	top, err := muzha.GridIslandsFlowsTopology(16, 8, 8, 1500, 8, 1)
 	if err != nil {
@@ -25,7 +24,14 @@ func islandsResult(tb testing.TB) *muzha.Result {
 	for _, e := range top.FlowEndpoints() {
 		cfg.Flows = append(cfg.Flows, muzha.Flow{Src: e[0], Dst: e[1], Variant: muzha.Muzha})
 	}
-	res, err := muzha.Run(cfg)
+	return cfg
+}
+
+// islandsResult runs islandsConfig. Its Result, 1,024 node rows and
+// 128 flows, encodes to about 155 KB.
+func islandsResult(tb testing.TB) *muzha.Result {
+	tb.Helper()
+	res, err := muzha.Run(islandsConfig(tb))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -47,5 +53,21 @@ func BenchmarkEncodeResult(b *testing.B) {
 		if _, err := EncodeResult(res); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestConfigHashAllocs bounds the allocations of hashing an
+// islands-scale Config, the daemon's cache key and the sweeps' run key.
+// The canonical encoder writes the 1,024-node topology in one pass; its
+// JSON round trip alone took about 12,000 allocations.
+func TestConfigHashAllocs(t *testing.T) {
+	cfg := islandsConfig(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := cfg.Hash(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("Config.Hash: %.0f allocs per call, want at most 16", allocs)
 	}
 }

@@ -32,16 +32,12 @@ func ModernWorlds() []string {
 	return []string{ModernWorldChain, ModernWorldRGeo, ModernWorldManhattan}
 }
 
-// ModernGridRow is one cell of the modern comparison grid, averaged
-// over the seeds that completed.
+// ModernGridRow is one cell of the modern comparison grid.
 type ModernGridRow struct {
-	World           string
-	Variant         Variant
-	RouterAssist    bool
-	ThroughputBps   float64
-	Retransmissions float64
-	Timeouts        float64
-	Seeds           int
+	World        string
+	Variant      Variant
+	RouterAssist bool
+	FlowMeans
 }
 
 // ModernGridConfig parameterizes ModernComparisonGrid.
@@ -52,8 +48,6 @@ type ModernGridConfig struct {
 	Seeds    []int64
 	// Window is the advertised window in segments (default 32).
 	Window int
-	// Sweep supervises the runs (parallel workers, journal, guards).
-	Sweep SweepOptions
 }
 
 // DefaultModernGrid returns the headline grid: the two strongest
@@ -112,13 +106,12 @@ func modernWorld(world string) (Topology, [2]int, *Mobility, error) {
 	}
 }
 
-// ModernComparisonGrid runs the modernized Muzha comparison grid and
-// returns one row per (world, variant, router-assist), averaged over
-// the seeds that completed. Every cell runs under a Gilbert-Elliott
-// burst-loss phase covering the middle half of the run and a RED
-// bottleneck queue that ECN-marks instead of dropping. The table is
-// deterministic: same config, same rows.
-func ModernComparisonGrid(grid ModernGridConfig) ([]ModernGridRow, error) {
+// ModernComparisonGrid is the modernized Muzha comparison grid: one
+// row per (world, variant, router-assist), averaged over the seeds that
+// completed. Every cell runs under a Gilbert-Elliott burst-loss phase
+// covering the middle half of the run and a RED bottleneck queue that
+// ECN-marks instead of dropping.
+func ModernComparisonGrid(grid ModernGridConfig) (*Experiment, error) {
 	if len(grid.Variants) == 0 {
 		grid.Variants = DefaultModernGrid().Variants
 	}
@@ -136,7 +129,7 @@ func ModernComparisonGrid(grid ModernGridConfig) ([]ModernGridRow, error) {
 	}
 
 	assists := []bool{true, false}
-	var cfgs []Config
+	var cells []Config
 	for _, world := range grid.Worlds {
 		top, fe, mob, err := modernWorld(world)
 		if err != nil {
@@ -168,41 +161,33 @@ func ModernComparisonGrid(grid ModernGridConfig) ([]ModernGridRow, error) {
 						MeanBurstFrames: 6,
 						MeanGapFrames:   150,
 					}}
-					cfgs = append(cfgs, cfg)
+					cells = append(cells, cfg)
 				}
 			}
 		}
 	}
 
-	outs, err := runPool(cfgs, grid.Sweep)
-	if err != nil {
-		return nil, err
-	}
-
-	var rows []ModernGridRow
-	i := 0
-	for _, world := range grid.Worlds {
-		for _, v := range grid.Variants {
-			for _, assist := range assists {
-				row := ModernGridRow{World: world, Variant: v, RouterAssist: assist}
-				for range grid.Seeds {
-					if res := outs[i].Result; res != nil {
-						row.Seeds++
-						row.ThroughputBps += res.Flows[0].ThroughputBps
-						row.Retransmissions += float64(res.Flows[0].Retransmissions)
-						row.Timeouts += float64(res.Flows[0].Timeouts)
-					}
-					i++
+	return &Experiment{Name: "modern", Cells: cells, reduce: func(res []*Result) Output {
+		o := Output{CSV: []string{"world,variant,router_assist,throughput_bps,retransmissions,timeouts,seeds"}}
+		var rows []ModernGridRow
+		var body [][]string
+		for _, world := range grid.Worlds {
+			for _, v := range grid.Variants {
+				for _, assist := range assists {
+					r := ModernGridRow{World: world, Variant: v, RouterAssist: assist, FlowMeans: flowMeans(res[:len(grid.Seeds)])}
+					res = res[len(grid.Seeds):]
+					rows = append(rows, r)
+					o.Text = append(o.Text, fmt.Sprintf("modern world=%s variant=%-8s assist=%-5v throughput=%.0f rexmit=%.1f timeouts=%.1f",
+						world, v, assist, r.ThroughputBps, r.Retransmissions, r.Timeouts))
+					o.CSV = append(o.CSV, fmt.Sprintf("%s,%s,%t,%.0f,%.1f,%.1f,%d",
+						world, v, assist, r.ThroughputBps, r.Retransmissions, r.Timeouts, r.Seeds))
 				}
-				if row.Seeds > 0 {
-					n := float64(row.Seeds)
-					row.ThroughputBps /= n
-					row.Retransmissions /= n
-					row.Timeouts /= n
-				}
-				rows = append(rows, row)
+				on, off := rows[len(rows)-2], rows[len(rows)-1]
+				body = append(body, []string{world, string(v), fmt.Sprintf("%.0f · %.1f", on.ThroughputBps, on.Retransmissions),
+					fmt.Sprintf("%.0f · %.1f", off.ThroughputBps, off.Retransmissions)})
 			}
 		}
-	}
-	return rows, sweepError(outs)
+		o.Rows, o.Markdown = rows, mdTable([]string{"world", "sender", "assist on", "assist off"}, body)
+		return o
+	}}, nil
 }

@@ -24,14 +24,10 @@ func modernTestGrid() ModernGridConfig {
 // row-for-row identical tables: the grid must be a pure function of its
 // config, including the Manhattan mobility world and the paced sender.
 func TestModernGridDeterministic(t *testing.T) {
-	first, err := ModernComparisonGrid(modernTestGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := ModernComparisonGrid(modernTestGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
+	exp, err := ModernComparisonGrid(modernTestGrid())
+	first := rowsOf[ModernGridRow](t, exp, err, SweepOptions{})
+	exp, err = ModernComparisonGrid(modernTestGrid())
+	second := rowsOf[ModernGridRow](t, exp, err, SweepOptions{})
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("grid not deterministic:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
@@ -55,28 +51,20 @@ func TestModernGridDeterministic(t *testing.T) {
 // against a journal a window-2 grid filled must recompute every cell
 // and match an unjournaled window-32 grid.
 func TestModernGridResumeKeysWindow(t *testing.T) {
-	grid := func(window int, journal string) ModernGridConfig {
-		return ModernGridConfig{
+	grid := func(window int, journal string) []ModernGridRow {
+		exp, err := ModernComparisonGrid(ModernGridConfig{
 			Variants: []Variant{NewReno},
 			Worlds:   []string{ModernWorldChain},
 			Duration: 2 * time.Second,
 			Seeds:    []int64{1},
 			Window:   window,
-			Sweep:    SweepOptions{Journal: journal},
-		}
+		})
+		return rowsOf[ModernGridRow](t, exp, err, SweepOptions{Journal: journal})
 	}
 	journal := filepath.Join(t.TempDir(), "grid.jsonl")
-	if _, err := ModernComparisonGrid(grid(2, journal)); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := ModernComparisonGrid(grid(32, journal))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := ModernComparisonGrid(grid(32, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid(2, journal)
+	resumed := grid(32, journal)
+	fresh := grid(32, "")
 	if !reflect.DeepEqual(resumed, fresh) {
 		t.Fatalf("window-32 grid reused window-2 journal rows:\nresumed: %+v\nfresh:   %+v", resumed, fresh)
 	}

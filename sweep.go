@@ -204,12 +204,3 @@ func sweepError(outs []runOutcome) error {
 	}
 	return se
 }
-
-// sweepOpt unpacks the optional trailing SweepOptions of the experiment
-// drivers.
-func sweepOpt(opts []SweepOptions) SweepOptions {
-	if len(opts) > 0 {
-		return opts[0]
-	}
-	return SweepOptions{}
-}

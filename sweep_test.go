@@ -254,24 +254,17 @@ func TestRunSurfacesTraceErrorAlongsideRunError(t *testing.T) {
 // TestThroughputVsHopsParallelMatchesSerial: the experiment driver must
 // aggregate identical rows at any worker width.
 func TestThroughputVsHopsParallelMatchesSerial(t *testing.T) {
-	mk := func(parallel int) ChainSweepConfig {
-		return ChainSweepConfig{
+	mk := func(parallel int) []ChainRow {
+		exp, err := ThroughputVsHops(ChainSweepConfig{
 			Windows:  []int{4},
 			Hops:     []int{2, 3},
 			Variants: []Variant{NewReno, Muzha},
 			Duration: 2 * time.Second,
 			Seeds:    []int64{1, 2},
-			Sweep:    SweepOptions{Parallel: parallel},
-		}
+		})
+		return rowsOf[ChainRow](t, exp, err, SweepOptions{Parallel: parallel})
 	}
-	serial, err := ThroughputVsHops(mk(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := ThroughputVsHops(mk(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, parallel := mk(1), mk(4)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("driver rows differ:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
