@@ -68,6 +68,7 @@ import (
 	"muzha"
 	"muzha/internal/canon"
 	"muzha/internal/chaoscov"
+	"muzha/internal/harness"
 	"muzha/internal/jobs"
 	"muzha/internal/scenario"
 )
@@ -524,21 +525,14 @@ func runChaosCov(out io.Writer, runs int, seed int64, d time.Duration, corpus, r
 	return nil
 }
 
-// worstExitCode picks the exit code of the most severe class present.
+// worstExitCode picks the exit code of the most severe class present,
+// in the harness's severity order.
 func worstExitCode(counts map[string]int) int {
-	switch {
-	case counts[muzha.ClassPanic] > 0:
-		return exitPanic
-	case counts[muzha.ClassLivelock] > 0,
-		counts[muzha.ClassEventBudget] > 0,
-		counts[muzha.ClassDeadline] > 0:
-		return exitGuard
-	case counts[muzha.ClassNonDeterministic] > 0:
-		return exitNonDet
-	case counts[muzha.ClassInvariant] > 0:
-		return exitInvariant
+	byClass := make(map[harness.Class]int, len(counts))
+	for c, n := range counts {
+		byClass[harness.Class(c)] = n
 	}
-	return exitGeneric
+	return codeFor(harness.Sentinel(harness.WorstOf(byClass)))
 }
 
 // singleRecord is one (hops, variant) run in the -out document. The
@@ -622,20 +616,21 @@ func remoteRun(cli *jobs.Client, cfg muzha.Config) (*muzha.Result, json.RawMessa
 	ctx := context.Background()
 	j, err := cli.Submit(ctx, cfg)
 	if err == nil && !j.State.Terminal() {
-		j, err = cli.Wait(ctx, j.ID, 0)
+		j, err = cli.Stream(ctx, j.ID, nil)
 	}
 	if err == nil && j.State != jobs.StateDone {
 		err = fmt.Errorf("remote job %s is %s [%s]: %s", j.ID, j.State, j.Class, j.Error)
 	}
-	if err == nil && len(j.Result) == 0 {
-		j.Result, err = cli.Result(ctx, j.ID)
+	var raw json.RawMessage
+	if err == nil {
+		raw, err = cli.Result(ctx, j.ID)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
 	res := new(muzha.Result)
-	if err := json.Unmarshal(j.Result, res); err != nil {
+	if err := json.Unmarshal(raw, res); err != nil {
 		return nil, nil, fmt.Errorf("remote result: %w", err)
 	}
-	return res, j.Result, nil
+	return res, raw, nil
 }

@@ -152,7 +152,7 @@ func TestScenarioOutMatchesDaemon(t *testing.T) {
 	}
 	cli := &jobs.Client{BaseURL: ts.URL}
 	ctx := context.Background()
-	if _, err := cli.Wait(ctx, j.ID, 0); err != nil {
+	if _, err := cli.Stream(ctx, j.ID, nil); err != nil {
 		t.Fatal(err)
 	}
 	served, err := cli.Result(ctx, j.ID)

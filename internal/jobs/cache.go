@@ -11,12 +11,13 @@ import (
 )
 
 // Cache is the content-addressed result cache: Config.Hash() -> the
-// canonical Result encoding produced by EncodeResult. It persists as an
-// internal/jsonl log of harness.Entry lines — a daemon killed
-// mid-append loses at most that one entry — and is bounded: when an
-// entry or byte cap is configured, the least-recently-used results are
-// evicted to stay under it, so a long-lived daemon's memory does not
-// grow with every distinct scenario it has ever simulated.
+// canonical Result encoding produced by EncodeResult. It is the only
+// place the daemon keeps a Result; jobs refer to theirs by hash. It
+// persists as an internal/jsonl log of harness.Entry lines — a daemon
+// killed mid-append loses at most that one entry — and is bounded:
+// when an entry or byte cap is configured, the least-recently-used
+// results are evicted to stay under it, so a long-lived daemon's memory
+// does not grow with every distinct scenario it has ever simulated.
 //
 // Eviction is an in-memory policy; the journal stays append-only
 // during operation. Dead weight (evicted, superseded or unparseable
@@ -126,8 +127,8 @@ func (c *Cache) Get(hash string) (json.RawMessage, bool) {
 	return p.unpack(), true
 }
 
-// lookup is Get without the inflate: the packed result, for a job to
-// share.
+// lookup is Get without the inflate; admission uses it to test for a
+// hit.
 func (c *Cache) lookup(hash string) (packedResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -140,17 +141,14 @@ func (c *Cache) lookup(hash string) (packedResult, bool) {
 }
 
 // Put records a result, evicting least-recently-used entries if a cap
-// is exceeded, and returns the packed form it keeps, for the job that
-// produced the result to share. Re-putting the same hash refreshes
-// recency; the value is a pure function of the hash, so last-write-wins
-// changes nothing.
-func (c *Cache) Put(hash string, result json.RawMessage) packedResult {
+// is exceeded. Re-putting the same hash refreshes recency; the value is
+// a pure function of the hash, so last-write-wins changes nothing.
+func (c *Cache) Put(hash string, result json.RawMessage) {
 	p := packResult(result)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.putLocked(hash, p, int64(len(result)))
 	c.log.Append(harness.Entry{Key: hash, OK: true, Value: result})
-	return p
 }
 
 // putLocked applies the in-memory insert + LRU eviction; shared by Put

@@ -359,33 +359,11 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	return st, err
 }
 
-// Wait polls until the job is terminal or ctx is done.
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (Job, error) {
-	if poll <= 0 {
-		poll = 200 * time.Millisecond
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
-	for {
-		j, err := c.Get(ctx, id)
-		if err != nil {
-			return Job{}, err
-		}
-		if j.State.Terminal() {
-			return j, nil
-		}
-		select {
-		case <-ctx.Done():
-			return j, ctx.Err()
-		case <-t.C:
-		}
-	}
-}
-
 // Stream follows a job's SSE progress feed, invoking onProgress per
 // snapshot, and returns the terminal Job from the "done" event. A
 // stream that ends without a done event (daemon drain) falls back to
-// Get.
+// Get. It is the client's one way to wait for a job; the Result is
+// then fetched with Result.
 func (c *Client) Stream(ctx context.Context, id string, onProgress func(Progress)) (Job, error) {
 	req, err := c.newRequest(ctx, http.MethodGet, "/v1/jobs/"+id+"/stream", nil)
 	if err != nil {

@@ -18,13 +18,21 @@ import (
 //	POST /v1/sweeps          {"configs": [<muzha.Config>, ...]} -> {"jobs": [Job, ...]} (atomic admission)
 //	GET  /v1/jobs            -> {"jobs": [Job, ...]}
 //	GET  /v1/jobs/{id}       -> Job
-//	GET  /v1/jobs/{id}/result -> raw canonical Result bytes (409 until done)
+//	GET  /v1/jobs/{id}/result -> raw canonical Result bytes (409 until done, 410 once evicted)
 //	GET  /v1/jobs/{id}/stream -> SSE: "progress" events, then one "done" event carrying the Job
 //	GET  /v1/stats           -> Stats
 //	GET  /v1/healthz         -> {"ok": true}
 //
-// Backpressure: a full queue or an over-limit client gets 429 with a
-// Retry-After header; a draining daemon gets 503. Errors are
+// A Job is metadata only. Its Result lives once, in the result cache
+// under the job's hash, and /result serves the cache's bytes; when the
+// cache's caps have evicted it, /result answers 410 and resubmitting
+// the config recomputes it.
+//
+// All three submit endpoints admit through one path (admitLocked): a
+// single submission is a sweep of one. Backpressure: a request whose
+// new runs do not fit the queue or the client's limit gets 429 with a
+// Retry-After header, and 503 on a draining daemon. A request of cache
+// hits and coalesced duplicates only is always served. Errors are
 // {"error": "..."}.
 
 // maxBodyBytes bounds a submission body; a sweep of a few thousand
@@ -61,22 +69,24 @@ func clientOf(r *http.Request) string {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req struct {
-		Config json.RawMessage `json:"config"`
+		Config *muzha.Config `json:"config"`
 	}
 	if err := readJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.Config) == 0 {
+	if req.Config == nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf(`body needs a "config" field`))
 		return
 	}
-	j, status, err := s.submitOne(req.Config, clientOf(r))
+	p, err := prepare(*req.Config)
 	if err != nil {
-		s.writeBusyOrError(w, status, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, status, j)
+	if out, status, ok := s.admit(w, r, p); ok {
+		writeJSON(w, status, out[0])
+	}
 }
 
 // ScenarioJob is the /v1/scenarios response: the admitted job plus
@@ -89,9 +99,9 @@ type ScenarioJob struct {
 }
 
 // handleScenario admits a declarative scenario spec: strict-parse,
-// deterministically generate the Config, then share the /v1/jobs
-// admission path — so an identical spec (or an identical Config
-// reached any other way) still lands on the cache or coalesces.
+// deterministically generate the Config, then admit it like /v1/jobs —
+// so an identical spec (or an identical Config reached any other way)
+// still lands on the cache or coalesces.
 func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Scenario json.RawMessage `json:"scenario"`
@@ -119,22 +129,23 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	canonical, err := json.Marshal(cfg)
+	p, err := prepare(cfg)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	j, status, err := s.submitOne(canonical, clientOf(r))
-	if err != nil {
-		s.writeBusyOrError(w, status, err)
-		return
+	if out, status, ok := s.admit(w, r, p); ok {
+		writeJSON(w, status, ScenarioJob{Job: out[0], SpecHash: specHash, Summary: spec.Summary()})
 	}
-	writeJSON(w, status, ScenarioJob{Job: j, SpecHash: specHash, Summary: spec.Summary()})
 }
 
+// handleSweep admits a batch of configs atomically: either every new
+// run fits the queue or none is admitted. Partial sweep admission would
+// leave the client guessing which half of its parameter grid exists.
+// The response is 200 with one job per config, in request order.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req struct {
-		Configs []json.RawMessage `json:"configs"`
+		Configs []muzha.Config `json:"configs"`
 	}
 	if err := readJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -144,102 +155,37 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf(`body needs a non-empty "configs" list`))
 		return
 	}
-	client := clientOf(r)
-
-	// Validate and hash everything before taking the lock, then admit
-	// atomically: either every new run fits the queue or none is
-	// admitted. Partial sweep admission would leave the client guessing
-	// which half of its parameter grid exists.
-	type item struct {
-		hash      string
-		canonical json.RawMessage
-	}
-	items := make([]item, len(req.Configs))
-	for i, raw := range req.Configs {
-		var cfg muzha.Config
-		if err := json.Unmarshal(raw, &cfg); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("config %d: %w", i, err))
-			return
-		}
-		if err := cfg.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("config %d: %w", i, err))
-			return
-		}
-		hash, err := cfg.Hash()
+	batch := make([]prepared, len(req.Configs))
+	for i, cfg := range req.Configs {
+		p, err := prepare(cfg)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("config %d: %w", i, err))
 			return
 		}
-		canonical, err := json.Marshal(cfg)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("config %d: %w", i, err))
-			return
-		}
-		items[i] = item{hash: hash, canonical: canonical}
+		batch[i] = p
 	}
+	if out, _, ok := s.admit(w, r, batch...); ok {
+		writeJSON(w, http.StatusOK, map[string][]Job{"jobs": out})
+	}
+}
 
+// admit runs admitLocked for the request's client. On refusal it
+// writes the error response, with a Retry-After hint on 429 and 503,
+// and reports false.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, batch ...prepared) ([]Job, int, bool) {
 	s.mu.Lock()
-	need := 0
-	seen := make(map[string]bool, len(items))
-	for _, it := range items {
-		if _, hit := s.cache.lookup(it.hash); hit {
-			continue
-		}
-		if _, running := s.active[it.hash]; running {
-			continue
-		}
-		if seen[it.hash] {
-			continue // duplicate within the sweep coalesces onto one run
-		}
-		seen[it.hash] = true
-		need++
-	}
-	if s.draining {
-		hint := s.retryHintLocked()
-		s.mu.Unlock()
-		w.Header().Set("Retry-After", hint)
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("daemon is draining"))
-		return
-	}
-	if s.inFlight+need > s.cfg.QueueDepth {
-		s.stats.Rejected++
-		free := s.cfg.QueueDepth - s.inFlight
-		hint := s.retryHintLocked()
-		s.mu.Unlock()
-		w.Header().Set("Retry-After", hint)
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("sweep needs %d slots but only %d are free", need, free))
-		return
-	}
-	if s.cfg.PerClient > 0 && s.perClient[client]+need > s.cfg.PerClient {
-		s.stats.Rejected++
-		left := s.cfg.PerClient - s.perClient[client]
-		hint := s.retryHintLocked()
-		s.mu.Unlock()
-		w.Header().Set("Retry-After", hint)
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("sweep needs %d slots but client %q has only %d left",
-				need, client, left))
-		return
-	}
-	out := make([]Job, len(items))
-	for i, it := range items {
-		j, _, err := s.admitLocked(it.hash, it.canonical, client)
-		if err != nil {
-			// Capacity was checked above; only an internal error lands
-			// here. Report it on the job so the sweep response stays
-			// positionally aligned with the request.
-			j = Job{State: StateFailed, Hash: it.hash, Error: err.Error()}
-		}
-		out[i] = j
-	}
+	out, status, err := s.admitLocked(batch, clientOf(r))
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string][]Job{"jobs": out})
+	if err != nil {
+		w.Header().Set("Retry-After", s.RetryHint())
+		writeError(w, status, err)
+		return nil, 0, false
+	}
+	return out, status, true
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	// Results can be large; the listing carries metadata only (List
-	// already leaves out Result).
+	// Configs can be large; the listing leaves them out.
 	list := s.store.List()
 	for i := range list {
 		list[i].Config = nil
@@ -264,13 +210,19 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	switch j.State {
 	case StateDone:
-		// Raw cached/encoded bytes, untouched: this is the byte-identity
+		res, ok := s.cache.Get(j.Hash)
+		if !ok {
+			writeError(w, http.StatusGone, fmt.Errorf(
+				"result evicted from the cache by its entry or byte cap; resubmit the config to recompute it"))
+			return
+		}
+		// The cache's bytes, untouched: this is the byte-identity
 		// guarantee clients can diff against. The explicit Content-Length
 		// lets clients detect a connection cut mid-download.
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(len(j.Result)))
+		w.Header().Set("Content-Length", strconv.Itoa(len(res)))
 		w.WriteHeader(http.StatusOK)
-		w.Write(j.Result)
+		w.Write(res)
 	case StateFailed:
 		writeError(w, http.StatusConflict, fmt.Errorf("job failed [%s]: %s", j.Class, j.Error))
 	default:
@@ -351,15 +303,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(b)
-}
-
-// writeBusyOrError writes an error response, attaching the live
-// Retry-After hint to backpressure statuses.
-func (s *Server) writeBusyOrError(w http.ResponseWriter, status int, err error) {
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", s.RetryHint())
-	}
-	writeError(w, status, err)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

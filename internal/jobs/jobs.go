@@ -42,7 +42,9 @@ type Progress struct {
 }
 
 // Job is one submission's record — the API response body and the
-// snapshot the Store journals on every state transition.
+// snapshot the Store journals on every state transition. It carries
+// metadata only: a done job's Result lives in the result cache under
+// Hash and is served by GET /v1/jobs/{id}/result.
 type Job struct {
 	// ID is the daemon-assigned identifier, e.g. "j000007-1a2b3c4d5e6f".
 	ID string `json:"id"`
@@ -56,9 +58,6 @@ type Job struct {
 	Cached bool `json:"cached,omitempty"`
 	// Config is the canonical encoding of the submitted muzha.Config.
 	Config json.RawMessage `json:"config,omitempty"`
-	// Result is the canonical Result encoding once the job is done. It
-	// is byte-identical whether the run was fresh or a cache hit.
-	Result json.RawMessage `json:"result,omitempty"`
 	// Error and Class describe a failed job (see muzha.Classify).
 	Error string `json:"error,omitempty"`
 	Class string `json:"class,omitempty"`

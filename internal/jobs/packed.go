@@ -11,12 +11,11 @@ import (
 )
 
 // packedResult is a canonical Result encoding held deflated in memory:
-// a uvarint of the encoding's length, then its DEFLATE stream. A
-// daemon keeps every result it has produced, once in the cache and on
-// each job that returned it, for as long as it runs, so its memory
-// grows with every completed job; deflated, a result takes about a
-// third of its size. Results are inflated per request, and the bytes
-// served are exactly the canonical encoding that was packed.
+// a uvarint of the encoding's length, then its DEFLATE stream. The
+// result cache is the one place a daemon keeps a result, and it keeps
+// every live one in this form; deflated, a result takes about a third
+// of its size. Results are inflated per request, and the bytes served
+// are exactly the canonical encoding that was packed.
 type packedResult []byte
 
 var (

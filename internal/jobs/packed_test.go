@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -22,19 +23,20 @@ func TestPackedResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDaemonKeepsResultsPacked runs one job and one cache hit of it: the
-// store and the cache share one packed copy, smaller than the result,
-// and every path that hands the result out — the result endpoint, a
-// store copy, a reopened store — gives back exactly the run's bytes.
+// TestDaemonKeepsResultsPacked runs one job and one cache hit of it:
+// the cache holds the one packed copy, smaller than the result, and the
+// result endpoint serves exactly the run's bytes for both jobs, also
+// from a daemon reopened on a copy of the data directory.
 func TestDaemonKeepsResultsPacked(t *testing.T) {
 	ctx := testCtx(t)
-	srv, cli := newTestServer(t, ServerConfig{Workers: 1})
+	dir := t.TempDir()
+	srv, cli := newTestServer(t, ServerConfig{DataDir: dir, Workers: 1})
 	cfg := chainConfig(t, 2, time.Second, 3)
 	first, err := cli.Submit(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.Wait(ctx, first.ID, 10*time.Millisecond); err != nil {
+	if _, err := cli.Stream(ctx, first.ID, nil); err != nil {
 		t.Fatal(err)
 	}
 	want, err := cli.Result(ctx, first.ID)
@@ -45,49 +47,35 @@ func TestDaemonKeepsResultsPacked(t *testing.T) {
 	if err != nil || !hit.Cached {
 		t.Fatalf("second submission: cached=%v err=%v", hit.Cached, err)
 	}
-	if !bytes.Equal(hit.Result, want) {
-		t.Fatal("the cache hit's result differs from the run's")
+	if got, err := cli.Result(ctx, hit.ID); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the cache hit's result differs from the run's (err %v)", err)
 	}
 
-	srv.store.mu.Lock()
-	pa, pb := srv.store.results[first.ID], srv.store.results[hit.ID]
-	rec := srv.store.jobs[first.ID].Result
-	srv.store.mu.Unlock()
-	cached, _ := srv.cache.lookup(first.Hash)
-	if rec != nil {
-		t.Fatal("the store record keeps the unpacked result")
+	packed, ok := srv.cache.lookup(first.Hash)
+	if !ok || !bytes.Equal(packed.unpack(), want) {
+		t.Fatal("the cache does not hold the run's result")
 	}
-	if len(pa) == 0 || &pa[0] != &pb[0] || &pa[0] != &cached[0] {
-		t.Fatal("the run's job, the hit's job and the cache keep separate packed copies")
+	if len(packed) >= len(want) {
+		t.Fatalf("packed result is %d bytes for a %d-byte result", len(packed), len(want))
 	}
-	if len(pa) >= len(want) {
-		t.Fatalf("packed result is %d bytes for a %d-byte result", len(pa), len(want))
-	}
-	if st := srv.cache.Stats(); st.Bytes != int64(len(want)) {
-		t.Fatalf("cache counts %d bytes, want the unpacked %d", st.Bytes, len(want))
+	if st := srv.cache.Stats(); st.Entries != 1 || st.Bytes != int64(len(want)) {
+		t.Fatalf("cache stats %+v, want one entry of the unpacked %d bytes", st, len(want))
 	}
 
-	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	s, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
+	copyDir := t.TempDir()
+	for _, name := range []string{"jobs.jsonl", "cache.jsonl"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(copyDir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	j := s.NewJob(first.Hash, "c", first.Config)
-	if got, _ := s.Done(j.ID, pa, false); !bytes.Equal(got.Result, want) {
-		t.Fatal("Done returned other bytes")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got, _ := s2.Get(j.ID); got.State != StateDone || !bytes.Equal(got.Result, want) {
-		t.Fatal("the reopened store serves other bytes")
-	}
-	if list := s2.List(); len(list) != 1 || list[0].Result != nil {
-		t.Fatal("List carries result bytes")
+	_, reopened := newTestServer(t, ServerConfig{DataDir: copyDir, Workers: 1})
+	for _, id := range []string{first.ID, hit.ID} {
+		if got, err := reopened.Result(ctx, id); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("the reopened daemon serves other bytes for %s (err %v)", id, err)
+		}
 	}
 }

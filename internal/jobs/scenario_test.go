@@ -7,7 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
+
+	"muzha/internal/scenario"
 )
 
 func postScenario(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -48,7 +49,7 @@ func TestScenarioEndpointRunsAndCaches(t *testing.T) {
 		t.Fatalf("scenario identity missing: hash=%q summary=%q", sj.SpecHash, sj.Summary)
 	}
 
-	j, err := cli.Wait(ctx, sj.ID, 10*time.Millisecond)
+	j, err := cli.Stream(ctx, sj.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +83,28 @@ func TestScenarioEndpointRunsAndCaches(t *testing.T) {
 	}
 	if st := srv.Snapshot(); st.CacheHits != 1 {
 		t.Fatalf("stats = %+v, want 1 cache hit", st)
+	}
+
+	// The spec's Config sent to /v1/jobs is the same cache entry: every
+	// submit endpoint prepares a config the same way.
+	var req struct{ Scenario json.RawMessage }
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := scenario.Parse(req.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaJobs, err := cli.Submit(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !viaJobs.Cached || viaJobs.Hash != sj.Hash || !bytes.Equal(viaJobs.Config, sj.Config) {
+		t.Fatalf("/v1/jobs with the spec's config: cached %v, hash %.12s vs %.12s", viaJobs.Cached, viaJobs.Hash, sj.Hash)
 	}
 }
 

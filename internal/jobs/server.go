@@ -230,7 +230,8 @@ func (s *Server) complete(id, hash, client string, o harness.Outcome) {
 	var j Job
 	switch {
 	case o.Err == nil:
-		j, _ = s.store.Done(id, s.cache.Put(hash, o.Value.(json.RawMessage)), false)
+		s.cache.Put(hash, o.Value.(json.RawMessage))
+		j, _ = s.store.Transition(id, func(j *Job) { j.State = StateDone })
 		s.stats.Completed++
 	case errors.Is(o.Err, harness.ErrCanceled):
 		j, _ = s.store.Transition(id, func(j *Job) {
@@ -282,64 +283,84 @@ func (s *Server) observeRunLocked(d time.Duration) {
 	}
 }
 
-// submitOne validates, hashes and admits one config. The int is the
-// HTTP status: 200 cache hit or coalesced duplicate, 202 admitted,
-// 400/429/503 rejected.
-func (s *Server) submitOne(raw json.RawMessage, client string) (Job, int, error) {
-	var cfg muzha.Config
-	if err := json.Unmarshal(raw, &cfg); err != nil {
-		return Job{}, http.StatusBadRequest, err
-	}
+// prepared is one validated submission: its cache key and the
+// canonical config encoding the journal and every response carry.
+type prepared struct {
+	hash      string
+	canonical json.RawMessage
+}
+
+// prepare validates cfg, hashes it and encodes it canonically. Every
+// submit endpoint runs its configs through it before admission.
+func prepare(cfg muzha.Config) (prepared, error) {
 	if err := cfg.Validate(); err != nil {
-		return Job{}, http.StatusBadRequest, err
+		return prepared{}, err
 	}
 	hash, err := cfg.Hash()
 	if err != nil {
-		return Job{}, http.StatusBadRequest, err
+		return prepared{}, err
 	}
-	// Store the canonical encoding, not the client's bytes, so the
-	// journal and every response carry one stable form.
 	canonical, err := json.Marshal(cfg)
 	if err != nil {
-		return Job{}, http.StatusBadRequest, err
+		return prepared{}, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.admitLocked(hash, canonical, client)
+	return prepared{hash: hash, canonical: canonical}, nil
 }
 
-func (s *Server) admitLocked(hash string, canonical json.RawMessage, client string) (Job, int, error) {
-	if p, ok := s.cache.lookup(hash); ok {
-		// Cache hit: the job is born done, no simulation runs.
-		s.stats.CacheHits++
-		j := s.store.NewJob(hash, client, canonical)
-		j, _ = s.store.Done(j.ID, p, true)
-		return j, http.StatusOK, nil
-	}
-	if id, ok := s.active[hash]; ok {
-		// The identical scenario is already queued or running: coalesce
-		// onto it instead of paying for a second run.
-		s.stats.Coalesced++
-		if j, ok := s.store.Get(id); ok {
-			return j, http.StatusOK, nil
+// admitLocked admits a batch of prepared configs from one client, all
+// or none; a single submission is a batch of one. A config is served
+// from the cache, coalesced onto the in-flight run of its hash (or an
+// earlier duplicate in the batch), or queued as a new run. Only new
+// runs need queue slots, so a batch that needs none is admitted even
+// while draining. On success the status is 202 when a run was queued,
+// else 200; on refusal it is 429 or 503 and no job is created. Caller
+// holds s.mu.
+func (s *Server) admitLocked(batch []prepared, client string) ([]Job, int, error) {
+	hit := make([]bool, len(batch))
+	need := 0
+	seen := make(map[string]bool, len(batch))
+	for i, p := range batch {
+		_, hit[i] = s.cache.lookup(p.hash)
+		_, running := s.active[p.hash]
+		if !hit[i] && !running && !seen[p.hash] {
+			seen[p.hash] = true
+			need++
 		}
 	}
-	if s.draining {
-		return Job{}, http.StatusServiceUnavailable, errors.New("daemon is draining")
+	if need > 0 {
+		if s.draining {
+			return nil, http.StatusServiceUnavailable, errors.New("daemon is draining")
+		}
+		if free := s.cfg.QueueDepth - s.inFlight; need > free {
+			s.stats.Rejected++
+			return nil, http.StatusTooManyRequests,
+				fmt.Errorf("queue full: %d slot(s) needed, %d free", need, free)
+		}
+		if left := s.cfg.PerClient - s.perClient[client]; s.cfg.PerClient > 0 && need > left {
+			s.stats.Rejected++
+			return nil, http.StatusTooManyRequests,
+				fmt.Errorf("client %q at its limit of %d in-flight jobs: %d slot(s) needed, %d left",
+					client, s.cfg.PerClient, need, left)
+		}
 	}
-	if s.inFlight >= s.cfg.QueueDepth {
-		s.stats.Rejected++
-		return Job{}, http.StatusTooManyRequests,
-			fmt.Errorf("queue full (%d jobs in flight)", s.inFlight)
+	out := make([]Job, len(batch))
+	status := http.StatusOK
+	for i, p := range batch {
+		if hit[i] {
+			// The job is born done; no simulation runs.
+			s.stats.CacheHits++
+			j := s.store.NewJob(p.hash, client, p.canonical)
+			out[i], _ = s.store.Transition(j.ID, func(j *Job) { j.State, j.Cached = StateDone, true })
+		} else if id, ok := s.active[p.hash]; ok {
+			s.stats.Coalesced++
+			out[i], _ = s.store.Get(id)
+		} else {
+			out[i] = s.store.NewJob(p.hash, client, p.canonical)
+			s.enqueueLocked(out[i])
+			status = http.StatusAccepted
+		}
 	}
-	if s.cfg.PerClient > 0 && s.perClient[client] >= s.cfg.PerClient {
-		s.stats.Rejected++
-		return Job{}, http.StatusTooManyRequests,
-			fmt.Errorf("client %q at its limit of %d in-flight jobs", client, s.cfg.PerClient)
-	}
-	j := s.store.NewJob(hash, client, canonical)
-	s.enqueueLocked(j)
-	return j, http.StatusAccepted, nil
+	return out, status, nil
 }
 
 // Snapshot returns current daemon statistics.

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,7 +72,7 @@ func TestSubmitRunAndCacheHitByteIdentical(t *testing.T) {
 	if j1.Cached {
 		t.Fatal("first submission claims a cache hit")
 	}
-	j1, err = cli.Wait(ctx, j1.ID, 10*time.Millisecond)
+	j1, err = cli.Stream(ctx, j1.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestCrashRecoveryRequeuesAndMatchesUninterruptedRun(t *testing.T) {
 	if st := srv.Snapshot(); st.Requeued != 1 {
 		t.Fatalf("requeued = %d, want 1", st.Requeued)
 	}
-	j, err := cli.Wait(ctx, crashed.ID, 10*time.Millisecond)
+	j, err := cli.Stream(ctx, crashed.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestCacheHitJobsShareConfigBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.Wait(ctx, first.ID, 10*time.Millisecond); err != nil {
+	if _, err := cli.Stream(ctx, first.ID, nil); err != nil {
 		t.Fatal(err)
 	}
 	guarded := cfg
@@ -295,7 +296,7 @@ func TestSweepAdmissionIsAtomic(t *testing.T) {
 	if len(jobsOut) != 2 || jobsOut[0].ID != jobsOut[1].ID {
 		t.Fatalf("sweep duplicates did not coalesce: %+v", jobsOut)
 	}
-	if _, err := cli.Wait(ctx, jobsOut[0].ID, 10*time.Millisecond); err != nil {
+	if _, err := cli.Stream(ctx, jobsOut[0].ID, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -318,7 +319,7 @@ func TestSweepResultsMatchLocalRuns(t *testing.T) {
 		t.Fatalf("sweep returned %d jobs for %d configs", len(jobsOut), len(cfgs))
 	}
 	for i, cfg := range cfgs {
-		j, err := cli.Wait(ctx, jobsOut[i].ID, 10*time.Millisecond)
+		j, err := cli.Stream(ctx, jobsOut[i].ID, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,5 +406,155 @@ func TestSubmitRejectsInvalidConfig(t *testing.T) {
 	var remote *RemoteError
 	if !errors.As(err, &remote) || remote.Status != http.StatusBadRequest {
 		t.Fatalf("err = %v, want 400", err)
+	}
+}
+
+// getBody fetches a daemon path and returns the response body.
+func getBody(t *testing.T, cli *Client, path string) []byte {
+	t.Helper()
+	resp, err := http.Get(cli.BaseURL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// hasKey reports whether the JSON object doc has a top-level key.
+func hasKey(t *testing.T, doc []byte, key string) bool {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(doc, &m); err != nil {
+		t.Fatalf("not a JSON object: %v: %.120s", err, doc)
+	}
+	_, ok := m[key]
+	return ok
+}
+
+// TestJobRecordsCarryNoResult: after a cold run and a cache hit, the
+// result lives only in the cache. No journal line, job body or SSE done
+// event carries it.
+func TestJobRecordsCarryNoResult(t *testing.T) {
+	ctx := testCtx(t)
+	dir := t.TempDir()
+	_, cli := newTestServer(t, ServerConfig{DataDir: dir})
+	cfg := chainConfig(t, 2, time.Second, 4)
+	cold, err := cli.Submit(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Stream(ctx, cold.ID, nil); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := cli.Submit(ctx, cfg)
+	if err != nil || !hit.Cached {
+		t.Fatalf("second submission: cached=%v err=%v", hit.Cached, err)
+	}
+	for _, id := range []string{cold.ID, hit.ID} {
+		if body := getBody(t, cli, "/v1/jobs/"+id); !hasKey(t, body, "state") || hasKey(t, body, "result") {
+			t.Fatalf("GET /v1/jobs/%s: %.200s", id, body)
+		}
+		stream := string(getBody(t, cli, "/v1/jobs/"+id+"/stream"))
+		_, done, ok := strings.Cut(stream, "event: done\ndata: ")
+		if !ok {
+			t.Fatalf("stream of %s has no done event: %.200s", id, stream)
+		}
+		done, _, _ = strings.Cut(done, "\n")
+		if hasKey(t, []byte(done), "result") {
+			t.Fatalf("the done event of %s carries the result", id)
+		}
+	}
+	journal, err := os.ReadFile(filepath.Join(dir, "jobs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(journal)), "\n")
+	if len(lines) < 4 {
+		t.Fatalf("journal has %d lines, want a snapshot per transition", len(lines))
+	}
+	for i, line := range lines {
+		if hasKey(t, []byte(line), "result") {
+			t.Fatalf("journal line %d carries the result", i)
+		}
+	}
+}
+
+// TestDrainingServesCachedSweep: a draining daemon refuses new runs but
+// serves a sweep of cache hits with 200, as it serves a single hit.
+func TestDrainingServesCachedSweep(t *testing.T) {
+	ctx := testCtx(t)
+	srv, cli := newTestServer(t, ServerConfig{Workers: 2})
+	cfgs := []muzha.Config{chainConfig(t, 2, time.Second, 31), chainConfig(t, 3, time.Second, 32)}
+	first, err := cli.SubmitSweep(ctx, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range first {
+		if j, err := cli.Stream(ctx, j.ID, nil); err != nil || j.State != StateDone {
+			t.Fatalf("job %s ended %s: %v", j.ID, j.State, err)
+		}
+	}
+	srv.Drain(0)
+
+	again, err := cli.SubmitSweep(ctx, cfgs)
+	if err != nil {
+		t.Fatalf("all-hit sweep while draining: %v", err)
+	}
+	for i, j := range again {
+		if !j.Cached || j.State != StateDone {
+			t.Fatalf("config %d: state %s cached %v, want done from cache", i, j.State, j.Cached)
+		}
+	}
+	_, err = cli.SubmitSweep(ctx, append(cfgs, chainConfig(t, 4, time.Second, 33)))
+	var busy *BusyError
+	if !errors.As(err, &busy) || busy.Status != http.StatusServiceUnavailable {
+		t.Fatalf("sweep with a new run while draining: err = %v, want 503", err)
+	}
+	if st := srv.Snapshot(); st.CacheHits != 2 || st.Rejected != 0 {
+		t.Fatalf("stats = %+v, want 2 hits and no rejection", st)
+	}
+}
+
+// TestEvictedResultIsGone: once the cache's cap evicts a job's result,
+// its result endpoint answers 410 and says so, and resubmitting the
+// config recomputes the same bytes.
+func TestEvictedResultIsGone(t *testing.T) {
+	ctx := testCtx(t)
+	_, cli := newTestServer(t, ServerConfig{CacheLimit: CacheLimit{MaxEntries: 1}})
+	run := func(cfg muzha.Config) Job {
+		t.Helper()
+		j, err := cli.Submit(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, err = cli.Stream(ctx, j.ID, nil); err != nil || j.State != StateDone {
+			t.Fatalf("job ended %s: %v", j.State, err)
+		}
+		return j
+	}
+	a := chainConfig(t, 2, time.Second, 41)
+	ja := run(a)
+	want, err := cli.Result(ctx, ja.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(chainConfig(t, 2, time.Second, 42)) // evicts a's result
+
+	_, err = cli.Result(ctx, ja.ID)
+	var remote *RemoteError
+	if !errors.As(err, &remote) || remote.Status != http.StatusGone ||
+		!strings.Contains(remote.Msg, "evicted") || !strings.Contains(remote.Msg, "resubmit") {
+		t.Fatalf("result of an evicted job: err = %v, want 410 naming the eviction", err)
+	}
+	again := run(a)
+	if again.Cached {
+		t.Fatal("resubmission claims a cache hit for an evicted result")
+	}
+	if got, err := cli.Result(ctx, again.ID); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("recomputed result differs from the first (err %v)", err)
 	}
 }

@@ -13,7 +13,8 @@ import (
 
 // Store is the daemon's file-backed job table: an append-only JSONL
 // journal of Job snapshots, one line per state transition, last
-// snapshot wins. The journal is an internal/jsonl log, so a SIGKILL
+// snapshot wins. It holds job metadata only; results live in the
+// Cache. The journal is an internal/jsonl log, so a SIGKILL
 // mid-write costs at most the half-written line; jobs whose last
 // snapshot was queued or running are handed back as Requeued() for the
 // daemon to re-run.
@@ -28,19 +29,15 @@ type Store struct {
 	// configs holds the config bytes last stored under each hash, so
 	// repeated submissions of one config share a single copy.
 	configs map[string]json.RawMessage
-	// results holds each done job's Result, packed, by job ID; the
-	// records in jobs keep Result nil. A result fresh from the cache is
-	// shared with it. Copies handed out carry the inflated bytes.
-	results map[string]packedResult
 }
 
 // OpenStore opens (creating if absent) the job journal at path and
-// replays it.
+// replays it. The "result" key that older daemons wrote on done
+// snapshots is ignored.
 func OpenStore(path string) (*Store, error) {
 	s := &Store{
 		jobs:    make(map[string]*Job),
 		configs: make(map[string]json.RawMessage),
-		results: make(map[string]packedResult),
 	}
 	log, skipped, err := jsonl.Open(path, func(line []byte) bool {
 		var j Job
@@ -50,12 +47,7 @@ func OpenStore(path string) (*Store, error) {
 		if _, seen := s.jobs[j.ID]; !seen {
 			s.order = append(s.order, j.ID)
 		}
-		if len(j.Result) > 0 {
-			s.results[j.ID] = packResult(j.Result)
-			j.Result = nil
-		}
-		cp := j
-		s.jobs[j.ID] = &cp
+		s.jobs[j.ID] = &j
 		if seq, ok := seqOf(j.ID); ok && seq >= s.nextSeq {
 			s.nextSeq = seq + 1
 		}
@@ -145,20 +137,10 @@ func (s *Store) Get(id string) (Job, bool) {
 	if !ok {
 		return Job{}, false
 	}
-	return s.copyLocked(j), true
+	return *j, true
 }
 
-// copyLocked returns a copy of j carrying its inflated Result.
-func (s *Store) copyLocked(j *Job) Job {
-	c := *j
-	if p, ok := s.results[j.ID]; ok {
-		c.Result = p.unpack()
-	}
-	return c
-}
-
-// List returns copies of all jobs in submission order, without their
-// Result bytes.
+// List returns copies of all jobs in submission order.
 func (s *Store) List() []Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -179,26 +161,8 @@ func (s *Store) Transition(id string, mutate func(*Job)) (Job, bool) {
 		return Job{}, false
 	}
 	mutate(j)
-	c := s.copyLocked(j)
-	s.log.Append(c)
-	return c, true
-}
-
-// Done marks a job done with result, packed as Cache.Put and lookup
-// return it, journals the snapshot and returns a copy. cached records
-// that the result came from the cache at admission.
-func (s *Store) Done(id string, result packedResult, cached bool) (Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return Job{}, false
-	}
-	j.State, j.Cached = StateDone, cached
-	s.results[id] = result
-	c := s.copyLocked(j)
-	s.log.Append(c)
-	return c, true
+	s.log.Append(*j)
+	return *j, true
 }
 
 // SetProgress updates a job's progress snapshot in memory only.

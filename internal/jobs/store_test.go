@@ -21,10 +21,7 @@ func TestStoreLifecycleAndReload(t *testing.T) {
 	if a.State != StateQueued {
 		t.Fatalf("new job state = %s", a.State)
 	}
-	if _, ok := s.Transition(a.ID, func(j *Job) {
-		j.State = StateDone
-		j.Result = json.RawMessage(`{"ok":true}`)
-	}); !ok {
+	if _, ok := s.Transition(a.ID, func(j *Job) { j.State = StateDone }); !ok {
 		t.Fatal("transition missed the job")
 	}
 	s.SetProgress(b.ID, Progress{SimTimeNs: 5, Events: 9})
@@ -44,7 +41,7 @@ func TestStoreLifecycleAndReload(t *testing.T) {
 	}
 	defer s2.Close()
 	ga, _ := s2.Get(a.ID)
-	if ga.State != StateDone || string(ga.Result) != `{"ok":true}` {
+	if ga.State != StateDone {
 		t.Fatalf("done job reloaded as %+v", ga)
 	}
 	gb, _ := s2.Get(b.ID)
@@ -125,10 +122,12 @@ func TestStoreRecoversRunningJobAndSkipsTruncatedLine(t *testing.T) {
 	}
 
 	// A journal written by an older daemon whose Job records carried a
-	// "worker" field still opens cleanly: the unknown field is ignored,
-	// not counted as a bad line, and the interrupted job is requeued.
+	// "worker" field, or a done job's "result", still opens cleanly: the
+	// unknown fields are ignored, not counted as bad lines, and the
+	// interrupted job is requeued.
 	legacyPath := filepath.Join(t.TempDir(), "jobs.jsonl")
-	legacy := `{"id":"j000005-cd34ef56ab12","hash":"cd34ef56ab12bb","client":"old",` +
+	legacy := `{"id":"j000004-ab12cd34ef56","hash":"ab12cd34ef56aa","state":"done","result":{"events":3}}` + "\n" +
+		`{"id":"j000005-cd34ef56ab12","hash":"cd34ef56ab12bb","client":"old",` +
 		`"state":"running","worker":"w1","config":{"seed":8},` +
 		`"progress":{"sim_time_ns":9,"events":10}}` + "\n"
 	if err := os.WriteFile(legacyPath, []byte(legacy), 0o644); err != nil {
@@ -144,6 +143,9 @@ func TestStoreRecoversRunningJobAndSkipsTruncatedLine(t *testing.T) {
 	}
 	if req := s3.Requeued(); len(req) != 1 || req[0] != "j000005-cd34ef56ab12" {
 		t.Fatalf("legacy journal: requeued = %v", req)
+	}
+	if j, ok := s3.Get("j000004-ab12cd34ef56"); !ok || j.State != StateDone {
+		t.Fatalf("legacy done job recovered as %+v", j)
 	}
 	j3, _ := s3.Get("j000005-cd34ef56ab12")
 	if j3.State != StateQueued || j3.Progress != (Progress{}) || string(j3.Config) != `{"seed":8}` {
