@@ -59,7 +59,9 @@ func BenchmarkEncodeResult(b *testing.B) {
 // TestConfigHashAllocs bounds the allocations of hashing an
 // islands-scale Config, the daemon's cache key and the sweeps' run key.
 // The canonical encoder writes the 1,024-node topology in one pass; its
-// JSON round trip alone took about 12,000 allocations.
+// JSON round trip alone took about 12,000 allocations. Under the race
+// detector sync.Pool drops Puts at random, so the encoder's pooled
+// buffers are sometimes reallocated; the ceiling holds in plain runs.
 func TestConfigHashAllocs(t *testing.T) {
 	cfg := islandsConfig(t)
 	allocs := testing.AllocsPerRun(5, func() {
@@ -67,7 +69,7 @@ func TestConfigHashAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 16 {
+	if allocs > 16 && !raceEnabled {
 		t.Fatalf("Config.Hash: %.0f allocs per call, want at most 16", allocs)
 	}
 }

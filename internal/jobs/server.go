@@ -349,13 +349,12 @@ func (s *Server) admitLocked(batch []prepared, client string) ([]Job, int, error
 		if hit[i] {
 			// The job is born done; no simulation runs.
 			s.stats.CacheHits++
-			j := s.store.NewJob(p.hash, client, p.canonical)
-			out[i], _ = s.store.Transition(j.ID, func(j *Job) { j.State, j.Cached = StateDone, true })
+			out[i] = s.store.NewJob(p.hash, client, p.canonical, true)
 		} else if id, ok := s.active[p.hash]; ok {
 			s.stats.Coalesced++
 			out[i], _ = s.store.Get(id)
 		} else {
-			out[i] = s.store.NewJob(p.hash, client, p.canonical)
+			out[i] = s.store.NewJob(p.hash, client, p.canonical, false)
 			s.enqueueLocked(out[i])
 			status = http.StatusAccepted
 		}

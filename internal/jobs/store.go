@@ -98,12 +98,14 @@ func (s *Store) Skipped() int {
 	return s.skipped
 }
 
-// NewJob creates and journals a queued job for the given config hash,
-// client and canonical config bytes, returning a copy. A job whose
-// config bytes equal those last stored under the same hash shares their
-// backing array; the bytes are compared because Config.Hash leaves out
-// fields (Guards, Workers) that the canonical encoding keeps.
-func (s *Store) NewJob(hash, client string, cfg json.RawMessage) Job {
+// NewJob creates and journals a job for the given config hash, client
+// and canonical config bytes, returning a copy. The job is queued, or,
+// when cached is set, born done and served from the result cache: one
+// journal line either way. A job whose config bytes equal those last
+// stored under the same hash shares their backing array; the bytes are
+// compared because Config.Hash leaves out fields (Guards, Workers) that
+// the canonical encoding keeps.
+func (s *Store) NewJob(hash, client string, cfg json.RawMessage, cached bool) Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if prev, ok := s.configs[hash]; ok && bytes.Equal(prev, cfg) {
@@ -120,7 +122,11 @@ func (s *Store) NewJob(hash, client string, cfg json.RawMessage) Job {
 		Hash:   hash,
 		Client: client,
 		State:  StateQueued,
+		Cached: cached,
 		Config: cfg,
+	}
+	if cached {
+		j.State = StateDone
 	}
 	s.nextSeq++
 	s.jobs[j.ID] = j

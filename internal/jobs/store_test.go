@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -13,8 +14,8 @@ func TestStoreLifecycleAndReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := s.NewJob("aaaa1111bbbb2222", "alice", json.RawMessage(`{"x":1}`))
-	b := s.NewJob("cccc3333dddd4444", "bob", json.RawMessage(`{"x":2}`))
+	a := s.NewJob("aaaa1111bbbb2222", "alice", json.RawMessage(`{"x":1}`), false)
+	b := s.NewJob("cccc3333dddd4444", "bob", json.RawMessage(`{"x":2}`), false)
 	if a.ID == b.ID {
 		t.Fatalf("duplicate IDs: %s", a.ID)
 	}
@@ -53,7 +54,7 @@ func TestStoreLifecycleAndReload(t *testing.T) {
 		t.Fatalf("requeued = %v, want [%s]", req, b.ID)
 	}
 	// New IDs must continue past every journaled sequence number.
-	c := s2.NewJob("eeee5555ffff6666", "carol", json.RawMessage(`{}`))
+	c := s2.NewJob("eeee5555ffff6666", "carol", json.RawMessage(`{}`), false)
 	if c.ID == a.ID || c.ID == b.ID {
 		t.Fatalf("reloaded store reused ID %s", c.ID)
 	}
@@ -102,7 +103,7 @@ func TestStoreRecoversRunningJobAndSkipsTruncatedLine(t *testing.T) {
 		t.Fatalf("config lost: %s", j.Config)
 	}
 	// Sequence numbering resumes past the crashed job's ID.
-	if n := s.NewJob("ffff", "x", nil); n.ID <= running.ID {
+	if n := s.NewJob("ffff", "x", nil, false); n.ID <= running.ID {
 		t.Fatalf("new ID %s does not advance past %s", n.ID, running.ID)
 	}
 	if err := s.Close(); err != nil {
@@ -176,7 +177,7 @@ func TestStoreKeepsJobSubmittedAfterTruncatedLine(t *testing.T) {
 	if len(s.Requeued()) != 0 || s.Skipped() != 1 {
 		t.Fatalf("requeued=%v skipped=%d, want none / 1", s.Requeued(), s.Skipped())
 	}
-	n := s.NewJob("abcdef", "after-crash", json.RawMessage(`{}`))
+	n := s.NewJob("abcdef", "after-crash", json.RawMessage(`{}`), false)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -191,5 +192,51 @@ func TestStoreKeepsJobSubmittedAfterTruncatedLine(t *testing.T) {
 	}
 	if s2.Skipped() != 1 {
 		t.Fatalf("skipped = %d, want only the truncated line", s2.Skipped())
+	}
+}
+
+// TestStoreCacheHitIsOneDoneLine: a cache hit is journaled once, born
+// done and cached. A journal that ends on such a line reopens with the
+// job done, nothing requeued and nothing skipped.
+func TestStoreCacheHitIsOneDoneLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	s, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := json.RawMessage(`{"x":1}`)
+	run := s.NewJob("aaaa1111bbbb2222", "alice", cfg, false)
+	s.Transition(run.ID, func(j *Job) { j.State = StateDone })
+	hit := s.NewJob("aaaa1111bbbb2222", "bob", cfg, true)
+	if hit.State != StateDone || !hit.Cached {
+		t.Fatalf("cache-hit job born as %+v", hit)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(blob, []byte("\n")), []byte("\n"))
+	if len(lines) != 3 {
+		t.Fatalf("journal has %d lines, want 3 (queued, done, hit):\n%s", len(lines), blob)
+	}
+	var last Job
+	if err := json.Unmarshal(lines[2], &last); err != nil || last.ID != hit.ID || last.State != StateDone || !last.Cached {
+		t.Fatalf("last journal line %s (err %v), want the hit, done and cached", lines[2], err)
+	}
+
+	s2, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if j, _ := s2.Get(hit.ID); j.State != StateDone || !j.Cached {
+		t.Fatalf("cache-hit job reloaded as %+v", j)
+	}
+	if len(s2.Requeued()) != 0 || s2.Skipped() != 0 {
+		t.Fatalf("requeued=%v skipped=%d, want none / 0", s2.Requeued(), s2.Skipped())
 	}
 }

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -170,7 +171,10 @@ func TestFanoutKeysMatchPerEventSchedule(t *testing.T) {
 }
 
 // TestFanoutOneQueueEntryPerFrame pins the medium's queue footprint: a
-// frame heard by a dozen radios occupies one queue entry at a time.
+// frame heard by a dozen radios occupies one queue entry, and when no MAC
+// schedules anything each next key leads the queue, so all 2k+1 events
+// fire from that one entry: the first pops it, the rest are claimed
+// inline with nothing queued.
 func TestFanoutOneQueueEntryPerFrame(t *testing.T) {
 	s, ch := newTestChannel(t, 1, DefaultConfig())
 	var radios []*Radio
@@ -183,43 +187,49 @@ func TestFanoutOneQueueEntryPerFrame(t *testing.T) {
 	if n := s.QueueLen(); n != 1 {
 		t.Fatalf("queue holds %d entries after one Transmit, want 1", n)
 	}
-	max := 0
-	s.SetEventHook(func(sim.Time, uint64) {
-		if n := s.QueueLen(); n > max {
-			max = n
-		}
-	})
+	var lens []int
+	s.SetEventHook(func(sim.Time, uint64) { lens = append(lens, s.QueueLen()) })
 	s.RunAll()
-	if max != 1 || s.EventsExecuted() != uint64(2*len(radios[12].nb)+1) {
-		t.Fatalf("max queue %d, events %d; want 1 and %d", max, s.EventsExecuted(), 2*len(radios[12].nb)+1)
+	want := 2*len(radios[12].nb) + 1
+	if len(lens) != want || s.EventsExecuted() != uint64(want) {
+		t.Fatalf("%d events, want %d", len(lens), want)
+	}
+	for i, n := range lens {
+		if (i == 0 && n != 1) || (i > 0 && n != 0) {
+			t.Fatalf("event %d saw %d queued entries; want 1 for the first, then 0: %v", i, n, lens)
+		}
 	}
 }
 
-// zeroDelayMAC schedules a zero-delay event from every carrier
-// transition and records its key: the event takes the next free
-// sequence number at the current instant.
-type zeroDelayMAC struct {
+// delayMAC schedules an event d after every carrier transition and
+// records its key: the event takes the next free sequence number.
+type delayMAC struct {
 	s    *sim.Simulator
+	d    sim.Time
 	keys *[]fanKey
 }
 
-func (m zeroDelayMAC) schedule() {
-	*m.keys = append(*m.keys, fanKey{at: m.s.Now(), seq: m.s.Reserve(0), radio: -1})
-	m.s.Schedule(0, func() {})
+func (m delayMAC) schedule() {
+	*m.keys = append(*m.keys, fanKey{at: m.s.Now() + m.d, seq: m.s.Reserve(0), radio: -1})
+	m.s.Schedule(m.d, func() {})
 }
 
-func (m zeroDelayMAC) OnCarrierBusy()                 { m.schedule() }
-func (m zeroDelayMAC) OnCarrierIdle()                 { m.schedule() }
-func (m zeroDelayMAC) OnReceive(*packet.Packet, bool) {}
-func (m zeroDelayMAC) OnTxDone(*packet.Packet)        {}
+func (m delayMAC) OnCarrierBusy()                 { m.schedule() }
+func (m delayMAC) OnCarrierIdle()                 { m.schedule() }
+func (m delayMAC) OnReceive(*packet.Packet, bool) {}
+func (m delayMAC) OnTxDone(*packet.Packet)        {}
 
-// TestFanoutGroupingMatchesPerEventSchedule covers the same-instant
-// rule: a frame whose receivers sit at equal distances fires its tied
-// signal events from one queue entry, and every receiver's MAC schedules
-// a zero-delay event from inside them. The fired (at, seq) stream must
-// be the per-event schedule's 2k+1 keys plus the zero-delay events,
-// sorted: each zero-delay event fires after every same-instant key of
-// the frame, which was reserved before it.
+// TestFanoutGroupingMatchesPerEventSchedule covers the claim rule: a
+// frame fires its next signal event from its one queue entry while that
+// event leads the queue, and yields the entry back to the queue when a
+// callback scheduled something earlier. Every receiver's MAC schedules an
+// event from inside the frame's events, at zero delay or at a positive
+// delay shorter than the gap between the 200 m and 400 m receivers'
+// starts. The fired (at, seq) stream must be the per-event schedule's
+// 2k+1 keys plus the MAC events, sorted: a zero-delay event fires after
+// every same-instant key of the frame, which was reserved before it, and
+// a delayed one between the two rings of receivers, so the frame yields
+// mid-flight.
 func TestFanoutGroupingMatchesPerEventSchedule(t *testing.T) {
 	chain := make([]topo.Position, 9)
 	for i := range chain {
@@ -235,17 +245,19 @@ func TestFanoutGroupingMatchesPerEventSchedule(t *testing.T) {
 		name string
 		pos  []topo.Position
 		tx   int
+		d    sim.Time
 	}{
-		{"chain interior", chain, 4},
-		{"grid centre", grid, 12},
-		{"grid corner", grid, 0},
+		{"chain interior", chain, 4, 0},
+		{"grid centre", grid, 12, 0},
+		{"grid corner", grid, 0, 0},
+		{"chain interior, delayed MAC", chain, 4, 300 * sim.Nanosecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, ch := newTestChannel(t, 1, DefaultConfig())
-			var zero []fanKey
+			var macKeys []fanKey
 			var radios []*Radio
 			for _, p := range tc.pos {
-				radios = append(radios, ch.AddRadio(p, zeroDelayMAC{s: s, keys: &zero}))
+				radios = append(radios, ch.AddRadio(p, delayMAC{s: s, d: tc.d, keys: &macKeys}))
 			}
 			var got []fanKey
 			s.SetEventHook(func(at sim.Time, seq uint64) {
@@ -262,7 +274,7 @@ func TestFanoutGroupingMatchesPerEventSchedule(t *testing.T) {
 			for i := range want {
 				want[i].radio, want[i].delta = -1, 0
 			}
-			want = append(want, zero...)
+			want = append(want, macKeys...)
 			sort.Slice(want, func(i, j int) bool {
 				return want[i].at < want[j].at || (want[i].at == want[j].at && want[i].seq < want[j].seq)
 			})
@@ -274,26 +286,41 @@ func TestFanoutGroupingMatchesPerEventSchedule(t *testing.T) {
 					t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
 				}
 			}
-			// The geometry must produce what the test is about: frame
-			// keys tied at one instant, and a zero-delay event scheduled
-			// at such an instant before a tied key fired.
-			ties, zeroAtTie := 0, false
-			for i := 1; i < len(want); i++ {
-				if frame(want[i]) && frame(want[i-1]) && want[i].at == want[i-1].at {
-					ties++
-				}
-			}
-			for _, z := range zero {
-				n := 0
-				for _, k := range want {
-					if frame(k) && k.at == z.at {
-						n++
+			// The geometry must produce what the test is about. With zero
+			// delay: frame keys tied at one instant, and a MAC event
+			// scheduled at such an instant before a tied key fired. With
+			// a delay: a MAC event due between two frame starts at
+			// different instants, so the frame had to yield.
+			if tc.d == 0 {
+				ties, zeroAtTie := 0, false
+				for i := 1; i < len(want); i++ {
+					if frame(want[i]) && frame(want[i-1]) && want[i].at == want[i-1].at {
+						ties++
 					}
 				}
-				zeroAtTie = zeroAtTie || n >= 2
-			}
-			if ties == 0 || !zeroAtTie || len(zero) == 0 {
-				t.Fatalf("no same-instant keys to group: %d ties, zero-delay at a tie %v", ties, zeroAtTie)
+				for _, z := range macKeys {
+					n := 0
+					for _, k := range want {
+						if frame(k) && k.at == z.at {
+							n++
+						}
+					}
+					zeroAtTie = zeroAtTie || n >= 2
+				}
+				if ties == 0 || !zeroAtTie || len(macKeys) == 0 {
+					t.Fatalf("no same-instant keys to group: %d ties, zero-delay at a tie %v", ties, zeroAtTie)
+				}
+			} else {
+				var starts []sim.Time
+				for _, k := range perEventKeys(ch, radios[tc.tx], 0, s0, air) {
+					if k.delta == +1 {
+						starts = append(starts, k.at)
+					}
+				}
+				first, last := slices.Min(starts), slices.Max(starts)
+				if !slices.ContainsFunc(macKeys, func(m fanKey) bool { return m.at > first && m.at < last }) {
+					t.Fatalf("no MAC event between the first start (%v) and the last (%v)", first, last)
+				}
 			}
 			if s.Pending() != 0 || len(ch.fanouts) != 1 {
 				t.Fatalf("after the run: %d pending events, %d pooled fanouts (want 0, 1)", s.Pending(), len(ch.fanouts))

@@ -347,8 +347,8 @@ type reception struct {
 // their sequence numbers in one block, in the order one schedule call per
 // event would have taken them (receiver i in ID order gets start s0+2i
 // and end s0+2i+1, tx-done gets s0+2k), but the fanout keeps at most its
-// next event in the queue, and events at the instant of the one before
-// fire from the same queue entry. Each step fires the earliest of three
+// next event in the queue and fires each next event from that same entry
+// while it leads the queue (see Fire). Each step fires the earliest of three
 // sorted streams, merged by (at, seq): starts by (delay, ID), the
 // tx-done, and ends by (delay, ID). Every callback therefore runs at
 // exactly the key it would have had with all 2k+1 events queued up
@@ -426,14 +426,15 @@ func (f *fanout) next() (at sim.Time, seq uint64, step fanStep, ok bool) {
 }
 
 // Fire runs the signal events of a fanout, starting with the one at the
-// queued key. When the next key falls on a later instant, the cursor
-// re-arms before the callback runs, so that key takes the fired event's
-// slot at the heap root (see sim's held-root rule); after the last key
-// the fanout returns to the pool. When it falls on the
-// same instant, as for equidistant receivers, Fire runs the callback and
-// then claims the key with FireNow, firing it from this queue entry. All
-// 2k+1 keys come from one reserved block, so no other event can fall
-// between two same-instant keys of one frame.
+// queued key. After each event's callback it claims the next key with the
+// simulator's FireAt, firing it from this queue entry while it leads the
+// queue: a frame's events fall within about a microsecond of each other,
+// long before any reply the callbacks schedule. When the claim is
+// declined, because a callback scheduled an earlier event, another event
+// is due first, or the run's horizon falls before the key, the cursor
+// queues the key with AtSeq and returns. After the last key the fanout
+// returns to the pool before that key's callback runs, since the callback
+// may transmit and take it back.
 func (f *fanout) Fire(any) {
 	s := f.from.ch.sim
 	from, pkt := f.from, f.pkt
@@ -455,14 +456,10 @@ func (f *fanout) Fire(any) {
 			f.txDone = true
 		}
 		at, seq, next, ok := f.next()
-		now := ok && at == s.Now()
-		if !ok {
-			from.ch.putFanout(f)
-		} else {
+		if ok {
 			f.step = next
-			if !now {
-				s.AtSeq(at, seq, f)
-			}
+		} else {
+			from.ch.putFanout(f)
 		}
 		switch step {
 		case stepStart:
@@ -473,10 +470,10 @@ func (f *fanout) Fire(any) {
 			from.transmitting = false
 			from.mac.OnTxDone(pkt)
 		}
-		if !now {
+		if !ok {
 			return
 		}
-		if !s.FireNow(seq) {
+		if !s.FireAt(at, seq) {
 			s.AtSeq(at, seq, f)
 			return
 		}

@@ -14,12 +14,15 @@ import (
 // Timer.Reset, Timer.Stop and Reserve+AtSeq chains runs both from the top
 // level and from inside callbacks, so every path through the held root
 // (fused take, release on reschedule, compaction, Pending, QueueLen) is
-// exercised. A chain whose next key falls on the current instant claims
-// it with FireNow instead of queueing it, and a stopped timer's Reset
-// revives its queued slot. Some programs run under a guard, which may
-// abort the run, or call Stop; either can land in the middle of a
-// same-instant group. The fired (at, seq) stream, every Cancel result,
-// every guard call and every Pending/QueueLen read must match the oracle.
+// exercised. A chain tries to claim its next key with FireAt, at the
+// current instant or a later one, after doing its event's work; the
+// oracle says whether the key leads its queue, and the claim must succeed
+// exactly then. A stopped timer's Reset revives its queued slot. Some
+// programs run under a guard, which may abort the run, or call Stop;
+// either can land in the middle of a chain's claims. A third of the
+// programs run in short Run(until) slices, so horizons cut chains. The
+// fired (at, seq) stream, every claim, every Cancel result, every guard
+// call and every Pending/QueueLen read must match the oracle.
 
 // oEntry is one oracle queue entry. Cancelled entries stay queued until
 // they reach the front or a compaction drops them, mirroring the lazy
@@ -35,9 +38,40 @@ type oEntry struct {
 
 type oracle struct {
 	now     Time
+	until   Time // the running drain's horizon
 	seq     uint64
 	entries []*oEntry
 	dead    int
+}
+
+// forever is RunAll's horizon.
+const forever = Time(1<<63 - 1)
+
+// leader returns the queued entry, cancelled or not, with the least key;
+// nil when the queue is empty. A key claims only if it sorts before it.
+func (o *oracle) leader() *oEntry {
+	var m *oEntry
+	for _, e := range o.entries {
+		if m == nil || e.at < m.at || (e.at == m.at && e.seq < m.seq) {
+			m = e
+		}
+	}
+	return m
+}
+
+// collect drops the cancelled entries at or before until, as a drain to
+// until does before it returns.
+func (o *oracle) collect(until Time) {
+	live := o.entries[:0]
+	for _, e := range o.entries {
+		if e.cancelled && e.at <= until {
+			e.gone = true
+			o.dead--
+		} else {
+			live = append(live, e)
+		}
+	}
+	o.entries = live
 }
 
 func (o *oracle) push(at Time, id int) *oEntry {
@@ -127,11 +161,26 @@ func (c *chain) Fire(any) { c.fire(c) }
 
 var errGuardAbort = errors.New("guard abort")
 
-// diffRun drives one random program and returns the first mismatch.
-func diffRun(seed int64, budget int) error {
+// claimStats counts how a program's FireAt calls went: claimed, declined
+// because the key lay past the drain's horizon, and declined because an
+// event the callback had just scheduled sorts before the key.
+type claimStats struct {
+	claimed, pastUntil, yielded int
+}
+
+func (c *claimStats) add(d claimStats) {
+	c.claimed += d.claimed
+	c.pastUntil += d.pastUntil
+	c.yielded += d.yielded
+}
+
+// diffRun drives one random program and returns the first mismatch and
+// its claim counts.
+func diffRun(seed int64, budget int) (claimStats, error) {
 	rng := rand.New(rand.NewSource(seed))
 	s := New(1)
-	o := &oracle{}
+	o := &oracle{until: forever}
+	var stats claimStats
 	var (
 		errs    []string
 		ids     int
@@ -146,7 +195,16 @@ func diffRun(seed int64, budget int) error {
 			errs = append(errs, fmt.Sprintf(format, args...))
 		}
 	}
-	delay := func() Time { return Time(rng.Intn(6)) } // small: many same-instant ties
+	// A third of the programs run in short Run(until) slices. Their
+	// queues are sparse, few events spread wide, so a slice's horizon
+	// often falls between two keys of a chain with nothing else queued in
+	// between; the rest keep delays small, for many same-instant ties.
+	sliced := rng.Intn(3) == 0
+	spread, branch, fill := 6, 4, budget/4
+	if sliced {
+		spread, branch, fill = 40, 2, min(fill, 4)
+	}
+	delay := func() Time { return Time(rng.Intn(spread)) }
 
 	// A quarter of the programs run under a guard that checks it is
 	// called after every every-th event, a quarter under one that also
@@ -211,12 +269,34 @@ func diffRun(seed int64, budget int) error {
 		for {
 			check(c.keys[c.next].id)
 			c.next++
-			if c.next < len(c.keys) && c.keys[c.next].at == s.Now() && rng.Intn(4) != 0 {
-				// The next key is at this instant: do this event's work,
-				// then claim the key inline as the phy fanout does.
+			if c.next < len(c.keys) && rng.Intn(4) != 0 {
+				// Do this event's work, then try to claim the next key
+				// inline as the phy fanout does. The claim must succeed
+				// exactly when the key leads the oracle's queue within
+				// the horizon, the run was not stopped and the claim's
+				// own guard tick did not abort it.
+				mark := o.seq
 				act(1)
-				k := queue(c)
-				if !s.FireNow(k.seq) {
+				k := c.keys[c.next]
+				lead := o.leader()
+				leads := lead == nil || k.at < lead.at || (k.at == lead.at && k.seq < lead.seq)
+				stopped := stopAt > 0 && fired >= stopAt
+				got := s.FireAt(k.at, k.seq)
+				aborted := s.GuardErr() != nil
+				if want := leads && k.at <= o.until && !stopped && !aborted; got != want {
+					fail("FireAt(%v,%d) at %v = %v, want %v (leads %v, until %v, stopped %v, guard abort %v)",
+						k.at, k.seq, s.Now(), got, want, leads, o.until, stopped, aborted)
+				}
+				switch {
+				case got:
+					stats.claimed++
+				case leads && k.at > o.until:
+					stats.pastUntil++
+				case !leads && lead.seq >= mark:
+					stats.yielded++
+				}
+				queue(c)
+				if !got {
 					s.AtSeq(k.at, k.seq, c)
 					return
 				}
@@ -248,7 +328,7 @@ func diffRun(seed int64, budget int) error {
 	}
 
 	act = func(depth int) {
-		n := rng.Intn(4)
+		n := rng.Intn(branch)
 		if depth == 0 {
 			n = 1
 		}
@@ -338,15 +418,39 @@ func diffRun(seed int64, budget int) error {
 		}
 	}
 
-	for ids < budget/4 {
+	for ids < fill {
 		act(0)
+	}
+	if sliced {
+		// Run in short slices, with top-level work between them, until
+		// the queue is empty. Each slice must leave the clock at its
+		// horizon and nothing at or before it.
+		for len(o.entries) > 0 {
+			o.until = s.Now() + Time(1+rng.Intn(spread))
+			s.Run(o.until)
+			if s.GuardErr() != nil || (stopAt > 0 && fired >= stopAt) {
+				break
+			}
+			if s.Now() != o.until {
+				fail("Run(%v) returned at %v", o.until, s.Now())
+			}
+			o.collect(o.until)
+			if e := o.leader(); e != nil && e.at <= o.until {
+				fail("Run(%v) left id %d key (%v,%d) unfired", o.until, e.id, e.at, e.seq)
+			}
+			o.now = o.until
+			for n := rng.Intn(3); n > 0; n-- {
+				act(0)
+			}
+		}
+		o.until = forever
 	}
 	s.RunAll()
 	aborted := s.GuardErr() != nil
 	switch {
 	case aborted || (stopAt > 0 && fired >= stopAt):
 		// The run ended early; whatever it left queued, including a
-		// same-instant key it did not claim, must match the oracle.
+		// chain key it did not claim, must match the oracle.
 		if aborted && (!errors.Is(s.GuardErr(), errGuardAbort) || fired != abortAt) {
 			fail("guard error %v after %d events, want %v after %d", s.GuardErr(), fired, errGuardAbort, abortAt)
 		}
@@ -371,9 +475,9 @@ func diffRun(seed int64, budget int) error {
 		fail("EventsExecuted = %d, callbacks ran %d", s.EventsExecuted(), fired)
 	}
 	if len(errs) > 0 {
-		return fmt.Errorf("seed %d: %s", seed, strings.Join(errs, "; "))
+		return stats, fmt.Errorf("seed %d: %s", seed, strings.Join(errs, "; "))
 	}
-	return nil
+	return stats, nil
 }
 
 func sortKeys(k []oEntry) {
@@ -385,14 +489,23 @@ func sortKeys(k []oEntry) {
 }
 
 func TestQueueDifferential(t *testing.T) {
+	var total claimStats
 	for seed := int64(1); seed <= 200; seed++ {
-		if err := diffRun(seed, 400); err != nil {
+		stats, err := diffRun(seed, 400)
+		if err != nil {
 			t.Fatal(err)
 		}
+		total.add(stats)
 	}
 	// A long run crosses the compaction threshold many times.
-	if err := diffRun(7, 20000); err != nil {
+	stats, err := diffRun(7, 20000)
+	if err != nil {
 		t.Fatal(err)
+	}
+	total.add(stats)
+	// The programs must reach every way a claim can go.
+	if total.claimed == 0 || total.pastUntil == 0 || total.yielded == 0 {
+		t.Fatalf("claims: %+v; want each count positive", total)
 	}
 }
 
@@ -400,7 +513,7 @@ func FuzzQueueDifferential(f *testing.F) {
 	f.Add(int64(1), uint16(300))
 	f.Add(int64(42), uint16(3000))
 	f.Fuzz(func(t *testing.T, seed int64, budget uint16) {
-		if err := diffRun(seed, int(budget%4096)+1); err != nil {
+		if _, err := diffRun(seed, int(budget%4096)+1); err != nil {
 			t.Fatal(err)
 		}
 	})

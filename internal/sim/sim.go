@@ -31,14 +31,16 @@
 // A caller that knows now which events it will need can Reserve a run of
 // sequence numbers and later enqueue each with AtSeq, one at a time. The
 // events keep the keys they would have had if all were scheduled at once,
-// but occupy one queue entry between them. A reserved key that falls on
-// the current instant can instead be claimed with FireNow and run inline,
-// from the same queue entry: when every earlier key of the block has
-// fired, nothing else can sort between the fired key and it, since
-// events queued before the block have smaller sequence numbers and
-// events scheduled since have larger ones. FireNow does the per-event
-// bookkeeping a queued event gets (guard tick, event count, fired key,
-// event hook), and declines once Stop is called or the guard aborts.
+// but occupy one queue entry between them. From inside a callback, after
+// its own work, a reserved key can instead be claimed with FireAt and run
+// inline, from the same queue entry. FireAt claims the key only while it
+// leads the queue: it sorts before every queued key (the held root aside),
+// falls within the running drain's until, and the run was neither stopped
+// nor aborted by its guard. The claimed key is then exactly the one the
+// drain loop would pop next, so claiming it is event-identical to queueing
+// it; the check is made afresh on every claim, so an event a callback
+// schedules before the key wins. FireAt does the per-event bookkeeping a
+// queued event gets (guard tick, event count, fired key, event hook).
 //
 // A stopped Timer keeps its queue slot, cancelled, until the queue
 // collects it. Resetting it before then revives the slot in place with a
@@ -176,8 +178,11 @@ type Simulator struct {
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
-	events  uint64 // total events executed, for diagnostics
-	last    uint64 // seq of the event that fired last
+	// until is the running drain's horizon, -1 outside a drain; FireAt
+	// claims no key past it.
+	until  Time
+	events uint64 // total events executed, for diagnostics
+	last   uint64 // seq of the event that fired last
 	// held is set while the fired event's slot still sits at heap[0]
 	// waiting for its callback to schedule into it (see release).
 	held bool
@@ -192,7 +197,7 @@ type Simulator struct {
 
 // New returns a simulator whose random source is seeded with seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
+	return &Simulator{rng: rand.New(rand.NewSource(seed)), until: -1}
 }
 
 // Now returns the current virtual time.
@@ -239,7 +244,7 @@ func (s *Simulator) ScheduleArg(delay Time, fn func(any), arg any) EventRef {
 }
 
 // Reserve sets aside n consecutive sequence numbers and returns the
-// first. Each is later passed to AtSeq or FireNow; a reserved number that
+// first. Each is later passed to AtSeq or FireAt; a reserved number that
 // is never used leaves a gap in the (at, seq) order and changes nothing
 // else.
 func (s *Simulator) Reserve(n int) uint64 {
@@ -275,30 +280,46 @@ func (s *Simulator) keep(id int32, h Handler) *event {
 	return e
 }
 
-// FireNow claims the reserved key (Now(), seq) for the caller to run at
-// once, inline, instead of queueing it with AtSeq. It may be called only
-// from an event callback, after that event's own work. It does for the
-// claimed key the bookkeeping the drain loop does for a queued event:
-// the guard tick owed by the event that fired last, the executed-event
-// count, the fired key and the event hook. It returns false, claiming
-// nothing, when Stop was called or the guard aborted the run; the caller
-// then queues the key with AtSeq.
-//
-// The result is event-identical to queueing the key whenever no other
-// event can fall between the fired key and (Now(), seq). That holds for
-// keys of one Reserve block when every block key before seq has fired:
-// events queued before the block have smaller sequence numbers, and
-// events scheduled since, larger ones.
-func (s *Simulator) FireNow(seq uint64) bool {
-	s.checkReserved(s.now, seq)
-	if s.stopped {
+// FireAt claims the reserved key (at, seq) for the caller to run at once,
+// inline, instead of queueing it with AtSeq. It may be called only from
+// an event callback, after that event's own work. It claims the key only
+// when the drain loop would pop it next: the key sorts before every
+// queued key but the held root, at is not past the running drain's until,
+// and the run was neither stopped nor aborted by its guard. A claim sets
+// the clock to at and does for the key the bookkeeping the drain loop
+// does for a queued event: the guard tick owed by the event that fired
+// last, the executed-event count, the fired key and the event hook.
+// FireAt returns false, claiming nothing, otherwise; the caller then
+// queues the key with AtSeq.
+func (s *Simulator) FireAt(at Time, seq uint64) bool {
+	s.checkReserved(at, seq)
+	if s.stopped || s.guardErr != nil || at > s.until || !s.leads(at, seq) {
 		return false
 	}
 	s.tick()
 	if s.guardErr != nil {
 		return false
 	}
+	s.now = at
 	s.begin(seq)
+	return true
+}
+
+// leads reports whether (at, seq) sorts before every queued key other
+// than the held root: the root itself or, while the root is held, its at
+// most four children. Cancelled keys count too: the drain loop would
+// collect them first, so a key they lead is declined, which is safe.
+func (s *Simulator) leads(at Time, seq uint64) bool {
+	h := s.heap
+	i, end := 0, min(1, len(h))
+	if s.held {
+		i, end = 1, min(5, len(h))
+	}
+	for ; i < end; i++ {
+		if e := &s.evs[h[i]]; e.at < at || (e.at == at && e.seq < seq) {
+			return false
+		}
+	}
 	return true
 }
 
@@ -477,11 +498,12 @@ func (s *Simulator) RunAll() Time {
 func (s *Simulator) drain(until Time) {
 	// A callback that panicked out of a previous drain left its root held.
 	s.release()
+	s.until = until
 	for len(s.heap) > 0 && !s.stopped && s.guardErr == nil {
 		id := s.heap[0]
 		e := &s.evs[id]
 		if e.at > until {
-			return
+			break
 		}
 		if e.cancelled {
 			s.heapPopMin()
@@ -505,11 +527,12 @@ func (s *Simulator) drain(until Time) {
 		h.Fire(arg)
 		s.release()
 		if s.guardErr == nil {
-			// A FireNow that saw the guard abort has already paid this
+			// A FireAt that saw the guard abort has already paid this
 			// event's tick.
 			s.tick()
 		}
 	}
+	s.until = -1
 }
 
 // begin records that the event keyed (Now(), seq) fires.
