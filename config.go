@@ -347,7 +347,10 @@ type Mobility struct {
 // Config describes one simulation scenario. The zero value is not
 // runnable; start from DefaultConfig. The json tags define the wire
 // form and so the Hash (see config_json.go): every exported field
-// reaches both unless it is tagged "-".
+// reaches both unless it is tagged "-". Each wire field names what
+// exercises it (a registry family, an oracle test, a perfbench workload
+// or a committed repro) in options_test.go, and TestEveryOptionIsReached
+// fails on a field that names nothing.
 type Config struct {
 	Topology Topology `json:"topology"`
 	Flows    []Flow   `json:"flows"`
@@ -373,11 +376,6 @@ type Config struct {
 	// dropping them (ECN-style signalling; the marks surface to senders
 	// through the ACK echo). Requires UseRED.
 	REDMarkECN bool `json:"red_mark_ecn"`
-	// REDMinTh and REDMaxTh override the RED thresholds in packets.
-	// Zero keeps the historical derivation from QueueLimit (min = QL/4,
-	// max = 3*QL/4). Requires UseRED when set.
-	REDMinTh int `json:"red_min_th"`
-	REDMaxTh int `json:"red_max_th"`
 
 	// Pacing enables auto-rate pacing on every sender: segments leave
 	// on a cwnd/SRTT-derived rate schedule instead of ack-clocked
@@ -390,8 +388,6 @@ type Config struct {
 	// at the PHY. The 802.11 MAC's retries repair most of it, so little
 	// reaches TCP; use ResidualLossRate for TCP-visible random loss.
 	PacketErrorRate float64 `json:"packet_error_rate"`
-	// BitErrorRate injects size-dependent random corruption at the PHY.
-	BitErrorRate float64 `json:"bit_error_rate"`
 	// ResidualLossRate drops received data packets per hop at the
 	// network layer, past the MAC's ARQ — the TCP-visible "random loss"
 	// of Section 4.7 (deep fades, undetected corruption).
@@ -430,12 +426,6 @@ type Config struct {
 	ThroughputBin time.Duration `json:"throughput_bin_ns"`
 	// TraceCwnd records congestion-window traces (Figures 5.2-5.7).
 	TraceCwnd bool `json:"trace_cwnd"`
-	// TraceCap bounds each per-flow time series (throughput bins and
-	// cwnd samples): past the cap the recorder halves its resolution in
-	// place, so per-flow memory is O(cap) regardless of Duration. Zero
-	// selects the stats package defaults (4096 bins / 16384 cwnd
-	// samples), which paper-scale runs never reach.
-	TraceCap int `json:"trace_cap"`
 	// TraceFlowLimit bounds how many flows keep full traces in the
 	// Result. Runs with more flows than the limit record summary-only
 	// per-flow rows (scalar counters, no series), keeping Result size
@@ -486,12 +476,15 @@ type Config struct {
 	// unique within a domain only.
 	PacketTrace io.Writer `json:"-"`
 
-	// Progress, when non-nil, receives an in-run progress snapshot every
-	// ProgressEvery executed events plus one final snapshot when the run
-	// stops. The callback fires on the goroutine executing Run and must
-	// be fast; it observes the run without influencing it, so a run is
-	// bit-for-bit identical with or without it. The job daemon streams
-	// these snapshots to clients.
+	// Progress, when non-nil, receives an in-run progress snapshot once
+	// per ProgressEvery executed events plus one final snapshot when the
+	// run stops. Snapshots ride the guard tick, so with Guards or Cancel
+	// set each arrives on the first guard check at or past its period
+	// (exactly on it when the guard interval divides ProgressEvery). The
+	// callback fires on the goroutine executing Run and must be fast; it
+	// observes the run without influencing it, so a run is bit-for-bit
+	// identical with or without it. The job daemon streams these
+	// snapshots to clients.
 	Progress func(ProgressUpdate) `json:"-"`
 	// ProgressEvery is the Progress callback period in events
 	// (default 65536).
@@ -560,7 +553,6 @@ func (c *Config) validate() error {
 		v    float64
 	}{
 		{"packet error rate", c.PacketErrorRate},
-		{"bit error rate", c.BitErrorRate},
 		{"residual loss rate", c.ResidualLossRate},
 	} {
 		// The negated comparison also rejects NaN, which would otherwise
@@ -587,14 +579,8 @@ func (c *Config) validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("muzha: workers must be >= 0, got %d", c.Workers)
 	}
-	if c.REDMinTh < 0 || c.REDMaxTh < 0 {
-		return fmt.Errorf("muzha: RED thresholds must be >= 0, got min %d max %d", c.REDMinTh, c.REDMaxTh)
-	}
-	if (c.REDMinTh > 0 || c.REDMaxTh > 0) && c.REDMaxTh <= c.REDMinTh {
-		return fmt.Errorf("muzha: RED max threshold %d must exceed min threshold %d", c.REDMaxTh, c.REDMinTh)
-	}
-	if (c.REDMarkECN || c.REDMinTh > 0 || c.REDMaxTh > 0) && !c.UseRED {
-		return fmt.Errorf("muzha: RED mark/threshold knobs require UseRED")
+	if c.REDMarkECN && !c.UseRED {
+		return fmt.Errorf("muzha: REDMarkECN requires UseRED")
 	}
 	if c.DRAIClamp && !c.RouterAssist {
 		return fmt.Errorf("muzha: DRAIClamp requires RouterAssist")
@@ -608,9 +594,6 @@ func (c *Config) validate() error {
 		if m.GridSpacing < 0 {
 			return fmt.Errorf("muzha: mobility grid spacing must be >= 0, got %v", m.GridSpacing)
 		}
-	}
-	if c.TraceCap < 0 {
-		return fmt.Errorf("muzha: trace cap must be >= 0, got %d", c.TraceCap)
 	}
 	n := c.Topology.Nodes()
 	for i, b := range c.Background {

@@ -1,6 +1,7 @@
 package muzha
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -59,7 +60,7 @@ func (t *Topology) UnmarshalJSON(b []byte) error {
 		return nil
 	}
 	var w topologyWire
-	if err := json.Unmarshal(b, &w); err != nil {
+	if err := decodeStrict(b, &w); err != nil {
 		return fmt.Errorf("muzha: topology: %w", err)
 	}
 	t.inner = &topo.Topology{
@@ -80,16 +81,26 @@ func (c Config) MarshalJSON() ([]byte, error) {
 	return canon.JSON(plain(c))
 }
 
-// UnmarshalJSON decodes the wire encoding. Observer fields come back
-// zero; a daemon attaches its own trace writers and progress hooks.
+// UnmarshalJSON decodes the wire encoding strictly: a key that names
+// no field is an error naming that key, so a config written for an
+// option that no longer exists fails instead of running without it.
+// Observer fields come back zero; a daemon attaches its own trace
+// writers and progress hooks.
 func (c *Config) UnmarshalJSON(b []byte) error {
 	type plain Config
 	var p plain
-	if err := json.Unmarshal(b, &p); err != nil {
+	if err := decodeStrict(b, &p); err != nil {
 		return fmt.Errorf("muzha: config: %w", err)
 	}
 	*c = Config(p)
 	return nil
+}
+
+// decodeStrict decodes one JSON value into v, rejecting unknown keys.
+func decodeStrict(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // Hash returns the content hash identifying this scenario: the SHA-256

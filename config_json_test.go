@@ -124,7 +124,7 @@ func TestConfigJSONSortedKeysAndExplicitDefaults(t *testing.T) {
 		t.Fatalf("top-level keys not sorted: %v", keys)
 	}
 	// Defaults are explicit: fields left at their zero value still appear.
-	for _, want := range []string{`"use_red":false`, `"use_dsr":false`, `"bit_error_rate":0`, `"disable_rts_cts":false`} {
+	for _, want := range []string{`"use_red":false`, `"use_dsr":false`, `"pacing":false`, `"disable_rts_cts":false`} {
 		if !strings.Contains(string(b), want) {
 			t.Errorf("encoding omits default %s:\n%s", want, b)
 		}
@@ -157,7 +157,7 @@ func TestConfigHashStability(t *testing.T) {
 	// (guards and workers included) of this config. A change to either
 	// orphans every cached result and journaled sweep, so it must be
 	// deliberate.
-	const wantHash = "43f41cd04bdb1ba2b0d864afce73f5983b9b42264c4552c8c203bcaea53089e8"
+	const wantHash = "1264e6de9e41c630777c482c4a170d10e019241bb75a6566cd211254b972a69b"
 	if h1 != wantHash {
 		t.Fatalf("Hash = %s, want pinned %s", h1, wantHash)
 	}
@@ -165,7 +165,7 @@ func TestConfigHashStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantWire = "d2791304ffe24c0d13b0026f60cd64453a4a6225ea715702a2330f6851bcff6d"
+	const wantWire = "01af5822f185cb8ca85e06e8a2bc8f61dcc7140d2edde0896f82c36abefa44f8"
 	if got := fmt.Sprintf("%x", sha256.Sum256(wire)); got != wantWire {
 		t.Fatalf("canonical bytes digest = %s, want pinned %s:\n%s", got, wantWire, wire)
 	}
@@ -261,5 +261,26 @@ func TestTopologyJSONNull(t *testing.T) {
 	}
 	if back.Nodes() != 0 {
 		t.Fatal("null topology decoded non-empty")
+	}
+}
+
+// TestConfigJSONRejectsUnknownKeys pins strict decoding: a key that
+// names no field, at the top level or inside the topology, is an error
+// that names the key, so a config written for a removed option fails
+// instead of running without it.
+func TestConfigJSONRejectsUnknownKeys(t *testing.T) {
+	b, err := json.Marshal(wireTestConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, doc := range map[string]string{
+		"bit_error_rate": `{"bit_error_rate":0.001,` + string(b[1:]),
+		"radius":         strings.Replace(string(b), `"topology":{`, `"topology":{"radius":250,`, 1),
+	} {
+		var c Config
+		err := json.Unmarshal([]byte(doc), &c)
+		if err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("unknown key %q: err = %v, want an error naming it", key, err)
+		}
 	}
 }

@@ -177,10 +177,9 @@ var mutators = []func(*rand.Rand, *scenario.Spec){
 	func(rng *rand.Rand, s *scenario.Spec) {
 		s.Stack.UseRED = !s.Stack.UseRED
 		if !s.Stack.UseRED {
-			// The mark/threshold knobs require use_red; clear them so
-			// the mutated spec stays valid.
+			// ECN marking requires use_red; clear it so the mutated
+			// spec stays valid.
 			s.Stack.REDMarkECN = false
-			s.Stack.REDMinTh, s.Stack.REDMaxTh = 0, 0
 		}
 	},
 	func(rng *rand.Rand, s *scenario.Spec) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -128,49 +129,21 @@ func TestSubmitRunAndCacheHitByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCrashRecoveryRequeuesAndMatchesUninterruptedRun forges the journal
+// a SIGKILLed daemon leaves behind, a job caught mid-run plus a
+// half-written trailing line, in both journal shapes: an older daemon's,
+// with the config on the running line, and this one's, where only the
+// queued line before it carries the config. Either way the job is
+// requeued with its config and runs to the bytes of an uninterrupted
+// run, and no journal line past a job's first repeats its config.
 func TestCrashRecoveryRequeuesAndMatchesUninterruptedRun(t *testing.T) {
 	ctx := testCtx(t)
-	dir := t.TempDir()
 	cfg := chainConfig(t, 2, 2*time.Second, 7)
 	canonical, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hash, err := cfg.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Forge the journal a SIGKILLed daemon leaves behind: a job caught
-	// mid-run plus a half-written trailing line.
-	crashed := Job{
-		ID:     "j000000-" + hash[:12],
-		Hash:   hash,
-		Client: "crash",
-		State:  StateRunning,
-		Config: canonical,
-	}
-	line, err := json.Marshal(crashed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob := append(line, '\n')
-	blob = append(blob, []byte(`{"id":"j000001-hal`)...)
-	if err := os.WriteFile(filepath.Join(dir, "jobs.jsonl"), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	srv, cli := newTestServer(t, ServerConfig{DataDir: dir})
-	if st := srv.Snapshot(); st.Requeued != 1 {
-		t.Fatalf("requeued = %d, want 1", st.Requeued)
-	}
-	j, err := cli.Stream(ctx, crashed.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.State != StateDone {
-		t.Fatalf("recovered job ended %s [%s]: %s", j.State, j.Class, j.Error)
-	}
-	got, err := cli.Result(ctx, crashed.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +155,65 @@ func TestCrashRecoveryRequeuesAndMatchesUninterruptedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("recovered run differs from the uninterrupted run")
+	queued := Job{ID: "j000000-" + hash[:12], Hash: hash, Client: "crash", State: StateQueued, Config: canonical}
+	running := queued
+	running.State = StateRunning
+	metaOnly := running
+	metaOnly.Config = nil
+	for name, forged := range map[string][]Job{
+		"config-every-line": {running},
+		"config-once":       {queued, metaOnly},
+	} {
+		dir := t.TempDir()
+		var blob []byte
+		for _, j := range forged {
+			line, err := json.Marshal(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob = append(append(blob, line...), '\n')
+		}
+		blob = append(blob, []byte(`{"id":"j000001-hal`)...)
+		journal := filepath.Join(dir, "jobs.jsonl")
+		if err := os.WriteFile(journal, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		srv, cli := newTestServer(t, ServerConfig{DataDir: dir})
+		if st := srv.Snapshot(); st.Requeued != 1 {
+			t.Fatalf("%s: requeued = %d, want 1", name, st.Requeued)
+		}
+		j, err := cli.Stream(ctx, queued.ID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.State != StateDone || !bytes.Equal(j.Config, canonical) {
+			t.Fatalf("%s: recovered job ended %s [%s] %s with config %.80s", name, j.State, j.Class, j.Error, j.Config)
+		}
+		got, err := cli.Result(ctx, queued.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: recovered run differs from the uninterrupted run", name)
+		}
+
+		written, err := os.ReadFile(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The forged lines, the torn tail, then the requeue, running and
+		// done lines this daemon wrote.
+		lines := strings.Split(string(written), "\n")
+		ours := lines[len(forged)+1:]
+		if len(ours) < 3 {
+			t.Fatalf("%s: daemon journaled %d lines, want requeue, running, done:\n%s", name, len(ours), written)
+		}
+		for _, line := range ours {
+			if line != "" && hasKey(t, []byte(line), "config") {
+				t.Fatalf("%s: a transition line repeats the config: %.120s", name, line)
+			}
+		}
 	}
 }
 
@@ -406,6 +436,26 @@ func TestSubmitRejectsInvalidConfig(t *testing.T) {
 	var remote *RemoteError
 	if !errors.As(err, &remote) || remote.Status != http.StatusBadRequest {
 		t.Fatalf("err = %v, want 400", err)
+	}
+
+	// A config naming an option the wire form does not have is refused
+	// too, with the key in the error, rather than run without it.
+	wire, err := json.Marshal(chainConfig(t, 2, time.Second, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"config":{"bit_error_rate":0.0001,` + string(wire[1:]) + `}`
+	resp, err := http.Post(cli.BaseURL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "bit_error_rate") {
+		t.Fatalf("unknown config key: status %d, body %s; want 400 naming the key", resp.StatusCode, msg)
 	}
 }
 

@@ -14,10 +14,11 @@ import (
 // Store is the daemon's file-backed job table: an append-only JSONL
 // journal of Job snapshots, one line per state transition, last
 // snapshot wins. It holds job metadata only; results live in the
-// Cache. The journal is an internal/jsonl log, so a SIGKILL
-// mid-write costs at most the half-written line; jobs whose last
-// snapshot was queued or running are handed back as Requeued() for the
-// daemon to re-run.
+// Cache. Only a job's first line carries its config: transition lines
+// leave it out, and replay keeps the config of the earlier line. The
+// journal is an internal/jsonl log, so a SIGKILL mid-write costs at most
+// the half-written line; jobs whose last snapshot was queued or running
+// are handed back as Requeued() for the daemon to re-run.
 type Store struct {
 	mu       sync.Mutex
 	log      *jsonl.Log
@@ -32,8 +33,9 @@ type Store struct {
 }
 
 // OpenStore opens (creating if absent) the job journal at path and
-// replays it. The "result" key that older daemons wrote on done
-// snapshots is ignored.
+// replays it. Journals from older daemons, which wrote the config on
+// every line and a "result" key on done snapshots, replay the same: a
+// repeated config is taken, the result ignored.
 func OpenStore(path string) (*Store, error) {
 	s := &Store{
 		jobs:    make(map[string]*Job),
@@ -44,8 +46,10 @@ func OpenStore(path string) (*Store, error) {
 		if err := json.Unmarshal(line, &j); err != nil || j.ID == "" {
 			return false
 		}
-		if _, seen := s.jobs[j.ID]; !seen {
+		if prev, seen := s.jobs[j.ID]; !seen {
 			s.order = append(s.order, j.ID)
+		} else if len(j.Config) == 0 {
+			j.Config = prev.Config
 		}
 		s.jobs[j.ID] = &j
 		if seq, ok := seqOf(j.ID); ok && seq >= s.nextSeq {
@@ -67,7 +71,7 @@ func OpenStore(path string) (*Store, error) {
 		}
 		j.State = StateQueued
 		j.Progress = Progress{}
-		s.log.Append(*j)
+		s.journal(*j)
 		s.requeued = append(s.requeued, id)
 	}
 	return s, nil
@@ -158,7 +162,7 @@ func (s *Store) List() []Job {
 }
 
 // Transition applies mutate to the job under the store lock, journals
-// the new snapshot, and returns a copy.
+// the new snapshot (config left out), and returns a copy.
 func (s *Store) Transition(id string, mutate func(*Job)) (Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -167,8 +171,15 @@ func (s *Store) Transition(id string, mutate func(*Job)) (Job, bool) {
 		return Job{}, false
 	}
 	mutate(j)
-	s.log.Append(*j)
+	s.journal(*j)
 	return *j, true
+}
+
+// journal appends a transition line: the job's snapshot without its
+// config, which its first line already carries.
+func (s *Store) journal(j Job) {
+	j.Config = nil
+	s.log.Append(j)
 }
 
 // SetProgress updates a job's progress snapshot in memory only.

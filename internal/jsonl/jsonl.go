@@ -29,13 +29,18 @@ import (
 	"os"
 )
 
+// maxLine is the longest line Scan reads; a longer one fails the scan.
+const maxLine = 16 << 20
+
 // Scan feeds every non-empty line of r to fn. A line fn rejects
 // (returns false) — a truncated final line from a kill mid-write, or
 // any other corruption — is counted and skipped, never fatal: losing
 // one in-flight record must not discard the rest of a log.
 func Scan(r io.Reader, fn func(line []byte) bool) (skipped int, err error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
+	// No initial buffer: the scanner starts from its own small default
+	// and grows it only as far as the longest line, up to the cap.
+	sc.Buffer(nil, maxLine)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {

@@ -11,9 +11,12 @@ import (
 )
 
 func TestScan(t *testing.T) {
+	// A line far past the scanner's default buffer still scans whole.
+	long := `{"v":"` + strings.Repeat("x", 2<<20) + `"}`
 	input := strings.Join([]string{
 		`{"a":1}`,
 		``, // blank lines are skipped silently
+		long,
 		`{"b":2}`,
 		`{"trunc`, // kill-mid-write residue: rejected, counted, not fatal
 	}, "\n")
@@ -31,8 +34,8 @@ func TestScan(t *testing.T) {
 	if skipped != 1 {
 		t.Fatalf("skipped = %d, want 1", skipped)
 	}
-	if len(got) != 2 || got[0] != `{"a":1}` || got[1] != `{"b":2}` {
-		t.Fatalf("lines = %v", got)
+	if len(got) != 3 || got[0] != `{"a":1}` || got[1] != long || got[2] != `{"b":2}` {
+		t.Fatalf("got %d lines, want the short ones around the %d-byte one", len(got), len(long))
 	}
 }
 

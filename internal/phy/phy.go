@@ -1,6 +1,6 @@
 // Package phy models the shared wireless medium: disc-radio propagation,
 // carrier sensing, collision-on-overlap reception, half-duplex radios and
-// random frame loss (per-packet and per-bit error models).
+// random frame loss (a per-packet error model and bursty fading).
 //
 // The model follows the NS-2 defaults the paper uses: 2 Mbps radios with a
 // 250 m transmission range and a 550 m carrier-sense/interference range.
@@ -35,9 +35,6 @@ type Config struct {
 	// with this probability; MAC control frames are exempt. This is the
 	// "random loss" knob of Section 4.7.
 	PacketErrorRate float64
-	// BitErrorRate corrupts frames with probability 1-(1-BER)^bits,
-	// applied to every frame. Zero disables it.
-	BitErrorRate float64
 
 	// CaptureRatio is the power ratio above which an in-progress
 	// reception survives an overlapping weaker signal (NS-2's 10 dB
@@ -74,8 +71,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("phy: rates must be positive, got data=%g basic=%g", c.DataRate, c.BasicRate)
 	case c.PacketErrorRate < 0 || c.PacketErrorRate >= 1:
 		return fmt.Errorf("phy: PacketErrorRate must be in [0,1), got %g", c.PacketErrorRate)
-	case c.BitErrorRate < 0 || c.BitErrorRate >= 1:
-		return fmt.Errorf("phy: BitErrorRate must be in [0,1), got %g", c.BitErrorRate)
 	case c.CaptureRatio < 0:
 		return fmt.Errorf("phy: CaptureRatio must be >= 0, got %g", c.CaptureRatio)
 	case c.CaptureRatio > 0 && c.PathLossExponent <= 0:
@@ -250,8 +245,8 @@ func (c *Channel) ClearPartition() {
 }
 
 // SetBurstLoss enables a Gilbert–Elliott bursty-loss overlay, layered on
-// top of the uniform PacketErrorRate/BitErrorRate models. Each phase
-// starts in the good state.
+// top of the uniform PacketErrorRate model. Each phase starts in the good
+// state.
 func (c *Channel) SetBurstLoss(pGoodBad, pBadGood, lossGood, lossBad float64) {
 	c.ge = &geState{pGoodBad: pGoodBad, pBadGood: pBadGood, lossGood: lossGood, lossBad: lossBad}
 }
@@ -431,8 +426,8 @@ func (f *fanout) next() (at sim.Time, seq uint64, step fanStep, ok bool) {
 // queue: a frame's events fall within about a microsecond of each other,
 // long before any reply the callbacks schedule. When the claim is
 // declined, because a callback scheduled an earlier event, another event
-// is due first, or the run's horizon falls before the key, the cursor
-// queues the key with AtSeq and returns. After the last key the fanout
+// is due first, or the run's horizon falls before the key, FireAt queues
+// the key with the cursor and Fire returns. After the last key the fanout
 // returns to the pool before that key's callback runs, since the callback
 // may transmit and take it back.
 func (f *fanout) Fire(any) {
@@ -473,8 +468,7 @@ func (f *fanout) Fire(any) {
 		if !ok {
 			return
 		}
-		if !s.FireAt(at, seq) {
-			s.AtSeq(at, seq, f)
+		if !s.FireAt(at, seq, f) {
 			return
 		}
 	}
@@ -724,8 +718,8 @@ func (r *Radio) TxTime(bytes int, control bool) sim.Time {
 func (c *Channel) lossDraw(pkt *packet.Packet) bool {
 	if g := c.ge; g != nil {
 		// Advance the Gilbert–Elliott chain one step per frame, then
-		// apply the state's loss rate. Like the bit-error model, bursty
-		// fading corrupts control frames too.
+		// apply the state's loss rate. Bursty fading corrupts control
+		// frames too.
 		if g.bad {
 			if c.sim.Rand().Float64() < g.pBadGood {
 				g.bad = false
@@ -738,16 +732,6 @@ func (c *Channel) lossDraw(pkt *packet.Packet) bool {
 			p = g.lossBad
 		}
 		if p > 0 && c.sim.Rand().Float64() < p {
-			return true
-		}
-	}
-	if c.cfg.BitErrorRate > 0 {
-		bits := float64(pkt.Size+packet.MACHeaderSize) * 8
-		if pkt.Kind == packet.KindMACControl {
-			bits = float64(pkt.Size) * 8
-		}
-		pErr := 1 - math.Pow(1-c.cfg.BitErrorRate, bits)
-		if c.sim.Rand().Float64() < pErr {
 			return true
 		}
 	}

@@ -50,7 +50,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero basic rate", func(c *Config) { c.BasicRate = 0 }},
 		{"per out of range", func(c *Config) { c.PacketErrorRate = 1 }},
 		{"negative per", func(c *Config) { c.PacketErrorRate = -0.1 }},
-		{"ber out of range", func(c *Config) { c.BitErrorRate = 1 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -287,36 +286,6 @@ func TestControlFramesExemptFromPacketErrorRate(t *testing.T) {
 	}
 	if len(b.rx) != 50 {
 		t.Fatalf("control frames delivered = %d, want 50", len(b.rx))
-	}
-}
-
-func TestBitErrorRateScalesWithSize(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BitErrorRate = 1e-4
-	s, ch := newTestChannel(t, 11, cfg)
-	a, b := &stubMAC{}, &stubMAC{}
-	ra := ch.AddRadio(topo.Position{X: 0}, a)
-	ch.AddRadio(topo.Position{X: 250}, b)
-
-	// 1500-byte frames: p(err) ~ 1-(1-1e-4)^12000 ~ 0.70.
-	const n = 200
-	air := ch.TxTime(1500, false)
-	for i := 0; i < n; i++ {
-		i := i
-		s.Schedule(sim.Time(i)*20*sim.Millisecond, func() {
-			ra.Transmit(dataPkt(uint64(i), 1500), air)
-		})
-	}
-	s.RunAll()
-
-	bad := 0
-	for _, e := range b.rx {
-		if !e.ok {
-			bad++
-		}
-	}
-	if bad < n/2 {
-		t.Fatalf("BER 1e-4 corrupted only %d/%d large frames", bad, n)
 	}
 }
 

@@ -195,12 +195,9 @@ type Stack struct {
 
 	DelayedAckMs int64 `json:"delayed_ack_ms,omitempty"`
 	UseRED       bool  `json:"use_red,omitempty"`
-	// REDMarkECN makes RED congestion-mark instead of drop (ECN-style);
-	// REDMinTh/REDMaxTh override the thresholds derived from the queue
-	// limit. All three require use_red.
+	// REDMarkECN makes RED congestion-mark instead of drop (ECN-style).
+	// Requires use_red.
 	REDMarkECN bool `json:"red_mark_ecn,omitempty"`
-	REDMinTh   int  `json:"red_min_th,omitempty"`
-	REDMaxTh   int  `json:"red_max_th,omitempty"`
 	// Pacing releases segments on a cwnd/SRTT-derived rate schedule
 	// instead of ack-clocked bursts. Off by default (historical
 	// scheduling); BBR-lite flows pace regardless.
@@ -211,14 +208,11 @@ type Stack struct {
 	// section 6.4). Off by default: the paper's scenarios flood.
 	ExpandingRing bool `json:"expanding_ring,omitempty"`
 
-	// TraceCap bounds each per-flow time series (0 = library default);
 	// TraceFlowLimit bounds how many flows keep full traces (0 =
 	// default 64, negative = unlimited). See muzha.Config.
-	TraceCap       int `json:"trace_cap,omitempty"`
 	TraceFlowLimit int `json:"trace_flow_limit,omitempty"`
 
 	PacketErrorRate  float64 `json:"packet_error_rate,omitempty"`
-	BitErrorRate     float64 `json:"bit_error_rate,omitempty"`
 	ResidualLossRate float64 `json:"residual_loss_rate,omitempty"`
 
 	// NoRouterAssist disables DRAI stamping (on by default);
@@ -410,19 +404,15 @@ func (s Spec) Config() (muzha.Config, error) {
 	cfg.DelayedAck = ms(s.Stack.DelayedAckMs)
 	cfg.UseRED = s.Stack.UseRED
 	cfg.REDMarkECN = s.Stack.REDMarkECN
-	cfg.REDMinTh = s.Stack.REDMinTh
-	cfg.REDMaxTh = s.Stack.REDMaxTh
 	cfg.Pacing = s.Stack.Pacing
 	cfg.UseDSR = s.Stack.UseDSR
 	cfg.DisableRTSCTS = s.Stack.NoRTSCTS
 	cfg.PacketErrorRate = s.Stack.PacketErrorRate
-	cfg.BitErrorRate = s.Stack.BitErrorRate
 	cfg.ResidualLossRate = s.Stack.ResidualLossRate
 	cfg.RouterAssist = !s.Stack.NoRouterAssist
 	cfg.MuzhaLossDiscrimination = !s.Stack.NoLossDiscrimination
 	cfg.DRAIClamp = s.Stack.DRAIClamp
 	cfg.ExpandingRing = s.Stack.ExpandingRing
-	cfg.TraceCap = s.Stack.TraceCap
 	cfg.TraceFlowLimit = s.Stack.TraceFlowLimit
 
 	if len(s.Flows) == 0 && s.Topology.generatesFlows() {

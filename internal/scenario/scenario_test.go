@@ -312,7 +312,7 @@ func TestGeneratorTopologiesSeedTheirOwnFlows(t *testing.T) {
 func TestStackScalingKnobs(t *testing.T) {
 	doc := `{"seed": 1, "topology": {"kind": "chain", "hops": 3},
 		"flows": [{"src": 0, "dst": 3}],
-		"stack": {"expanding_ring": true, "trace_cap": 128, "trace_flow_limit": -1}}`
+		"stack": {"expanding_ring": true, "trace_flow_limit": -1}}`
 	s, err := Parse([]byte(doc))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
@@ -321,14 +321,14 @@ func TestStackScalingKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Config: %v", err)
 	}
-	if !cfg.ExpandingRing || cfg.TraceCap != 128 || cfg.TraceFlowLimit != -1 {
-		t.Fatalf("scaling knobs not mapped: ring=%v cap=%d limit=%d",
-			cfg.ExpandingRing, cfg.TraceCap, cfg.TraceFlowLimit)
+	if !cfg.ExpandingRing || cfg.TraceFlowLimit != -1 {
+		t.Fatalf("scaling knobs not mapped: ring=%v limit=%d",
+			cfg.ExpandingRing, cfg.TraceFlowLimit)
 	}
 }
 
 // TestModernStackAndMobilityKnobs covers the modern-sender additions:
-// RED ECN-marking with explicit thresholds, pacing, the new variant
+// RED ECN-marking, pacing, the new variant
 // names and the Manhattan mobility model, end to end through strict
 // parse -> Config.
 func TestModernStackAndMobilityKnobs(t *testing.T) {
@@ -339,8 +339,7 @@ func TestModernStackAndMobilityKnobs(t *testing.T) {
 		],
 		"mobility": {"model": "manhattan", "width": 720, "height": 360,
 			"grid_spacing": 180, "min_speed": 1, "max_speed": 3, "nodes": [2]},
-		"stack": {"use_red": true, "red_mark_ecn": true,
-			"red_min_th": 5, "red_max_th": 20, "pacing": true,
+		"stack": {"use_red": true, "red_mark_ecn": true, "pacing": true,
 			"drai_clamp": true}}`
 	s, err := Parse([]byte(doc))
 	if err != nil {
@@ -353,9 +352,8 @@ func TestModernStackAndMobilityKnobs(t *testing.T) {
 	if cfg.Flows[0].Variant != muzha.CUBIC || cfg.Flows[1].Variant != muzha.BBRLite {
 		t.Fatalf("variants not mapped: %+v", cfg.Flows)
 	}
-	if !cfg.UseRED || !cfg.REDMarkECN || cfg.REDMinTh != 5 || cfg.REDMaxTh != 20 {
-		t.Fatalf("RED knobs not mapped: mark=%v min=%d max=%d",
-			cfg.REDMarkECN, cfg.REDMinTh, cfg.REDMaxTh)
+	if !cfg.UseRED || !cfg.REDMarkECN {
+		t.Fatalf("RED knobs not mapped: red=%v mark=%v", cfg.UseRED, cfg.REDMarkECN)
 	}
 	if !cfg.Pacing {
 		t.Fatal("pacing knob not mapped")
@@ -377,21 +375,21 @@ func TestModernStackAndMobilityKnobs(t *testing.T) {
 	if _, err := Parse([]byte(`{"seed": 1, "stack": {"red_mark_ecn ": true}}`)); err == nil {
 		t.Fatal("typoed RED field accepted")
 	}
+	if _, err := Parse([]byte(`{"seed": 1, "stack": {"use_red": true, "red_min_th": 5}}`)); err == nil {
+		t.Fatal("removed RED threshold field accepted")
+	}
 	if _, err := Parse([]byte(`{"seed": 1, "mobility": {"modell": "manhattan"}}`)); err == nil {
 		t.Fatal("typoed mobility field accepted")
 	}
 }
 
 // TestModernKnobsRejectInvalidCombos pins the validation rules: RED
-// knobs require use_red, thresholds must be ordered, and the mobility
-// model name is whitelisted.
+// ECN marking requires use_red, and the mobility model name is
+// whitelisted.
 func TestModernKnobsRejectInvalidCombos(t *testing.T) {
 	cases := map[string]string{
 		"ecn mark without red": `{"seed": 1, "topology": {"kind": "chain", "hops": 3},
 			"flows": [{"src": 0, "dst": 3}], "stack": {"red_mark_ecn": true}}`,
-		"thresholds inverted": `{"seed": 1, "topology": {"kind": "chain", "hops": 3},
-			"flows": [{"src": 0, "dst": 3}],
-			"stack": {"use_red": true, "red_min_th": 20, "red_max_th": 5}}`,
 		"unknown mobility model": `{"seed": 1, "topology": {"kind": "chain", "hops": 3},
 			"flows": [{"src": 0, "dst": 3}],
 			"mobility": {"model": "brownian", "width": 100, "height": 100,

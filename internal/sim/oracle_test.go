@@ -281,7 +281,7 @@ func diffRun(seed int64, budget int) (claimStats, error) {
 				lead := o.leader()
 				leads := lead == nil || k.at < lead.at || (k.at == lead.at && k.seq < lead.seq)
 				stopped := stopAt > 0 && fired >= stopAt
-				got := s.FireAt(k.at, k.seq)
+				got := s.FireAt(k.at, k.seq, c)
 				aborted := s.GuardErr() != nil
 				if want := leads && k.at <= o.until && !stopped && !aborted; got != want {
 					fail("FireAt(%v,%d) at %v = %v, want %v (leads %v, until %v, stopped %v, guard abort %v)",
@@ -297,7 +297,11 @@ func diffRun(seed int64, budget int) (claimStats, error) {
 				}
 				queue(c)
 				if !got {
-					s.AtSeq(k.at, k.seq, c)
+					// A declined key is queued: the engine holds every
+					// live entry the oracle does, the key among them.
+					if got, want := s.Pending(), o.live(); got != want {
+						fail("Pending() = %d after a declined FireAt(%v,%d), oracle %d", got, k.at, k.seq, want)
+					}
 					return
 				}
 				continue

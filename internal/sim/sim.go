@@ -33,14 +33,15 @@
 // events keep the keys they would have had if all were scheduled at once,
 // but occupy one queue entry between them. From inside a callback, after
 // its own work, a reserved key can instead be claimed with FireAt and run
-// inline, from the same queue entry. FireAt claims the key only while it
-// leads the queue: it sorts before every queued key (the held root aside),
-// falls within the running drain's until, and the run was neither stopped
-// nor aborted by its guard. The claimed key is then exactly the one the
-// drain loop would pop next, so claiming it is event-identical to queueing
-// it; the check is made afresh on every claim, so an event a callback
-// schedules before the key wins. FireAt does the per-event bookkeeping a
-// queued event gets (guard tick, event count, fired key, event hook).
+// inline, from the same queue entry; a key FireAt declines it queues as
+// AtSeq would. FireAt claims the key only while it leads the queue: it
+// sorts before every queued key (the held root aside), falls within the
+// running drain's until, and the run was neither stopped nor aborted by
+// its guard. The claimed key is then exactly the one the drain loop would
+// pop next, so claiming it is event-identical to queueing it; the check
+// is made afresh on every claim, so an event a callback schedules before
+// the key wins. FireAt does the per-event bookkeeping a queued event gets
+// (guard tick, event count, fired key, event hook).
 //
 // A stopped Timer keeps its queue slot, cancelled, until the queue
 // collects it. Resetting it before then revives the slot in place with a
@@ -259,10 +260,15 @@ func (s *Simulator) Reserve(n int) uint64 {
 // number that was never reserved. It returns no handle: a reserved-key
 // event cannot be cancelled.
 func (s *Simulator) AtSeq(at Time, seq uint64, h Handler) {
+	s.checkReserved(at, seq)
+	s.queueReserved(at, seq, h)
+}
+
+// queueReserved queues the checked reserved key (at, seq) with h.
+func (s *Simulator) queueReserved(at Time, seq uint64, h Handler) {
 	if h == nil {
 		panic("sim: nil event handler")
 	}
-	s.checkReserved(at, seq)
 	s.keep(s.enqueue(at, seq), h)
 }
 
@@ -281,28 +287,28 @@ func (s *Simulator) keep(id int32, h Handler) *event {
 }
 
 // FireAt claims the reserved key (at, seq) for the caller to run at once,
-// inline, instead of queueing it with AtSeq. It may be called only from
-// an event callback, after that event's own work. It claims the key only
-// when the drain loop would pop it next: the key sorts before every
-// queued key but the held root, at is not past the running drain's until,
-// and the run was neither stopped nor aborted by its guard. A claim sets
-// the clock to at and does for the key the bookkeeping the drain loop
-// does for a queued event: the guard tick owed by the event that fired
-// last, the executed-event count, the fired key and the event hook.
-// FireAt returns false, claiming nothing, otherwise; the caller then
-// queues the key with AtSeq.
-func (s *Simulator) FireAt(at Time, seq uint64) bool {
+// inline, and otherwise queues it with h as AtSeq does. It may be called
+// only from an event callback, after that event's own work. It claims the
+// key only when the drain loop would pop it next: the key sorts before
+// every queued key but the held root, at is not past the running drain's
+// until, and the run was neither stopped nor aborted by its guard. A
+// claim sets the clock to at and does for the key the bookkeeping the
+// drain loop does for a queued event: the guard tick owed by the event
+// that fired last, the executed-event count, the fired key and the event
+// hook. FireAt reports whether it claimed the key; when it did not, h
+// will fire at the key from the queue.
+func (s *Simulator) FireAt(at Time, seq uint64, h Handler) bool {
 	s.checkReserved(at, seq)
-	if s.stopped || s.guardErr != nil || at > s.until || !s.leads(at, seq) {
-		return false
+	if !s.stopped && s.guardErr == nil && at <= s.until && s.leads(at, seq) {
+		s.tick()
+		if s.guardErr == nil {
+			s.now = at
+			s.begin(seq)
+			return true
+		}
 	}
-	s.tick()
-	if s.guardErr != nil {
-		return false
-	}
-	s.now = at
-	s.begin(seq)
-	return true
+	s.queueReserved(at, seq, h)
+	return false
 }
 
 // leads reports whether (at, seq) sorts before every queued key other

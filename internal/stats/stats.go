@@ -46,10 +46,10 @@ type Flow struct {
 	BytesAcked      int64  // cumulatively acknowledged payload bytes
 
 	binSize sim.Time
-	binCap  int
+	binCap  int     // DefaultBinCap; at least 2 so decimation makes progress
 	bins    []int64 // bytes newly acked per interval, for dynamics plots
 
-	cwndCap    int
+	cwndCap    int  // DefaultCwndCap
 	cwndOff    bool // drop cwnd samples entirely (summary-only flows)
 	cwndStride int  // record every stride-th sample; doubles on decimation
 	cwndSkip   int  // samples to skip before the next recorded one
@@ -61,21 +61,8 @@ type Flow struct {
 // NewFlow creates a flow recorder. binSize controls the resolution of the
 // throughput-dynamics series; zero disables binning.
 func NewFlow(id int, variant string, binSize sim.Time) *Flow {
-	return &Flow{ID: id, Variant: variant, binSize: binSize}
-}
-
-// SetTraceCap overrides the series caps (both bins and cwnd samples).
-// n <= 0 restores the package defaults. A tiny n is clamped to 2 so
-// decimation always makes progress.
-func (f *Flow) SetTraceCap(n int) {
-	if n <= 0 {
-		f.binCap, f.cwndCap = 0, 0
-		return
-	}
-	if n < 2 {
-		n = 2
-	}
-	f.binCap, f.cwndCap = n, n
+	return &Flow{ID: id, Variant: variant, binSize: binSize,
+		binCap: DefaultBinCap, cwndCap: DefaultCwndCap}
 }
 
 // DisableCwnd stops the recorder from retaining congestion-window
@@ -83,20 +70,6 @@ func (f *Flow) SetTraceCap(n int) {
 // series. Summary-only runs use it so a large flow population costs no
 // trace memory at all.
 func (f *Flow) DisableCwnd() { f.cwndOff = true }
-
-func (f *Flow) binCapacity() int {
-	if f.binCap > 0 {
-		return f.binCap
-	}
-	return DefaultBinCap
-}
-
-func (f *Flow) cwndCapacity() int {
-	if f.cwndCap > 0 {
-		return f.cwndCap
-	}
-	return DefaultCwndCap
-}
 
 // AddAcked credits newly acknowledged payload bytes at virtual time t.
 func (f *Flow) AddAcked(t sim.Time, bytes int64) {
@@ -109,7 +82,7 @@ func (f *Flow) AddAcked(t sim.Time, bytes int64) {
 	// sparse tail of idx zero bins; decimate until the observed horizon
 	// fits under the cap, merging adjacent bin pairs (byte totals are
 	// preserved, bin width doubles).
-	for idx >= f.binCapacity() {
+	for idx >= f.binCap {
 		f.decimateBins()
 		idx = int(t / f.binSize)
 	}
@@ -155,7 +128,7 @@ func (f *Flow) RecordCwnd(t sim.Time, cwnd float64) {
 	}
 	f.cwnd = append(f.cwnd, s)
 	f.cwndSkip = f.cwndStride - 1
-	if len(f.cwnd) >= f.cwndCapacity() {
+	if len(f.cwnd) >= f.cwndCap {
 		// Keep even indices (the first sample survives every round).
 		kept := f.cwnd[:0]
 		for i := 0; i < len(f.cwnd); i += 2 {

@@ -127,7 +127,7 @@ func TestQuickJainIndexBounds(t *testing.T) {
 
 func TestBinDecimationPreservesByteTotal(t *testing.T) {
 	f := NewFlow(1, "muzha", 100*sim.Millisecond)
-	f.SetTraceCap(32)
+	f.binCap, f.cwndCap = 32, 32
 	var want int64
 	// Far more acks than the cap can hold at the initial resolution.
 	for i := 0; i < 1000; i++ {
@@ -154,7 +154,7 @@ func TestBinDecimationMonotoneCumulative(t *testing.T) {
 	// the true cumulative count at that time: merging adjacent pairs
 	// shifts no bytes across the pair boundary.
 	f := NewFlow(1, "muzha", sim.Second)
-	f.SetTraceCap(8)
+	f.binCap, f.cwndCap = 8, 8
 	truth := make(map[sim.Time]int64) // cumulative bytes by time
 	var cum int64
 	for i := 0; i < 64; i++ {
@@ -194,7 +194,7 @@ func TestSparseTailDoesNotBlowUpBins(t *testing.T) {
 
 func TestCwndDecimationPreservesEndpoints(t *testing.T) {
 	f := NewFlow(1, "muzha", 0)
-	f.SetTraceCap(16)
+	f.binCap, f.cwndCap = 16, 16
 	n := 10_000
 	for i := 0; i < n; i++ {
 		f.RecordCwnd(sim.Time(i)*sim.Millisecond, float64(i))

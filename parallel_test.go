@@ -249,6 +249,46 @@ func TestParallelProgressAndCancel(t *testing.T) {
 	}
 }
 
+// TestProgressSingleDomain pins progress on a single-domain run, where
+// snapshots ride the guard tick: unguarded (the tick runs every
+// ProgressEvery events) and beside a Cancel poll whose 1024-event period
+// does not divide ProgressEvery. Snapshots never go backwards, at most
+// one falls in each ProgressEvery-event period, the last one carries
+// the run's totals, and the golden event hash is the one the run has
+// without progress.
+func TestProgressSingleDomain(t *testing.T) {
+	cfg := goldenScenarios(t)["chain-4hop-muzha"]
+	want := goldenHash(t, cfg)
+	for name, cancel := range map[string]chan struct{}{"unguarded": nil, "with-cancel": make(chan struct{})} {
+		t.Run(name, func(t *testing.T) {
+			c := cfg
+			c.Cancel = cancel
+			c.ProgressEvery = 3000
+			var updates []ProgressUpdate
+			c.Progress = func(u ProgressUpdate) { updates = append(updates, u) }
+			got, res := goldenRun(t, c)
+			if got != want {
+				t.Fatalf("progress changed the event stream: %s, want %s", got, want)
+			}
+			if n := uint64(len(updates)); n < 2 || n > res.Events/c.ProgressEvery+1 {
+				t.Fatalf("%d snapshots for %d events at every %d", n, res.Events, c.ProgressEvery)
+			}
+			for i := 1; i < len(updates); i++ {
+				prev, u := updates[i-1], updates[i]
+				if u.SimTime < prev.SimTime || u.Events < prev.Events {
+					t.Fatalf("snapshot %d went backwards: %+v after %+v", i, u, prev)
+				}
+				if i < len(updates)-1 && u.Events/c.ProgressEvery <= prev.Events/c.ProgressEvery {
+					t.Fatalf("snapshots %d and %d fall in one %d-event period: %+v, %+v", i-1, i, c.ProgressEvery, prev, u)
+				}
+			}
+			if last := updates[len(updates)-1]; last.Events != res.Events || last.SimTime != cfg.Duration {
+				t.Fatalf("terminal snapshot %+v, want %d events at %v", last, res.Events, cfg.Duration)
+			}
+		})
+	}
+}
+
 // TestParallelRaceSweep drives genuinely concurrent multi-domain runs
 // (full fault mix, mobility, background traffic) at NumCPU workers so
 // `go test -race` patrols the worker pool, the progress aggregation

@@ -88,31 +88,8 @@ func Run(cfg Config) (res *Result, err error) {
 // flows).
 func run(cfg Config, rec trace.Recorder) (res *Result, err error) {
 	s := sim.New(cfg.Seed)
-	hook := cfg.eventHook
-	if cfg.Progress != nil {
-		// Progress rides the event-hook observer: a counter per event and
-		// a callback every ProgressEvery events. The hook observes the
-		// schedule without touching it, so enabling progress cannot change
-		// a run's outcome.
-		every := cfg.ProgressEvery
-		if every == 0 {
-			every = defaultProgressEvery
-		}
-		prev, progress := hook, cfg.Progress
-		count, left := uint64(0), every
-		hook = func(at sim.Time, seq uint64) {
-			if prev != nil {
-				prev(at, seq)
-			}
-			count++
-			if left--; left == 0 {
-				left = every
-				progress(ProgressUpdate{SimTime: at.Duration(), Events: count})
-			}
-		}
-	}
-	if hook != nil {
-		s.SetEventHook(hook)
+	if cfg.eventHook != nil {
+		s.SetEventHook(cfg.eventHook)
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -123,7 +100,6 @@ func run(cfg Config, rec trace.Recorder) (res *Result, err error) {
 
 	phyCfg := phy.DefaultConfig()
 	phyCfg.PacketErrorRate = cfg.PacketErrorRate
-	phyCfg.BitErrorRate = cfg.BitErrorRate
 	ch, err := phy.NewChannel(s, phyCfg)
 	if err != nil {
 		return nil, err
@@ -135,12 +111,6 @@ func run(cfg Config, rec trace.Recorder) (res *Result, err error) {
 	if cfg.UseRED {
 		nodeCfg.RED.MinTh = float64(cfg.QueueLimit) / 4
 		nodeCfg.RED.MaxTh = float64(cfg.QueueLimit) * 3 / 4
-		if cfg.REDMinTh > 0 {
-			nodeCfg.RED.MinTh = float64(cfg.REDMinTh)
-		}
-		if cfg.REDMaxTh > 0 {
-			nodeCfg.RED.MaxTh = float64(cfg.REDMaxTh)
-		}
 		nodeCfg.RED.MaxP = 0.1
 		nodeCfg.RED.Weight = 0.002
 		nodeCfg.RED.MarkInsteadOfDrop = cfg.REDMarkECN
@@ -227,7 +197,6 @@ func run(cfg Config, rec trace.Recorder) (res *Result, err error) {
 			bin = 0
 		}
 		fl := stats.NewFlow(i+1, string(f.variant()), bin)
-		fl.SetTraceCap(cfg.TraceCap)
 		if cfg.summaryTraces || !cfg.TraceCwnd {
 			fl.DisableCwnd()
 		}
@@ -405,9 +374,10 @@ func run(cfg Config, rec trace.Recorder) (res *Result, err error) {
 	}
 
 	// Arm the run guards last so the watchdog's wall clock starts at the
-	// first event, not at setup. Cancellation shares the guard tick: the
-	// engine polls the Cancel channel every guard period, so a close is
-	// noticed within ~1024 events.
+	// first event, not at setup. Cancellation and progress share the
+	// guard tick: the engine polls the Cancel channel every guard period,
+	// so a close is noticed within ~1024 events, and reports progress on
+	// the first tick at or past each ProgressEvery events.
 	var guards []func() error
 	interval := uint64(0)
 	if g := cfg.Guards; g.Enabled() {
@@ -423,6 +393,25 @@ func run(cfg Config, rec trace.Recorder) (res *Result, err error) {
 			default:
 				return nil
 			}
+		})
+	}
+	if progress := cfg.Progress; progress != nil {
+		// The guard only observes the run, so enabling progress cannot
+		// change its outcome.
+		every := cfg.ProgressEvery
+		if every == 0 {
+			every = defaultProgressEvery
+		}
+		if len(guards) == 0 {
+			interval = every
+		}
+		next := every
+		guards = append(guards, func() error {
+			if n := s.EventsExecuted(); n >= next {
+				next = (n/every + 1) * every
+				progress(ProgressUpdate{SimTime: s.Now().Duration(), Events: n})
+			}
+			return nil
 		})
 	}
 	if len(guards) > 0 {
