@@ -35,7 +35,7 @@ import (
 	"time"
 
 	"muzha"
-	"muzha/internal/chaoscov"
+	"muzha/internal/harness"
 	"muzha/internal/jobs"
 )
 
@@ -62,7 +62,6 @@ func run(args []string) error {
 
 		cacheEntries = fs.Int("cache-max-entries", 0, "result-cache entry cap; least-recently-used results are evicted past it (0 = unbounded)")
 		cacheBytes   = fs.Int64("cache-max-bytes", 0, "result-cache byte cap for cached result payloads (0 = unbounded)")
-		corpus       = fs.String("chaos-corpus", "", "chaos-corpus JSONL to summarize in /v1/stats (written by muzhasim -chaos-cov)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -85,23 +84,11 @@ func run(args []string) error {
 		ProgressEvery: *progress,
 		RunWorkers:    *runWorkers,
 		Logf:          logger.Printf,
-		CacheLimit: jobs.CacheLimit{
+		CacheLimit: harness.CacheLimit{
 			MaxEntries: *cacheEntries,
 			MaxBytes:   *cacheBytes,
 		},
 	}
-	if *corpus != "" {
-		path := *corpus
-		scfg.ChaosStats = func() *chaoscov.Info {
-			info, err := chaoscov.ReadInfo(path)
-			if err != nil {
-				logger.Printf("chaos corpus %s: %v", path, err)
-				return nil
-			}
-			return &info
-		}
-	}
-
 	srv, err := jobs.NewServer(scfg)
 	if err != nil {
 		return err

@@ -23,9 +23,10 @@
 // All experiments are deterministic in -seed. Multi-run sweeps execute
 // on a supervised worker pool: -parallel sets the worker count (default
 // GOMAXPROCS; per-run results are identical at any width), -resume
-// journals finished runs to a JSONL file and skips them on restart, and
-// -deadline / -max-events bound each run's wall-clock time and event
-// count so one stuck scenario cannot hang a sweep.
+// stores each successful run in a result store (muzhad's cache.jsonl
+// format) and skips the stored runs on restart, re-running failed
+// ones, and -deadline / -max-events bound each run's wall-clock time
+// and event count so one stuck scenario cannot hang a sweep.
 //
 // The -chaos-cov mode runs the coverage-guided chaos loop: randomized
 // fault-injection specs are mutated from a persistent corpus (-corpus)
@@ -170,7 +171,7 @@ func run(args []string, out io.Writer) error {
 		runs       = fs.Int("runs", 10, "number of chaos scenarios (-chaos-cov)")
 		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (per-run results are identical at any width)")
 		runWorkers = fs.Int("run-workers", 0, "interaction domains each run simulates at once (0 = one per CPU, 1 = one at a time; output identical at any width)")
-		resume     = fs.String("resume", "", "JSONL journal path: record finished runs, skip them on restart")
+		resume     = fs.String("resume", "", "result store path (muzhad's cache.jsonl format): store successful runs, skip them on restart")
 		deadline   = fs.Duration("deadline", 0, "per-run wall-clock deadline (0 = unbounded)")
 		maxEvents  = fs.Uint64("max-events", 0, "per-run simulator event budget (0 = unbounded)")
 		cpuprof    = fs.String("cpuprofile", "", "write a pprof CPU profile of the run/sweep to this file")
@@ -413,7 +414,7 @@ func (r runner) run(spec scenario.Spec) (res *muzha.Result, raw json.RawMessage,
 	if r.cli != nil {
 		res, raw, err = remoteRun(r.cli, cfg)
 	} else if res, err = muzha.Run(cfg); err == nil {
-		raw, err = jobs.EncodeResult(res)
+		raw, err = muzha.EncodeResult(res)
 	}
 	return res, raw, muzha.ClassifyRun(res, err), err
 }

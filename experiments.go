@@ -64,9 +64,10 @@ type Chart struct {
 // reduces each experiment over its cells' Results. It returns one
 // Output per experiment, in order, and a *SweepError over the distinct
 // runs when any failed; a harness error (an unhashable config, an
-// unopenable journal) returns no Outputs.
+// unopenable result store) returns no Outputs.
 func RunExperiments(exps []*Experiment, opt SweepOptions) ([]Output, error) {
 	var cfgs []Config
+	var keys []string
 	index := make(map[string]int)
 	slots := make([][]int, len(exps))
 	for i, e := range exps {
@@ -80,11 +81,12 @@ func RunExperiments(exps []*Experiment, opt SweepOptions) ([]Output, error) {
 				k = len(cfgs)
 				index[key] = k
 				cfgs = append(cfgs, cfg)
+				keys = append(keys, key)
 			}
 			slots[i] = append(slots[i], k)
 		}
 	}
-	runs, err := runPool(cfgs, opt)
+	runs, err := runPool(cfgs, keys, opt)
 	if err != nil {
 		return nil, err
 	}

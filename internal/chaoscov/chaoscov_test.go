@@ -145,42 +145,6 @@ func TestCorpusPersistAndResume(t *testing.T) {
 	}
 }
 
-// TestReadInfoIsReadOnly: the stats probe runs beside a live loop, so
-// it must never create, terminate or otherwise write a corpus file.
-func TestReadInfoIsReadOnly(t *testing.T) {
-	dir := t.TempDir()
-	missing := filepath.Join(dir, "missing.jsonl")
-	if info, err := ReadInfo(missing); err != nil || info != (Info{}) {
-		t.Fatalf("missing corpus: info=%+v err=%v", info, err)
-	}
-	if _, err := os.Stat(missing); !os.IsNotExist(err) {
-		t.Fatalf("ReadInfo created %s (stat err %v)", missing, err)
-	}
-
-	path := filepath.Join(dir, "corpus.jsonl")
-	c, err := OpenCorpus(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Add(specFixture(1), -1, []string{"a"}, "")
-	c.Add(specFixture(2), 0, []string{"a", "b"}, "panic")
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A loop caught mid-append: the file ends in a partial line.
-	before := tearTail(t, path, `{"id": 2, "spec": {"seed`)
-	info, err := ReadInfo(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (Info{Entries: 2, Sometimes: 2, Classes: 1, Failures: 1}); info != want {
-		t.Fatalf("info = %+v, want %+v", info, want)
-	}
-	if after, _ := os.ReadFile(path); string(after) != string(before) {
-		t.Fatalf("ReadInfo modified the corpus:\nbefore %q\nafter  %q", before, after)
-	}
-}
-
 // loopGuards bounds test runs tightly so a pathological mutant cannot
 // stall the suite.
 var loopGuards = muzha.RunGuards{WallClock: time.Minute, MaxEvents: 20_000_000, LivelockWindow: 5_000_000}

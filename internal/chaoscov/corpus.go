@@ -14,12 +14,11 @@
 // entry per distinct signature, in the spirit of fuzzing-harness
 // corpus distillation.
 //
-// The corpus is an internal/jsonl log, like the sweep journal: one
-// write per entry as runs finish, no fsync per append, and a torn tail
-// terminated on open, so a loop killed mid-write loses at most that one
-// line and a restarted loop resumes from the accumulated coverage
-// instead of rediscovering it. ReadInfo only reads the file, so it is
-// safe beside a live loop.
+// The corpus is an internal/jsonl log, like the result store sweeps
+// and muzhad share: one write per entry as runs finish, no fsync per
+// append, and a torn tail terminated on open, so a loop killed
+// mid-write loses at most that one line and a restarted loop resumes
+// from the accumulated coverage instead of rediscovering it.
 package chaoscov
 
 import (
@@ -27,7 +26,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
@@ -245,47 +243,4 @@ func (c *Corpus) Close() error {
 		return nil
 	}
 	return c.log.Close()
-}
-
-// Info summarizes a corpus file for reporting (the muzhad /v1/stats
-// chaos block). It reads the journal fresh on every call, tolerating
-// a concurrently appending loop the same way resume does.
-type Info struct {
-	// Entries is the number of distinct-coverage corpus entries.
-	Entries int `json:"entries"`
-	// Sometimes is the number of distinct Sometimes assertions reached.
-	Sometimes int `json:"sometimes"`
-	// Classes is the number of distinct failure classes seen.
-	Classes int `json:"classes"`
-	// Failures is the number of corpus entries that failed.
-	Failures int `json:"failures"`
-}
-
-// ReadInfo summarizes the corpus journal at path. It only reads: a
-// missing file is an empty corpus, and a file a live loop is appending
-// to is never written or repaired.
-func ReadInfo(path string) (Info, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return Info{}, nil
-	}
-	if err != nil {
-		return Info{}, fmt.Errorf("chaoscov: read corpus: %w", err)
-	}
-	defer f.Close()
-	c, _ := OpenCorpus("") // in memory: never fails
-	if _, err := jsonl.Scan(f, c.load); err != nil {
-		return Info{}, fmt.Errorf("chaoscov: read corpus: %w", err)
-	}
-	info := Info{
-		Entries:   c.Len(),
-		Sometimes: len(c.SometimesCoverage()),
-		Classes:   len(c.Classes()),
-	}
-	for _, e := range c.entries {
-		if e.Class != "" {
-			info.Failures++
-		}
-	}
-	return info, nil
 }

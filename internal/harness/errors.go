@@ -2,20 +2,19 @@
 // unbounded FIFO queue drained by a fixed set of workers) with per-job
 // panic containment and failure replay, a typed failure taxonomy, a
 // wall-clock/event-budget/livelock watchdog that the engine checks
-// cooperatively, and a JSONL journal that makes interrupted sweeps
-// resumable. Batch sweeps submit every job and close the pool; the
+// cooperatively, and the content-addressed result store (Cache) that
+// makes interrupted sweeps resumable and backs the muzhad daemon's
+// result cache. Batch sweeps submit every job and close the pool; the
 // muzhad daemon submits jobs as clients send them and bounds its own
-// admission.
+// admission. Both look a run up in the store before submitting it and
+// store its result themselves; the pool stores nothing.
 //
 // The package is deliberately generic — jobs are plain closures — so it
 // carries no dependency on the simulation model and the root package can
 // route every sweep through it without an import cycle.
 package harness
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Sentinel errors of the failure taxonomy. Guard aborts, panics and
 // classifier verdicts wrap exactly one of these so callers can triage
@@ -125,13 +124,4 @@ func WorstOf(counts map[Class]int) Class {
 		}
 	}
 	return ClassOK
-}
-
-// resumeError reconstructs a journaled failure so a resumed sweep
-// classifies it exactly like the original run did.
-func resumeError(class Class, msg string) error {
-	if s := Sentinel(class); s != nil {
-		return fmt.Errorf("%w (resumed): %s", s, msg)
-	}
-	return fmt.Errorf("resumed failure: %s", msg)
 }

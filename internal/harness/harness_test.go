@@ -70,13 +70,13 @@ func TestReplayClassifiesNonDeterministic(t *testing.T) {
 		return calls[key]
 	}
 	jobs := []Job{
-		{Key: "flaky", Fn: func() (any, error) {
+		{Fn: func() (any, error) {
 			if count("flaky") == 1 {
 				return nil, fmt.Errorf("first attempt: %w", ErrLivelock)
 			}
 			return "fine", nil
 		}},
-		{Key: "stuck", Fn: func() (any, error) {
+		{Fn: func() (any, error) {
 			count("stuck")
 			return nil, fmt.Errorf("always: %w", ErrLivelock)
 		}},
@@ -97,7 +97,7 @@ func TestReplayClassifiesNonDeterministic(t *testing.T) {
 // the replay classifier must not relabel them nondeterministic.
 func TestReplaySkipsDeadline(t *testing.T) {
 	calls := 0
-	jobs := []Job{{Key: "slow", Fn: func() (any, error) {
+	jobs := []Job{{Fn: func() (any, error) {
 		calls++
 		return nil, fmt.Errorf("too slow: %w", ErrDeadline)
 	}}}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -11,9 +10,6 @@ import (
 // Job is one unit of sweep work. Fn must be re-runnable: the pool
 // invokes it again to classify a failure as deterministic or divergent.
 type Job struct {
-	// Key uniquely and stably identifies the job across sweep restarts;
-	// it is the journal key.
-	Key string
 	// Fn performs the run. It is called from a worker goroutine and must
 	// not share mutable state with other jobs.
 	Fn func() (any, error)
@@ -21,26 +17,16 @@ type Job struct {
 
 // Outcome is one job's terminal state.
 type Outcome struct {
-	Key string
-	// Value is Fn's result for jobs that ran; nil for resumed jobs
-	// (decode Raw instead) and failures.
+	// Value is Fn's result; nil for failures.
 	Value any
-	// Raw is the journaled result for resumed jobs.
-	Raw json.RawMessage
 	// Err is the classified failure, nil on success.
 	Err error
 	// Class is Classify(Err).
 	Class Class
-	// Resumed is set when the outcome was satisfied from the journal
-	// without running Fn.
-	Resumed bool
 }
 
 // Options configures a Pool.
 type Options struct {
-	// Journal, when non-nil, records outcomes as they complete and
-	// satisfies jobs it already holds without re-running them.
-	Journal *Journal
 	// Replay re-runs each failed job once: an identical failure class
 	// keeps its classification, a different outcome reclassifies the job
 	// ErrNonDeterministic. Wall-clock deadline failures are exempt —
@@ -48,22 +34,11 @@ type Options struct {
 	Replay bool
 }
 
-// runJob executes (or resumes) one job with panic containment, failure
-// replay and journaling.
+// runJob executes one job with panic containment and failure replay.
+// The pool stores nothing: a caller that keeps results (a sweep's
+// store, the daemon's cache) looks each job up before it submits and
+// stores each success itself.
 func runJob(job Job, opt Options) Outcome {
-	out := Outcome{Key: job.Key}
-	if opt.Journal != nil {
-		if e, ok := opt.Journal.Lookup(job.Key); ok && (!e.OK || len(e.Value) > 0) {
-			out.Resumed = true
-			out.Raw = e.Value
-			out.Class = Class(e.Class)
-			if !e.OK {
-				out.Err = resumeError(out.Class, e.Err)
-			}
-			return out
-		}
-	}
-
 	v, err := safeCall(job.Fn)
 	if err != nil && opt.Replay && Classify(err) != ClassDeadline && Classify(err) != ClassCanceled {
 		_, err2 := safeCall(job.Fn)
@@ -72,22 +47,10 @@ func runJob(job Job, opt Options) Outcome {
 				ErrNonDeterministic, err, describeReplay(err2))
 		}
 	}
-	out.Value, out.Err = v, err
-	out.Class = Classify(err)
 	if err != nil {
-		out.Value = nil
+		v = nil
 	}
-
-	if opt.Journal != nil {
-		e := Entry{Key: job.Key, OK: err == nil, Class: string(out.Class)}
-		if err != nil {
-			e.Err = err.Error()
-		} else if b, merr := json.Marshal(v); merr == nil {
-			e.Value = b
-		}
-		opt.Journal.Record(e)
-	}
-	return out
+	return Outcome{Value: v, Err: err, Class: Classify(err)}
 }
 
 func describeReplay(err error) string {
@@ -100,8 +63,8 @@ func describeReplay(err error) string {
 // Pool is the supervised worker pool every batch sweep and the muzhad
 // daemon run on. Jobs are submitted one at a time into an unbounded
 // FIFO queue; a fixed set of workers takes them in submission order,
-// runs each with panic containment, optional replay classification and
-// journaling, and hands the outcome to its submit-time callback. The
+// runs each with panic containment and optional replay classification,
+// and hands the outcome to its submit-time callback. The
 // pool never aborts early: a failed, panicking or stuck job is
 // classified and the queued jobs still run. Each Fn executes
 // single-threaded within its worker, so per-job results are independent

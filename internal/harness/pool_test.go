@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -19,10 +17,14 @@ func newCollect() *collectOutcomes {
 	return &collectOutcomes{outs: make(map[string]Outcome)}
 }
 
-func (c *collectOutcomes) done(o Outcome) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.outs[o.Key] = o
+// done returns the callback that records the outcome of the job named
+// key.
+func (c *collectOutcomes) done(key string) func(Outcome) {
+	return func(o Outcome) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.outs[key] = o
+	}
 }
 
 // runAll submits the jobs to a fresh pool, closes it, and returns the
@@ -43,7 +45,7 @@ func TestPoolRunsAllJobs(t *testing.T) {
 	p := NewPool(3, Options{})
 	c := newCollect()
 	for i := 0; i < 8; i++ {
-		p.Submit(Job{Key: fmt.Sprintf("job-%d", i), Fn: func() (any, error) { return i * i, nil }}, c.done)
+		p.Submit(Job{Fn: func() (any, error) { return i * i, nil }}, c.done(fmt.Sprintf("job-%d", i)))
 	}
 	p.Close()
 	if len(c.outs) != 8 {
@@ -64,10 +66,10 @@ func TestExecuteOrderAndParallelism(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		jobs := make([]Job, 20)
 		for i := range jobs {
-			jobs[i] = Job{Key: fmt.Sprintf("job-%d", i), Fn: func() (any, error) { return i, nil }}
+			jobs[i] = Job{Fn: func() (any, error) { return i, nil }}
 		}
 		for i, o := range runAll(jobs, workers, Options{}) {
-			if o.Key != jobs[i].Key || o.Err != nil || o.Value != i {
+			if o.Err != nil || o.Value != i {
 				t.Fatalf("workers=%d: outcome %d = %+v", workers, i, o)
 			}
 		}
@@ -86,7 +88,7 @@ func TestPoolConcurrentSubmit(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				key := fmt.Sprintf("g%d-%d", g, i)
-				p.Submit(Job{Key: key, Fn: func() (any, error) { return key, nil }}, c.done)
+				p.Submit(Job{Fn: func() (any, error) { return key, nil }}, c.done(key))
 			}
 		}()
 	}
@@ -109,9 +111,9 @@ func TestPoolSubmitIsFIFO(t *testing.T) {
 	release := make(chan struct{})
 	var order []int
 	p := NewPool(1, Options{})
-	p.Submit(Job{Key: "gate", Fn: func() (any, error) { <-release; return nil, nil }}, nil)
+	p.Submit(Job{Fn: func() (any, error) { <-release; return nil, nil }}, nil)
 	for i := 0; i < 50; i++ {
-		p.Submit(Job{Key: fmt.Sprintf("job-%d", i), Fn: func() (any, error) {
+		p.Submit(Job{Fn: func() (any, error) {
 			order = append(order, i)
 			return nil, nil
 		}}, nil)
@@ -136,13 +138,13 @@ func TestPoolRunningAndClose(t *testing.T) {
 	started := make(chan struct{})
 	p := NewPool(1, Options{})
 	c := newCollect()
-	p.Submit(Job{Key: "busy", Fn: func() (any, error) {
+	p.Submit(Job{Fn: func() (any, error) {
 		close(started)
 		<-release
 		return "done", nil
-	}}, c.done)
+	}}, c.done("busy"))
 	<-started
-	p.Submit(Job{Key: "queued", Fn: func() (any, error) { return "ok", nil }}, c.done)
+	p.Submit(Job{Fn: func() (any, error) { return "ok", nil }}, c.done("queued"))
 	if p.Running() != 1 {
 		t.Fatalf("running=%d, want 1", p.Running())
 	}
@@ -157,7 +159,7 @@ func TestPoolRunningAndClose(t *testing.T) {
 			t.Fatal("closed pool accepted a job")
 		}
 	}()
-	p.Submit(Job{Key: "late", Fn: func() (any, error) { return nil, nil }}, c.done)
+	p.Submit(Job{Fn: func() (any, error) { return nil, nil }}, c.done("late"))
 }
 
 // TestPoolContainsPanics: a panicking job is classified ErrPanic and
@@ -165,8 +167,8 @@ func TestPoolRunningAndClose(t *testing.T) {
 func TestPoolContainsPanics(t *testing.T) {
 	p := NewPool(1, Options{})
 	c := newCollect()
-	p.Submit(Job{Key: "boom", Fn: func() (any, error) { panic("kaboom") }}, c.done)
-	p.Submit(Job{Key: "after", Fn: func() (any, error) { return 7, nil }}, c.done)
+	p.Submit(Job{Fn: func() (any, error) { panic("kaboom") }}, c.done("boom"))
+	p.Submit(Job{Fn: func() (any, error) { return 7, nil }}, c.done("after"))
 	p.Close()
 	if boom := c.outs["boom"]; !errors.Is(boom.Err, ErrPanic) || boom.Class != ClassPanic {
 		t.Fatalf("panic outcome = %+v", boom)
@@ -181,9 +183,9 @@ func TestPoolContainsPanics(t *testing.T) {
 // completes.
 func TestExecutePanicContainment(t *testing.T) {
 	outs := runAll([]Job{
-		{Key: "good-1", Fn: func() (any, error) { return "ok", nil }},
-		{Key: "bomb", Fn: func() (any, error) { panic("boom") }},
-		{Key: "good-2", Fn: func() (any, error) { return "ok", nil }},
+		{Fn: func() (any, error) { return "ok", nil }},
+		{Fn: func() (any, error) { panic("boom") }},
+		{Fn: func() (any, error) { return "ok", nil }},
 	}, 2, Options{})
 	if !errors.Is(outs[1].Err, ErrPanic) || outs[1].Class != ClassPanic {
 		t.Fatalf("panic outcome %+v", outs[1])
@@ -200,10 +202,10 @@ func TestPoolCanceledJobsAreNotReplayed(t *testing.T) {
 	calls := 0
 	p := NewPool(1, Options{Replay: true})
 	c := newCollect()
-	p.Submit(Job{Key: "c", Fn: func() (any, error) {
+	p.Submit(Job{Fn: func() (any, error) {
 		calls++
 		return nil, fmt.Errorf("aborted: %w", ErrCanceled)
-	}}, c.done)
+	}}, c.done("c"))
 	p.Close()
 	o := c.outs["c"]
 	if calls != 1 {
@@ -211,89 +213,5 @@ func TestPoolCanceledJobsAreNotReplayed(t *testing.T) {
 	}
 	if o.Class != ClassCanceled {
 		t.Fatalf("outcome = %+v, want canceled", o)
-	}
-}
-
-// TestPoolJournalResume: a job submitted to a new pool on the same
-// journal is satisfied from it without running again.
-func TestPoolJournalResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pool.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPool(2, Options{Journal: j})
-	c := newCollect()
-	p.Submit(Job{Key: "x", Fn: func() (any, error) { return 1, nil }}, c.done)
-	p.Close()
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	p2 := NewPool(2, Options{Journal: j2})
-	c2 := newCollect()
-	p2.Submit(Job{Key: "x", Fn: func() (any, error) {
-		t.Error("journaled job re-ran")
-		return nil, nil
-	}}, c2.done)
-	p2.Close()
-	if o := c2.outs["x"]; !o.Resumed || string(o.Raw) != "1" {
-		t.Fatalf("resume outcome = %+v", o)
-	}
-}
-
-// TestExecuteResumesFromJournal: re-executing the same batch against
-// the same journal must not re-run completed work, and failed entries
-// keep their classification across the restart.
-func TestExecuteResumesFromJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	ran := map[string]int{}
-	mkJobs := func() []Job {
-		return []Job{
-			{Key: "ok-job", Fn: func() (any, error) { ran["ok-job"]++; return 42, nil }},
-			{Key: "bad-job", Fn: func() (any, error) {
-				ran["bad-job"]++
-				return nil, fmt.Errorf("always: %w", ErrEventBudget)
-			}},
-		}
-	}
-
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs := runAll(mkJobs(), 1, Options{Journal: j})
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if outs[0].Err != nil || outs[1].Class != ClassEventBudget {
-		t.Fatalf("first pass outcomes %+v", outs)
-	}
-
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs2 := runAll(mkJobs(), 1, Options{Journal: j2})
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if ran["ok-job"] != 1 || ran["bad-job"] != 1 {
-		t.Fatalf("journaled jobs re-ran: %v", ran)
-	}
-	if !outs2[0].Resumed || !outs2[1].Resumed {
-		t.Fatalf("resume not reported: %+v", outs2)
-	}
-	var v int
-	if err := json.Unmarshal(outs2[0].Raw, &v); err != nil || v != 42 {
-		t.Fatalf("resumed value %s (%v)", outs2[0].Raw, err)
-	}
-	if !errors.Is(outs2[1].Err, ErrEventBudget) || outs2[1].Class != ClassEventBudget {
-		t.Fatalf("resumed failure lost its class: %+v", outs2[1])
 	}
 }

@@ -42,7 +42,7 @@ func islandsResult(tb testing.TB) *muzha.Result {
 // on an islands-scale Result.
 func BenchmarkEncodeResult(b *testing.B) {
 	res := islandsResult(b)
-	raw, err := EncodeResult(res)
+	raw, err := muzha.EncodeResult(res)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func BenchmarkEncodeResult(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeResult(res); err != nil {
+		if _, err := muzha.EncodeResult(res); err != nil {
 			b.Fatal(err)
 		}
 	}

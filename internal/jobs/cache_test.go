@@ -1,16 +1,26 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
+
+	"muzha"
+	"muzha/internal/harness"
 )
 
-func openTestCache(t *testing.T, path string, limit CacheLimit) *Cache {
+// The daemon's result cache is harness.Cache; these tests pin the LRU
+// caps and compaction a daemon configures with -cache-max-entries and
+// -cache-max-bytes.
+
+func openTestCache(t *testing.T, path string, limit harness.CacheLimit) *harness.Cache {
 	t.Helper()
-	c, err := OpenCache(path, limit)
+	c, err := harness.OpenCache(path, limit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +33,7 @@ func val(i int) json.RawMessage {
 }
 
 func TestCacheEvictsLRUByEntryCap(t *testing.T) {
-	c := openTestCache(t, filepath.Join(t.TempDir(), "cache.jsonl"), CacheLimit{MaxEntries: 3})
+	c := openTestCache(t, filepath.Join(t.TempDir(), "cache.jsonl"), harness.CacheLimit{MaxEntries: 3})
 	for i := 0; i < 3; i++ {
 		c.Put(fmt.Sprintf("h%d", i), val(i))
 	}
@@ -47,7 +57,7 @@ func TestCacheEvictsLRUByEntryCap(t *testing.T) {
 }
 
 func TestCacheEvictsByByteCap(t *testing.T) {
-	c := openTestCache(t, filepath.Join(t.TempDir(), "cache.jsonl"), CacheLimit{MaxBytes: 24})
+	c := openTestCache(t, filepath.Join(t.TempDir(), "cache.jsonl"), harness.CacheLimit{MaxBytes: 24})
 	c.Put("a", val(1)) // 7 bytes
 	c.Put("b", val(2))
 	c.Put("c", val(3))
@@ -75,7 +85,7 @@ func TestCacheEvictsByByteCap(t *testing.T) {
 
 func TestCacheCompactsDeadWeightOnReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c := openTestCache(t, path, CacheLimit{MaxEntries: 2})
+	c := openTestCache(t, path, harness.CacheLimit{MaxEntries: 2})
 	for i := 0; i < 10; i++ {
 		c.Put(fmt.Sprintf("h%d", i), val(i))
 	}
@@ -87,7 +97,7 @@ func TestCacheCompactsDeadWeightOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := openTestCache(t, path, CacheLimit{MaxEntries: 2})
+	r := openTestCache(t, path, harness.CacheLimit{MaxEntries: 2})
 	if r.Len() != 2 {
 		t.Fatalf("reopened cache has %d entries, want the 2 survivors", r.Len())
 	}
@@ -110,7 +120,7 @@ func TestCacheCompactsDeadWeightOnReopen(t *testing.T) {
 
 func TestCacheUnboundedKeepsEverything(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c := openTestCache(t, path, CacheLimit{})
+	c := openTestCache(t, path, harness.CacheLimit{})
 	for i := 0; i < 50; i++ {
 		c.Put(fmt.Sprintf("h%d", i), val(i))
 	}
@@ -119,5 +129,102 @@ func TestCacheUnboundedKeepsEverything(t *testing.T) {
 	}
 	if st := c.Stats(); st.Evictions != 0 {
 		t.Fatalf("unbounded cache reports evictions: %+v", st)
+	}
+}
+
+// TestSweepStoreIsDaemonCache: sweeps and the daemon share one store.
+// A daemon started on the store a RunExperiments sweep wrote answers a
+// submission of one of the sweep's configs as a cache hit, with the
+// bytes a fresh run encodes to.
+func TestSweepStoreIsDaemonCache(t *testing.T) {
+	ctx := testCtx(t)
+	dir := t.TempDir()
+	exp, err := muzha.ThroughputVsHops(muzha.ChainSweepConfig{
+		Windows:  []int{4},
+		Hops:     []int{2, 3},
+		Variants: []muzha.Variant{muzha.NewReno},
+		Duration: time.Second,
+		Seeds:    []int64{1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := muzha.SweepOptions{Journal: filepath.Join(dir, "cache.jsonl")}
+	if _, err := muzha.RunExperiments([]*muzha.Experiment{exp}, store); err != nil {
+		t.Fatal(err)
+	}
+
+	_, cli := newTestServer(t, ServerConfig{DataDir: dir, Workers: 1})
+	cfg := exp.Cells[1]
+	j, err := cli.Submit(ctx, cfg)
+	if err != nil || !j.Cached || j.State != StateDone {
+		t.Fatalf("submission of a swept config: %+v (err %v), want a cache hit", j, err)
+	}
+	got, err := cli.Result(ctx, j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := muzha.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := muzha.EncodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the hit's bytes differ from EncodeResult(Run(cfg))")
+	}
+}
+
+// TestCacheLoadsEarlierFormats: the store loads the two files it
+// replaces. A result cache loads with the same entries; a sweep journal
+// loads its successes, and its failure lines are skipped and compacted
+// away, so a failed run is run again.
+func TestCacheLoadsEarlierFormats(t *testing.T) {
+	for _, tc := range []struct {
+		name, file string
+		want       map[string]string
+	}{
+		{
+			// Canonical Result bytes: sorted keys.
+			name: "cache",
+			file: `{"key":"h1","ok":true,"value":{"Duration":1000000000,"Events":7}}` + "\n" +
+				`{"key":"h2","ok":true,"value":{"Events":9,"Flows":null}}` + "\n",
+			want: map[string]string{"h1": `{"Duration":1000000000,"Events":7}`, "h2": `{"Events":9,"Flows":null}`},
+		},
+		{
+			// encoding/json Result bytes (field order), and a failure.
+			name: "journal",
+			file: `{"key":"h1","ok":true,"value":{"Flows":null,"Events":7}}` + "\n" +
+				`{"key":"h2","ok":false,"class":"deadline","err":"wall-clock deadline exceeded"}` + "\n",
+			want: map[string]string{"h1": `{"Flows":null,"Events":7}`},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "store.jsonl")
+			if err := os.WriteFile(path, []byte(tc.file), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c := openTestCache(t, path, harness.CacheLimit{})
+			if c.Len() != len(tc.want) {
+				t.Fatalf("loaded %d entries, want %d", c.Len(), len(tc.want))
+			}
+			for key, want := range tc.want {
+				if got, ok := c.Get(key); !ok || string(got) != want {
+					t.Fatalf("entry %s = %s (found %v), want %s", key, got, ok, want)
+				}
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(string(b), `"ok":false`) {
+				t.Fatalf("a failure line survived the open:\n%s", b)
+			}
+		})
 	}
 }

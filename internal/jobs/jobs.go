@@ -1,6 +1,7 @@
 // Package jobs is the simulation-as-a-service layer behind the muzhad
 // daemon: a job store journaled to JSONL (crash-recoverable), a
-// content-addressed result cache keyed by Config.Hash(), an HTTP server
+// content-addressed result cache keyed by Config.Hash() (harness.Cache,
+// the store muzha sweeps resume from), an HTTP server
 // with bounded-queue admission control and SSE progress streaming, and
 // a small client used by `muzhasim -remote`.
 //
@@ -15,7 +16,6 @@ import (
 	"encoding/json"
 
 	"muzha"
-	"muzha/internal/canon"
 )
 
 // State is a job's lifecycle phase.
@@ -65,13 +65,9 @@ type Job struct {
 	Progress Progress `json:"progress"`
 }
 
-// EncodeResult renders a Result in the daemon's canonical form:
-// sanitized (non-finite floats zeroed, so encoding cannot fail on a
-// degenerate flow) and canonical JSON (sorted keys). Every producer of
-// persisted or served results — the daemon's cache and responses,
-// `muzhasim -out` — uses this one encoder, which is what makes "cached
-// result" and "fresh result" byte-comparable.
+// EncodeResult is muzha.EncodeResult, the canonical Result encoding
+// the daemon caches and serves. The code in this module calls
+// muzha.EncodeResult; this name remains for the perfbench module.
 func EncodeResult(r *muzha.Result) (json.RawMessage, error) {
-	r.Sanitize()
-	return canon.JSON(r)
+	return muzha.EncodeResult(r)
 }

@@ -3,30 +3,38 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"muzha/internal/harness"
 )
 
+// TestPackedResultRoundTrip: a result the cache packs comes back
+// byte for byte, in a slice of exactly its length.
 func TestPackedResultRoundTrip(t *testing.T) {
-	for _, raw := range []string{
+	c := openTestCache(t, filepath.Join(t.TempDir(), "cache.jsonl"), harness.CacheLimit{})
+	for i, raw := range []string{
 		``,
 		`{}`,
 		`{"flows":[` + strings.Repeat(`{"throughput_bps":340277.2,"retransmissions":1},`, 200) + `{}]}`,
 	} {
-		p := packResult(json.RawMessage(raw))
-		if got := p.unpack(); string(got) != raw || cap(got) != len(raw) {
+		key := fmt.Sprint(i)
+		c.Put(key, json.RawMessage(raw))
+		if got, ok := c.Get(key); !ok || string(got) != raw || cap(got) != len(raw) {
 			t.Fatalf("round trip of %d bytes gave %d bytes (cap %d)", len(raw), len(got), cap(got))
 		}
 	}
 }
 
 // TestDaemonKeepsResultsPacked runs one job and one cache hit of it:
-// the cache holds the one packed copy, smaller than the result, and the
-// result endpoint serves exactly the run's bytes for both jobs, also
-// from a daemon reopened on a copy of the data directory.
+// the cache holds the one copy (packed: harness's
+// TestCacheKeepsResultsPacked pins that it is smaller than the result),
+// and the result endpoint serves exactly the run's bytes for both jobs,
+// also from a daemon reopened on a copy of the data directory.
 func TestDaemonKeepsResultsPacked(t *testing.T) {
 	ctx := testCtx(t)
 	dir := t.TempDir()
@@ -51,12 +59,8 @@ func TestDaemonKeepsResultsPacked(t *testing.T) {
 		t.Fatalf("the cache hit's result differs from the run's (err %v)", err)
 	}
 
-	packed, ok := srv.cache.lookup(first.Hash)
-	if !ok || !bytes.Equal(packed.unpack(), want) {
+	if got, ok := srv.cache.Get(first.Hash); !ok || !bytes.Equal(got, want) {
 		t.Fatal("the cache does not hold the run's result")
-	}
-	if len(packed) >= len(want) {
-		t.Fatalf("packed result is %d bytes for a %d-byte result", len(packed), len(want))
 	}
 	if st := srv.cache.Stats(); st.Entries != 1 || st.Bytes != int64(len(want)) {
 		t.Fatalf("cache stats %+v, want one entry of the unpacked %d bytes", st, len(want))

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"muzha"
-	"muzha/internal/chaoscov"
 	"muzha/internal/harness"
 )
 
@@ -49,10 +48,7 @@ type ServerConfig struct {
 	Logf func(format string, args ...any)
 	// CacheLimit bounds the result cache; least-recently-used results
 	// are evicted past the caps. Zero fields are unbounded.
-	CacheLimit CacheLimit
-	// ChaosStats, when non-nil, supplies the chaos block of /v1/stats —
-	// a summary of the chaos-corpus journal (muzhad -chaos-corpus).
-	ChaosStats func() *chaoscov.Info
+	CacheLimit harness.CacheLimit
 }
 
 // Stats is the daemon's /v1/stats payload.
@@ -64,15 +60,13 @@ type Stats struct {
 	CacheHits    uint64 `json:"cache_hits"`
 	// Cache details the result cache's live set, byte footprint, LRU
 	// eviction count and configured caps.
-	Cache     CacheStats `json:"cache"`
-	Coalesced uint64     `json:"coalesced"`
-	Rejected  uint64     `json:"rejected"`
-	Completed uint64     `json:"completed"`
-	Failed    uint64     `json:"failed"`
-	Requeued  int        `json:"requeued"`
-	Draining  bool       `json:"draining"`
-	// Chaos summarizes the chaos corpus when one is configured.
-	Chaos *chaoscov.Info `json:"chaos,omitempty"`
+	Cache     harness.CacheStats `json:"cache"`
+	Coalesced uint64             `json:"coalesced"`
+	Rejected  uint64             `json:"rejected"`
+	Completed uint64             `json:"completed"`
+	Failed    uint64             `json:"failed"`
+	Requeued  int                `json:"requeued"`
+	Draining  bool               `json:"draining"`
 }
 
 // Server executes submitted simulation jobs on a harness worker pool,
@@ -81,7 +75,7 @@ type Stats struct {
 type Server struct {
 	cfg        ServerConfig
 	store      *Store
-	cache      *Cache
+	cache      *harness.Cache
 	pool       *harness.Pool
 	cancel     chan struct{} // closed when the drain grace expires
 	cancelOnce sync.Once
@@ -127,7 +121,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache, err := OpenCache(filepath.Join(cfg.DataDir, "cache.jsonl"), cfg.CacheLimit)
+	cache, err := harness.OpenCache(filepath.Join(cfg.DataDir, "cache.jsonl"), cfg.CacheLimit)
 	if err != nil {
 		store.Close()
 		return nil, err
@@ -173,7 +167,7 @@ func (s *Server) enqueueLocked(j Job) {
 	s.hubs[j.ID] = newHub()
 	id, hash, client := j.ID, j.Hash, j.Client
 	s.pool.Submit(
-		harness.Job{Key: id, Fn: s.runFn(id)},
+		harness.Job{Fn: s.runFn(id)},
 		func(o harness.Outcome) { s.complete(id, hash, client, o) },
 	)
 }
@@ -218,7 +212,7 @@ func (s *Server) runFn(id string) func() (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return EncodeResult(res)
+		return muzha.EncodeResult(res)
 	}
 }
 
@@ -320,7 +314,7 @@ func (s *Server) admitLocked(batch []prepared, client string) ([]Job, int, error
 	need := 0
 	seen := make(map[string]bool, len(batch))
 	for i, p := range batch {
-		_, hit[i] = s.cache.lookup(p.hash)
+		hit[i] = s.cache.Has(p.hash)
 		_, running := s.active[p.hash]
 		if !hit[i] && !running && !seen[p.hash] {
 			seen[p.hash] = true
@@ -377,9 +371,6 @@ func (s *Server) Snapshot() Stats {
 	st.CacheEntries = st.Cache.Entries
 	st.Requeued = s.requeued
 	st.Draining = s.draining
-	if s.cfg.ChaosStats != nil {
-		st.Chaos = s.cfg.ChaosStats()
-	}
 	return st
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"muzha"
+	"muzha/internal/harness"
 )
 
 func chainConfig(t *testing.T, hops int, d time.Duration, seed int64) muzha.Config {
@@ -115,7 +116,7 @@ func TestSubmitRunAndCacheHitByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EncodeResult(res)
+	want, err := muzha.EncodeResult(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestCrashRecoveryRequeuesAndMatchesUninterruptedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EncodeResult(res)
+	want, err := muzha.EncodeResult(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +365,7 @@ func TestSweepResultsMatchLocalRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := EncodeResult(res)
+		want, err := muzha.EncodeResult(res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -574,7 +575,7 @@ func TestDrainingServesCachedSweep(t *testing.T) {
 // config recomputes the same bytes.
 func TestEvictedResultIsGone(t *testing.T) {
 	ctx := testCtx(t)
-	_, cli := newTestServer(t, ServerConfig{CacheLimit: CacheLimit{MaxEntries: 1}})
+	_, cli := newTestServer(t, ServerConfig{CacheLimit: harness.CacheLimit{MaxEntries: 1}})
 	run := func(cfg muzha.Config) Job {
 		t.Helper()
 		j, err := cli.Submit(ctx, cfg)

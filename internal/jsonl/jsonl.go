@@ -1,7 +1,7 @@
 // Package jsonl is the append-only JSON-lines log behind every
-// crash-tolerant file in the repository: the sweep journal, the job
-// daemon's store and result cache, and the chaos corpus. It owns the
-// durability contract so that no owner re-implements it:
+// crash-tolerant file in the repository: the result store sweeps and
+// the job daemon share, the daemon's job store, and the chaos corpus.
+// It owns the durability contract so that no owner re-implements it:
 //
 //   - One Write per record. Append marshals a value and writes it plus
 //     its '\n' in a single call, so a kill mid-write tears at most that

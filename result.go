@@ -1,12 +1,14 @@
 package muzha
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
 	"time"
 
+	"muzha/internal/canon"
 	"muzha/internal/stats"
 )
 
@@ -149,8 +151,7 @@ func finiteOr0(x float64) float64 {
 // Sanitize replaces every non-finite float in the Result with 0 so the
 // Result is always JSON-encodable — encoding/json fails outright on
 // NaN/Inf, which would turn one degenerate flow into a daemon response
-// error. The result encoders (muzhad responses, muzhasim -out) call
-// this before marshalling.
+// error. EncodeResult calls it before marshalling.
 func (r *Result) Sanitize() {
 	for i := range r.Flows {
 		f := &r.Flows[i]
@@ -168,10 +169,22 @@ func (r *Result) Sanitize() {
 	r.JainIndex = finiteOr0(r.JainIndex)
 }
 
+// EncodeResult renders a Result in its canonical form: sanitized
+// (non-finite floats zeroed, so encoding cannot fail on a degenerate
+// flow) and canonical JSON (sorted keys). Every producer of stored or
+// served results — the result store sweeps and muzhad share, muzhad's
+// responses, muzhasim -out — uses this one encoder, which is what makes
+// "cached result" and "fresh result" byte-comparable. It sanitizes r in
+// place.
+func EncodeResult(r *Result) (json.RawMessage, error) {
+	r.Sanitize()
+	return canon.JSON(r)
+}
+
 // SometimesCoverage returns the sorted names of the Sometimes
 // assertions this run reached — the per-run coverage signal the
 // coverage-guided chaos loop steers by. It works on any Result,
-// including ones decoded from a sweep journal or the daemon cache.
+// including ones decoded from the result store sweeps and muzhad share.
 func (r *Result) SometimesCoverage() []string {
 	var out []string
 	for _, iv := range r.Invariants {

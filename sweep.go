@@ -5,23 +5,26 @@ import (
 	"fmt"
 	"strings"
 
+	"muzha/internal/canon"
 	"muzha/internal/harness"
 )
 
 // SweepOptions supervises a multi-run sweep: worker parallelism, a
-// resumable journal, and per-run guards. The zero value reproduces the
-// historical serial, unguarded, unjournaled behaviour.
+// result store to resume from, and per-run guards. The zero value
+// reproduces the historical serial, unguarded, unstored behaviour.
 type SweepOptions struct {
 	// Parallel is the worker count; <= 1 runs serially, and any value
 	// yields bit-for-bit identical per-run Results — each run is
 	// single-threaded, workers only change wall-clock time.
 	Parallel int
-	// Journal is a JSONL file recording each run as it completes. A
-	// restarted sweep pointed at the same journal skips the recorded
-	// runs and merges their results, so a killed sweep loses only its
-	// in-flight work: a line torn by the kill is skipped on resume and
-	// never swallows the records appended after it (see
-	// internal/jsonl). Empty disables journaling.
+	// Journal is the path of a result store: the muzhad cache.jsonl
+	// format, keyed by Config.Hash, so a daemon's cache can seed a sweep
+	// and a sweep's store can seed a daemon. Each successful run is
+	// stored as it completes; a restarted sweep pointed at the same
+	// store skips the stored runs and merges their results, so a killed
+	// sweep loses only its in-flight work (a line torn by the kill is
+	// skipped on resume, see internal/jsonl). Failures are not stored:
+	// a failed run runs again. Empty disables the store.
 	Journal string
 	// Guards bounds every run in the sweep (applied only to runs whose
 	// Config carries no guards of its own).
@@ -40,8 +43,8 @@ type SweepOptions struct {
 // ErrNonDeterministic or ErrInvariant matches the most severe class
 // present (and the first failure's own chain).
 type SweepError struct {
-	// Total and Failed count runs; Resumed counts journal hits.
-	Total, Failed, Resumed int
+	// Total and Failed count runs.
+	Total, Failed int
 	// Counts maps failure-class name (see Classify) to run count.
 	Counts map[string]int
 	// First is the first failed run's error, for context.
@@ -85,26 +88,40 @@ func (e *SweepError) Unwrap() []error {
 
 // runOutcome is one run's terminal state.
 type runOutcome struct {
-	Result  *Result
-	Err     error
-	Class   string
+	Result *Result
+	Err    error
+	Class  string
+	// Resumed marks a Result decoded from the sweep's store, not run.
 	Resumed bool
 }
 
 // runPool executes one Run per config on the supervised worker pool:
-// panics are contained, failures replayed once to classify
-// deterministic versus divergent, outcomes journaled and resumed. Each
-// run's journal key is its Config.Hash — the muzhad cache key — so a
-// resumed sweep reuses exactly the runs whose scenario is unchanged.
-// The returned error is only for harness plumbing (an unhashable
-// config, an unopenable or unwritable journal); per-run failures live
-// in the outcomes.
-func runPool(cfgs []Config, opt SweepOptions) ([]runOutcome, error) {
-	jobs := make([]harness.Job, len(cfgs))
-	for i, cfg := range cfgs {
-		key, err := cfg.Hash()
+// panics are contained and failures replayed once to classify
+// deterministic versus divergent. keys[i] is cfgs[i].Hash(), the muzhad
+// cache key. With opt.Journal set, a config whose key the store holds
+// is decoded from it instead of run, and each success is stored as it
+// completes. The returned error is only for harness plumbing (an
+// unopenable or unwritable store); per-run failures live in the
+// outcomes.
+func runPool(cfgs []Config, keys []string, opt SweepOptions) ([]runOutcome, error) {
+	var store *harness.Cache
+	if opt.Journal != "" {
+		c, err := harness.OpenCache(opt.Journal, harness.CacheLimit{})
 		if err != nil {
 			return nil, err
+		}
+		store = c
+	}
+	outs := make([]runOutcome, len(cfgs))
+	var jobs []harness.Job
+	var slots []int // slots[j] is the index of jobs[j]'s config
+	for i, cfg := range cfgs {
+		if store != nil {
+			var r Result
+			if raw, ok := store.Get(keys[i]); ok && json.Unmarshal(raw, &r) == nil {
+				outs[i] = runOutcome{Result: &r, Resumed: true}
+				continue
+			}
 		}
 		if !cfg.Guards.Enabled() {
 			cfg.Guards = opt.Guards
@@ -112,53 +129,58 @@ func runPool(cfgs []Config, opt SweepOptions) ([]runOutcome, error) {
 		if cfg.Workers == 0 {
 			cfg.Workers = opt.Workers
 		}
-		jobs[i] = harness.Job{Key: key, Fn: func() (any, error) {
+		jobs = append(jobs, harness.Job{Fn: func() (any, error) {
 			res, err := Run(cfg)
 			if err != nil {
 				return nil, err
 			}
 			return res, nil
-		}}
+		}})
+		slots = append(slots, i)
 	}
-
-	var journal *harness.Journal
-	if opt.Journal != "" {
-		j, err := harness.OpenJournal(opt.Journal)
-		if err != nil {
-			return nil, err
-		}
-		journal = j
+	var keep func(j int, r *Result)
+	if store != nil {
+		keep = func(j int, r *Result) { storeResult(store, keys[slots[j]], r) }
 	}
-	outs := supervise(jobs, opt.Parallel, harness.Options{Journal: journal, Replay: true})
-	if journal != nil {
-		if cerr := journal.Close(); cerr != nil {
-			return outs, cerr
+	for j, o := range supervise(jobs, opt.Parallel, keep) {
+		outs[slots[j]] = o
+	}
+	if store != nil {
+		if err := store.Close(); err != nil {
+			return outs, err
 		}
 	}
 	return outs, nil
 }
 
+// storeResult stores r under key as EncodeResult's bytes, the ones
+// muzhad caches for the same config, and leaves r as it is. canon.JSON
+// is EncodeResult without its in-place Sanitize: it refuses a
+// non-finite float instead of zeroing it, and for every other Result
+// Sanitize is a no-op, so the bytes are the same. A Result that needs
+// sanitizing is not stored: its stored zeros would not decode to the
+// Result a fresh run returns, so it runs again on resume instead.
+func storeResult(store *harness.Cache, key string, r *Result) {
+	if b, err := canon.JSON(r); err == nil {
+		store.Put(key, b)
+	}
+}
+
 // supervise submits the jobs to a pool of parallel workers (at least
-// one), closes it, and returns the outcomes in job order. A successful
-// job's value is a *Result, or its journaled encoding when resumed.
-func supervise(jobs []harness.Job, parallel int, opt harness.Options) []runOutcome {
+// one) with failure replay, closes it, and returns the outcomes in job
+// order. A successful job's value is a *Result; keep, when non-nil,
+// receives it from the worker as the job finishes.
+func supervise(jobs []harness.Job, parallel int, keep func(j int, r *Result)) []runOutcome {
 	outs := make([]runOutcome, len(jobs))
-	pool := harness.NewPool(max(1, min(parallel, len(jobs))), opt)
+	pool := harness.NewPool(max(1, min(parallel, len(jobs))), harness.Options{Replay: true})
 	for i, job := range jobs {
 		pool.Submit(job, func(o harness.Outcome) {
-			ro := runOutcome{Err: o.Err, Class: string(o.Class), Resumed: o.Resumed}
-			switch {
-			case o.Err != nil:
-			case o.Resumed:
-				var r Result
-				if derr := json.Unmarshal(o.Raw, &r); derr != nil {
-					ro.Err = fmt.Errorf("muzha: journal entry %q: %w", o.Key, derr)
-					ro.Class = ClassError
-				} else {
-					ro.Result = &r
-				}
-			default:
+			ro := runOutcome{Err: o.Err, Class: string(o.Class)}
+			if o.Err == nil {
 				ro.Result = o.Value.(*Result)
+				if keep != nil {
+					keep(i, ro.Result)
+				}
 			}
 			outs[i] = ro
 		})
@@ -175,9 +197,6 @@ func sweepError(outs []runOutcome) error {
 	se := &SweepError{Total: len(outs), Counts: make(map[string]int)}
 	classCounts := make(map[harness.Class]int)
 	for _, o := range outs {
-		if o.Resumed {
-			se.Resumed++
-		}
 		cls := o.Class
 		var oerr error
 		switch {

@@ -105,24 +105,25 @@ func TestSweepClassifiesLivelockBudgetAndPanic(t *testing.T) {
 	}
 	healthy := guardConfig(t)
 	jobs := []harness.Job{
-		{Key: "livelock", Fn: guardedSim(1, harness.WatchdogConfig{LivelockWindow: 5_000}, func(s *sim.Simulator) {
+		{Fn: guardedSim(1, harness.WatchdogConfig{LivelockWindow: 5_000}, func(s *sim.Simulator) {
 			var spin func()
 			spin = func() { s.Schedule(0, spin) }
 			s.Schedule(0, spin)
 		})},
-		{Key: "budget", Fn: guardedSim(2, harness.WatchdogConfig{MaxEvents: 10_000}, func(s *sim.Simulator) {
+		{Fn: guardedSim(2, harness.WatchdogConfig{MaxEvents: 10_000}, func(s *sim.Simulator) {
 			var tick func()
 			tick = func() { s.Schedule(sim.Nanosecond, tick) }
 			s.Schedule(0, tick)
 		})},
-		{Key: "panic", Fn: func() (any, error) { panic("corrupted event heap") }},
-		{Key: "healthy", Fn: func() (any, error) { return Run(healthy) }},
+		{Fn: func() (any, error) { panic("corrupted event heap") }},
+		{Fn: func() (any, error) { return Run(healthy) }},
 	}
 
-	outs := supervise(jobs, 4, harness.Options{Replay: true})
+	names := []string{"livelock", "budget", "panic", "healthy"}
+	outs := supervise(jobs, 4, nil)
 	for i, want := range []string{ClassLivelock, ClassEventBudget, ClassPanic, ""} {
 		if outs[i].Class != want {
-			t.Errorf("job %q classified %q, want %q (err=%v)", jobs[i].Key, outs[i].Class, want, outs[i].Err)
+			t.Errorf("job %q classified %q, want %q (err=%v)", names[i], outs[i].Class, want, outs[i].Err)
 		}
 	}
 	if outs[3].Result == nil || outs[3].Err != nil {
@@ -157,6 +158,20 @@ func chaosConfigs(t *testing.T, n int) []Config {
 	return cfgs
 }
 
+// runHashed runs the configs on runPool under their Config.Hash keys.
+func runHashed(t *testing.T, cfgs []Config, opt SweepOptions) ([]runOutcome, error) {
+	t.Helper()
+	keys := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		key, err := cfg.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = key
+	}
+	return runPool(cfgs, keys, opt)
+}
+
 // TestChaosSweepParallelMatchesSerial is the acceptance determinism
 // gate: per-run outcomes from a parallel sweep of ChaosScenario seeds
 // must be reflect.DeepEqual to the serial sweep's.
@@ -164,11 +179,11 @@ func TestChaosSweepParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep in -short mode")
 	}
-	serial, err := runPool(chaosConfigs(t, 6), SweepOptions{})
+	serial, err := runHashed(t, chaosConfigs(t, 6), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := runPool(chaosConfigs(t, 6), SweepOptions{Parallel: 4})
+	parallel, err := runHashed(t, chaosConfigs(t, 6), SweepOptions{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,12 +206,12 @@ func TestChaosSweepJournalResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep in -short mode")
 	}
-	full, err := runPool(chaosConfigs(t, 5), SweepOptions{})
+	full, err := runHashed(t, chaosConfigs(t, 5), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := SweepOptions{Parallel: 2, Journal: filepath.Join(t.TempDir(), "chaos.jsonl")}
-	partial, err := runPool(chaosConfigs(t, 3), opt)
+	partial, err := runHashed(t, chaosConfigs(t, 3), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +220,7 @@ func TestChaosSweepJournalResume(t *testing.T) {
 			t.Fatalf("first journaled sweep reported seed %d resumed", i+1)
 		}
 	}
-	merged, err := runPool(chaosConfigs(t, 5), opt)
+	merged, err := runHashed(t, chaosConfigs(t, 5), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,6 +232,79 @@ func TestChaosSweepJournalResume(t *testing.T) {
 		if !reflect.DeepEqual(merged[i], full[i]) {
 			t.Errorf("seed %d outcome diverged across the journal round-trip", i+1)
 		}
+	}
+}
+
+// TestSweepStoreRerunsFailures: a sweep's store keeps successes only.
+// A config that fails its wall-clock guard under a store runs again on
+// the next sweep and, given a larger guard, succeeds with a fresh run's
+// Result; a config that succeeded is resumed, not run.
+func TestSweepStoreRerunsFailures(t *testing.T) {
+	done := guardConfig(t)
+	done.Guards = RunGuards{WallClock: 5 * time.Minute} // its own guard: the sweep's does not apply
+	stale := guardConfig(t)
+	stale.Seed = 2
+	cfgs := []Config{done, stale}
+	store := filepath.Join(t.TempDir(), "sweep.jsonl")
+
+	first, err := runHashed(t, cfgs, SweepOptions{Journal: store, Guards: RunGuards{WallClock: time.Nanosecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first[0].Err != nil || !errors.Is(first[1].Err, ErrDeadline) {
+		t.Fatalf("first sweep: done err=%v, stale err=%v; want nil and a deadline", first[0].Err, first[1].Err)
+	}
+
+	second, err := runHashed(t, cfgs, SweepOptions{Journal: store, Guards: RunGuards{WallClock: 5 * time.Minute}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second[0].Resumed || !reflect.DeepEqual(second[0].Result, first[0].Result) {
+		t.Fatalf("the stored success was not resumed as it ran: %+v", second[0])
+	}
+	if second[1].Resumed || second[1].Err != nil {
+		t.Fatalf("the stored failure was not run again: resumed=%v err=%v", second[1].Resumed, second[1].Err)
+	}
+	fresh, err := Run(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(second[1].Result, fresh) {
+		t.Fatal("the re-run differs from a fresh run")
+	}
+}
+
+// TestStoringLeavesResultAlone: storing a Result never changes it. A
+// finite Result is stored as its EncodeResult bytes; one with a
+// non-finite float is not stored, so a resumed sweep runs it again
+// rather than decoding the zeros EncodeResult would write.
+func TestStoringLeavesResultAlone(t *testing.T) {
+	store, err := harness.OpenCache(filepath.Join(t.TempDir(), "sweep.jsonl"), harness.CacheLimit{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+
+	r := degenerateResult()
+	before := fmt.Sprintf("%+v", *r)
+	storeResult(store, "degenerate", r)
+	if after := fmt.Sprintf("%+v", *r); after != before {
+		t.Fatalf("storing changed the Result:\nbefore %s\nafter  %s", before, after)
+	}
+	if store.Has("degenerate") {
+		t.Fatal("a Result with non-finite floats was stored")
+	}
+
+	r = degenerateResult()
+	r.Sanitize()
+	storeResult(store, "finite", r)
+	got, ok := store.Get("finite")
+	want, err := EncodeResult(degenerateResult())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok || string(got) != string(want) {
+		t.Fatalf("stored %s (found %v), want EncodeResult's %s", got, ok, want)
 	}
 }
 
