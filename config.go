@@ -49,11 +49,6 @@ const (
 	BBRLite    Variant = "bbr-lite"
 )
 
-// DefaultTraceFlowLimit is the flow count above which a run records
-// summary-only per-flow rows when Config.TraceFlowLimit is zero. Every
-// paper scenario stays far below it, so defaults are trace-complete.
-const DefaultTraceFlowLimit = 64
-
 // Variants lists every supported variant.
 func Variants() []Variant {
 	return []Variant{Tahoe, Reno, NewReno, SACK, Vegas, Muzha, Veno, Westwood, Jersey, ECNNewReno, CUBIC, BBRLite}
@@ -426,13 +421,6 @@ type Config struct {
 	ThroughputBin time.Duration `json:"throughput_bin_ns"`
 	// TraceCwnd records congestion-window traces (Figures 5.2-5.7).
 	TraceCwnd bool `json:"trace_cwnd"`
-	// TraceFlowLimit bounds how many flows keep full traces in the
-	// Result. Runs with more flows than the limit record summary-only
-	// per-flow rows (scalar counters, no series), keeping Result size
-	// O(flows) instead of O(flows x duration). Zero selects the default
-	// of DefaultTraceFlowLimit (64); negative means unlimited (every
-	// flow keeps its traces).
-	TraceFlowLimit int `json:"trace_flow_limit"`
 
 	// Background holds unreactive CBR streams competing with the TCP
 	// flows (extension; the paper runs without background traffic).
@@ -502,12 +490,6 @@ type Config struct {
 	// flow; the golden determinism tests hash it to prove engine
 	// optimizations change nothing. Test-only, hence unexported.
 	eventHook func(sim.Time, uint64)
-
-	// summaryTraces is the resolved TraceFlowLimit decision, computed
-	// once in Run against the global flow count so it does not depend
-	// on the partition: buildSub's struct copy carries it into every
-	// domain, where the local flow count would differ.
-	summaryTraces bool
 }
 
 // DefaultConfig returns the paper's Table 5.1 parameters: 2 Mbps 802.11
@@ -539,9 +521,10 @@ type ProgressUpdate struct {
 
 // Validate checks the scenario for structural errors — missing
 // topology, out-of-range flow endpoints, malformed fault schedules,
-// non-finite loss rates — without running it. Run validates internally;
-// the job daemon calls this at admission so a broken submission is
-// rejected with 400 instead of occupying a worker.
+// non-finite loss rates, an invalid DRAI policy or mobility field —
+// without running it. Run validates internally; the job daemon calls
+// this at admission so a broken submission is rejected with 400
+// instead of occupying a worker.
 func (c *Config) Validate() error { return c.validate() }
 
 func (c *Config) validate() error {
@@ -585,6 +568,12 @@ func (c *Config) validate() error {
 	if c.DRAIClamp && !c.RouterAssist {
 		return fmt.Errorf("muzha: DRAIClamp requires RouterAssist")
 	}
+	if c.RouterAssist {
+		if err := c.DRAI.Validate(); err != nil {
+			return fmt.Errorf("muzha: DRAI policy: %w", err)
+		}
+	}
+	n := c.Topology.Nodes()
 	if m := c.Mobility; m != nil {
 		switch m.Model {
 		case "", MobilityWaypoint, MobilityManhattan:
@@ -594,8 +583,20 @@ func (c *Config) validate() error {
 		if m.GridSpacing < 0 {
 			return fmt.Errorf("muzha: mobility grid spacing must be >= 0, got %v", m.GridSpacing)
 		}
+		// The motion models' own checks, made here so a submission
+		// fails at admission rather than when its run starts.
+		if !(m.Width > 0 && m.Height > 0) {
+			return fmt.Errorf("muzha: mobility field must have positive area, got %gx%g", m.Width, m.Height)
+		}
+		if !(m.MinSpeed > 0 && m.MaxSpeed >= m.MinSpeed) {
+			return fmt.Errorf("muzha: mobility speeds invalid: min=%g max=%g", m.MinSpeed, m.MaxSpeed)
+		}
+		for _, id := range m.MobileNodes {
+			if id < 0 || id >= n {
+				return fmt.Errorf("muzha: mobile node %d out of range [0,%d)", id, n)
+			}
+		}
 	}
-	n := c.Topology.Nodes()
 	for i, b := range c.Background {
 		if b.Src < 0 || b.Src >= n || b.Dst < 0 || b.Dst >= n || b.Src == b.Dst {
 			return fmt.Errorf("muzha: background flow %d endpoints invalid (%d,%d)", i, b.Src, b.Dst)

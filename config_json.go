@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 
 	"muzha/internal/canon"
 	"muzha/internal/packet"
@@ -120,17 +119,4 @@ func (c Config) Hash() (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// ShortHash returns an FNV-1a 64-bit digest of the full Hash, as 16 hex
-// characters — compact enough for job IDs and log lines. Collisions are
-// plausible at scale, so it must never key a cache; that is Hash's job.
-func (c Config) ShortHash() (string, error) {
-	full, err := c.Hash()
-	if err != nil {
-		return "", err
-	}
-	h := fnv.New64a()
-	h.Write([]byte(full))
-	return fmt.Sprintf("%016x", h.Sum64()), nil
 }

@@ -157,7 +157,7 @@ func TestConfigHashStability(t *testing.T) {
 	// (guards and workers included) of this config. A change to either
 	// orphans every cached result and journaled sweep, so it must be
 	// deliberate.
-	const wantHash = "1264e6de9e41c630777c482c4a170d10e019241bb75a6566cd211254b972a69b"
+	const wantHash = "8442b4bec26419b4a337327b44d5732627fae56328b727555a271c77d354b566"
 	if h1 != wantHash {
 		t.Fatalf("Hash = %s, want pinned %s", h1, wantHash)
 	}
@@ -165,7 +165,7 @@ func TestConfigHashStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantWire = "01af5822f185cb8ca85e06e8a2bc8f61dcc7140d2edde0896f82c36abefa44f8"
+	const wantWire = "80bf63f0ad34a4489f3deb39debf02110d4c3df144f4d4fefc89d6bfe0c5b794"
 	if got := fmt.Sprintf("%x", sha256.Sum256(wire)); got != wantWire {
 		t.Fatalf("canonical bytes digest = %s, want pinned %s:\n%s", got, wantWire, wire)
 	}
@@ -223,26 +223,6 @@ func TestConfigHashStability(t *testing.T) {
 	}
 	if hb != h1 {
 		t.Fatalf("round trip changed the hash: %s vs %s", hb, h1)
-	}
-}
-
-func TestConfigShortHash(t *testing.T) {
-	cfg := wireTestConfig(t)
-	s, err := cfg.ShortHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s) != 16 {
-		t.Fatalf("short hash = %q, want 16 hex chars", s)
-	}
-	other := wireTestConfig(t)
-	other.Seed++
-	so, err := other.ShortHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if so == s {
-		t.Fatal("different configs share a short hash")
 	}
 }
 

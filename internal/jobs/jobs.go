@@ -66,8 +66,9 @@ type Job struct {
 }
 
 // EncodeResult is muzha.EncodeResult, the canonical Result encoding
-// the daemon caches and serves. The code in this module calls
-// muzha.EncodeResult; this name remains for the perfbench module.
+// the daemon caches and serves; it never changes r. The code in this
+// module calls muzha.EncodeResult; this name remains for the perfbench
+// module.
 func EncodeResult(r *muzha.Result) (json.RawMessage, error) {
 	return muzha.EncodeResult(r)
 }

@@ -431,12 +431,32 @@ func TestDrainCancelsRequeuesAndRefuses(t *testing.T) {
 func TestSubmitRejectsInvalidConfig(t *testing.T) {
 	ctx := testCtx(t)
 	_, cli := newTestServer(t, ServerConfig{})
-	bad := chainConfig(t, 2, time.Second, 1)
-	bad.Flows[0].Dst = 99 // out of range: must be refused at admission
-	_, err := cli.Submit(ctx, bad)
-	var remote *RemoteError
-	if !errors.As(err, &remote) || remote.Status != http.StatusBadRequest {
-		t.Fatalf("err = %v, want 400", err)
+	// Each of these would fail only once its run started if admission
+	// did not refuse it.
+	for name, mutate := range map[string]func(*muzha.Config){
+		"flow endpoint out of range": func(c *muzha.Config) { c.Flows[0].Dst = 99 },
+		"non-ascending DRAI thresholds": func(c *muzha.Config) {
+			th := append([]float64(nil), c.DRAI.Thresholds...)
+			th[0], th[1] = th[1], th[0]
+			c.DRAI.Thresholds = th
+		},
+		"zero-area mobility field": func(c *muzha.Config) {
+			c.Mobility = &muzha.Mobility{Width: 0, Height: 100, MinSpeed: 1, MaxSpeed: 2, MobileNodes: []int{1}}
+		},
+		"mobility max speed below min": func(c *muzha.Config) {
+			c.Mobility = &muzha.Mobility{Width: 100, Height: 100, MinSpeed: 3, MaxSpeed: 2, MobileNodes: []int{1}}
+		},
+		"mobile node out of range": func(c *muzha.Config) {
+			c.Mobility = &muzha.Mobility{Width: 100, Height: 100, MinSpeed: 1, MaxSpeed: 2, MobileNodes: []int{7}}
+		},
+	} {
+		bad := chainConfig(t, 2, time.Second, 1)
+		mutate(&bad)
+		_, err := cli.Submit(ctx, bad)
+		var remote *RemoteError
+		if !errors.As(err, &remote) || remote.Status != http.StatusBadRequest {
+			t.Fatalf("%s: err = %v, want 400", name, err)
+		}
 	}
 
 	// A config naming an option the wire form does not have is refused

@@ -194,13 +194,6 @@ func (s *Store) SetProgress(id string, p Progress) {
 	}
 }
 
-// Err returns the first latched journal write error.
-func (s *Store) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.log.Err()
-}
-
 // Close closes the journal, returning any latched write error so a
 // truncated journal is never mistaken for a healthy one.
 func (s *Store) Close() error {

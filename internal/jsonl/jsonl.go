@@ -29,14 +29,14 @@ import (
 	"os"
 )
 
-// maxLine is the longest line Scan reads; a longer one fails the scan.
+// maxLine is the longest line scan reads; a longer one fails the scan.
 const maxLine = 16 << 20
 
-// Scan feeds every non-empty line of r to fn. A line fn rejects
+// scan feeds every non-empty line of r to fn. A line fn rejects
 // (returns false) — a truncated final line from a kill mid-write, or
 // any other corruption — is counted and skipped, never fatal: losing
 // one in-flight record must not discard the rest of a log.
-func Scan(r io.Reader, fn func(line []byte) bool) (skipped int, err error) {
+func scan(r io.Reader, fn func(line []byte) bool) (skipped int, err error) {
 	sc := bufio.NewScanner(r)
 	// No initial buffer: the scanner starts from its own small default
 	// and grows it only as far as the longest line, up to the cap.
@@ -62,7 +62,7 @@ type Log struct {
 }
 
 // Open opens (creating if absent) the log at path, replays every line
-// through fn as Scan does, and positions for appending. It reports how
+// through fn as scan does, and positions for appending. It reports how
 // many lines fn rejected.
 func Open(path string, fn func(line []byte) bool) (*Log, int, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -70,7 +70,7 @@ func Open(path string, fn func(line []byte) bool) (*Log, int, error) {
 		return nil, 0, fmt.Errorf("jsonl: %w", err)
 	}
 	l := &Log{f: f, path: path}
-	skipped, err := Scan(f, fn)
+	skipped, err := scan(f, fn)
 	if err != nil {
 		f.Close()
 		return nil, 0, fmt.Errorf("jsonl: read %s: %w", path, err)

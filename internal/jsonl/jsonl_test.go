@@ -21,7 +21,7 @@ func TestScan(t *testing.T) {
 		`{"trunc`, // kill-mid-write residue: rejected, counted, not fatal
 	}, "\n")
 	var got []string
-	skipped, err := Scan(strings.NewReader(input), func(line []byte) bool {
+	skipped, err := scan(strings.NewReader(input), func(line []byte) bool {
 		if !strings.HasSuffix(string(line), "}") {
 			return false
 		}

@@ -249,9 +249,6 @@ func (n *Node) Stats() Stats { return n.stats }
 // MACStats returns the node's MAC counters.
 func (n *Node) MACStats() mac.Stats { return n.mac.Stats() }
 
-// MACUtilization returns the node's smoothed channel busy fraction.
-func (n *Node) MACUtilization() float64 { return n.mac.Utilization() }
-
 // RouterStats returns the node's routing-protocol counters.
 func (n *Node) RouterStats() RoutingStats { return n.router.Stats() }
 
@@ -356,9 +353,6 @@ func (n *Node) NextFrame() *packet.Packet {
 	}
 	return pkt
 }
-
-// QueueDelayEWMA returns the smoothed IFQ sojourn time in seconds.
-func (n *Node) QueueDelayEWMA() float64 { return n.delayEWMA }
 
 // OnMACReceive implements mac.Upper.
 func (n *Node) OnMACReceive(pkt *packet.Packet) {

@@ -208,10 +208,6 @@ type Stack struct {
 	// section 6.4). Off by default: the paper's scenarios flood.
 	ExpandingRing bool `json:"expanding_ring,omitempty"`
 
-	// TraceFlowLimit bounds how many flows keep full traces (0 =
-	// default 64, negative = unlimited). See muzha.Config.
-	TraceFlowLimit int `json:"trace_flow_limit,omitempty"`
-
 	PacketErrorRate  float64 `json:"packet_error_rate,omitempty"`
 	ResidualLossRate float64 `json:"residual_loss_rate,omitempty"`
 
@@ -413,7 +409,6 @@ func (s Spec) Config() (muzha.Config, error) {
 	cfg.MuzhaLossDiscrimination = !s.Stack.NoLossDiscrimination
 	cfg.DRAIClamp = s.Stack.DRAIClamp
 	cfg.ExpandingRing = s.Stack.ExpandingRing
-	cfg.TraceFlowLimit = s.Stack.TraceFlowLimit
 
 	if len(s.Flows) == 0 && s.Topology.generatesFlows() {
 		// Generator topologies carry a seeded flow mix; adopt it so a
@@ -443,12 +438,6 @@ func (s Spec) Config() (muzha.Config, error) {
 		})
 	}
 	if m := s.Mobility; m != nil {
-		n := top.Nodes()
-		for _, id := range m.Nodes {
-			if id < 0 || id >= n {
-				return muzha.Config{}, fmt.Errorf("scenario: mobile node %d out of range [0,%d)", id, n)
-			}
-		}
 		cfg.Mobility = &muzha.Mobility{
 			Model:       m.Model,
 			Width:       m.Width,

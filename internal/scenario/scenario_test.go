@@ -312,7 +312,7 @@ func TestGeneratorTopologiesSeedTheirOwnFlows(t *testing.T) {
 func TestStackScalingKnobs(t *testing.T) {
 	doc := `{"seed": 1, "topology": {"kind": "chain", "hops": 3},
 		"flows": [{"src": 0, "dst": 3}],
-		"stack": {"expanding_ring": true, "trace_flow_limit": -1}}`
+		"stack": {"expanding_ring": true}}`
 	s, err := Parse([]byte(doc))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
@@ -321,9 +321,8 @@ func TestStackScalingKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Config: %v", err)
 	}
-	if !cfg.ExpandingRing || cfg.TraceFlowLimit != -1 {
-		t.Fatalf("scaling knobs not mapped: ring=%v limit=%d",
-			cfg.ExpandingRing, cfg.TraceFlowLimit)
+	if !cfg.ExpandingRing {
+		t.Fatal("expanding_ring not mapped")
 	}
 }
 

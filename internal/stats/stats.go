@@ -50,7 +50,7 @@ type Flow struct {
 	bins    []int64 // bytes newly acked per interval, for dynamics plots
 
 	cwndCap    int  // DefaultCwndCap
-	cwndOff    bool // drop cwnd samples entirely (summary-only flows)
+	cwndOff    bool // drop cwnd samples entirely (cwnd tracing off)
 	cwndStride int  // record every stride-th sample; doubles on decimation
 	cwndSkip   int  // samples to skip before the next recorded one
 	cwndLast   Sample
@@ -67,8 +67,8 @@ func NewFlow(id int, variant string, binSize sim.Time) *Flow {
 
 // DisableCwnd stops the recorder from retaining congestion-window
 // samples: RecordCwnd becomes a no-op and CwndTrace returns an empty
-// series. Summary-only runs use it so a large flow population costs no
-// trace memory at all.
+// series. A run without Config.TraceCwnd uses it, so its flows keep no
+// cwnd samples.
 func (f *Flow) DisableCwnd() { f.cwndOff = true }
 
 // AddAcked credits newly acknowledged payload bytes at virtual time t.

@@ -111,9 +111,6 @@ func (b *BBRLite) BtlBw() float64 {
 	return b.bwFilter[0].bw
 }
 
-// MinRTT returns the windowed min-RTT estimate (0 before a sample).
-func (b *BBRLite) MinRTT() sim.Time { return b.minRTT }
-
 // State returns the current state name, for tests and traces.
 func (b *BBRLite) State() string { return b.state.String() }
 

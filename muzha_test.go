@@ -47,16 +47,33 @@ func TestRunValidation(t *testing.T) {
 		{"unknown variant", func(c *Config) { c.Flows[0].Variant = "compound" }},
 		{"start after end", func(c *Config) { c.Flows[0].Start = time.Minute }},
 		{"negative flow window", func(c *Config) { c.Flows[0].Window = -1 }},
+		{"non-ascending DRAI thresholds", func(c *Config) {
+			th := append([]float64(nil), c.DRAI.Thresholds...)
+			th[0], th[1] = th[1], th[0]
+			c.DRAI.Thresholds = th
+		}},
+		{"zero-area mobility field", func(c *Config) { c.Mobility = waypointField(0, 100, 1, 2, 2) }},
+		{"zero mobility min speed", func(c *Config) { c.Mobility = waypointField(100, 100, 0, 2, 2) }},
+		{"mobility max speed below min", func(c *Config) { c.Mobility = waypointField(100, 100, 3, 2, 2) }},
+		{"mobile node out of range", func(c *Config) { c.Mobility = waypointField(100, 100, 1, 2, 7) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := base()
 			tt.mutate(&cfg)
+			if err := cfg.Validate(); err == nil {
+				t.Fatal("Validate accepted an invalid config")
+			}
 			if _, err := Run(cfg); err == nil {
 				t.Fatal("invalid config accepted")
 			}
 		})
 	}
+}
+
+// waypointField is a waypoint field of w x h metres in which node moves.
+func waypointField(w, h, minSpeed, maxSpeed float64, node int) *Mobility {
+	return &Mobility{Width: w, Height: h, MinSpeed: minSpeed, MaxSpeed: maxSpeed, MobileNodes: []int{node}}
 }
 
 func TestRunDeterministic(t *testing.T) {

@@ -57,7 +57,6 @@ var optionReach = map[string]reach{
 	"drai_clamp":                {family: "modern"},
 	"throughput_bin_ns":         {family: "fig5.19-5.22"},
 	"trace_cwnd":                {family: "fig5.2-5.7"},
-	"trace_flow_limit":          {fn: "summary_test.go:islandsConfig"},
 	"background":                {family: "extension.background"},
 	"mobility":                  {family: "extension.mobility"},
 	"faults":                    {family: "modern"},

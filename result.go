@@ -125,22 +125,20 @@ type Result struct {
 	Faults FaultStats
 }
 
-// AggregateThroughputBps sums all flow throughputs. Non-finite
-// per-flow values (the residue of a zero-duration flow) are skipped so
-// one degenerate flow cannot poison the aggregate — NaN/Inf would also
-// make encoding/json reject the whole Result.
+// AggregateThroughputBps sums all flow throughputs.
 func (r *Result) AggregateThroughputBps() float64 {
 	var total float64
 	for _, f := range r.Flows {
-		total += finiteOr0(f.ThroughputBps)
+		total += f.ThroughputBps
 	}
 	return total
 }
 
-// finiteOr0 maps NaN and ±Inf to 0. The zero-duration edge cases that
-// could produce them (a flow starting at the instant the run ends, an
-// empty throughput bin) all mean "nothing was measured", for which 0 is
-// the honest value — and unlike NaN/Inf it is encodable as JSON.
+// finiteOr0 maps NaN and ±Inf to 0. Run builds every other value of a
+// Result finite; a cwnd sample is the one that can carry NaN or ±Inf
+// (a NaN window also trips tcp-cwnd). Zeroing it where the Result is
+// built keeps every Result encodable, since canon.JSON and
+// encoding/json both reject a non-finite float.
 func finiteOr0(x float64) float64 {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		return 0
@@ -148,36 +146,13 @@ func finiteOr0(x float64) float64 {
 	return x
 }
 
-// Sanitize replaces every non-finite float in the Result with 0 so the
-// Result is always JSON-encodable — encoding/json fails outright on
-// NaN/Inf, which would turn one degenerate flow into a daemon response
-// error. EncodeResult calls it before marshalling.
-func (r *Result) Sanitize() {
-	for i := range r.Flows {
-		f := &r.Flows[i]
-		f.ThroughputBps = finiteOr0(f.ThroughputBps)
-		for j := range f.CwndTrace {
-			f.CwndTrace[j].Value = finiteOr0(f.CwndTrace[j].Value)
-		}
-		for j := range f.ThroughputSeries {
-			f.ThroughputSeries[j].Value = finiteOr0(f.ThroughputSeries[j].Value)
-		}
-	}
-	for i := range r.Background {
-		r.Background[i].DeliveryRatio = finiteOr0(r.Background[i].DeliveryRatio)
-	}
-	r.JainIndex = finiteOr0(r.JainIndex)
-}
-
-// EncodeResult renders a Result in its canonical form: sanitized
-// (non-finite floats zeroed, so encoding cannot fail on a degenerate
-// flow) and canonical JSON (sorted keys). Every producer of stored or
+// EncodeResult renders a Result in its canonical form, canonical JSON
+// (sorted keys); it never changes r. Every producer of stored or
 // served results — the result store sweeps and muzhad share, muzhad's
 // responses, muzhasim -out — uses this one encoder, which is what makes
-// "cached result" and "fresh result" byte-comparable. It sanitizes r in
-// place.
+// "cached result" and "fresh result" byte-comparable. A Result from Run
+// always encodes; one with a non-finite float does not.
 func EncodeResult(r *Result) (json.RawMessage, error) {
-	r.Sanitize()
 	return canon.JSON(r)
 }
 
@@ -251,7 +226,7 @@ func flowResult(id int, f Flow, fl *stats.Flow, finished bool) FlowResult {
 		Variant:         f.variant(),
 		Src:             f.Src,
 		Dst:             f.Dst,
-		ThroughputBps:   finiteOr0(fl.Throughput()),
+		ThroughputBps:   fl.Throughput(),
 		BytesAcked:      fl.BytesAcked,
 		SegmentsSent:    fl.SegmentsSent,
 		Retransmissions: fl.Retransmissions,
@@ -260,7 +235,7 @@ func flowResult(id int, f Flow, fl *stats.Flow, finished bool) FlowResult {
 		Finished:        finished,
 	}
 	for _, s := range fl.CwndTrace() {
-		out.CwndTrace = append(out.CwndTrace, Sample{At: s.T.Duration(), Value: s.V})
+		out.CwndTrace = append(out.CwndTrace, Sample{At: s.T.Duration(), Value: finiteOr0(s.V)})
 	}
 	for _, s := range fl.ThroughputSeries() {
 		out.ThroughputSeries = append(out.ThroughputSeries, Sample{At: s.T.Duration(), Value: s.V})

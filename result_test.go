@@ -1,14 +1,16 @@
 package muzha
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 	"time"
+
+	"muzha/internal/sim"
+	"muzha/internal/stats"
 )
 
 // degenerateResult stuffs non-finite floats into every field that
-// carries one — the residue a zero-duration flow or empty bin can leave.
+// carries one, a Result Run never builds.
 func degenerateResult() *Result {
 	return &Result{
 		Flows: []FlowResult{{
@@ -29,13 +31,6 @@ func degenerateResult() *Result {
 	}
 }
 
-func TestAggregateThroughputSkipsNonFinite(t *testing.T) {
-	r := degenerateResult()
-	if got := r.AggregateThroughputBps(); got != 1000 {
-		t.Fatalf("aggregate = %v, want 1000 (NaN flow skipped)", got)
-	}
-}
-
 func TestFiniteOr0(t *testing.T) {
 	for _, tt := range []struct {
 		give, want float64
@@ -53,26 +48,23 @@ func TestFiniteOr0(t *testing.T) {
 	}
 }
 
-func TestSanitizeMakesResultEncodable(t *testing.T) {
-	r := degenerateResult()
-	// encoding/json rejects the raw form outright...
-	if _, err := json.Marshal(r); err == nil {
-		t.Fatal("expected marshal of NaN/Inf result to fail (fixture is not degenerate enough)")
+// TestFlowResultZeroesNonFiniteCwnd: a NaN or ±Inf cwnd sample becomes
+// 0 where the Result is built, so every Result Run returns encodes;
+// finite samples keep their values.
+func TestFlowResultZeroesNonFiniteCwnd(t *testing.T) {
+	give := []float64{math.NaN(), 4, math.Inf(1), 2.5, math.Inf(-1), 7}
+	fl := stats.NewFlow(1, string(NewReno), 0)
+	for i, v := range give {
+		fl.RecordCwnd(sim.FromDuration(time.Duration(i+1)*time.Millisecond), v)
 	}
-	// ...and Sanitize must repair exactly that.
-	r.Sanitize()
-	b, err := json.Marshal(r)
-	if err != nil {
-		t.Fatalf("sanitized result still unencodable: %v", err)
+	got := flowResult(0, Flow{Src: 0, Dst: 1}, fl, false).CwndTrace
+	want := []float64{0, 4, 0, 2.5, 0, 7}
+	if len(got) != len(want) {
+		t.Fatalf("got %d cwnd samples, want %d", len(got), len(want))
 	}
-	var back Result
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Flows[0].ThroughputBps != 0 || back.JainIndex != 0 {
-		t.Fatalf("non-finite values not zeroed: %+v", back)
-	}
-	if back.Flows[0].ThroughputSeries[1].Value != 42 || back.Flows[1].ThroughputBps != 1000 {
-		t.Fatal("sanitize clobbered finite values")
+	for i, s := range got {
+		if s.Value != want[i] || s.At != time.Duration(i+1)*time.Millisecond {
+			t.Errorf("sample %d = %+v, want %v at %v", i, s, want[i], time.Duration(i+1)*time.Millisecond)
+		}
 	}
 }

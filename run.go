@@ -59,14 +59,6 @@ func Run(cfg Config) (res *Result, err error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// Resolve the summary-only trace decision once, against the global
-	// flow count: domains split the flows, so deciding per sub-run would
-	// make the outcome depend on the partition.
-	limit := cfg.TraceFlowLimit
-	if limit == 0 {
-		limit = DefaultTraceFlowLimit
-	}
-	cfg.summaryTraces = limit > 0 && len(cfg.Flows) > limit
 	if cfg.PacketTrace == nil {
 		return runDomains(cfg, nil)
 	}
@@ -189,15 +181,8 @@ func run(cfg Config, rec trace.Recorder) (res *Result, err error) {
 		i, f := i, f
 		flowID := int32(i + 1)
 
-		bin := sim.FromDuration(cfg.ThroughputBin)
-		if cfg.summaryTraces {
-			// Summary-only rows keep scalar counters but no series;
-			// disabling the recorders here means a 1000-flow run pays
-			// no trace memory at all.
-			bin = 0
-		}
-		fl := stats.NewFlow(i+1, string(f.variant()), bin)
-		if cfg.summaryTraces || !cfg.TraceCwnd {
+		fl := stats.NewFlow(i+1, string(f.variant()), sim.FromDuration(cfg.ThroughputBin))
+		if !cfg.TraceCwnd {
 			fl.DisableCwnd()
 		}
 		flowStats[i] = fl

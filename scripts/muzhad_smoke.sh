@@ -5,6 +5,8 @@
 #   2. submit the identical config again — must be a cache hit with
 #      byte-identical result bytes
 #   3. stream a fresh job over SSE — must end with a "done" event
+#      (after a config with an invalid DRAI policy is refused: 400 and
+#      no job)
 #   4. muzhasim -remote must match the in-process run byte-for-byte
 #   5. SIGKILL the daemon mid-job, restart it, and watch the journal
 #      re-queue and finish the interrupted job
@@ -95,6 +97,17 @@ ID2=$(field "$RESP2" id)
 curl -fs "$BASE/v1/jobs/$ID2/result" -o "$WORK/r2.json"
 cmp "$WORK/r1.json" "$WORK/r2.json"
 curl -fs "$BASE/v1/stats" | grep -q '"cache_hits":1'
+
+log "an invalid DRAI policy is refused at admission"
+jobs_count() { curl -fs "$BASE/v1/stats" | sed -n 's/.*"jobs":\([0-9]*\).*/\1/p'; }
+JOBS_BEFORE=$(jobs_count)
+CODE=$(config 5000000000 3 |
+  sed 's/"mss": 1460/"router_assist": true, "drai": {"Thresholds": [0.5, 0.2], "Levels": [5, 3, 1], "MarkLevel": 1}, "mss": 1460/' |
+  curl -s -o "$WORK/bad.txt" -w '%{http_code}' "$BASE/v1/jobs" -d @-)
+[ "$CODE" = 400 ] || { echo "invalid DRAI policy: HTTP $CODE, want 400: $(cat "$WORK/bad.txt")"; exit 1; }
+grep -q "thresholds must be ascending" "$WORK/bad.txt" || { echo "400 for another reason: $(cat "$WORK/bad.txt")"; exit 1; }
+JOBS_AFTER=$(jobs_count)
+[ -n "$JOBS_BEFORE" ] && [ "$JOBS_AFTER" = "$JOBS_BEFORE" ] || { echo "jobs $JOBS_BEFORE -> $JOBS_AFTER after a refused submission"; exit 1; }
 
 log "stream a fresh job over SSE"
 RESP3=$(config 5000000000 2 | curl -fs "$BASE/v1/jobs" -d @-)

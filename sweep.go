@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"muzha/internal/canon"
 	"muzha/internal/harness"
 )
 
@@ -154,14 +153,10 @@ func runPool(cfgs []Config, keys []string, opt SweepOptions) ([]runOutcome, erro
 }
 
 // storeResult stores r under key as EncodeResult's bytes, the ones
-// muzhad caches for the same config, and leaves r as it is. canon.JSON
-// is EncodeResult without its in-place Sanitize: it refuses a
-// non-finite float instead of zeroing it, and for every other Result
-// Sanitize is a no-op, so the bytes are the same. A Result that needs
-// sanitizing is not stored: its stored zeros would not decode to the
-// Result a fresh run returns, so it runs again on resume instead.
+// muzhad caches for the same config. A Result that cannot be encoded
+// is not stored, so it runs again on resume.
 func storeResult(store *harness.Cache, key string, r *Result) {
-	if b, err := canon.JSON(r); err == nil {
+	if b, err := EncodeResult(r); err == nil {
 		store.Put(key, b)
 	}
 }
