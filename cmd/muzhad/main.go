@@ -18,6 +18,10 @@
 // trigger a graceful drain: new submissions are refused, running jobs
 // get -drain-grace to finish, then in-flight runs are canceled
 // cooperatively and left queued for the next start.
+//
+// -workers sets how many jobs run at once; inside one job, up to
+// GOMAXPROCS interaction domains simulate at once, and that width never
+// changes a result.
 package main
 
 import (
@@ -52,7 +56,6 @@ func run(args []string) error {
 		addr       = fs.String("addr", "127.0.0.1:7370", "HTTP listen address")
 		data       = fs.String("data", "muzhad-data", "data directory for the job store and result cache")
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "simulation worker count")
-		runWorkers = fs.Int("run-workers", 0, "interaction domains each job simulates at once (0 = one per CPU, 1 = one at a time; applied server-wide, overriding submissions; never changes a result)")
 		queue      = fs.Int("queue", 64, "max queued+running jobs before submissions get 429")
 		perClient  = fs.Int("per-client", 16, "max in-flight jobs per client (negative disables)")
 		deadline   = fs.Duration("deadline", 5*time.Minute, "default per-run wall-clock deadline")
@@ -82,7 +85,6 @@ func run(args []string) error {
 			LivelockWindow: 5_000_000,
 		},
 		ProgressEvery: *progress,
-		RunWorkers:    *runWorkers,
 		Logf:          logger.Printf,
 		CacheLimit: harness.CacheLimit{
 			MaxEntries: *cacheEntries,

@@ -12,7 +12,7 @@
 //	muzhasim -exp single -hops 4 -variants muzha -set stack.packet_error_rate=0.02
 //	muzhasim -chaos-cov -runs 40 -corpus corpus.jsonl -repro-dir repros
 //	muzhasim -scenario spec.json -out result.json
-//	muzhasim -scenario examples/scenarios/islands-1k.json -set duration_ms=5000 -run-workers 8
+//	muzhasim -scenario examples/scenarios/islands-1k.json -set duration_ms=5000
 //	muzhasim -scenario failing.json -shrink -out repro.json
 //	muzhasim -exp throughput -cpuprofile cpu.out -memprofile mem.out
 //
@@ -22,7 +22,8 @@
 //
 // All experiments are deterministic in -seed. Multi-run sweeps execute
 // on a supervised worker pool: -parallel sets the worker count (default
-// GOMAXPROCS; per-run results are identical at any width), -resume
+// GOMAXPROCS; per-run results are identical at any width; inside one
+// run, up to GOMAXPROCS interaction domains simulate at once), -resume
 // stores each successful run in a result store (muzhad's cache.jsonl
 // format) and skips the stored runs on restart, re-running failed
 // ones, and -deadline / -max-events bound each run's wall-clock time
@@ -123,20 +124,20 @@ func main() {
 }
 
 // sweepFlags are the flags every -exp sweep reads.
-const sweepFlags = "exp seed duration parallel run-workers resume deadline max-events "
+const sweepFlags = "exp seed duration parallel resume deadline max-events "
 
 // modeFlags lists the flags each mode reads, besides -cpuprofile and
 // -memprofile, which wrap every mode. run rejects any other flag that
 // is set, so nothing on the command line is silently ignored.
 var modeFlags = map[string]string{
-	"-scenario":       "scenario set shrink out run-workers deadline max-events",
+	"-scenario":       "scenario set shrink out deadline max-events",
 	"-chaos-cov":      "chaos-cov runs seed duration corpus repro-dir deadline max-events",
 	"-exp cwnd":       sweepFlags + "hops variants",
 	"-exp throughput": sweepFlags + "hops windows variants seeds",
 	"-exp fairness":   sweepFlags + "hops seeds",
 	"-exp dynamics":   sweepFlags + "variants",
 	"-exp modern":     sweepFlags + "worlds variants seeds",
-	"-exp single":     "exp hops variants duration seed set out remote run-workers deadline max-events",
+	"-exp single":     "exp hops variants duration seed set out remote deadline max-events",
 }
 
 // scenarioHints say where a flag -scenario does not read lives instead.
@@ -155,30 +156,29 @@ func (s *setFlags) Set(v string) error { *s = append(*s, v); return nil }
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("muzhasim", flag.ContinueOnError)
 	var (
-		exp        = fs.String("exp", "throughput", "experiment: cwnd | throughput | fairness | dynamics | modern | single")
-		hops       = fs.String("hops", "", "comma-separated hop counts (default depends on experiment)")
-		windows    = fs.String("windows", "4,8,32", "comma-separated advertised windows (throughput experiment)")
-		variants   = fs.String("variants", "newreno,sack,vegas,muzha", "comma-separated TCP variants")
-		worlds     = fs.String("worlds", "", "comma-separated modern-grid worlds: chain | rgeo | manhattan (-exp modern; default all)")
-		duration   = fs.Duration("duration", 0, "simulated time per run (default depends on experiment)")
-		seed       = fs.Int64("seed", 1, "base random seed")
-		seeds      = fs.Int("seeds", 3, "number of seeds to average (throughput/fairness)")
-		chaosCov   = fs.Bool("chaos-cov", false, "run the coverage-guided chaos loop instead of an experiment")
-		corpus     = fs.String("corpus", "", "chaos-corpus JSONL path (-chaos-cov): persists coverage and resumes on restart")
-		reproDir   = fs.String("repro-dir", "", "directory for shrunk repro-<class>.json files (-chaos-cov)")
-		scenPath   = fs.String("scenario", "", "run one declarative scenario spec file and verify its expect block")
-		shrink     = fs.Bool("shrink", false, "with -scenario: minimize a failing spec and write the reproducer to -out")
-		runs       = fs.Int("runs", 10, "number of chaos scenarios (-chaos-cov)")
-		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (per-run results are identical at any width)")
-		runWorkers = fs.Int("run-workers", 0, "interaction domains each run simulates at once (0 = one per CPU, 1 = one at a time; output identical at any width)")
-		resume     = fs.String("resume", "", "result store path (muzhad's cache.jsonl format): store successful runs, skip them on restart")
-		deadline   = fs.Duration("deadline", 0, "per-run wall-clock deadline (0 = unbounded)")
-		maxEvents  = fs.Uint64("max-events", 0, "per-run simulator event budget (0 = unbounded)")
-		cpuprof    = fs.String("cpuprofile", "", "write a pprof CPU profile of the run/sweep to this file")
-		memprof    = fs.String("memprofile", "", "write a pprof allocation profile at exit to this file")
-		outPath    = fs.String("out", "", "write machine-readable Result JSON to this file (-exp single, -scenario; same canonical encoding muzhad serves)")
-		remote     = fs.String("remote", "", "muzhad address, e.g. 127.0.0.1:7370: run -exp single via the daemon instead of in-process")
-		sets       setFlags
+		exp       = fs.String("exp", "throughput", "experiment: cwnd | throughput | fairness | dynamics | modern | single")
+		hops      = fs.String("hops", "", "comma-separated hop counts (default depends on experiment)")
+		windows   = fs.String("windows", "4,8,32", "comma-separated advertised windows (throughput experiment)")
+		variants  = fs.String("variants", "newreno,sack,vegas,muzha", "comma-separated TCP variants")
+		worlds    = fs.String("worlds", "", "comma-separated modern-grid worlds: chain | rgeo | manhattan (-exp modern; default all)")
+		duration  = fs.Duration("duration", 0, "simulated time per run (default depends on experiment)")
+		seed      = fs.Int64("seed", 1, "base random seed")
+		seeds     = fs.Int("seeds", 3, "number of seeds to average (throughput/fairness)")
+		chaosCov  = fs.Bool("chaos-cov", false, "run the coverage-guided chaos loop instead of an experiment")
+		corpus    = fs.String("corpus", "", "chaos-corpus JSONL path (-chaos-cov): persists coverage and resumes on restart")
+		reproDir  = fs.String("repro-dir", "", "directory for shrunk repro-<class>.json files (-chaos-cov)")
+		scenPath  = fs.String("scenario", "", "run one declarative scenario spec file and verify its expect block")
+		shrink    = fs.Bool("shrink", false, "with -scenario: minimize a failing spec and write the reproducer to -out")
+		runs      = fs.Int("runs", 10, "number of chaos scenarios (-chaos-cov)")
+		parallel  = fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (per-run results are identical at any width)")
+		resume    = fs.String("resume", "", "result store path (muzhad's cache.jsonl format): store successful runs, skip them on restart")
+		deadline  = fs.Duration("deadline", 0, "per-run wall-clock deadline (0 = unbounded)")
+		maxEvents = fs.Uint64("max-events", 0, "per-run simulator event budget (0 = unbounded)")
+		cpuprof   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run/sweep to this file")
+		memprof   = fs.String("memprofile", "", "write a pprof allocation profile at exit to this file")
+		outPath   = fs.String("out", "", "write machine-readable Result JSON to this file (-exp single, -scenario; same canonical encoding muzhad serves)")
+		remote    = fs.String("remote", "", "muzhad address, e.g. 127.0.0.1:7370: run -exp single via the daemon instead of in-process")
+		sets      setFlags
 	)
 	fs.Var(&sets, "set", "edit a spec field, repeatable: path=value with a dotted JSON field path and a JSON or plain-string value, e.g. -set stack.expanding_ring=true (-scenario, and every -exp single cell)")
 	if err := fs.Parse(args); err != nil {
@@ -241,7 +241,6 @@ func run(args []string, out io.Writer) error {
 	}
 	sw := muzha.SweepOptions{
 		Parallel: *parallel,
-		Workers:  *runWorkers,
 		Journal:  *resume,
 		Guards: muzha.RunGuards{
 			WallClock: *deadline,
@@ -251,7 +250,7 @@ func run(args []string, out io.Writer) error {
 			LivelockWindow: 5_000_000,
 		},
 	}
-	r := runner{guards: sw.Guards, workers: *runWorkers}
+	r := runner{guards: sw.Guards}
 	if *scenPath != "" {
 		return runScenario(out, *scenPath, sets, *shrink, *outPath, r)
 	}
@@ -393,9 +392,8 @@ func report(out io.Writer, label string, res *muzha.Result, class string, err er
 // runner executes one spec's Config: in-process, or on a muzhad daemon
 // when cli is set. guards bound the run unless the spec has its own.
 type runner struct {
-	guards  muzha.RunGuards
-	workers int
-	cli     *jobs.Client
+	guards muzha.RunGuards
+	cli    *jobs.Client
 }
 
 // run executes spec and classifies the outcome: class is "" for a
@@ -410,7 +408,6 @@ func (r runner) run(spec scenario.Spec) (res *muzha.Result, raw json.RawMessage,
 	if spec.Guards == nil {
 		cfg.Guards = r.guards
 	}
-	cfg.Workers = r.workers
 	if r.cli != nil {
 		res, raw, err = remoteRun(r.cli, cfg)
 	} else if res, err = muzha.Run(cfg); err == nil {

@@ -130,11 +130,6 @@ func TestRunRejectsBadInput(t *testing.T) {
 			t.Errorf("run(%q) = %v, want an error containing %q", tt.args, err, tt.want)
 		}
 	}
-	// -run-workers only sets a width, so it combines with -shrink.
-	repro := filepath.Join(t.TempDir(), "repro.json")
-	if err := run([]string{"-scenario", spec, "-shrink", "-run-workers", "2", "-out", repro}, &sb); err != nil {
-		t.Errorf("-shrink -run-workers 2: %v", err)
-	}
 }
 
 // TestChainCellsMatchHandBuiltConfig pins that -exp single's chain

@@ -109,8 +109,8 @@ func RandomTopology(n int, width, height float64, seed int64) (Topology, error) 
 // GridIslandsTopology lays out islands copies of a rows x cols lattice
 // separated edge-to-edge by gap metres. With gap beyond the 550 m
 // carrier-sense range the islands are independent interaction domains,
-// so Config.Workers can simulate them concurrently. Default flow
-// endpoints are each island's opposite corners.
+// so a run simulates them concurrently. Default flow endpoints are each
+// island's opposite corners.
 func GridIslandsTopology(islands, rows, cols int, gap float64) (Topology, error) {
 	t, err := topo.GridIslands(islands, rows, cols, gap)
 	return Topology{inner: t}, err
@@ -120,7 +120,7 @@ func GridIslandsTopology(islands, rows, cols int, gap float64) (Topology, error)
 // seeded flow endpoint pairs per island, each spanning at least half
 // the island diameter. The node-scale benchmark workhorse: 16 islands
 // of 8x8 at 8 flows each is a 1024-node, 128-flow scenario whose
-// islands fan out across Config.Workers.
+// islands fan out across GOMAXPROCS.
 func GridIslandsFlowsTopology(islands, rows, cols int, gap float64, flowsPerIsland int, seed int64) (Topology, error) {
 	t, err := topo.GridIslandsFlows(islands, rows, cols, gap, flowsPerIsland, rand.New(rand.NewSource(seed)))
 	return Topology{inner: t}, err
@@ -439,21 +439,6 @@ type Config struct {
 	// stuck scenario cannot hang a whole batch.
 	Guards RunGuards `json:"guards"`
 
-	// Workers is how many interaction domains simulate at once. Every
-	// run partitions its radios into conservative interaction domains
-	// (connected components of the dist<=CSRange graph, with flow
-	// endpoints coupled and mobile nodes inflated to their whole
-	// mobility field) and simulates each as an independent sub-run on
-	// min(Workers, domains) goroutines. 0, the default, means one per
-	// CPU (runtime.GOMAXPROCS(0)); 1 runs the domains one at a time.
-	// Results, packet traces and golden event-stream hashes do not
-	// depend on the width, so Workers is excluded from Hash(). A
-	// topology that forms a single domain (all the paper's chains and
-	// crosses) runs as one sub-run with Seed itself. With several domains, Progress may fire from worker
-	// goroutines (calls are serialized, and SimTime and Events never
-	// decrease).
-	Workers int `json:"workers"`
-
 	// PacketTrace, when non-nil, receives an NS-2-style packet trace:
 	// one line per transport send/receive, forward, drop and congestion
 	// mark. Expect on the order of ten thousand lines per simulated
@@ -469,10 +454,12 @@ type Config struct {
 	// run stops. Snapshots ride the guard tick, so with Guards or Cancel
 	// set each arrives on the first guard check at or past its period
 	// (exactly on it when the guard interval divides ProgressEvery). The
-	// callback fires on the goroutine executing Run and must be fast; it
-	// observes the run without influencing it, so a run is bit-for-bit
-	// identical with or without it. The job daemon streams these
-	// snapshots to clients.
+	// callback must be fast; it observes the run without influencing it,
+	// so a run is bit-for-bit identical with or without it. A
+	// single-domain run calls it on the goroutine executing Run; with
+	// several domains it may fire from the goroutines simulating them
+	// (calls are serialized, and SimTime and Events never decrease). The
+	// job daemon streams these snapshots to clients.
 	Progress func(ProgressUpdate) `json:"-"`
 	// ProgressEvery is the Progress callback period in events
 	// (default 65536).
@@ -490,6 +477,11 @@ type Config struct {
 	// flow; the golden determinism tests hash it to prove engine
 	// optimizations change nothing. Test-only, hence unexported.
 	eventHook func(sim.Time, uint64)
+	// width, when positive, replaces GOMAXPROCS as the number of
+	// interaction domains simulating at once (see runDomains). The width
+	// never changes a Result; the width-invariance tests and scaling
+	// benchmarks set it, hence unexported.
+	width int
 }
 
 // DefaultConfig returns the paper's Table 5.1 parameters: 2 Mbps 802.11
@@ -558,9 +550,6 @@ func (c *Config) validate() error {
 	}
 	if c.QueueLimit < 1 {
 		return fmt.Errorf("muzha: queue limit must be >= 1, got %d", c.QueueLimit)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("muzha: workers must be >= 0, got %d", c.Workers)
 	}
 	if c.REDMarkECN && !c.UseRED {
 		return fmt.Errorf("muzha: REDMarkECN requires UseRED")

@@ -103,16 +103,13 @@ func decodeStrict(b []byte, v any) error {
 }
 
 // Hash returns the content hash identifying this scenario: the SHA-256
-// of the canonical JSON encoding with Guards and Workers zeroed, as
-// lowercase hex. It is THE result-cache key of the muzhad daemon —
-// identical (config, seed) submissions hash identically, so their
-// Results are interchangeable; Seed is part of Config, hence part of
-// the hash. Observer fields (PacketTrace, Progress, Cancel), guard
-// budgets and the Workers width do not affect a completed run's Result
-// and are excluded.
+// of the canonical JSON encoding with Guards zeroed, as lowercase hex.
+// It is THE result-cache key of the muzhad daemon — identical
+// (config, seed) submissions hash identically, so their Results are
+// interchangeable; Seed is part of Config, hence part of the hash. Observer fields (PacketTrace, Progress, Cancel) and guard
+// budgets do not affect a completed run's Result and are excluded.
 func (c Config) Hash() (string, error) {
 	c.Guards = RunGuards{}
-	c.Workers = 0
 	b, err := c.MarshalJSON()
 	if err != nil {
 		return "", fmt.Errorf("muzha: hash config: %w", err)

@@ -40,7 +40,6 @@ func wireTestConfig(t *testing.T) Config {
 		{Kind: FaultBurstLoss, At: 5 * time.Second, BadLossRate: 0.5},
 	}
 	cfg.Guards = RunGuards{WallClock: time.Minute, MaxEvents: 1_000_000, LivelockWindow: 100_000}
-	cfg.Workers = 2
 	return cfg
 }
 
@@ -82,9 +81,6 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	}
 	if !back.DRAIClamp {
 		t.Fatal("DRAIClamp lost in round trip")
-	}
-	if back.Workers != cfg.Workers {
-		t.Fatalf("workers lost: %d", back.Workers)
 	}
 	if err := back.Validate(); err != nil {
 		t.Fatalf("round-tripped config invalid: %v", err)
@@ -154,10 +150,9 @@ func TestConfigHashStability(t *testing.T) {
 		t.Fatalf("hash is not sha256 hex: %q", h1)
 	}
 	// Pinned literals: the cache key and the canonical wire bytes
-	// (guards and workers included) of this config. A change to either
-	// orphans every cached result and journaled sweep, so it must be
-	// deliberate.
-	const wantHash = "8442b4bec26419b4a337327b44d5732627fae56328b727555a271c77d354b566"
+	// (guards included) of this config. A change to either orphans
+	// every cached result and journaled sweep, so it must be deliberate.
+	const wantHash = "e8fb9e7d85b500d6e9754023ba6f52b9c7ad01f7769a94010de893ce4f772a3e"
 	if h1 != wantHash {
 		t.Fatalf("Hash = %s, want pinned %s", h1, wantHash)
 	}
@@ -165,21 +160,20 @@ func TestConfigHashStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantWire = "80bf63f0ad34a4489f3deb39debf02110d4c3df144f4d4fefc89d6bfe0c5b794"
+	const wantWire = "b5c11b554c5a9e41519d6bdada21f2f1e83d49ebfa331c00d40b3542be7f8485"
 	if got := fmt.Sprintf("%x", sha256.Sum256(wire)); got != wantWire {
 		t.Fatalf("canonical bytes digest = %s, want pinned %s:\n%s", got, wantWire, wire)
 	}
 
-	// Guard budgets, observers and the engine width must not move the
-	// hash: they cannot change what a completed run computes, so
-	// configs differing only there share a cached Result.
+	// Guard budgets and observers must not move the hash: they cannot
+	// change what a completed run computes, so configs differing only
+	// there share a cached Result.
 	varied := cfg
 	varied.Guards = RunGuards{WallClock: time.Hour, MaxEvents: 7}
 	varied.Progress = func(ProgressUpdate) {}
 	varied.ProgressEvery = 123
 	varied.Cancel = make(chan struct{})
 	varied.PacketTrace = &bytes.Buffer{}
-	varied.Workers = 8
 	hv, err := varied.Hash()
 	if err != nil {
 		t.Fatal(err)
@@ -256,6 +250,7 @@ func TestConfigJSONRejectsUnknownKeys(t *testing.T) {
 	for key, doc := range map[string]string{
 		"bit_error_rate": `{"bit_error_rate":0.001,` + string(b[1:]),
 		"radius":         strings.Replace(string(b), `"topology":{`, `"topology":{"radius":250,`, 1),
+		"workers":        `{"workers":2,` + string(b[1:]),
 	} {
 		var c Config
 		err := json.Unmarshal([]byte(doc), &c)

@@ -148,12 +148,11 @@ func (p DRAIPolicy) Validate() error {
 			len(p.Levels), len(p.Thresholds))
 	}
 	prev := 0.0
-	for i, th := range p.Thresholds {
+	for _, th := range p.Thresholds {
 		if th <= prev || th > 1 {
 			return fmt.Errorf("core: thresholds must be ascending in (0,1], got %v", p.Thresholds)
 		}
 		prev = th
-		_ = i
 	}
 	for i, l := range p.Levels {
 		if l < DRAIAggressiveDecel || l > DRAIAggressiveAccel {

@@ -22,7 +22,9 @@ type ServerConfig struct {
 	// DataDir holds jobs.jsonl (the job store) and cache.jsonl (the
 	// result cache). Required.
 	DataDir string
-	// Workers is the simulation worker count (default GOMAXPROCS).
+	// Workers is the number of jobs running at once (default
+	// GOMAXPROCS). Inside one job, up to GOMAXPROCS interaction domains
+	// simulate at once.
 	Workers int
 	// QueueDepth bounds admitted-but-unfinished jobs (queued + running).
 	// Past it, submissions get 429 with a Retry-After hint — the queue
@@ -38,12 +40,6 @@ type ServerConfig struct {
 	// ProgressEvery is the progress snapshot period in engine events
 	// (default 65536).
 	ProgressEvery uint64
-	// RunWorkers sets every job's Config.Workers width, overriding the
-	// submission's: how many cores one job may use is server policy.
-	// 0 lets a job simulate one domain per CPU at once; 1 keeps each
-	// job on one goroutine.
-	// The width never changes a Result, so cached results stay valid.
-	RunWorkers int
 	// Logf, when non-nil, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
 	// CacheLimit bounds the result cache; least-recently-used results
@@ -195,7 +191,6 @@ func (s *Server) runFn(id string) func() (any, error) {
 		if (cfg.Guards == muzha.RunGuards{}) {
 			cfg.Guards = s.cfg.Guards
 		}
-		cfg.Workers = s.cfg.RunWorkers
 		cfg.Cancel = s.cancel
 		cfg.ProgressEvery = s.cfg.ProgressEvery
 		cfg.Progress = func(u muzha.ProgressUpdate) {

@@ -107,8 +107,8 @@ func (s *Store) Skipped() int {
 // when cached is set, born done and served from the result cache: one
 // journal line either way. A job whose config bytes equal those last
 // stored under the same hash shares their backing array; the bytes are
-// compared because Config.Hash leaves out fields (Guards, Workers) that
-// the canonical encoding keeps.
+// compared because Config.Hash leaves out Guards, which the canonical
+// encoding keeps.
 func (s *Store) NewJob(hash, client string, cfg json.RawMessage, cached bool) Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -430,7 +430,7 @@ func (f *fanout) next() (at sim.Time, seq uint64, step fanStep, ok bool) {
 // the key with the cursor and Fire returns. After the last key the fanout
 // returns to the pool before that key's callback runs, since the callback
 // may transmit and take it back.
-func (f *fanout) Fire(any) {
+func (f *fanout) Fire() {
 	s := f.from.ch.sim
 	from, pkt := f.from, f.pkt
 	for {

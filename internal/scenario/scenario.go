@@ -449,7 +449,7 @@ func (s Spec) Config() (muzha.Config, error) {
 			MobileNodes: append([]int(nil), m.Nodes...),
 		}
 	}
-	for i, f := range s.Faults {
+	for _, f := range s.Faults {
 		ev := muzha.FaultEvent{
 			Kind:            muzha.FaultKind(f.Kind),
 			At:              ms(f.AtMs),
@@ -465,11 +465,6 @@ func (s Spec) Config() (muzha.Config, error) {
 		}
 		for _, g := range f.Groups {
 			ev.Groups = append(ev.Groups, append([]int(nil), g...))
-		}
-		switch ev.Kind {
-		case muzha.FaultNodeCrash, muzha.FaultLinkBlackout, muzha.FaultPartition, muzha.FaultBurstLoss:
-		default:
-			return muzha.Config{}, fmt.Errorf("scenario: fault %d has unknown kind %q", i, f.Kind)
 		}
 		cfg.Faults = append(cfg.Faults, ev)
 	}

@@ -10,7 +10,7 @@ import (
 
 // Differential test of the event queue against a brute-force oracle: a
 // flat list of pending entries searched linearly for the minimum
-// (at, seq). A random program of Schedule, ScheduleArg, Cancel,
+// (at, seq). A random program of Schedule, Cancel,
 // Timer.Reset, Timer.Stop and Reserve+AtSeq chains runs both from the top
 // level and from inside callbacks, so every path through the held root
 // (fused take, release on reschedule, compaction, Pending, QueueLen) is
@@ -157,7 +157,7 @@ type chain struct {
 	fire func(*chain)
 }
 
-func (c *chain) Fire(any) { c.fire(c) }
+func (c *chain) Fire() { c.fire(c) }
 
 var errGuardAbort = errors.New("guard abort")
 
@@ -251,7 +251,7 @@ func diffRun(seed int64, budget int) (claimStats, error) {
 	}
 
 	var act func(depth int)
-	var onArg func(any)
+	var onEvent func(id int)
 	// queue puts the chain's next key in the oracle; arm also queues it
 	// in the engine.
 	queue := func(c *chain) oEntry {
@@ -319,8 +319,8 @@ func diffRun(seed int64, budget int) (claimStats, error) {
 			return
 		}
 	}
-	onArg = func(a any) {
-		check(a.(int))
+	onEvent = func(id int) {
+		check(id)
 		act(1)
 	}
 	for i := range timers {
@@ -355,7 +355,7 @@ func diffRun(seed int64, budget int) (claimStats, error) {
 				ids++
 				d := delay()
 				refEnts = append(refEnts, o.push(s.Now()+d, id))
-				refs = append(refs, s.ScheduleArg(d, onArg, id))
+				refs = append(refs, s.Schedule(d, func() { onEvent(id) }))
 			case 3:
 				if len(refs) == 0 {
 					continue
@@ -405,7 +405,7 @@ func diffRun(seed int64, budget int) (claimStats, error) {
 				for q := range burst {
 					d := 100 + delay()
 					ents[q] = o.push(s.Now()+d, -100)
-					burst[q] = s.ScheduleArg(d, onArg, -100)
+					burst[q] = s.Schedule(d, func() { onEvent(-100) })
 				}
 				for q := range burst {
 					o.cancel(ents[q])

@@ -11,8 +11,7 @@
 // or their cancellation is collected; the priority queue is a concrete
 // 4-ary indexed heap of those ids (no interface boxing, fewer cache
 // misses than a binary heap); and hot callers schedule a comparable
-// Handler, or a package-level function with an argument (ScheduleArg),
-// instead of a fresh closure. Outstanding event handles are
+// Handler instead of a fresh closure. Outstanding event handles are
 // generation-stamped EventRef values, so a handle kept past its event's
 // lifetime becomes inert instead of aliasing a recycled slot. The heap
 // holds no pointers, so the sift loops that dominate a run write none:
@@ -78,22 +77,17 @@ func (t Time) String() string { return time.Duration(t).String() }
 func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 
 // Handler is an event callback scheduled by AtSeq or as a Timer's expiry.
-// Fire runs the event; arg is the argument the event was scheduled with
-// (nil for AtSeq and timers). Its dynamic type must be comparable, a
-// pointer in practice: re-keying the held root compares the new Handler
-// with the one the slot already holds and writes it only if they differ,
-// so a cursor that re-arms itself writes no pointer into the pool.
-type Handler interface{ Fire(arg any) }
+// Fire runs the event. Its dynamic type must be comparable, a pointer in
+// practice: re-keying the held root compares the new Handler with the one
+// the slot already holds and writes it only if they differ, so a cursor
+// that re-arms itself writes no pointer into the pool.
+type Handler interface{ Fire() }
 
-// funcHandler and argHandler carry Schedule's and ScheduleArg's plain
-// functions. Funcs are not comparable, so these are always written.
+// funcHandler carries Schedule's plain functions. Funcs are not
+// comparable, so it is always written.
 type funcHandler func()
 
-func (f funcHandler) Fire(any) { f() }
-
-type argHandler func(any)
-
-func (f argHandler) Fire(arg any) { f(arg) }
+func (f funcHandler) Fire() { f() }
 
 // event is a pooled scheduled callback, addressed by its slot id in the
 // simulator's pool. Slots are recycled through the free list when the
@@ -103,7 +97,6 @@ type event struct {
 	at        Time
 	seq       uint64
 	h         Handler
-	arg       any
 	index     int32 // heap index, -1 when not queued
 	gen       uint32
 	cancelled bool
@@ -227,21 +220,14 @@ func (s *Simulator) At(at Time, fn func()) EventRef {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	return s.insert(at, funcHandler(fn), nil)
-}
-
-// ScheduleArg runs fn(arg) after delay. Passing state explicitly lets hot
-// callers schedule a package-level function instead of allocating a
-// closure per event; arg is typically a pointer from the caller's own
-// pool. Semantics are otherwise identical to Schedule.
-func (s *Simulator) ScheduleArg(delay Time, fn func(any), arg any) EventRef {
-	if fn == nil {
-		panic("sim: nil event function")
+	if at < s.now {
+		at = s.now
 	}
-	if delay < 0 {
-		delay = 0
-	}
-	return s.insert(s.now+delay, argHandler(fn), arg)
+	id := s.enqueue(at, s.seq)
+	s.seq++
+	e := &s.evs[id]
+	e.h = funcHandler(fn)
+	return EventRef{s: s, id: id, gen: e.gen}
 }
 
 // Reserve sets aside n consecutive sequence numbers and returns the
@@ -272,16 +258,12 @@ func (s *Simulator) queueReserved(at Time, seq uint64, h Handler) {
 	s.keep(s.enqueue(at, seq), h)
 }
 
-// keep gives slot id the comparable Handler h and no argument, writing
-// only what differs: a held root re-keyed with its own Handler writes no
-// pointer.
+// keep gives slot id the comparable Handler h, writing it only if it
+// differs: a held root re-keyed with its own Handler writes no pointer.
 func (s *Simulator) keep(id int32, h Handler) *event {
 	e := &s.evs[id]
 	if e.h != h {
 		e.h = h
-	}
-	if e.arg != nil {
-		e.arg = nil
 	}
 	return e
 }
@@ -338,17 +320,6 @@ func (s *Simulator) checkReserved(at Time, seq uint64) {
 	}
 }
 
-func (s *Simulator) insert(at Time, h Handler, arg any) EventRef {
-	if at < s.now {
-		at = s.now
-	}
-	id := s.enqueue(at, s.seq)
-	s.seq++
-	e := &s.evs[id]
-	e.h, e.arg = h, arg
-	return EventRef{s: s, id: id, gen: e.gen}
-}
-
 // enqueue queues a slot under the key (at, seq) and returns its id; the
 // caller sets its callback. The first event a callback schedules takes
 // the held root's slot with one sift-down (a fused pop+push).
@@ -391,7 +362,6 @@ func (s *Simulator) recycle(id int32) {
 	e := &s.evs[id]
 	e.gen++
 	e.h = nil
-	e.arg = nil
 	e.cancelled = false
 	e.index = -1
 	s.free = append(s.free, id)
@@ -527,10 +497,10 @@ func (s *Simulator) drain(until Time) {
 		// schedules can take it with one sift-down, overwriting the stale
 		// callback copied out here. The generation bump retires every
 		// handle to the fired event.
-		h, arg := e.h, e.arg
+		h := e.h
 		e.gen++
 		s.held = true
-		h.Fire(arg)
+		h.Fire()
 		s.release()
 		if s.guardErr == nil {
 			// A FireAt that saw the guard abort has already paid this
@@ -704,7 +674,7 @@ func NewTimer(s *Simulator, fn func()) *Timer {
 }
 
 // Fire implements Handler.
-func (t *Timer) Fire(any) { t.fn() }
+func (t *Timer) Fire() { t.fn() }
 
 // Reset (re)arms the timer to fire after delay, cancelling any pending
 // expiry. While the timer's event slot is still queued — pending, or

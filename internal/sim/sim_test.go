@@ -420,21 +420,6 @@ func TestTimerRearmInPlace(t *testing.T) {
 	}
 }
 
-// TestScheduleArg verifies the closure-free scheduling path.
-func TestScheduleArg(t *testing.T) {
-	s := New(1)
-	var got []int
-	record := func(a any) { got = append(got, a.(int)) }
-	s.ScheduleArg(2*Millisecond, record, 2)
-	s.ScheduleArg(Millisecond, record, 1)
-	ref := s.ScheduleArg(3*Millisecond, record, 3)
-	ref.Cancel()
-	s.RunAll()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("ScheduleArg events = %v, want [1 2]", got)
-	}
-}
-
 func BenchmarkScheduleRun(b *testing.B) {
 	s := New(1)
 	b.ReportAllocs()

@@ -92,7 +92,7 @@ func TestPacingWidthInvariance(t *testing.T) {
 	cfg.Topology = islands
 	cfg.Duration = 2 * time.Second
 	cfg.Window = 8
-	cfg.Workers = 1
+	cfg.width = 1
 	cfg.Pacing = true
 	cfg.Flows = []Flow{
 		{Src: fe[0][0], Dst: fe[0][1], Variant: CUBIC},
@@ -110,7 +110,7 @@ func TestPacingWidthInvariance(t *testing.T) {
 	}
 	for _, w := range []int{2, 4} {
 		pcfg := cfg
-		pcfg.Workers = w
+		pcfg.width = w
 		if got := goldenHash(t, pcfg); got != ref {
 			t.Errorf("workers=%d changed the paced event stream: %s vs %s", w, got, ref)
 		}

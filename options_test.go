@@ -61,7 +61,6 @@ var optionReach = map[string]reach{
 	"mobility":                  {family: "extension.mobility"},
 	"faults":                    {family: "modern"},
 	"guards":                    {fn: "perfbench/sim.go:setupIslands"},
-	"workers":                   {fn: "parallel_test.go:TestParallelProgressAndCancel"},
 }
 
 // TestEveryOptionIsReached walks Config's wire fields and checks each

@@ -30,13 +30,14 @@ import (
 // deterministically afterwards.
 //
 // One determinism contract covers every run: the output is a pure
-// function of (config, seed) and independent of Workers. A
+// function of (config, seed) and independent of the number of domains
+// simulating at once. A
 // single-domain scenario (every chain and cross the paper uses) runs
 // as one sub-simulation with the run seed itself. A multi-domain
 // scenario derives per-domain seeds by index, each domain's event
 // stream is internally sequential, and every merge below iterates in
 // domain order. The golden tests pin the fixtures and replay them at
-// widths 0 through 8.
+// widths 1 through 8 and at GOMAXPROCS.
 
 // subSeed derives the RNG seed of one domain from the run seed, via a
 // splitmix64 finalizer so neighboring (seed, domain) pairs decorrelate.
@@ -221,9 +222,9 @@ func (t *domainTrace) node(id packet.NodeID) packet.NodeID {
 // runDomains executes cfg as independent per-domain sub-simulations and
 // merges their results, event-hook streams and packet traces (to rec,
 // when non-nil) in domain order, so the outcome is identical at every
-// width. A fixed set of min(width, domains) worker goroutines pulls
-// domain indices from a shared counter; width is cfg.Workers, or
-// GOMAXPROCS when that is 0. A single domain runs with cfg itself, seed
+// width. A fixed set of min(GOMAXPROCS, domains) worker goroutines
+// pulls domain indices from a shared counter (cfg.width replaces
+// GOMAXPROCS in tests). A single domain runs with cfg itself, seed
 // included.
 func runDomains(cfg Config, rec trace.Recorder) (*Result, error) {
 	domains := planDomains(cfg)
@@ -283,9 +284,9 @@ func runDomains(cfg Config, rec trace.Recorder) (*Result, error) {
 		results[d], errs[d] = run(sub, subRec)
 	}
 
-	width := cfg.Workers
-	if width == 0 {
-		width = runtime.GOMAXPROCS(0)
+	width := runtime.GOMAXPROCS(0)
+	if cfg.width > 0 {
+		width = cfg.width
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup

@@ -19,10 +19,12 @@ import (
 //
 //   - Single-domain identity: every single-domain golden scenario runs
 //     as one domain with the run seed itself, so it must be identical
-//     at any width, 0 included.
+//     at any width.
 //   - Width invariance: multi-domain scenarios must produce the same
 //     merged event stream and the same Result at every width.
 
+// testWidths are the widths the invariance tests replay: 0 leaves
+// Run's own width, GOMAXPROCS.
 var testWidths = []int{0, 1, 2, 4, 8}
 
 // assertWidthInvariant runs cfg at every test width and fails on any
@@ -32,7 +34,7 @@ func assertWidthInvariant(t *testing.T, cfg Config) {
 	var ref string
 	var refRes *Result
 	for _, w := range testWidths {
-		cfg.Workers = w
+		cfg.width = w
 		hash, res := goldenRun(t, cfg)
 		if refRes == nil {
 			ref, refRes = hash, res
@@ -81,7 +83,7 @@ func TestParallelWidthInvariance(t *testing.T) {
 // transport send is renumbered to its flow's global source node.
 func TestPacketTraceObservesDecomposedRun(t *testing.T) {
 	cfg := parallelGoldenScenarios(t)["islands-3x-parallel"]
-	cfg.Workers = 1
+	cfg.width = 1
 	plain, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +91,7 @@ func TestPacketTraceObservesDecomposedRun(t *testing.T) {
 	traced := func(workers int) string {
 		var sb strings.Builder
 		c := cfg
-		c.Workers = workers
+		c.width = workers
 		c.PacketTrace = &sb
 		res, err := Run(c)
 		if err != nil {
@@ -136,7 +138,7 @@ func TestParallelMobilityRepartition(t *testing.T) {
 	cfg.Duration = 4 * time.Second
 	cfg.Window = 8
 	cfg.Seed = 9
-	cfg.Workers = 1
+	cfg.width = 1
 	cfg.Flows = []Flow{
 		{Src: fe[0][0], Dst: fe[0][1], Variant: Muzha},
 		{Src: fe[1][0], Dst: fe[1][1], Variant: Muzha},
@@ -156,7 +158,7 @@ func TestParallelMobilityRepartition(t *testing.T) {
 	ref := goldenHash(t, cfg)
 	for _, w := range testWidths[1:] {
 		pcfg := cfg
-		pcfg.Workers = w
+		pcfg.width = w
 		if got := goldenHash(t, pcfg); got != ref {
 			t.Errorf("workers=%d diverged under mobility: %s vs %s", w, got, ref)
 		}
@@ -183,16 +185,8 @@ func TestPlanDomainsCouplesFlows(t *testing.T) {
 	}
 }
 
-func TestParallelValidatesConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Workers = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative workers must not validate")
-	}
-}
-
 // TestParallelProgressAndCancel exercises the observer plumbing of a
-// multi-domain run at widths 0, 2 and 4: progress snapshots arrive
+// multi-domain run at widths GOMAXPROCS, 2 and 4: progress snapshots arrive
 // serialized, their virtual time and event count never decrease, the
 // terminal snapshot carries the total event count, and a pre-closed
 // Cancel aborts every domain.
@@ -213,7 +207,7 @@ func TestParallelProgressAndCancel(t *testing.T) {
 	for _, width := range []int{0, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", width), func(t *testing.T) {
 			cfg := base
-			cfg.Workers = width
+			cfg.width = width
 			var updates []ProgressUpdate
 			cfg.Progress = func(u ProgressUpdate) { updates = append(updates, u) }
 			cfg.ProgressEvery = 1 << 8
@@ -332,13 +326,13 @@ func TestParallelRaceSweep(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		cfg := base
 		cfg.Seed = seed
-		cfg.Workers = width
+		cfg.width = width
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if seed == 1 {
-			cfg.Workers = 1
+			cfg.width = 1
 			ref, err = Run(cfg)
 			if err != nil {
 				t.Fatal(err)

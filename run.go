@@ -53,8 +53,8 @@ func chainGuards(fns []func() error) func() error {
 // ErrEventBudget or ErrLivelock.
 //
 // Every run goes through the spatial-domain decomposition (see
-// parallel.go); Config.Workers only sets how many domains simulate at
-// once, so the output is identical at every width.
+// parallel.go): up to GOMAXPROCS domains simulate at once, and the
+// output is identical at every width.
 func Run(cfg Config) (res *Result, err error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

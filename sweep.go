@@ -12,9 +12,10 @@ import (
 // result store to resume from, and per-run guards. The zero value
 // reproduces the historical serial, unguarded, unstored behaviour.
 type SweepOptions struct {
-	// Parallel is the worker count; <= 1 runs serially, and any value
-	// yields bit-for-bit identical per-run Results — each run is
-	// single-threaded, workers only change wall-clock time.
+	// Parallel is the number of runs executing at once; <= 1 runs
+	// serially, and any value yields bit-for-bit identical per-run
+	// Results — workers only change wall-clock time. (Inside one run,
+	// up to GOMAXPROCS interaction domains simulate at once.)
 	Parallel int
 	// Journal is the path of a result store: the muzhad cache.jsonl
 	// format, keyed by Config.Hash, so a daemon's cache can seed a sweep
@@ -28,11 +29,6 @@ type SweepOptions struct {
 	// Guards bounds every run in the sweep (applied only to runs whose
 	// Config carries no guards of its own).
 	Guards RunGuards
-	// Workers is the Config.Workers width given to every run whose
-	// Config does not set its own; 0 leaves it at one worker per CPU
-	// and 1 simulates each run's domains one at a time. Independent of
-	// Parallel, which schedules whole runs; neither changes a Result.
-	Workers int
 }
 
 // SweepError summarizes a supervised sweep's failures. The sweep always
@@ -124,9 +120,6 @@ func runPool(cfgs []Config, keys []string, opt SweepOptions) ([]runOutcome, erro
 		}
 		if !cfg.Guards.Enabled() {
 			cfg.Guards = opt.Guards
-		}
-		if cfg.Workers == 0 {
-			cfg.Workers = opt.Workers
 		}
 		jobs = append(jobs, harness.Job{Fn: func() (any, error) {
 			res, err := Run(cfg)

@@ -57,12 +57,12 @@ func TestUnlimitedTraceFlowLimitKeepsSeries(t *testing.T) {
 // recompute over all flows.
 func TestSummaryDecisionIsGlobalAcrossDomains(t *testing.T) {
 	cfg := islandsConfig(t)
-	cfg.Workers = 1
+	cfg.width = 1
 	w1, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 2
+	cfg.width = 2
 	w2, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
