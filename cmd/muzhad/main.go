@@ -21,7 +21,8 @@
 //
 // -workers sets how many jobs run at once; inside one job, up to
 // GOMAXPROCS interaction domains simulate at once, and that width never
-// changes a result.
+// changes a result. A running job reports a progress snapshot every
+// 65,536 engine events and once when it stops.
 package main
 
 import (
@@ -61,7 +62,6 @@ func run(args []string) error {
 		deadline   = fs.Duration("deadline", 5*time.Minute, "default per-run wall-clock deadline")
 		maxEvents  = fs.Uint64("max-events", 0, "default per-run event budget (0 = unbounded)")
 		drainGrace = fs.Duration("drain-grace", 30*time.Second, "how long a shutdown lets running jobs finish before canceling them")
-		progress   = fs.Uint64("progress-every", 1<<16, "progress snapshot period in engine events")
 
 		cacheEntries = fs.Int("cache-max-entries", 0, "result-cache entry cap; least-recently-used results are evicted past it (0 = unbounded)")
 		cacheBytes   = fs.Int64("cache-max-bytes", 0, "result-cache byte cap for cached result payloads (0 = unbounded)")
@@ -82,10 +82,9 @@ func run(args []string) error {
 		Guards: muzha.RunGuards{
 			WallClock:      *deadline,
 			MaxEvents:      *maxEvents,
-			LivelockWindow: 5_000_000,
+			LivelockWindow: harness.DefaultLivelockWindow,
 		},
-		ProgressEvery: *progress,
-		Logf:          logger.Printf,
+		Logf: logger.Printf,
 		CacheLimit: harness.CacheLimit{
 			MaxEntries: *cacheEntries,
 			MaxBytes:   *cacheBytes,

@@ -2,12 +2,19 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Fatal("unknown flag accepted")
+	}
+	// The progress period is fixed at 65,536 events; the flag that set
+	// it is gone.
+	err := run([]string{"-progress-every", "512", "-data", t.TempDir()})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -progress-every") {
+		t.Fatalf("-progress-every: err = %v, want it refused as undefined", err)
 	}
 }
 

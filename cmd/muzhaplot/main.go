@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"muzha"
@@ -69,7 +68,7 @@ func run(args []string) error {
 	if exps == nil {
 		return fmt.Errorf("unknown figure family %q", *exp)
 	}
-	outs, err := muzha.RunExperiments(exps, muzha.SweepOptions{Parallel: runtime.GOMAXPROCS(0)})
+	outs, err := muzha.RunExperiments(exps, muzha.SweepOptions{})
 	if err != nil {
 		return err
 	}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
 
@@ -44,7 +43,7 @@ func run(args []string, w io.Writer, doc string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	outs, runErr := muzha.RunExperiments(muzha.Registry(), muzha.SweepOptions{Parallel: runtime.GOMAXPROCS(0)})
+	outs, runErr := muzha.RunExperiments(muzha.Registry(), muzha.SweepOptions{})
 	if outs == nil {
 		return runErr
 	}

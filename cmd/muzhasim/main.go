@@ -21,19 +21,20 @@
 // engine hot spot is measured rather than guessed.
 //
 // All experiments are deterministic in -seed. Multi-run sweeps execute
-// on a supervised worker pool: -parallel sets the worker count (default
-// GOMAXPROCS; per-run results are identical at any width; inside one
-// run, up to GOMAXPROCS interaction domains simulate at once), -resume
-// stores each successful run in a result store (muzhad's cache.jsonl
-// format) and skips the stored runs on restart, re-running failed
-// ones, and -deadline / -max-events bound each run's wall-clock time
-// and event count so one stuck scenario cannot hang a sweep.
+// on a supervised worker pool of min(GOMAXPROCS, runs) workers (per-run
+// results are identical at any width, so GOMAXPROCS=1 in the
+// environment gives a serial sweep; inside one run, up to GOMAXPROCS
+// interaction domains simulate at once), -resume stores each successful
+// run in a result store (muzhad's cache.jsonl format) and skips the
+// stored runs on restart, re-running failed ones, and -deadline /
+// -max-events bound each run's wall-clock time and event count so one
+// stuck scenario cannot hang a sweep.
 //
 // The -chaos-cov mode runs the coverage-guided chaos loop: randomized
 // fault-injection specs are mutated from a persistent corpus (-corpus)
 // toward unreached Sometimes assertions, each spec runs twice to check
-// determinism, any failure exits nonzero, and failures are auto-shrunk
-// to minimal reproducers under -repro-dir.
+// determinism, and any failure exits nonzero; with -repro-dir, the first
+// failure of each class is shrunk to a minimal reproducer written there.
 //
 // Every single run is a scenario spec (see EXPERIMENTS.md for the
 // format): -scenario loads one from a file, and -exp single makes one
@@ -124,7 +125,7 @@ func main() {
 }
 
 // sweepFlags are the flags every -exp sweep reads.
-const sweepFlags = "exp seed duration parallel resume deadline max-events "
+const sweepFlags = "exp seed duration resume deadline max-events "
 
 // modeFlags lists the flags each mode reads, besides -cpuprofile and
 // -memprofile, which wrap every mode. run rejects any other flag that
@@ -170,7 +171,6 @@ func run(args []string, out io.Writer) error {
 		scenPath  = fs.String("scenario", "", "run one declarative scenario spec file and verify its expect block")
 		shrink    = fs.Bool("shrink", false, "with -scenario: minimize a failing spec and write the reproducer to -out")
 		runs      = fs.Int("runs", 10, "number of chaos scenarios (-chaos-cov)")
-		parallel  = fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (per-run results are identical at any width)")
 		resume    = fs.String("resume", "", "result store path (muzhad's cache.jsonl format): store successful runs, skip them on restart")
 		deadline  = fs.Duration("deadline", 0, "per-run wall-clock deadline (0 = unbounded)")
 		maxEvents = fs.Uint64("max-events", 0, "per-run simulator event budget (0 = unbounded)")
@@ -240,14 +240,13 @@ func run(args []string, out io.Writer) error {
 		}()
 	}
 	sw := muzha.SweepOptions{
-		Parallel: *parallel,
-		Journal:  *resume,
+		Journal: *resume,
 		Guards: muzha.RunGuards{
 			WallClock: *deadline,
 			MaxEvents: *maxEvents,
 			// Any zero-delay event cycle is a bug; a generous window
 			// keeps the detector clear of legitimate same-instant bursts.
-			LivelockWindow: 5_000_000,
+			LivelockWindow: harness.DefaultLivelockWindow,
 		},
 	}
 	r := runner{guards: sw.Guards}
@@ -255,6 +254,9 @@ func run(args []string, out io.Writer) error {
 		return runScenario(out, *scenPath, sets, *shrink, *outPath, r)
 	}
 	if *chaosCov {
+		if *runs < 1 {
+			return fmt.Errorf("-runs %d: want at least 1", *runs)
+		}
 		return runChaosCov(out, *runs, *seed, *duration, *corpus, *reproDir, sw.Guards)
 	}
 
@@ -319,7 +321,7 @@ func run(args []string, out io.Writer) error {
 			if !strings.Contains(base, "://") {
 				base = "http://" + base
 			}
-			r.cli = &jobs.Client{BaseURL: base, ClientID: "muzhasim", Retry: jobs.DefaultBackoff()}
+			r.cli = &jobs.Client{BaseURL: base, ClientID: "muzhasim", Attempts: 5}
 		}
 		return runSingle(out, cells, *outPath, r)
 	}
@@ -459,7 +461,7 @@ func runScenario(out io.Writer, path string, sets []string, shrink bool, outPath
 		if outPath == "" {
 			outPath = "repro.json"
 		}
-		sr := chaoscov.Shrink(spec, class, r.guards, 0, func(f string, a ...any) {
+		sr := chaoscov.Shrink(spec, class, r.guards, func(f string, a ...any) {
 			fmt.Fprintf(out, f+"\n", a...)
 		})
 		b, err := json.MarshalIndent(sr.Spec, "", "  ")

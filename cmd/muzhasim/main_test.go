@@ -120,7 +120,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{[]string{"-exp", "single", "-hops", "4,x,8"}, `"x" is not a positive integer`},
 		{[]string{"-exp", "single", "-hops", "2", "-duration", "1500us"}, "whole milliseconds"},
 		{[]string{"-exp", "fairness", "-variants", "muzha"}, "-variants does not apply to -exp fairness"},
-		{[]string{"-exp", "single", "-parallel", "2"}, "-parallel does not apply to -exp single"},
+		{[]string{"-parallel", "2"}, "flag provided but not defined: -parallel"},
+		{[]string{"-chaos-cov", "-runs", "0"}, "-runs 0: want at least 1"},
 		{[]string{"-chaos-cov", "-shrink"}, "-shrink does not apply to -chaos-cov"},
 		{[]string{"-chaos-cov", "-resume", "j.jsonl"}, "-resume does not apply to -chaos-cov"},
 		{[]string{"-chaos"}, "flag provided but not defined: -chaos"},

@@ -450,10 +450,10 @@ type Config struct {
 	PacketTrace io.Writer `json:"-"`
 
 	// Progress, when non-nil, receives an in-run progress snapshot once
-	// per ProgressEvery executed events plus one final snapshot when the
-	// run stops. Snapshots ride the guard tick, so with Guards or Cancel
-	// set each arrives on the first guard check at or past its period
-	// (exactly on it when the guard interval divides ProgressEvery). The
+	// per 65,536 executed events plus one final snapshot when the run
+	// stops. Snapshots ride the guard tick, so with Guards or Cancel set
+	// each arrives on the first guard check at or past its period
+	// (exactly on it when the guard interval divides the period). The
 	// callback must be fast; it observes the run without influencing it,
 	// so a run is bit-for-bit identical with or without it. A
 	// single-domain run calls it on the goroutine executing Run; with
@@ -461,9 +461,6 @@ type Config struct {
 	// (calls are serialized, and SimTime and Events never decrease). The
 	// job daemon streams these snapshots to clients.
 	Progress func(ProgressUpdate) `json:"-"`
-	// ProgressEvery is the Progress callback period in events
-	// (default 65536).
-	ProgressEvery uint64 `json:"-"`
 
 	// Cancel, when non-nil, aborts the run cooperatively once the
 	// channel is closed: the engine notices within one guard period
@@ -482,6 +479,10 @@ type Config struct {
 	// never changes a Result; the width-invariance tests and scaling
 	// benchmarks set it, hence unexported.
 	width int
+	// progressEvery, when positive, replaces defaultProgressEvery as
+	// the Progress period in events. The progress tests set short
+	// periods, hence unexported.
+	progressEvery uint64
 }
 
 // DefaultConfig returns the paper's Table 5.1 parameters: 2 Mbps 802.11

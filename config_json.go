@@ -20,7 +20,7 @@ import (
 //
 // Three kinds of field are deliberately excluded from the wire form
 // because they are local observers, not part of the scenario:
-// PacketTrace (an io.Writer), Progress/ProgressEvery (callbacks) and
+// PacketTrace (an io.Writer), Progress (a callback) and
 // Cancel (a channel). Guards ARE carried on the wire — a remote job
 // keeps its budgets — but are excluded from Hash: a run that completes
 // is bit-for-bit identical with or without guards, so configurations

@@ -152,7 +152,7 @@ func TestConfigHashStability(t *testing.T) {
 	// Pinned literals: the cache key and the canonical wire bytes
 	// (guards included) of this config. A change to either orphans
 	// every cached result and journaled sweep, so it must be deliberate.
-	const wantHash = "e8fb9e7d85b500d6e9754023ba6f52b9c7ad01f7769a94010de893ce4f772a3e"
+	const wantHash = "cc5d1f8cd4dc43cbc9744193c033d6a884749fbfc8ba73be6d51004c81d4adf9"
 	if h1 != wantHash {
 		t.Fatalf("Hash = %s, want pinned %s", h1, wantHash)
 	}
@@ -160,7 +160,7 @@ func TestConfigHashStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantWire = "b5c11b554c5a9e41519d6bdada21f2f1e83d49ebfa331c00d40b3542be7f8485"
+	const wantWire = "e0b7454d08f8a881d108b1118ce3a34c100a6f6e4699e1834dbcd86298c03790"
 	if got := fmt.Sprintf("%x", sha256.Sum256(wire)); got != wantWire {
 		t.Fatalf("canonical bytes digest = %s, want pinned %s:\n%s", got, wantWire, wire)
 	}
@@ -171,7 +171,6 @@ func TestConfigHashStability(t *testing.T) {
 	varied := cfg
 	varied.Guards = RunGuards{WallClock: time.Hour, MaxEvents: 7}
 	varied.Progress = func(ProgressUpdate) {}
-	varied.ProgressEvery = 123
 	varied.Cancel = make(chan struct{})
 	varied.PacketTrace = &bytes.Buffer{}
 	hv, err := varied.Hash()
@@ -251,6 +250,7 @@ func TestConfigJSONRejectsUnknownKeys(t *testing.T) {
 		"bit_error_rate": `{"bit_error_rate":0.001,` + string(b[1:]),
 		"radius":         strings.Replace(string(b), `"topology":{`, `"topology":{"radius":250,`, 1),
 		"workers":        `{"workers":2,` + string(b[1:]),
+		"CheckEvery":     strings.Replace(string(b), `"guards":{`, `"guards":{"CheckEvery":50,`, 1),
 	} {
 		var c Config
 		err := json.Unmarshal([]byte(doc), &c)

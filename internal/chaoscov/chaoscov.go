@@ -19,9 +19,9 @@ type Options struct {
 	// Seed drives scenario generation and mutation choices; the same
 	// seed (with the same corpus starting state) replays the same loop.
 	Seed int64
-	// Runs is the spec budget (default 20); each spec simulates twice
-	// for the determinism replay. Shrinking spends additional runs
-	// outside this budget.
+	// Runs is the spec budget; each spec simulates twice for the
+	// determinism replay. Shrinking spends additional runs outside this
+	// budget.
 	Runs int
 	// Duration is the simulated time per scenario (default 3s).
 	Duration time.Duration
@@ -29,19 +29,14 @@ type Options struct {
 	// An existing corpus is resumed: its accumulated coverage seeds the
 	// loop and its frontier seeds mutation.
 	CorpusPath string
-	// ReproDir receives repro-<class>.json files for shrunk failures;
-	// "" disables writing reproducers.
+	// ReproDir receives a shrunk reproducer, repro-<class>.json, for
+	// the first failure of each class. "" skips both shrinking and
+	// writing: a minimized spec is only useful once it is written.
 	ReproDir string
-	// Guards bounds runs whose spec has no guards block. The zero
-	// value applies a 30s wall clock and 50M-event budget so a
-	// livelocked mutant cannot hang the loop.
+	// Guards bounds runs whose spec has no guards block. The caller
+	// sets the bounds; the zero value runs unguarded, so a livelocked
+	// mutant would hang the loop.
 	Guards muzha.RunGuards
-	// NoShrink skips failure minimization (shrinking is on by default:
-	// an unminimized failure is the loop's least useful output).
-	NoShrink bool
-	// ShrinkRuns bounds the simulations spent minimizing one failure
-	// (default 200).
-	ShrinkRuns int
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -78,22 +73,14 @@ const freshEvery = 5
 // preferring parents that recently expanded coverage and directing
 // mutations toward registered assertions nothing has reached yet.
 // A spec whose two runs disagree fails as ClassNonDeterministic.
-// Failures are shrunk to minimal reproducers as they appear.
+// With a ReproDir, failures are shrunk to minimal reproducers as they
+// appear.
 //
 // The loop is sequential by design (each run's coverage steers the
 // next) and deterministic for a given seed and starting corpus.
 func Loop(opt Options) (Report, error) {
-	if opt.Runs <= 0 {
-		opt.Runs = 20
-	}
 	if opt.Duration < time.Second {
 		opt.Duration = 3 * time.Second
-	}
-	if opt.Guards == (muzha.RunGuards{}) {
-		opt.Guards = muzha.RunGuards{WallClock: 30 * time.Second, MaxEvents: 50_000_000}
-	}
-	if opt.ShrinkRuns <= 0 {
-		opt.ShrinkRuns = 200
 	}
 	logf := opt.Logf
 	if logf == nil {
@@ -146,11 +133,11 @@ func Loop(opt Options) (Report, error) {
 		if class != "" {
 			rep.Failures++
 			logf("run %d [%s]: FAILED class=%s %s", i, how, class, failureCause(res, runErr))
-			if !opt.NoShrink && added && isNew(entry, classElement(class)) {
+			if opt.ReproDir != "" && added && isNew(entry, classElement(class)) {
 				path, serr := shrinkAndWrite(spec, class, opt, logf)
 				if serr != nil {
 					logf("shrink: %v", serr)
-				} else if path != "" {
+				} else {
 					rep.Repros = append(rep.Repros, path)
 				}
 			}
@@ -261,11 +248,8 @@ func isNew(e Entry, element string) bool {
 // reproducer as ReproDir/repro-<class>.json (indented JSON — the file
 // is for humans and bug reports; Parse accepts it unchanged).
 func shrinkAndWrite(spec scenario.Spec, class string, opt Options, logf func(string, ...any)) (string, error) {
-	sr := Shrink(spec, class, opt.Guards, opt.ShrinkRuns, logf)
+	sr := Shrink(spec, class, opt.Guards, logf)
 	logf("shrink: class=%s steps=%d runs=%d final=%s", class, sr.Steps, sr.Runs, sr.Spec.Summary())
-	if opt.ReproDir == "" {
-		return "", nil
-	}
 	if err := os.MkdirAll(opt.ReproDir, 0o755); err != nil {
 		return "", fmt.Errorf("chaoscov: repro dir: %w", err)
 	}

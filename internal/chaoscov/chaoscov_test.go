@@ -163,7 +163,7 @@ func TestShrinkProducesStrictlySmallerReproducer(t *testing.T) {
 		t.Fatalf("seeded spec failed with class %q, want %q", class, muzha.ClassEventBudget)
 	}
 
-	sr := Shrink(spec, class, loopGuards, 0, t.Logf)
+	sr := Shrink(spec, class, loopGuards, t.Logf)
 	size := func(s scenario.Spec) int {
 		return s.Topology.NodeCount() + len(s.Flows) + len(s.Faults)
 	}
@@ -191,7 +191,7 @@ func TestShrinkProducesStrictlySmallerReproducer(t *testing.T) {
 
 func TestShrinkReturnsNondeterministicUnshrunk(t *testing.T) {
 	spec := specFixture(1)
-	sr := Shrink(spec, muzha.ClassNonDeterministic, loopGuards, 0, nil)
+	sr := Shrink(spec, muzha.ClassNonDeterministic, loopGuards, nil)
 	if sr.Runs != 0 || sr.Steps != 0 {
 		t.Fatalf("nondeterministic failure was shrunk: %+v", sr)
 	}
@@ -228,7 +228,6 @@ func TestGuidedBeatsBlindAtEqualBudget(t *testing.T) {
 			Runs:     budget,
 			Duration: dur,
 			Guards:   loopGuards,
-			NoShrink: true,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: guided loop: %v", seed, err)
@@ -289,7 +288,7 @@ func TestLoopFlagsDivergentReplay(t *testing.T) {
 	}
 
 	var lines []string
-	rep, err := Loop(Options{Seed: 3, Runs: 1, Duration: time.Second, Guards: loopGuards, NoShrink: true,
+	rep, err := Loop(Options{Seed: 3, Runs: 1, Duration: time.Second, Guards: loopGuards,
 		Logf: func(f string, a ...any) { lines = append(lines, fmt.Sprintf(f, a...)) }})
 	if err != nil {
 		t.Fatal(err)
@@ -334,11 +333,11 @@ func keys(m map[string]bool) []string {
 // journal dedupes across process lifetimes.
 func TestLoopResumesFromCorpus(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corpus.jsonl")
-	rep1, err := Loop(Options{Seed: 3, Runs: 4, Duration: 2 * time.Second, CorpusPath: path, Guards: loopGuards, NoShrink: true})
+	rep1, err := Loop(Options{Seed: 3, Runs: 4, Duration: 2 * time.Second, CorpusPath: path, Guards: loopGuards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := Loop(Options{Seed: 4, Runs: 4, Duration: 2 * time.Second, CorpusPath: path, Guards: loopGuards, NoShrink: true})
+	rep2, err := Loop(Options{Seed: 4, Runs: 4, Duration: 2 * time.Second, CorpusPath: path, Guards: loopGuards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +360,7 @@ func TestLoopWritesRepro(t *testing.T) {
 		t.Fatal(err)
 	}
 	path, err := shrinkAndWrite(spec, muzha.ClassEventBudget,
-		Options{Guards: loopGuards, ShrinkRuns: 200, ReproDir: dir}, func(string, ...any) {})
+		Options{Guards: loopGuards, ReproDir: dir}, func(string, ...any) {})
 	if err != nil {
 		t.Fatal(err)
 	}

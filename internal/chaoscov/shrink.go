@@ -36,13 +36,17 @@ type ShrinkResult struct {
 	Runs int
 }
 
+// shrinkRuns bounds the simulations Shrink spends minimizing one
+// failure.
+const shrinkRuns = 200
+
 // Shrink greedily minimizes a failing spec while preserving its
 // failure class: at each step it tries, in deterministic order,
 // dropping a fault, dropping a flow, dropping background load and
 // mobility, shaving a node off the topology, and halving the
 // duration. The first candidate that still fails with the same class
 // becomes the new spec; the process repeats until no candidate
-// reproduces (a fixpoint) or maxRuns simulations have been spent.
+// reproduces (a fixpoint) or shrinkRuns simulations have been spent.
 //
 // Every candidate is validated before running — a reduction that
 // breaks spec validity (a flow endpoint beyond the smaller topology)
@@ -52,10 +56,7 @@ type ShrinkResult struct {
 // re-execution, so greedy reduction has nothing to anchor on.
 //
 // logf, when non-nil, receives one line per accepted reduction.
-func Shrink(s scenario.Spec, class string, guards muzha.RunGuards, maxRuns int, logf func(format string, args ...any)) ShrinkResult {
-	if maxRuns <= 0 {
-		maxRuns = 200
-	}
+func Shrink(s scenario.Spec, class string, guards muzha.RunGuards, logf func(format string, args ...any)) ShrinkResult {
 	out := ShrinkResult{Spec: cloneSpec(s), Class: class}
 	if class == "" || class == muzha.ClassNonDeterministic {
 		finish(&out)
@@ -64,7 +65,7 @@ func Shrink(s scenario.Spec, class string, guards muzha.RunGuards, maxRuns int, 
 	for {
 		accepted := false
 		for _, cand := range candidates(out.Spec) {
-			if out.Runs >= maxRuns {
+			if out.Runs >= shrinkRuns {
 				finish(&out)
 				return out
 			}

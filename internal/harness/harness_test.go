@@ -69,17 +69,17 @@ func TestReplayClassifiesNonDeterministic(t *testing.T) {
 		calls[key]++
 		return calls[key]
 	}
-	jobs := []Job{
-		{Fn: func() (any, error) {
+	jobs := []func() (any, error){
+		func() (any, error) {
 			if count("flaky") == 1 {
 				return nil, fmt.Errorf("first attempt: %w", ErrLivelock)
 			}
 			return "fine", nil
-		}},
-		{Fn: func() (any, error) {
+		},
+		func() (any, error) {
 			count("stuck")
 			return nil, fmt.Errorf("always: %w", ErrLivelock)
-		}},
+		},
 	}
 	outs := runAll(jobs, 1, Options{Replay: true})
 	if outs[0].Class != ClassNonDeterministic || !errors.Is(outs[0].Err, ErrNonDeterministic) {
@@ -97,10 +97,10 @@ func TestReplayClassifiesNonDeterministic(t *testing.T) {
 // the replay classifier must not relabel them nondeterministic.
 func TestReplaySkipsDeadline(t *testing.T) {
 	calls := 0
-	jobs := []Job{{Fn: func() (any, error) {
+	jobs := []func() (any, error){func() (any, error) {
 		calls++
 		return nil, fmt.Errorf("too slow: %w", ErrDeadline)
-	}}}
+	}}
 	outs := runAll(jobs, 1, Options{Replay: true})
 	if calls != 1 {
 		t.Fatalf("deadline failure replayed %d times", calls)
@@ -160,7 +160,7 @@ func TestWatchdogInterval(t *testing.T) {
 	if got := (WatchdogConfig{MaxEvents: 100}).Interval(); got != 100 {
 		t.Fatalf("budget-capped interval %d", got)
 	}
-	if got := (WatchdogConfig{LivelockWindow: 7, CheckEvery: 50}).Interval(); got != 7 {
+	if got := (WatchdogConfig{LivelockWindow: 7}).Interval(); got != 7 {
 		t.Fatalf("livelock-capped interval %d", got)
 	}
 }

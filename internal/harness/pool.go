@@ -7,17 +7,9 @@ import (
 	"sync/atomic"
 )
 
-// Job is one unit of sweep work. Fn must be re-runnable: the pool
-// invokes it again to classify a failure as deterministic or divergent.
-type Job struct {
-	// Fn performs the run. It is called from a worker goroutine and must
-	// not share mutable state with other jobs.
-	Fn func() (any, error)
-}
-
 // Outcome is one job's terminal state.
 type Outcome struct {
-	// Value is Fn's result; nil for failures.
+	// Value is the job's result; nil for failures.
 	Value any
 	// Err is the classified failure, nil on success.
 	Err error
@@ -38,10 +30,10 @@ type Options struct {
 // The pool stores nothing: a caller that keeps results (a sweep's
 // store, the daemon's cache) looks each job up before it submits and
 // stores each success itself.
-func runJob(job Job, opt Options) Outcome {
-	v, err := safeCall(job.Fn)
+func runJob(job func() (any, error), opt Options) Outcome {
+	v, err := safeCall(job)
 	if err != nil && opt.Replay && Classify(err) != ClassDeadline && Classify(err) != ClassCanceled {
-		_, err2 := safeCall(job.Fn)
+		_, err2 := safeCall(job)
 		if Classify(err2) != Classify(err) {
 			err = fmt.Errorf("%w: first attempt failed (%v) but replay %s",
 				ErrNonDeterministic, err, describeReplay(err2))
@@ -66,7 +58,7 @@ func describeReplay(err error) string {
 // runs each with panic containment and optional replay classification,
 // and hands the outcome to its submit-time callback. The
 // pool never aborts early: a failed, panicking or stuck job is
-// classified and the queued jobs still run. Each Fn executes
+// classified and the queued jobs still run. Each job executes
 // single-threaded within its worker, so per-job results are independent
 // of the worker count. Admission control belongs to the caller (the
 // daemon's in-flight limit); the pool itself never refuses work.
@@ -81,7 +73,7 @@ type Pool struct {
 }
 
 type poolItem struct {
-	job  Job
+	job  func() (any, error)
 	done func(Outcome)
 }
 
@@ -127,10 +119,13 @@ func (p *Pool) work() {
 }
 
 // Submit queues the job behind every job submitted before it; done,
-// when non-nil, receives its outcome from a worker goroutine. Submit
+// when non-nil, receives its outcome from a worker goroutine. The job
+// runs on a worker goroutine and must not share mutable state with
+// other jobs, and it must be re-runnable: with Replay the pool invokes
+// it again to classify a failure as deterministic or divergent. Submit
 // never blocks and never refuses a job. Submitting to a closed pool is
 // a programming error and panics.
-func (p *Pool) Submit(job Job, done func(Outcome)) {
+func (p *Pool) Submit(job func() (any, error), done func(Outcome)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {

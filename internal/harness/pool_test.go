@@ -29,7 +29,7 @@ func (c *collectOutcomes) done(key string) func(Outcome) {
 
 // runAll submits the jobs to a fresh pool, closes it, and returns the
 // outcomes in job order.
-func runAll(jobs []Job, workers int, opt Options) []Outcome {
+func runAll(jobs []func() (any, error), workers int, opt Options) []Outcome {
 	outs := make([]Outcome, len(jobs))
 	p := NewPool(workers, opt)
 	for i, job := range jobs {
@@ -45,7 +45,7 @@ func TestPoolRunsAllJobs(t *testing.T) {
 	p := NewPool(3, Options{})
 	c := newCollect()
 	for i := 0; i < 8; i++ {
-		p.Submit(Job{Fn: func() (any, error) { return i * i, nil }}, c.done(fmt.Sprintf("job-%d", i)))
+		p.Submit(func() (any, error) { return i * i, nil }, c.done(fmt.Sprintf("job-%d", i)))
 	}
 	p.Close()
 	if len(c.outs) != 8 {
@@ -64,9 +64,9 @@ func TestPoolRunsAllJobs(t *testing.T) {
 // width.
 func TestExecuteOrderAndParallelism(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
-		jobs := make([]Job, 20)
+		jobs := make([]func() (any, error), 20)
 		for i := range jobs {
-			jobs[i] = Job{Fn: func() (any, error) { return i, nil }}
+			jobs[i] = func() (any, error) { return i, nil }
 		}
 		for i, o := range runAll(jobs, workers, Options{}) {
 			if o.Err != nil || o.Value != i {
@@ -88,7 +88,7 @@ func TestPoolConcurrentSubmit(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				key := fmt.Sprintf("g%d-%d", g, i)
-				p.Submit(Job{Fn: func() (any, error) { return key, nil }}, c.done(key))
+				p.Submit(func() (any, error) { return key, nil }, c.done(key))
 			}
 		}()
 	}
@@ -111,12 +111,12 @@ func TestPoolSubmitIsFIFO(t *testing.T) {
 	release := make(chan struct{})
 	var order []int
 	p := NewPool(1, Options{})
-	p.Submit(Job{Fn: func() (any, error) { <-release; return nil, nil }}, nil)
+	p.Submit(func() (any, error) { <-release; return nil, nil }, nil)
 	for i := 0; i < 50; i++ {
-		p.Submit(Job{Fn: func() (any, error) {
+		p.Submit(func() (any, error) {
 			order = append(order, i)
 			return nil, nil
-		}}, nil)
+		}, nil)
 	}
 	close(release)
 	p.Close()
@@ -138,13 +138,13 @@ func TestPoolRunningAndClose(t *testing.T) {
 	started := make(chan struct{})
 	p := NewPool(1, Options{})
 	c := newCollect()
-	p.Submit(Job{Fn: func() (any, error) {
+	p.Submit(func() (any, error) {
 		close(started)
 		<-release
 		return "done", nil
-	}}, c.done("busy"))
+	}, c.done("busy"))
 	<-started
-	p.Submit(Job{Fn: func() (any, error) { return "ok", nil }}, c.done("queued"))
+	p.Submit(func() (any, error) { return "ok", nil }, c.done("queued"))
 	if p.Running() != 1 {
 		t.Fatalf("running=%d, want 1", p.Running())
 	}
@@ -159,7 +159,7 @@ func TestPoolRunningAndClose(t *testing.T) {
 			t.Fatal("closed pool accepted a job")
 		}
 	}()
-	p.Submit(Job{Fn: func() (any, error) { return nil, nil }}, c.done("late"))
+	p.Submit(func() (any, error) { return nil, nil }, c.done("late"))
 }
 
 // TestPoolContainsPanics: a panicking job is classified ErrPanic and
@@ -167,8 +167,8 @@ func TestPoolRunningAndClose(t *testing.T) {
 func TestPoolContainsPanics(t *testing.T) {
 	p := NewPool(1, Options{})
 	c := newCollect()
-	p.Submit(Job{Fn: func() (any, error) { panic("kaboom") }}, c.done("boom"))
-	p.Submit(Job{Fn: func() (any, error) { return 7, nil }}, c.done("after"))
+	p.Submit(func() (any, error) { panic("kaboom") }, c.done("boom"))
+	p.Submit(func() (any, error) { return 7, nil }, c.done("after"))
 	p.Close()
 	if boom := c.outs["boom"]; !errors.Is(boom.Err, ErrPanic) || boom.Class != ClassPanic {
 		t.Fatalf("panic outcome = %+v", boom)
@@ -182,10 +182,10 @@ func TestPoolContainsPanics(t *testing.T) {
 // panicking job is classified ErrPanic and the rest of the batch still
 // completes.
 func TestExecutePanicContainment(t *testing.T) {
-	outs := runAll([]Job{
-		{Fn: func() (any, error) { return "ok", nil }},
-		{Fn: func() (any, error) { panic("boom") }},
-		{Fn: func() (any, error) { return "ok", nil }},
+	outs := runAll([]func() (any, error){
+		func() (any, error) { return "ok", nil },
+		func() (any, error) { panic("boom") },
+		func() (any, error) { return "ok", nil },
 	}, 2, Options{})
 	if !errors.Is(outs[1].Err, ErrPanic) || outs[1].Class != ClassPanic {
 		t.Fatalf("panic outcome %+v", outs[1])
@@ -202,10 +202,10 @@ func TestPoolCanceledJobsAreNotReplayed(t *testing.T) {
 	calls := 0
 	p := NewPool(1, Options{Replay: true})
 	c := newCollect()
-	p.Submit(Job{Fn: func() (any, error) {
+	p.Submit(func() (any, error) {
 		calls++
 		return nil, fmt.Errorf("aborted: %w", ErrCanceled)
-	}}, c.done("c"))
+	}, c.done("c"))
 	p.Close()
 	o := c.outs["c"]
 	if calls != 1 {

@@ -6,10 +6,15 @@ import (
 )
 
 // defaultCheckEvery is how many engine events pass between watchdog
-// checks when the caller does not set an interval. Checks are two
-// function calls and a few compares, so even tight intervals cost little
-// against microsecond-scale events.
+// checks. Checks are two function calls and a few compares, so even
+// tight intervals cost little against microsecond-scale events.
 const defaultCheckEvery = 1024
+
+// DefaultLivelockWindow is the LivelockWindow the command-line tools and
+// the job server arm by default: five million events without the
+// virtual clock advancing is far beyond any zero-delay burst a healthy
+// run produces.
+const DefaultLivelockWindow = 5_000_000
 
 // WatchdogConfig bounds one run's resource usage; the root package
 // exports it as muzha.RunGuards. Each zero value disables that guard.
@@ -29,9 +34,6 @@ type WatchdogConfig struct {
 	// without the virtual clock advancing (ErrLivelock) — a zero-delay
 	// event cycle that would otherwise spin forever.
 	LivelockWindow uint64
-	// CheckEvery is the guard-check period in events (default 1024; it
-	// is tightened automatically so small budgets are hit exactly).
-	CheckEvery uint64
 }
 
 // Enabled reports whether any guard is armed.
@@ -39,14 +41,11 @@ func (c WatchdogConfig) Enabled() bool {
 	return c.WallClock > 0 || c.MaxEvents > 0 || c.LivelockWindow > 0
 }
 
-// Interval returns the effective check period: CheckEvery (or the
-// default), capped by the event budget and livelock window so neither
-// can be overshot by a whole period.
+// Interval returns the effective check period: every 1024 events,
+// capped by the event budget and livelock window so neither can be
+// overshot by a whole period.
 func (c WatchdogConfig) Interval() uint64 {
-	every := c.CheckEvery
-	if every == 0 {
-		every = defaultCheckEvery
-	}
+	every := uint64(defaultCheckEvery)
 	if c.MaxEvents > 0 && c.MaxEvents < every {
 		every = c.MaxEvents
 	}

@@ -28,56 +28,36 @@ type Client struct {
 	ClientID string
 	// HTTPClient overrides http.DefaultClient.
 	HTTPClient *http.Client
-	// Retry is the request retry policy. The zero value makes exactly
-	// one attempt and surfaces BusyError to the caller. Retrying
-	// submissions is safe: admission is keyed by config hash, so a
-	// resent request lands on the cache or coalesces onto the in-flight
-	// run instead of duplicating work.
-	Retry Backoff
+	// Attempts is the total number of tries per request; <= 1 makes
+	// exactly one attempt and surfaces BusyError to the caller. Retries
+	// follow the fixed schedule of delay. Retrying submissions is safe:
+	// admission is keyed by config hash, so a resent request lands on
+	// the cache or coalesces onto the in-flight run instead of
+	// duplicating work.
+	Attempts int
 
 	// sleep and rand are test seams for the backoff schedule.
 	sleep func(ctx context.Context, d time.Duration) error
 	rand  func() float64
 }
 
-// Backoff is a jittered exponential retry policy with a budget.
-// Attempts is the total try count (<= 1 disables retries); delays grow
-// Base, 2*Base, 4*Base, ... capped at Max, and Jitter randomizes each
-// delay by ±Jitter/2 of itself so clients rejected together do not
-// return in lockstep. A Retry-After hint larger than the
-// computed delay wins — the daemon knows its own queue.
-type Backoff struct {
-	Attempts int
-	Base     time.Duration
-	Max      time.Duration
-	Jitter   float64
-}
+// The retry schedule: delays grow retryBase, 2*retryBase, 4*retryBase,
+// ... capped at retryMax, and each is spread by ±retryJitter/2 of itself
+// so clients rejected together do not return in lockstep.
+const (
+	retryBase   = 200 * time.Millisecond
+	retryMax    = 5 * time.Second
+	retryJitter = 0.5
+)
 
-// DefaultBackoff is the policy muzhasim -remote uses: 5 attempts,
-// 200ms base, 5s cap, half-width jitter.
-func DefaultBackoff() Backoff {
-	return Backoff{Attempts: 5, Base: 200 * time.Millisecond, Max: 5 * time.Second, Jitter: 0.5}
-}
-
-// delay computes the sleep before retry number attempt (0-based).
-func (b Backoff) delay(attempt int, rnd func() float64) time.Duration {
-	base := b.Base
-	if base <= 0 {
-		base = 100 * time.Millisecond
+// delay computes the sleep before retry number attempt (0-based); rnd
+// in [0, 1) places it within the jitter band.
+func delay(attempt int, rnd float64) time.Duration {
+	d := retryBase << uint(attempt)
+	if d > retryMax || d <= 0 { // d <= 0 guards shift overflow
+		d = retryMax
 	}
-	max := b.Max
-	if max <= 0 {
-		max = 5 * time.Second
-	}
-	d := base << uint(attempt)
-	if d > max || d <= 0 { // d <= 0 guards shift overflow
-		d = max
-	}
-	if b.Jitter > 0 && rnd != nil {
-		// Spread across [1-Jitter/2, 1+Jitter/2) of the nominal delay.
-		d = time.Duration(float64(d) * (1 - b.Jitter/2 + b.Jitter*rnd()))
-	}
-	return d
+	return time.Duration(float64(d) * (1 - retryJitter/2 + retryJitter*rnd))
 }
 
 // ErrTruncated marks a result fetch whose body was shorter than the
@@ -220,20 +200,17 @@ func (c *Client) randFn() func() float64 {
 	return rand.Float64
 }
 
-// withRetry runs fn under the client's backoff policy. The daemon's
-// Retry-After hint stretches (never shrinks below) the backoff delay.
+// withRetry runs fn up to c.Attempts times. The daemon's Retry-After
+// hint stretches (never shrinks below) the backoff delay: the daemon
+// knows its own queue.
 func (c *Client) withRetry(ctx context.Context, fn func() error) error {
-	attempts := c.Retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
 	var err error
 	for i := 0; ; i++ {
 		err = fn()
-		if err == nil || i+1 >= attempts || !retryable(err) {
+		if err == nil || i+1 >= c.Attempts || !retryable(err) {
 			return err
 		}
-		d := c.Retry.delay(i, c.randFn())
+		d := delay(i, c.randFn()())
 		var busy *BusyError
 		if errors.As(err, &busy) && busy.RetryAfter > d {
 			d = busy.RetryAfter

@@ -43,39 +43,35 @@ func TestParseRetryAfter(t *testing.T) {
 	}
 }
 
+// TestBackoffDelaySchedule pins the fixed retry schedule: 200ms
+// doubling to a 5s cap, spread by ±25% of the nominal delay.
 func TestBackoffDelaySchedule(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second}
-	fixed := func() float64 { return 0.5 }
 	want := []time.Duration{
-		100 * time.Millisecond,
 		200 * time.Millisecond,
 		400 * time.Millisecond,
 		800 * time.Millisecond,
-		time.Second,
-		time.Second,
+		1600 * time.Millisecond,
+		3200 * time.Millisecond,
+		5 * time.Second,
+		5 * time.Second,
 	}
 	for i, w := range want {
-		if got := b.delay(i, fixed); got != w {
+		if got := delay(i, 0.5); got != w {
 			t.Errorf("delay(%d) = %v, want %v", i, got, w)
 		}
 	}
 	// Shift overflow on absurd attempt counts must still hit the cap.
-	if got := b.delay(62, fixed); got != time.Second {
-		t.Errorf("delay(62) = %v, want the %v cap", got, time.Second)
+	if got := delay(62, 0.5); got != 5*time.Second {
+		t.Errorf("delay(62) = %v, want the 5s cap", got)
 	}
-
-	j := Backoff{Base: 100 * time.Millisecond, Max: time.Second, Jitter: 0.5}
-	if got := j.delay(0, func() float64 { return 0 }); got != 75*time.Millisecond {
-		t.Errorf("jittered delay at rnd=0 is %v, want 75ms (1 - Jitter/2)", got)
+	if got := delay(0, 0); got != 150*time.Millisecond {
+		t.Errorf("jittered delay at rnd=0 is %v, want 150ms (-25%%)", got)
 	}
-	if got := j.delay(0, func() float64 { return 0.5 }); got != 100*time.Millisecond {
-		t.Errorf("jittered delay at rnd=0.5 is %v, want the 100ms nominal", got)
+	if got := delay(0, 1); got != 250*time.Millisecond {
+		t.Errorf("jittered delay at rnd=1 is %v, want 250ms (+25%%)", got)
 	}
-	for i := 0; i < 100; i++ {
-		d := j.delay(0, nil) // nil rnd: no jitter applied
-		if d != 100*time.Millisecond {
-			t.Fatalf("delay with nil rnd = %v, want nominal", d)
-		}
+	if got := delay(5, 0); got != 3750*time.Millisecond {
+		t.Errorf("jittered capped delay at rnd=0 is %v, want 3.75s", got)
 	}
 }
 
@@ -83,7 +79,7 @@ func TestClientRetriesBusyThenSucceeds(t *testing.T) {
 	var attempts atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if attempts.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "0.05")
+			w.Header().Set("Retry-After", "0.5")
 			w.WriteHeader(http.StatusServiceUnavailable)
 			fmt.Fprint(w, `{"error":"busy"}`)
 			return
@@ -95,8 +91,8 @@ func TestClientRetriesBusyThenSucceeds(t *testing.T) {
 
 	var sleeps []time.Duration
 	c := &Client{
-		BaseURL: ts.URL,
-		Retry:   Backoff{Attempts: 5, Base: time.Millisecond, Max: 10 * time.Millisecond},
+		BaseURL:  ts.URL,
+		Attempts: 5,
 		sleep: func(ctx context.Context, d time.Duration) error {
 			sleeps = append(sleeps, d)
 			return nil
@@ -116,11 +112,11 @@ func TestClientRetriesBusyThenSucceeds(t *testing.T) {
 	if len(sleeps) != 2 {
 		t.Fatalf("slept %d times, want 2", len(sleeps))
 	}
-	// The daemon's fractional Retry-After (50ms) must stretch the tiny
-	// backoff delays, never be ignored.
+	// The daemon's fractional Retry-After (500ms) must stretch the
+	// 200ms and 400ms backoff delays, never be ignored.
 	for i, d := range sleeps {
-		if d < 50*time.Millisecond {
-			t.Errorf("sleep %d = %v, want >= the 50ms Retry-After hint", i, d)
+		if d != 500*time.Millisecond {
+			t.Errorf("sleep %d = %v, want the 500ms Retry-After hint", i, d)
 		}
 	}
 }
@@ -135,8 +131,8 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	defer ts.Close()
 
 	c := &Client{
-		BaseURL: ts.URL,
-		Retry:   Backoff{Attempts: 5, Base: time.Millisecond},
+		BaseURL:  ts.URL,
+		Attempts: 5,
 		sleep: func(ctx context.Context, d time.Duration) error {
 			t.Error("slept before a non-retryable error")
 			return nil
@@ -164,8 +160,8 @@ func TestClientRetryBudgetExhausted(t *testing.T) {
 
 	var slept int
 	c := &Client{
-		BaseURL: ts.URL,
-		Retry:   Backoff{Attempts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond},
+		BaseURL:  ts.URL,
+		Attempts: 3,
 		sleep: func(ctx context.Context, d time.Duration) error {
 			slept++
 			return nil
@@ -193,7 +189,7 @@ func TestBusyErrorCarriesParsedRetryAfter(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := &Client{BaseURL: ts.URL} // zero Retry: single attempt
+	c := &Client{BaseURL: ts.URL} // zero Attempts: single attempt
 	_, err := c.Get(context.Background(), "j1")
 	var busy *BusyError
 	if !errors.As(err, &busy) {
@@ -259,10 +255,10 @@ func TestResultDetectsCorruptBodyAndRetries(t *testing.T) {
 	defer ts.Close()
 
 	c := &Client{
-		BaseURL: ts.URL,
-		Retry:   Backoff{Attempts: 2, Base: time.Millisecond, Max: time.Millisecond},
-		sleep:   func(ctx context.Context, d time.Duration) error { return nil },
-		rand:    func() float64 { return 0.5 },
+		BaseURL:  ts.URL,
+		Attempts: 2,
+		sleep:    func(ctx context.Context, d time.Duration) error { return nil },
+		rand:     func() float64 { return 0.5 },
 	}
 	_, err := c.Result(context.Background(), "j1")
 	if !errors.Is(err, ErrTruncated) {

@@ -17,7 +17,9 @@ import (
 )
 
 // ServerConfig tunes the daemon. Zero values take the documented
-// defaults.
+// defaults. A running job reports progress every 65,536 engine events
+// and once when it stops (see muzha.Config.Progress); no field sets
+// the period.
 type ServerConfig struct {
 	// DataDir holds jobs.jsonl (the job store) and cache.jsonl (the
 	// result cache). Required.
@@ -37,9 +39,6 @@ type ServerConfig struct {
 	// default arms a 5-minute wall clock and the livelock detector so a
 	// pathological submission cannot wedge a worker forever.
 	Guards muzha.RunGuards
-	// ProgressEvery is the progress snapshot period in engine events
-	// (default 65536).
-	ProgressEvery uint64
 	// Logf, when non-nil, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
 	// CacheLimit bounds the result cache; least-recently-used results
@@ -103,11 +102,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.PerClient == 0 {
 		cfg.PerClient = 16
 	}
-	if cfg.ProgressEvery == 0 {
-		cfg.ProgressEvery = 1 << 16
-	}
 	if (cfg.Guards == muzha.RunGuards{}) {
-		cfg.Guards = muzha.RunGuards{WallClock: 5 * time.Minute, LivelockWindow: 5_000_000}
+		cfg.Guards = muzha.RunGuards{WallClock: 5 * time.Minute, LivelockWindow: harness.DefaultLivelockWindow}
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -163,7 +159,7 @@ func (s *Server) enqueueLocked(j Job) {
 	s.hubs[j.ID] = newHub()
 	id, hash, client := j.ID, j.Hash, j.Client
 	s.pool.Submit(
-		harness.Job{Fn: s.runFn(id)},
+		s.runFn(id),
 		func(o harness.Outcome) { s.complete(id, hash, client, o) },
 	)
 }
@@ -192,7 +188,6 @@ func (s *Server) runFn(id string) func() (any, error) {
 			cfg.Guards = s.cfg.Guards
 		}
 		cfg.Cancel = s.cancel
-		cfg.ProgressEvery = s.cfg.ProgressEvery
 		cfg.Progress = func(u muzha.ProgressUpdate) {
 			p := Progress{SimTimeNs: int64(u.SimTime), Events: u.Events}
 			s.store.SetProgress(id, p)

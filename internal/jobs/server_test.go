@@ -377,7 +377,7 @@ func TestSweepResultsMatchLocalRuns(t *testing.T) {
 
 func TestStreamDeliversProgressAndDone(t *testing.T) {
 	ctx := testCtx(t)
-	_, cli := newTestServer(t, ServerConfig{ProgressEvery: 512})
+	_, cli := newTestServer(t, ServerConfig{})
 	j, err := cli.Submit(ctx, chainConfig(t, 2, 2*time.Second, 5))
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -146,7 +145,7 @@ func checkClaims(t *testing.T, exp *Experiment, err error, ids ...string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := RunExperiments([]*Experiment{exp}, SweepOptions{Parallel: runtime.GOMAXPROCS(0)})
+	outs, err := RunExperiments([]*Experiment{exp}, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

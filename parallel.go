@@ -279,7 +279,7 @@ func runDomains(cfg Config, rec trace.Recorder) (*Result, error) {
 		}
 		if cfg.Progress != nil {
 			sub.Progress = func(u ProgressUpdate) { report(d, u) }
-			sub.ProgressEvery = cfg.ProgressEvery
+			sub.progressEvery = cfg.progressEvery
 		}
 		results[d], errs[d] = run(sub, subRec)
 	}

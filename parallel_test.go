@@ -210,7 +210,7 @@ func TestParallelProgressAndCancel(t *testing.T) {
 			cfg.width = width
 			var updates []ProgressUpdate
 			cfg.Progress = func(u ProgressUpdate) { updates = append(updates, u) }
-			cfg.ProgressEvery = 1 << 8
+			cfg.progressEvery = 1 << 8
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -245,9 +245,9 @@ func TestParallelProgressAndCancel(t *testing.T) {
 
 // TestProgressSingleDomain pins progress on a single-domain run, where
 // snapshots ride the guard tick: unguarded (the tick runs every
-// ProgressEvery events) and beside a Cancel poll whose 1024-event period
-// does not divide ProgressEvery. Snapshots never go backwards, at most
-// one falls in each ProgressEvery-event period, the last one carries
+// progress period) and beside a Cancel poll whose 1024-event period
+// does not divide the progress period. Snapshots never go backwards, at
+// most one falls in each progress period, the last one carries
 // the run's totals, and the golden event hash is the one the run has
 // without progress.
 func TestProgressSingleDomain(t *testing.T) {
@@ -257,23 +257,23 @@ func TestProgressSingleDomain(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			c := cfg
 			c.Cancel = cancel
-			c.ProgressEvery = 3000
+			c.progressEvery = 3000
 			var updates []ProgressUpdate
 			c.Progress = func(u ProgressUpdate) { updates = append(updates, u) }
 			got, res := goldenRun(t, c)
 			if got != want {
 				t.Fatalf("progress changed the event stream: %s, want %s", got, want)
 			}
-			if n := uint64(len(updates)); n < 2 || n > res.Events/c.ProgressEvery+1 {
-				t.Fatalf("%d snapshots for %d events at every %d", n, res.Events, c.ProgressEvery)
+			if n := uint64(len(updates)); n < 2 || n > res.Events/c.progressEvery+1 {
+				t.Fatalf("%d snapshots for %d events at every %d", n, res.Events, c.progressEvery)
 			}
 			for i := 1; i < len(updates); i++ {
 				prev, u := updates[i-1], updates[i]
 				if u.SimTime < prev.SimTime || u.Events < prev.Events {
 					t.Fatalf("snapshot %d went backwards: %+v after %+v", i, u, prev)
 				}
-				if i < len(updates)-1 && u.Events/c.ProgressEvery <= prev.Events/c.ProgressEvery {
-					t.Fatalf("snapshots %d and %d fall in one %d-event period: %+v, %+v", i-1, i, c.ProgressEvery, prev, u)
+				if i < len(updates)-1 && u.Events/c.progressEvery <= prev.Events/c.progressEvery {
+					t.Fatalf("snapshots %d and %d fall in one %d-event period: %+v, %+v", i-1, i, c.progressEvery, prev, u)
 				}
 			}
 			if last := updates[len(updates)-1]; last.Events != res.Events || last.SimTime != cfg.Duration {

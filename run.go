@@ -24,8 +24,7 @@ import (
 const loopScanPeriod = 200 * sim.Millisecond
 
 // defaultProgressEvery is the Config.Progress callback period in events
-// when ProgressEvery is zero — roughly a few snapshots per simulated
-// second of a saturated chain.
+// — roughly a few snapshots per simulated second of a saturated chain.
 const defaultProgressEvery = 1 << 16
 
 // chainGuards folds several guard functions into the engine's single
@@ -362,7 +361,7 @@ func run(cfg Config, rec trace.Recorder) (res *Result, err error) {
 	// first event, not at setup. Cancellation and progress share the
 	// guard tick: the engine polls the Cancel channel every guard period,
 	// so a close is noticed within ~1024 events, and reports progress on
-	// the first tick at or past each ProgressEvery events.
+	// the first tick at or past each progress period.
 	var guards []func() error
 	interval := uint64(0)
 	if g := cfg.Guards; g.Enabled() {
@@ -383,9 +382,9 @@ func run(cfg Config, rec trace.Recorder) (res *Result, err error) {
 	if progress := cfg.Progress; progress != nil {
 		// The guard only observes the run, so enabling progress cannot
 		// change its outcome.
-		every := cfg.ProgressEvery
-		if every == 0 {
-			every = defaultProgressEvery
+		every := uint64(defaultProgressEvery)
+		if cfg.progressEvery > 0 {
+			every = cfg.progressEvery
 		}
 		if len(guards) == 0 {
 			interval = every

@@ -3,20 +3,20 @@ package muzha
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 
 	"muzha/internal/harness"
 )
 
-// SweepOptions supervises a multi-run sweep: worker parallelism, a
-// result store to resume from, and per-run guards. The zero value
-// reproduces the historical serial, unguarded, unstored behaviour.
+// SweepOptions supervises a multi-run sweep: a result store to resume
+// from, and per-run guards. The zero value runs unguarded and unstored.
+// A sweep runs min(GOMAXPROCS, runs) runs at once, and inside each run
+// up to GOMAXPROCS interaction domains simulate at once; no option sets
+// either width, and GOMAXPROCS=1 gives a serial sweep. The width only
+// changes wall-clock time: every run's Result is bit-for-bit identical
+// at any width.
 type SweepOptions struct {
-	// Parallel is the number of runs executing at once; <= 1 runs
-	// serially, and any value yields bit-for-bit identical per-run
-	// Results — workers only change wall-clock time. (Inside one run,
-	// up to GOMAXPROCS interaction domains simulate at once.)
-	Parallel int
 	// Journal is the path of a result store: the muzhad cache.jsonl
 	// format, keyed by Config.Hash, so a daemon's cache can seed a sweep
 	// and a sweep's store can seed a daemon. Each successful run is
@@ -29,6 +29,11 @@ type SweepOptions struct {
 	// Guards bounds every run in the sweep (applied only to runs whose
 	// Config carries no guards of its own).
 	Guards RunGuards
+
+	// width, when positive, replaces GOMAXPROCS as the number of runs
+	// executing at once. The parallel-matches-serial tests set it,
+	// hence unexported.
+	width int
 }
 
 // SweepError summarizes a supervised sweep's failures. The sweep always
@@ -108,7 +113,7 @@ func runPool(cfgs []Config, keys []string, opt SweepOptions) ([]runOutcome, erro
 		store = c
 	}
 	outs := make([]runOutcome, len(cfgs))
-	var jobs []harness.Job
+	var jobs []func() (any, error)
 	var slots []int // slots[j] is the index of jobs[j]'s config
 	for i, cfg := range cfgs {
 		if store != nil {
@@ -121,20 +126,20 @@ func runPool(cfgs []Config, keys []string, opt SweepOptions) ([]runOutcome, erro
 		if !cfg.Guards.Enabled() {
 			cfg.Guards = opt.Guards
 		}
-		jobs = append(jobs, harness.Job{Fn: func() (any, error) {
+		jobs = append(jobs, func() (any, error) {
 			res, err := Run(cfg)
 			if err != nil {
 				return nil, err
 			}
 			return res, nil
-		}})
+		})
 		slots = append(slots, i)
 	}
 	var keep func(j int, r *Result)
 	if store != nil {
 		keep = func(j int, r *Result) { storeResult(store, keys[slots[j]], r) }
 	}
-	for j, o := range supervise(jobs, opt.Parallel, keep) {
+	for j, o := range supervise(jobs, opt.width, keep) {
 		outs[slots[j]] = o
 	}
 	if store != nil {
@@ -154,13 +159,17 @@ func storeResult(store *harness.Cache, key string, r *Result) {
 	}
 }
 
-// supervise submits the jobs to a pool of parallel workers (at least
-// one) with failure replay, closes it, and returns the outcomes in job
-// order. A successful job's value is a *Result; keep, when non-nil,
-// receives it from the worker as the job finishes.
-func supervise(jobs []harness.Job, parallel int, keep func(j int, r *Result)) []runOutcome {
+// supervise submits the jobs to a pool of min(width, len(jobs))
+// workers (width <= 0 is GOMAXPROCS) with failure replay, closes it,
+// and returns the outcomes in job order. A successful job's value is a
+// *Result; keep, when non-nil, receives it from the worker as the job
+// finishes.
+func supervise(jobs []func() (any, error), width int, keep func(j int, r *Result)) []runOutcome {
+	if width <= 0 {
+		width = runtime.GOMAXPROCS(0)
+	}
 	outs := make([]runOutcome, len(jobs))
-	pool := harness.NewPool(max(1, min(parallel, len(jobs))), harness.Options{Replay: true})
+	pool := harness.NewPool(max(1, min(width, len(jobs))), harness.Options{Replay: true})
 	for i, job := range jobs {
 		pool.Submit(job, func(o harness.Outcome) {
 			ro := runOutcome{Err: o.Err, Class: string(o.Class)}

@@ -104,19 +104,19 @@ func TestSweepClassifiesLivelockBudgetAndPanic(t *testing.T) {
 		}
 	}
 	healthy := guardConfig(t)
-	jobs := []harness.Job{
-		{Fn: guardedSim(1, harness.WatchdogConfig{LivelockWindow: 5_000}, func(s *sim.Simulator) {
+	jobs := []func() (any, error){
+		guardedSim(1, harness.WatchdogConfig{LivelockWindow: 5_000}, func(s *sim.Simulator) {
 			var spin func()
 			spin = func() { s.Schedule(0, spin) }
 			s.Schedule(0, spin)
-		})},
-		{Fn: guardedSim(2, harness.WatchdogConfig{MaxEvents: 10_000}, func(s *sim.Simulator) {
+		}),
+		guardedSim(2, harness.WatchdogConfig{MaxEvents: 10_000}, func(s *sim.Simulator) {
 			var tick func()
 			tick = func() { s.Schedule(sim.Nanosecond, tick) }
 			s.Schedule(0, tick)
-		})},
-		{Fn: func() (any, error) { panic("corrupted event heap") }},
-		{Fn: func() (any, error) { return Run(healthy) }},
+		}),
+		func() (any, error) { panic("corrupted event heap") },
+		func() (any, error) { return Run(healthy) },
 	}
 
 	names := []string{"livelock", "budget", "panic", "healthy"}
@@ -179,11 +179,11 @@ func TestChaosSweepParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep in -short mode")
 	}
-	serial, err := runHashed(t, chaosConfigs(t, 6), SweepOptions{})
+	serial, err := runHashed(t, chaosConfigs(t, 6), SweepOptions{width: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := runHashed(t, chaosConfigs(t, 6), SweepOptions{Parallel: 4})
+	parallel, err := runHashed(t, chaosConfigs(t, 6), SweepOptions{width: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestChaosSweepJournalResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := SweepOptions{Parallel: 2, Journal: filepath.Join(t.TempDir(), "chaos.jsonl")}
+	opt := SweepOptions{width: 2, Journal: filepath.Join(t.TempDir(), "chaos.jsonl")}
 	partial, err := runHashed(t, chaosConfigs(t, 3), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -338,9 +338,9 @@ func TestRunSurfacesTraceErrorAlongsideRunError(t *testing.T) {
 }
 
 // TestThroughputVsHopsParallelMatchesSerial: the experiment driver must
-// aggregate identical rows at any worker width.
+// aggregate identical rows at any sweep width.
 func TestThroughputVsHopsParallelMatchesSerial(t *testing.T) {
-	mk := func(parallel int) []ChainRow {
+	mk := func(width int) []ChainRow {
 		exp, err := ThroughputVsHops(ChainSweepConfig{
 			Windows:  []int{4},
 			Hops:     []int{2, 3},
@@ -348,7 +348,7 @@ func TestThroughputVsHopsParallelMatchesSerial(t *testing.T) {
 			Duration: 2 * time.Second,
 			Seeds:    []int64{1, 2},
 		})
-		return rowsOf[ChainRow](t, exp, err, SweepOptions{Parallel: parallel})
+		return rowsOf[ChainRow](t, exp, err, SweepOptions{width: width})
 	}
 	serial, parallel := mk(1), mk(4)
 	if !reflect.DeepEqual(serial, parallel) {
