@@ -12,10 +12,11 @@ import (
 // to three TCP flows cycling through the variant set, optional DSR,
 // RED, delayed ACKs, random loss, background CBR load and mobility, and
 // zero to four scheduled faults. The same seed always yields the same
-// Config.
+// Config. A duration under one second is an error: the fault schedule
+// needs room to play out.
 func ChaosScenario(seed int64, duration time.Duration) (Config, string, error) {
 	if duration < time.Second {
-		duration = 3 * time.Second
+		return Config{}, "", fmt.Errorf("muzha: chaos duration %v: want at least 1s", duration)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var desc strings.Builder

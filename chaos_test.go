@@ -121,6 +121,10 @@ func TestChaosScenarioGeneration(t *testing.T) {
 			t.Fatalf("seed %d: generator not deterministic", seed)
 		}
 	}
+	// A sub-second duration is refused, not quietly replaced.
+	if _, _, err := ChaosScenario(1, 500*time.Millisecond); err == nil {
+		t.Fatal("a 500ms chaos scenario was generated")
+	}
 }
 
 // FuzzChaosScenario drives the whole simulator through

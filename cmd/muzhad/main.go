@@ -1,8 +1,10 @@
 // Command muzhad is the simulation-as-a-service daemon: it accepts
-// simulation job submissions over HTTP (single runs and sweeps), runs
-// them on a supervised worker pool, caches results by config content
-// hash so identical (config, seed) submissions are served instantly,
-// and streams job progress as server-sent events.
+// simulation job submissions over HTTP, one muzha.Config per POST
+// /v1/jobs (clients such as muzhasim -remote compile scenario specs and
+// sweeps into Configs), runs them on a supervised worker pool, caches
+// results by config content hash so identical (config, seed)
+// submissions are served instantly, and streams job progress as
+// server-sent events.
 //
 //	muzhad -addr 127.0.0.1:7370 -data /var/lib/muzhad
 //

@@ -12,6 +12,7 @@
 //	muzhasim -exp single -hops 4 -variants muzha -set stack.packet_error_rate=0.02
 //	muzhasim -chaos-cov -runs 40 -corpus corpus.jsonl -repro-dir repros
 //	muzhasim -scenario spec.json -out result.json
+//	muzhasim -scenario spec.json -remote 127.0.0.1:7370
 //	muzhasim -scenario examples/scenarios/islands-1k.json -set duration_ms=5000
 //	muzhasim -scenario failing.json -shrink -out repro.json
 //	muzhasim -exp throughput -cpuprofile cpu.out -memprofile mem.out
@@ -42,9 +43,12 @@
 // flags edit the spec, or every cell, through the strict spec parser.
 // Each run's "expect" block is verified (an absent block expects a
 // healthy run); with -shrink, a failing scenario is minimized and the
-// reproducer written to -out (default repro.json). A flag the chosen
-// mode does not read is an error. Exit codes triage the worst failure
-// class without output parsing:
+// reproducer written to -out (default repro.json). With -remote, -exp
+// single and -scenario compile their specs to Configs here and run
+// each on a muzhad daemon instead of in-process, with the same output,
+// -out bytes and exit code; shrinking runs locally only. A flag the
+// chosen mode does not read is an error. Exit codes triage the worst
+// failure class without output parsing:
 //
 //	1  usage or unclassified error
 //	2  invariant violation
@@ -131,7 +135,7 @@ const sweepFlags = "exp seed duration resume deadline max-events "
 // -memprofile, which wrap every mode. run rejects any other flag that
 // is set, so nothing on the command line is silently ignored.
 var modeFlags = map[string]string{
-	"-scenario":       "scenario set shrink out deadline max-events",
+	"-scenario":       "scenario set shrink out remote deadline max-events",
 	"-chaos-cov":      "chaos-cov runs seed duration corpus repro-dir deadline max-events",
 	"-exp cwnd":       sweepFlags + "hops variants",
 	"-exp throughput": sweepFlags + "hops windows variants seeds",
@@ -145,7 +149,6 @@ var modeFlags = map[string]string{
 var scenarioHints = map[string]string{
 	"seed":     "; use -set seed=N",
 	"duration": "; use -set duration_ms=N",
-	"remote":   "; submit the spec to muzhad's /v1/scenarios instead",
 }
 
 // setFlags collects the repeatable -set path=value spec edits.
@@ -177,7 +180,7 @@ func run(args []string, out io.Writer) error {
 		cpuprof   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run/sweep to this file")
 		memprof   = fs.String("memprofile", "", "write a pprof allocation profile at exit to this file")
 		outPath   = fs.String("out", "", "write machine-readable Result JSON to this file (-exp single, -scenario; same canonical encoding muzhad serves)")
-		remote    = fs.String("remote", "", "muzhad address, e.g. 127.0.0.1:7370: run -exp single via the daemon instead of in-process")
+		remote    = fs.String("remote", "", "muzhad address, e.g. 127.0.0.1:7370: run -exp single or -scenario via the daemon instead of in-process")
 		sets      setFlags
 	)
 	fs.Var(&sets, "set", "edit a spec field, repeatable: path=value with a dotted JSON field path and a JSON or plain-string value, e.g. -set stack.expanding_ring=true (-scenario, and every -exp single cell)")
@@ -250,6 +253,15 @@ func run(args []string, out io.Writer) error {
 		},
 	}
 	r := runner{guards: sw.Guards}
+	if base := *remote; base != "" {
+		if *shrink {
+			return errors.New("-shrink runs locally; it does not apply with -remote")
+		}
+		if !strings.Contains(base, "://") {
+			base = "http://" + base
+		}
+		r.cli = &jobs.Client{BaseURL: base, ClientID: "muzhasim", Attempts: 5}
+	}
 	if *scenPath != "" {
 		return runScenario(out, *scenPath, sets, *shrink, *outPath, r)
 	}
@@ -316,12 +328,6 @@ func run(args []string, out io.Writer) error {
 		cells, err := chainCells(hs, vs, orDefault(*duration, 30*time.Second), *seed, sets)
 		if err != nil {
 			return err
-		}
-		if base := *remote; base != "" {
-			if !strings.Contains(base, "://") {
-				base = "http://" + base
-			}
-			r.cli = &jobs.Client{BaseURL: base, ClientID: "muzhasim", Attempts: 5}
 		}
 		return runSingle(out, cells, *outPath, r)
 	}
@@ -620,6 +626,11 @@ func remoteRun(cli *jobs.Client, cfg muzha.Config) (*muzha.Result, json.RawMessa
 	}
 	if err == nil && j.State != jobs.StateDone {
 		err = fmt.Errorf("remote job %s is %s [%s]: %s", j.ID, j.State, j.Class, j.Error)
+		if class := harness.Sentinel(harness.Class(j.Class)); class != nil {
+			// Keep the class, so ClassifyRun, verdict and codeFor
+			// treat the failure as they treat the same local one.
+			err = fmt.Errorf("%w: %w", err, class)
+		}
 	}
 	var raw json.RawMessage
 	if err == nil {

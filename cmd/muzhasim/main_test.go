@@ -115,13 +115,14 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}{
 		{[]string{"-scenario", spec, "-duration", "5s"}, "-set duration_ms="},
 		{[]string{"-scenario", spec, "-seed", "9"}, "-set seed="},
-		{[]string{"-scenario", spec, "-remote", "localhost:1"}, "/v1/scenarios"},
+		{[]string{"-scenario", spec, "-shrink", "-remote", "localhost:1"}, "-shrink runs locally; it does not apply with -remote"},
 		{[]string{"-scenario", spec, "-set", "stack.expanding_rng=true"}, `unknown field "expanding_rng"`},
 		{[]string{"-exp", "single", "-hops", "4,x,8"}, `"x" is not a positive integer`},
 		{[]string{"-exp", "single", "-hops", "2", "-duration", "1500us"}, "whole milliseconds"},
 		{[]string{"-exp", "fairness", "-variants", "muzha"}, "-variants does not apply to -exp fairness"},
 		{[]string{"-parallel", "2"}, "flag provided but not defined: -parallel"},
 		{[]string{"-chaos-cov", "-runs", "0"}, "-runs 0: want at least 1"},
+		{[]string{"-chaos-cov", "-duration", "500ms"}, "duration 500ms: want at least 1s"},
 		{[]string{"-chaos-cov", "-shrink"}, "-shrink does not apply to -chaos-cov"},
 		{[]string{"-chaos-cov", "-resume", "j.jsonl"}, "-resume does not apply to -chaos-cov"},
 		{[]string{"-chaos"}, "flag provided but not defined: -chaos"},

@@ -2,10 +2,8 @@ package main
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"flag"
-	"net/http"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -54,11 +52,30 @@ func TestOutGolden(t *testing.T) {
 func TestOutAndRemoteRequireSingle(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-exp", "cwnd", "-out", "x.json"}, &sb); err == nil {
-		t.Fatal("-out accepted outside -exp single")
+		t.Fatal("-out accepted outside -exp single and -scenario")
+	}
+	if err := run([]string{"-exp", "throughput", "-remote", "localhost:1"}, &sb); err == nil {
+		t.Fatal("-remote accepted with -exp throughput")
 	}
 	if err := run([]string{"-chaos-cov", "-remote", "localhost:1"}, &sb); err == nil {
 		t.Fatal("-remote accepted with -chaos-cov")
 	}
+}
+
+// newDaemon starts an in-process muzhad and returns its URL and server.
+func newDaemon(t *testing.T) (string, *jobs.Server) {
+	t.Helper()
+	srv, err := jobs.NewServer(jobs.ServerConfig{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Drain(0)
+		srv.Close()
+	})
+	return ts.URL, srv
 }
 
 // TestRemoteMatchesLocal runs the same single experiment in-process and
@@ -66,16 +83,7 @@ func TestOutAndRemoteRequireSingle(t *testing.T) {
 // document — the shared canonical encoder is what makes local and
 // remote results diffable.
 func TestRemoteMatchesLocal(t *testing.T) {
-	srv, err := jobs.NewServer(jobs.ServerConfig{DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		ts.Close()
-		srv.Drain(0)
-		srv.Close()
-	}()
+	url, srv := newDaemon(t)
 
 	dir := t.TempDir()
 	localOut := filepath.Join(dir, "local.json")
@@ -87,7 +95,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	var remoteCSV strings.Builder
-	if err := run(append(args, "-out", remoteOut, "-remote", ts.URL), &remoteCSV); err != nil {
+	if err := run(append(args, "-out", remoteOut, "-remote", url), &remoteCSV); err != nil {
 		t.Fatal(err)
 	}
 	if localCSV.String() != remoteCSV.String() {
@@ -109,57 +117,55 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestScenarioOutMatchesDaemon runs one spec file in-process with -out
-// and submits the same spec to muzhad's /v1/scenarios: the -out file
-// must be exactly the result bytes the daemon serves.
+// TestScenarioOutMatchesDaemon runs one spec file in-process and
+// through a muzhad daemon with -remote: the report and the -out bytes
+// must be identical.
 func TestScenarioOutMatchesDaemon(t *testing.T) {
-	srv, err := jobs.NewServer(jobs.ServerConfig{DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		ts.Close()
-		srv.Drain(0)
-		srv.Close()
-	}()
-
+	url, _ := newDaemon(t)
 	spec := `{"seed": 3, "duration_ms": 2000, "topology": {"kind": "chain", "hops": 3},
 		"flows": [{"src": 0, "dst": 3, "variant": "muzha"}], "stack": {"packet_error_rate": 0.01}}`
 	dir := t.TempDir()
 	specPath := filepath.Join(dir, "s.json")
-	outPath := filepath.Join(dir, "r.json")
 	if err := os.WriteFile(specPath, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	if err := run([]string{"-scenario", specPath, "-out", outPath}, &sb); err != nil {
-		t.Fatalf("%v\n%s", err, sb.String())
+	var outs [2][]byte
+	var reports [2]string
+	for i, extra := range [][]string{nil, {"-remote", url}} {
+		outPath := filepath.Join(dir, fmt.Sprintf("r%d.json", i))
+		var sb strings.Builder
+		if err := run(append([]string{"-scenario", specPath, "-out", outPath}, extra...), &sb); err != nil {
+			t.Fatalf("%v\n%s", err, sb.String())
+		}
+		b, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[i], reports[i] = b, sb.String()
 	}
-	local, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
+	if reports[0] != reports[1] {
+		t.Fatalf("report differs:\nlocal:\n%s\nremote:\n%s", reports[0], reports[1])
 	}
+	if !bytes.Equal(outs[0], outs[1]) {
+		t.Fatalf("-scenario -out (%d bytes) differs from -scenario -remote -out (%d bytes)", len(outs[0]), len(outs[1]))
+	}
+}
 
-	resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(`{"scenario": `+spec+`}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var j jobs.ScenarioJob
-	if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
-		t.Fatal(err)
-	}
-	cli := &jobs.Client{BaseURL: ts.URL}
-	ctx := context.Background()
-	if _, err := cli.Stream(ctx, j.ID, nil); err != nil {
-		t.Fatal(err)
-	}
-	served, err := cli.Result(ctx, j.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(local, served) {
-		t.Fatalf("-scenario -out (%d bytes) differs from the daemon's result (%d bytes)", len(local), len(served))
+// TestRemoteFailureKeepsExitCode: a run the daemon aborts exits with
+// the same triage code as the same run in-process.
+func TestRemoteFailureKeepsExitCode(t *testing.T) {
+	url, _ := newDaemon(t)
+	budget := filepath.Join("..", "..", "internal", "chaoscov", "testdata", "event-budget.json")
+	for _, args := range [][]string{
+		{"-exp", "single", "-hops", "2", "-variants", "newreno", "-duration", "2s", "-max-events", "1000"},
+		{"-scenario", budget},
+	} {
+		for _, extra := range [][]string{nil, {"-remote", url}} {
+			var sb strings.Builder
+			err := run(append(append([]string(nil), args...), extra...), &sb)
+			if got := codeFor(err); got != exitGuard {
+				t.Errorf("run(%q) = %v, exit code %d, want %d\n%s", append(args, extra...), err, got, exitGuard, sb.String())
+			}
+		}
 	}
 }

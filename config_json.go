@@ -22,9 +22,10 @@ import (
 // because they are local observers, not part of the scenario:
 // PacketTrace (an io.Writer), Progress (a callback) and
 // Cancel (a channel). Guards ARE carried on the wire — a remote job
-// keeps its budgets — but are excluded from Hash: a run that completes
-// is bit-for-bit identical with or without guards, so configurations
-// differing only in guard budgets may share a cached Result.
+// keeps its budgets — but Hash leaves the guards member out: a run
+// that completes is bit-for-bit identical with or without guards, so
+// configurations differing only in guard budgets may share a cached
+// Result.
 
 // topologyWire is the serialized node layout. Positions and flow
 // endpoints fully determine a topology, so any Topology — including
@@ -103,17 +104,32 @@ func decodeStrict(b []byte, v any) error {
 }
 
 // Hash returns the content hash identifying this scenario: the SHA-256
-// of the canonical JSON encoding with Guards zeroed, as lowercase hex.
-// It is THE result-cache key of the muzhad daemon — identical
-// (config, seed) submissions hash identically, so their Results are
-// interchangeable; Seed is part of Config, hence part of the hash. Observer fields (PacketTrace, Progress, Cancel) and guard
-// budgets do not affect a completed run's Result and are excluded.
+// of the canonical JSON encoding without its guards member, as
+// lowercase hex. It is THE result-cache key of the muzhad daemon —
+// identical (config, seed) submissions hash identically, so their
+// Results are interchangeable; Seed is part of Config, hence part of
+// the hash. Observer fields (PacketTrace, Progress, Cancel) and guard
+// budgets do not affect a completed run's Result and are excluded, so
+// adding or removing a RunGuards field leaves every key in place.
 func (c Config) Hash() (string, error) {
 	c.Guards = RunGuards{}
 	b, err := c.MarshalJSON()
 	if err != nil {
 		return "", fmt.Errorf("muzha: hash config: %w", err)
 	}
-	sum := sha256.Sum256(b)
+	// b is the encoder's own copy, so the member is cut in place.
+	before, after, _ := bytes.Cut(b, zeroGuardsMember)
+	sum := sha256.Sum256(append(before, after...))
 	return hex.EncodeToString(sum[:]), nil
 }
+
+// zeroGuardsMember is the member a Config with zero Guards encodes as,
+// comma included: "guards" sorts before other keys, so it never ends
+// the object.
+var zeroGuardsMember = func() []byte {
+	b, err := canon.JSON(RunGuards{})
+	if err != nil {
+		panic(err)
+	}
+	return append(append([]byte(`"guards":`), b...), ',')
+}()

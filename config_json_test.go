@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"muzha/internal/canon"
 )
 
 // wireTestConfig exercises every serializable field: nested policy,
@@ -152,7 +154,7 @@ func TestConfigHashStability(t *testing.T) {
 	// Pinned literals: the cache key and the canonical wire bytes
 	// (guards included) of this config. A change to either orphans
 	// every cached result and journaled sweep, so it must be deliberate.
-	const wantHash = "cc5d1f8cd4dc43cbc9744193c033d6a884749fbfc8ba73be6d51004c81d4adf9"
+	const wantHash = "cc740cad326526ce4c749bfc2eb517fbe48dbb8bcc1673e1c0c2f83d491c1ee5"
 	if h1 != wantHash {
 		t.Fatalf("Hash = %s, want pinned %s", h1, wantHash)
 	}
@@ -163,6 +165,24 @@ func TestConfigHashStability(t *testing.T) {
 	const wantWire = "e0b7454d08f8a881d108b1118ce3a34c100a6f6e4699e1834dbcd86298c03790"
 	if got := fmt.Sprintf("%x", sha256.Sum256(wire)); got != wantWire {
 		t.Fatalf("canonical bytes digest = %s, want pinned %s:\n%s", got, wantWire, wire)
+	}
+
+	// The hash covers the wire bytes without their guards member, so
+	// no RunGuards field name is part of a cache key.
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(wire, &doc); err != nil {
+		t.Fatal(err)
+	}
+	delete(doc, "guards")
+	unguarded, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unguarded, err = canon.Bytes(unguarded); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(unguarded)); got != h1 {
+		t.Fatalf("Hash = %s, want the digest of the wire bytes without guards, %s", h1, got)
 	}
 
 	// Guard budgets and observers must not move the hash: they cannot

@@ -23,7 +23,7 @@ type Options struct {
 	// determinism replay. Shrinking spends additional runs outside this
 	// budget.
 	Runs int
-	// Duration is the simulated time per scenario (default 3s).
+	// Duration is the simulated time per scenario, at least 1s.
 	Duration time.Duration
 	// CorpusPath persists the corpus as JSONL; "" keeps it in memory.
 	// An existing corpus is resumed: its accumulated coverage seeds the
@@ -80,7 +80,7 @@ const freshEvery = 5
 // next) and deterministic for a given seed and starting corpus.
 func Loop(opt Options) (Report, error) {
 	if opt.Duration < time.Second {
-		opt.Duration = 3 * time.Second
+		return Report{}, fmt.Errorf("chaoscov: duration %v: want at least 1s", opt.Duration)
 	}
 	logf := opt.Logf
 	if logf == nil {

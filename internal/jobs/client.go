@@ -260,22 +260,6 @@ func (c *Client) Submit(ctx context.Context, cfg muzha.Config) (Job, error) {
 	return j, err
 }
 
-// SubmitSweep sends a batch; admission is atomic — either every
-// not-yet-cached config is queued or the daemon returns a BusyError.
-func (c *Client) SubmitSweep(ctx context.Context, cfgs []muzha.Config) ([]Job, error) {
-	body, err := json.Marshal(map[string][]muzha.Config{"configs": cfgs})
-	if err != nil {
-		return nil, err
-	}
-	var out struct {
-		Jobs []Job `json:"jobs"`
-	}
-	if err := c.do(ctx, http.MethodPost, "/v1/sweeps", body, &out); err != nil {
-		return nil, err
-	}
-	return out.Jobs, nil
-}
-
 // Get fetches one job's current record.
 func (c *Client) Get(ctx context.Context, id string) (Job, error) {
 	var j Job

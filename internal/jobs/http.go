@@ -8,35 +8,30 @@ import (
 	"strconv"
 
 	"muzha"
-	"muzha/internal/scenario"
 )
 
 // API shape (all JSON):
 //
-//	POST /v1/jobs            {"config": <muzha.Config>}         -> Job (200 cached/coalesced, 202 queued)
-//	POST /v1/scenarios       {"scenario": <scenario.Spec>}      -> Job + spec_hash/summary (same statuses)
-//	POST /v1/sweeps          {"configs": [<muzha.Config>, ...]} -> {"jobs": [Job, ...]} (atomic admission)
-//	GET  /v1/jobs            -> {"jobs": [Job, ...]}
+//	POST /v1/jobs            {"config": <muzha.Config>} -> Job (200 cached/coalesced, 202 queued)
 //	GET  /v1/jobs/{id}       -> Job
 //	GET  /v1/jobs/{id}/result -> raw canonical Result bytes (409 until done, 410 once evicted)
 //	GET  /v1/jobs/{id}/stream -> SSE: "progress" events, then one "done" event carrying the Job
 //	GET  /v1/stats           -> Stats
 //	GET  /v1/healthz         -> {"ok": true}
 //
-// A Job is metadata only. Its Result lives once, in the result cache
-// under the job's hash, and /result serves the cache's bytes; when the
-// cache's caps have evicted it, /result answers 410 and resubmitting
-// the config recomputes it.
+// POST /v1/jobs is the one way in: a scenario spec or a sweep reaches
+// the daemon as the Configs its client compiles from it, one request
+// per Config. A Job is metadata only. Its Result lives once, in the
+// result cache under the job's hash, and /result serves the cache's
+// bytes; when the cache's caps have evicted it, /result answers 410
+// and resubmitting the config recomputes it.
 //
-// All three submit endpoints admit through one path (admitLocked): a
-// single submission is a sweep of one. Backpressure: a request whose
-// new runs do not fit the queue or the client's limit gets 429 with a
-// Retry-After header, and 503 on a draining daemon. A request of cache
-// hits and coalesced duplicates only is always served. Errors are
-// {"error": "..."}.
+// Backpressure: a config that needs a new run and does not fit the
+// queue or the client's limit gets 429 with a Retry-After header, and
+// 503 on a draining daemon. A cache hit or a coalesced duplicate is
+// always served. Errors are {"error": "..."}.
 
-// maxBodyBytes bounds a submission body; a sweep of a few thousand
-// configs fits comfortably.
+// maxBodyBytes bounds a submission body, far above any one config.
 const maxBodyBytes = 32 << 20
 
 // Handler returns the daemon's HTTP API.
@@ -49,9 +44,6 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, s.Snapshot())
 	})
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("POST /v1/scenarios", s.handleScenario)
-	mux.HandleFunc("POST /v1/sweeps", s.handleSweep)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
@@ -84,113 +76,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if out, status, ok := s.admit(w, r, p); ok {
-		writeJSON(w, status, out[0])
-	}
-}
-
-// ScenarioJob is the /v1/scenarios response: the admitted job plus
-// the scenario's own identity — its canonical-spec hash and summary —
-// so a chaos corpus can correlate daemon jobs back to spec entries.
-type ScenarioJob struct {
-	Job
-	SpecHash string `json:"spec_hash"`
-	Summary  string `json:"summary"`
-}
-
-// handleScenario admits a declarative scenario spec: strict-parse,
-// deterministically generate the Config, then admit it like /v1/jobs —
-// so an identical spec (or an identical Config reached any other way)
-// still lands on the cache or coalesces.
-func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Scenario json.RawMessage `json:"scenario"`
-	}
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Scenario) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf(`body needs a "scenario" field`))
-		return
-	}
-	spec, err := scenario.Parse(req.Scenario)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	cfg, err := spec.Config()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	specHash, err := spec.Hash()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	p, err := prepare(cfg)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if out, status, ok := s.admit(w, r, p); ok {
-		writeJSON(w, status, ScenarioJob{Job: out[0], SpecHash: specHash, Summary: spec.Summary()})
-	}
-}
-
-// handleSweep admits a batch of configs atomically: either every new
-// run fits the queue or none is admitted. Partial sweep admission would
-// leave the client guessing which half of its parameter grid exists.
-// The response is 200 with one job per config, in request order.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Configs []muzha.Config `json:"configs"`
-	}
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Configs) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf(`body needs a non-empty "configs" list`))
-		return
-	}
-	batch := make([]prepared, len(req.Configs))
-	for i, cfg := range req.Configs {
-		p, err := prepare(cfg)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("config %d: %w", i, err))
-			return
-		}
-		batch[i] = p
-	}
-	if out, _, ok := s.admit(w, r, batch...); ok {
-		writeJSON(w, http.StatusOK, map[string][]Job{"jobs": out})
-	}
-}
-
-// admit runs admitLocked for the request's client. On refusal it
-// writes the error response, with a Retry-After hint on 429 and 503,
-// and reports false.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, batch ...prepared) ([]Job, int, bool) {
 	s.mu.Lock()
-	out, status, err := s.admitLocked(batch, clientOf(r))
+	j, status, err := s.admitLocked(p, clientOf(r))
 	s.mu.Unlock()
 	if err != nil {
 		w.Header().Set("Retry-After", s.RetryHint())
 		writeError(w, status, err)
-		return nil, 0, false
+		return
 	}
-	return out, status, true
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	// Configs can be large; the listing leaves them out.
-	list := s.store.List()
-	for i := range list {
-		list[i].Config = nil
-	}
-	writeJSON(w, http.StatusOK, map[string][]Job{"jobs": list})
+	writeJSON(w, status, j)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {

@@ -5,6 +5,10 @@
 // with bounded-queue admission control and SSE progress streaming, and
 // a small client used by `muzhasim -remote`.
 //
+// A submission is one muzha.Config, and POST /v1/jobs is the only way
+// in: clients compile scenario specs and sweeps into Configs
+// themselves and submit them one at a time.
+//
 // The contract that makes the cache sound is determinism: a Config
 // fully determines its Result, so the canonical encoding of the Config
 // (its Hash) is a complete identity for the canonical encoding of the

@@ -274,8 +274,8 @@ type prepared struct {
 	canonical json.RawMessage
 }
 
-// prepare validates cfg, hashes it and encodes it canonically. Every
-// submit endpoint runs its configs through it before admission.
+// prepare validates cfg, hashes it and encodes it canonically, before
+// admission.
 func prepare(cfg muzha.Config) (prepared, error) {
 	if err := cfg.Validate(); err != nil {
 		return prepared{}, err
@@ -291,59 +291,39 @@ func prepare(cfg muzha.Config) (prepared, error) {
 	return prepared{hash: hash, canonical: canonical}, nil
 }
 
-// admitLocked admits a batch of prepared configs from one client, all
-// or none; a single submission is a batch of one. A config is served
-// from the cache, coalesced onto the in-flight run of its hash (or an
-// earlier duplicate in the batch), or queued as a new run. Only new
-// runs need queue slots, so a batch that needs none is admitted even
-// while draining. On success the status is 202 when a run was queued,
-// else 200; on refusal it is 429 or 503 and no job is created. Caller
-// holds s.mu.
-func (s *Server) admitLocked(batch []prepared, client string) ([]Job, int, error) {
-	hit := make([]bool, len(batch))
-	need := 0
-	seen := make(map[string]bool, len(batch))
-	for i, p := range batch {
-		hit[i] = s.cache.Has(p.hash)
-		_, running := s.active[p.hash]
-		if !hit[i] && !running && !seen[p.hash] {
-			seen[p.hash] = true
-			need++
-		}
+// admitLocked admits one prepared config from one client. The config
+// is served from the cache, coalesced onto the in-flight run of its
+// hash, or queued as a new run. Only a new run needs a queue slot, so
+// a hit or a coalesced duplicate is admitted even while draining. On
+// success the status is 202 when a run was queued, else 200; on
+// refusal it is 429 or 503 and no job is created. Caller holds s.mu.
+func (s *Server) admitLocked(p prepared, client string) (Job, int, error) {
+	if s.cache.Has(p.hash) {
+		// The job is born done; no simulation runs.
+		s.stats.CacheHits++
+		return s.store.NewJob(p.hash, client, p.canonical, true), http.StatusOK, nil
 	}
-	if need > 0 {
-		if s.draining {
-			return nil, http.StatusServiceUnavailable, errors.New("daemon is draining")
-		}
-		if free := s.cfg.QueueDepth - s.inFlight; need > free {
-			s.stats.Rejected++
-			return nil, http.StatusTooManyRequests,
-				fmt.Errorf("queue full: %d slot(s) needed, %d free", need, free)
-		}
-		if left := s.cfg.PerClient - s.perClient[client]; s.cfg.PerClient > 0 && need > left {
-			s.stats.Rejected++
-			return nil, http.StatusTooManyRequests,
-				fmt.Errorf("client %q at its limit of %d in-flight jobs: %d slot(s) needed, %d left",
-					client, s.cfg.PerClient, need, left)
-		}
+	if id, ok := s.active[p.hash]; ok {
+		s.stats.Coalesced++
+		j, _ := s.store.Get(id)
+		return j, http.StatusOK, nil
 	}
-	out := make([]Job, len(batch))
-	status := http.StatusOK
-	for i, p := range batch {
-		if hit[i] {
-			// The job is born done; no simulation runs.
-			s.stats.CacheHits++
-			out[i] = s.store.NewJob(p.hash, client, p.canonical, true)
-		} else if id, ok := s.active[p.hash]; ok {
-			s.stats.Coalesced++
-			out[i], _ = s.store.Get(id)
-		} else {
-			out[i] = s.store.NewJob(p.hash, client, p.canonical, false)
-			s.enqueueLocked(out[i])
-			status = http.StatusAccepted
-		}
+	if s.draining {
+		return Job{}, http.StatusServiceUnavailable, errors.New("daemon is draining")
 	}
-	return out, status, nil
+	if s.inFlight >= s.cfg.QueueDepth {
+		s.stats.Rejected++
+		return Job{}, http.StatusTooManyRequests,
+			fmt.Errorf("queue full: all %d slots in use", s.cfg.QueueDepth)
+	}
+	if s.cfg.PerClient > 0 && s.perClient[client] >= s.cfg.PerClient {
+		s.stats.Rejected++
+		return Job{}, http.StatusTooManyRequests,
+			fmt.Errorf("client %q at its limit of %d in-flight jobs", client, s.cfg.PerClient)
+	}
+	j := s.store.NewJob(p.hash, client, p.canonical, false)
+	s.enqueueLocked(j)
+	return j, http.StatusAccepted, nil
 }
 
 // Snapshot returns current daemon statistics.
@@ -356,7 +336,7 @@ func (s *Server) Snapshot() Stats {
 	if st.Queued < 0 {
 		st.Queued = 0
 	}
-	st.Jobs = len(s.store.List())
+	st.Jobs = s.store.Len()
 	st.Cache = s.cache.Stats()
 	st.CacheEntries = st.Cache.Entries
 	st.Requeued = s.requeued

@@ -301,39 +301,9 @@ func TestPerClientLimit(t *testing.T) {
 	}
 }
 
-func TestSweepAdmissionIsAtomic(t *testing.T) {
-	ctx := testCtx(t)
-	srv, cli := newTestServer(t, ServerConfig{Workers: 1, QueueDepth: 1})
-	// Two fresh configs need two slots; only one exists — nothing may be
-	// admitted, or a client could never tell which half of its grid ran.
-	_, err := cli.SubmitSweep(ctx, []muzha.Config{
-		chainConfig(t, 4, time.Hour, 1),
-		chainConfig(t, 4, time.Hour, 2),
-	})
-	var busy *BusyError
-	if !errors.As(err, &busy) || busy.Status != http.StatusTooManyRequests {
-		t.Fatalf("oversized sweep err = %v, want 429", err)
-	}
-	if st := srv.Snapshot(); st.Queued+st.Running != 0 {
-		t.Fatalf("partial sweep admitted: %+v", st)
-	}
-
-	// Duplicates inside one sweep coalesce onto a single slot and job.
-	dup := chainConfig(t, 2, time.Second, 3)
-	jobsOut, err := cli.SubmitSweep(ctx, []muzha.Config{dup, dup})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobsOut) != 2 || jobsOut[0].ID != jobsOut[1].ID {
-		t.Fatalf("sweep duplicates did not coalesce: %+v", jobsOut)
-	}
-	if _, err := cli.Stream(ctx, jobsOut[0].ID, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSweepResultsMatchLocalRuns: every result a sweep serves is the
-// byte-exact canonical encoding of the same config run in-process.
+// TestSweepResultsMatchLocalRuns: every result of a sweep submitted
+// one config at a time is the byte-exact canonical encoding of the
+// same config run in-process.
 func TestSweepResultsMatchLocalRuns(t *testing.T) {
 	ctx := testCtx(t)
 	_, cli := newTestServer(t, ServerConfig{Workers: 2})
@@ -342,15 +312,16 @@ func TestSweepResultsMatchLocalRuns(t *testing.T) {
 		chainConfig(t, 3, time.Second, 22),
 		chainConfig(t, 4, time.Second, 23),
 	}
-	jobsOut, err := cli.SubmitSweep(ctx, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobsOut) != len(cfgs) {
-		t.Fatalf("sweep returned %d jobs for %d configs", len(jobsOut), len(cfgs))
+	submitted := make([]Job, len(cfgs))
+	for i, cfg := range cfgs {
+		j, err := cli.Submit(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitted[i] = j
 	}
 	for i, cfg := range cfgs {
-		j, err := cli.Stream(ctx, jobsOut[i].ID, nil)
+		j, err := cli.Stream(ctx, submitted[i].ID, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +341,7 @@ func TestSweepResultsMatchLocalRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("config %d: sweep result differs from local run:\nsweep: %.120s\nlocal: %.120s", i, got, want)
+			t.Fatalf("config %d: daemon result differs from local run:\ndaemon: %.120s\nlocal: %.120s", i, got, want)
 		}
 	}
 }
@@ -554,36 +525,37 @@ func TestJobRecordsCarryNoResult(t *testing.T) {
 	}
 }
 
-// TestDrainingServesCachedSweep: a draining daemon refuses new runs but
-// serves a sweep of cache hits with 200, as it serves a single hit.
+// TestDrainingServesCachedSweep: a draining daemon refuses a new run
+// with 503 but serves each config of a finished sweep as a cache hit
+// with 200.
 func TestDrainingServesCachedSweep(t *testing.T) {
 	ctx := testCtx(t)
 	srv, cli := newTestServer(t, ServerConfig{Workers: 2})
 	cfgs := []muzha.Config{chainConfig(t, 2, time.Second, 31), chainConfig(t, 3, time.Second, 32)}
-	first, err := cli.SubmitSweep(ctx, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range first {
-		if j, err := cli.Stream(ctx, j.ID, nil); err != nil || j.State != StateDone {
+	for _, cfg := range cfgs {
+		j, err := cli.Submit(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, err = cli.Stream(ctx, j.ID, nil); err != nil || j.State != StateDone {
 			t.Fatalf("job %s ended %s: %v", j.ID, j.State, err)
 		}
 	}
 	srv.Drain(0)
 
-	again, err := cli.SubmitSweep(ctx, cfgs)
-	if err != nil {
-		t.Fatalf("all-hit sweep while draining: %v", err)
-	}
-	for i, j := range again {
+	for i, cfg := range cfgs {
+		j, err := cli.Submit(ctx, cfg)
+		if err != nil {
+			t.Fatalf("config %d: cache hit while draining: %v", i, err)
+		}
 		if !j.Cached || j.State != StateDone {
 			t.Fatalf("config %d: state %s cached %v, want done from cache", i, j.State, j.Cached)
 		}
 	}
-	_, err = cli.SubmitSweep(ctx, append(cfgs, chainConfig(t, 4, time.Second, 33)))
+	_, err := cli.Submit(ctx, chainConfig(t, 4, time.Second, 33))
 	var busy *BusyError
 	if !errors.As(err, &busy) || busy.Status != http.StatusServiceUnavailable {
-		t.Fatalf("sweep with a new run while draining: err = %v, want 503", err)
+		t.Fatalf("new run while draining: err = %v, want 503", err)
 	}
 	if st := srv.Snapshot(); st.CacheHits != 2 || st.Rejected != 0 {
 		t.Fatalf("stats = %+v, want 2 hits and no rejection", st)

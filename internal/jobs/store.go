@@ -23,7 +23,6 @@ type Store struct {
 	mu       sync.Mutex
 	log      *jsonl.Log
 	jobs     map[string]*Job
-	order    []string // IDs by first appearance, i.e. submission order
 	requeued []string
 	nextSeq  uint64
 	skipped  int
@@ -41,13 +40,14 @@ func OpenStore(path string) (*Store, error) {
 		jobs:    make(map[string]*Job),
 		configs: make(map[string]json.RawMessage),
 	}
+	var order []string // IDs by first appearance, i.e. submission order
 	log, skipped, err := jsonl.Open(path, func(line []byte) bool {
 		var j Job
 		if err := json.Unmarshal(line, &j); err != nil || j.ID == "" {
 			return false
 		}
 		if prev, seen := s.jobs[j.ID]; !seen {
-			s.order = append(s.order, j.ID)
+			order = append(order, j.ID)
 		} else if len(j.Config) == 0 {
 			j.Config = prev.Config
 		}
@@ -64,7 +64,7 @@ func OpenStore(path string) (*Store, error) {
 	// Interrupted work — anything not terminal — goes back to the queue.
 	// The requeue is journaled so the file reflects what the daemon will
 	// actually do, even if it is killed again before the job starts.
-	for _, id := range s.order {
+	for _, id := range order {
 		j := s.jobs[id]
 		if j.State.Terminal() {
 			continue
@@ -134,7 +134,6 @@ func (s *Store) NewJob(hash, client string, cfg json.RawMessage, cached bool) Jo
 	}
 	s.nextSeq++
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
 	s.log.Append(*j)
 	return *j
 }
@@ -150,15 +149,11 @@ func (s *Store) Get(id string) (Job, bool) {
 	return *j, true
 }
 
-// List returns copies of all jobs in submission order.
-func (s *Store) List() []Job {
+// Len reports how many jobs the store holds.
+func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, *s.jobs[id])
-	}
-	return out
+	return len(s.jobs)
 }
 
 // Transition applies mutate to the job under the store lock, journals

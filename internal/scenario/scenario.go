@@ -5,8 +5,8 @@
 //
 // The spec is the workload currency of the robustness tooling: the
 // chaos fuzzer mutates specs, the shrinker minimizes them, repro.json
-// files commit them, and the muzhad daemon accepts them as a
-// first-class job type (POST /v1/scenarios). Its wire form is
+// files commit them, and muzhasim runs them, in-process or, with
+// -remote, as the Config a muzhad daemon runs. Its wire form is
 // canonical JSON (internal/canon): encoding a Spec always yields the
 // same bytes regardless of field order in the source document, so a
 // spec hash is a stable identity. Parsing is strict — unknown fields

@@ -7,7 +7,8 @@
 #   3. stream a fresh job over SSE — must end with a "done" event
 #      (after a config with an invalid DRAI policy is refused: 400 and
 #      no job)
-#   4. muzhasim -remote must match the in-process run byte-for-byte
+#   4. muzhasim -exp single -remote and -scenario -remote must match the
+#      in-process runs byte-for-byte
 #   5. SIGKILL the daemon mid-job, restart it, and watch the journal
 #      re-queue and finish the interrupted job
 #   6. SIGTERM must drain and exit 0
@@ -121,6 +122,13 @@ log "muzhasim -remote matches the in-process run byte-for-byte"
 "$BIN/muzhasim" -exp single -hops 2 -variants newreno -duration 2s -out "$WORK/remote.json" -remote "$ADDR" >"$WORK/remote.csv"
 cmp "$WORK/local.csv" "$WORK/remote.csv"
 cmp "$WORK/local.json" "$WORK/remote.json"
+
+log "muzhasim -scenario -remote matches the in-process run byte-for-byte"
+SPEC=examples/scenarios/relay-crash.json
+"$BIN/muzhasim" -scenario "$SPEC" -out "$WORK/spec-local.json" >"$WORK/spec-local.txt"
+"$BIN/muzhasim" -scenario "$SPEC" -out "$WORK/spec-remote.json" -remote "$ADDR" >"$WORK/spec-remote.txt"
+cmp "$WORK/spec-local.txt" "$WORK/spec-remote.txt"
+cmp "$WORK/spec-local.json" "$WORK/spec-remote.json"
 
 log "SIGKILL mid-job, restart, journal must resume the interrupted job"
 RESP4=$(config 600000000000 9 | curl -fs "$BASE/v1/jobs" -d @-) # 600 simulated seconds: wide mid-run window
